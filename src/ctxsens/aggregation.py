@@ -281,13 +281,19 @@ def save_examples(examples: Sequence[SensitivityExample], path: str | Path) -> N
 
 
 def load_examples(path: str | Path) -> list[SensitivityExample]:
+    """Read a sensitivity file; a post id may appear only once, since a
+    duplicate would be counted twice and could sit on both sides of a split."""
     examples = []
+    seen: set[str] = set()
     with Path(path).open("r", encoding="utf-8") as handle:
         for line in handle:
             if not line.strip():
                 continue
             obj = json.loads(line)
             post = Post(obj["post_id"], obj["target_text"], obj.get("parent_text"))
+            if post.post_id in seen:
+                raise ValueError(f"duplicate post_id {post.post_id!r}")
+            seen.add(post.post_id)
             record = SensitivityRecord(
                 post_id=obj["post_id"],
                 s_oc=_score_from_obj(obj["s_oc"]),

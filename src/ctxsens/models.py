@@ -305,6 +305,11 @@ class LinearSVRModel(_LinearModel):
     family = FAMILY_LINEAR_SVR
 
 
+# Most floats in the dense block of split columns that a tree walks at once;
+# a depth-12 tree can split on 4,095 columns, so rows go through in blocks.
+_BLOCK_FLOATS = 1 << 20
+
+
 @dataclass(frozen=True)
 class _Tree:
     feature: np.ndarray  # int32; -1 marks a leaf
@@ -313,14 +318,38 @@ class _Tree:
     right: np.ndarray
     value: np.ndarray
 
-    def predict_row(self, row: dict[int, float]) -> float:
-        node = 0
-        while self.feature[node] >= 0:
-            if row.get(int(self.feature[node]), 0.0) <= self.threshold[node]:
-                node = int(self.left[node])
-            else:
-                node = int(self.right[node])
-        return float(self.value[node])
+    def predict(self, columns: sparse.csc_matrix) -> np.ndarray:
+        """Leaf value for every row of a CSC matrix.
+
+        Only the columns the tree splits on are gathered, densely, one block
+        of rows at a time; all rows of a block then descend together, one
+        level per step, until no row moves. Children have larger indices
+        than their parent (checked on load), so the walk ends.
+        """
+        n_rows = columns.shape[0]
+        internal = self.feature >= 0
+        if not internal.any():
+            return np.full(n_rows, self.value[0])
+        used, inverse = np.unique(self.feature[internal], return_inverse=True)
+        column = np.zeros(len(self.feature), dtype=np.intp)
+        column[internal] = inverse
+        node_ids = np.arange(len(self.feature))
+        left = np.where(internal, self.left, node_ids)  # leaves point to themselves
+        right = np.where(internal, self.right, node_ids)
+        split_rows = columns[:, used].tocsr()
+        out = np.empty(n_rows)
+        step = max(1, _BLOCK_FLOATS // len(used))
+        for start in range(0, n_rows, step):
+            block = split_rows[start : start + step].toarray()
+            rows = np.arange(len(block))
+            node = np.zeros(len(block), dtype=np.intp)
+            while True:
+                below = np.where(block[rows, column[node]] <= self.threshold[node], left[node], right[node])
+                if np.array_equal(below, node):
+                    break
+                node = below
+            out[start : start + len(block)] = self.value[node]
+        return out
 
 
 class RandomForestModel(Model):
@@ -338,14 +367,10 @@ class RandomForestModel(Model):
 
     def predict_per_tree(self, inputs: Sequence) -> np.ndarray:
         """Unclamped per-tree scores, shape (n_trees, n_inputs)."""
-        matrix = self._vectors(list(inputs)).tocsr()
-        rows = []
-        for i in range(matrix.shape[0]):
-            start, end = matrix.indptr[i], matrix.indptr[i + 1]
-            rows.append(dict(zip(matrix.indices[start:end].tolist(), matrix.data[start:end].tolist())))
-        out = np.empty((len(self.trees), len(rows)))
+        columns = self._vectors(list(inputs)).tocsc()
+        out = np.empty((len(self.trees), columns.shape[0]))
         for t, tree in enumerate(self.trees):
-            out[t] = [tree.predict_row(row) for row in rows]
+            out[t] = tree.predict(columns)
         return out
 
     def _raw_scores(self, inputs: list) -> np.ndarray:
@@ -560,38 +585,109 @@ def _fit_linear_svr(
 # --- random forest -------------------------------------------------------------
 
 
-def _best_split(values: np.ndarray, y: np.ndarray, sw: np.ndarray, min_leaf: int) -> tuple[float, float] | None:
-    """Best (threshold, score) for one feature by weighted variance reduction.
+def _best_split(
+    csc: sparse.csc_matrix,
+    position: np.ndarray,
+    y_node: np.ndarray,
+    w_node: np.ndarray,
+    candidates: np.ndarray,
+    min_leaf: int,
+) -> tuple[float, int, float] | None:
+    """Best (score, feature, threshold) over the candidate columns at a node.
 
-    Score is sum_left^2/W_left + sum_right^2/W_right of weighted targets;
+    position maps each row of csc to its index among the node's rows, or -1.
+    The score is sum_left^2/W_left + sum_right^2/W_right of weighted targets;
     maximizing it minimizes weighted SSE. Thresholds are midpoints between
-    distinct consecutive sorted values, so for sparse features they are
-    determined by the nonzero values present at the node.
+    distinct consecutive values; the first best threshold of the first best
+    candidate wins, and a split must beat the unsplit node.
+
+    Sparsity-aware (Chen & Guestrin, KDD 2016, section 3.4): only a column's
+    nonzeros at the node are sorted, and its zero rows enter the sweep as one
+    bucket at value 0, between the negative and the positive values. A column
+    with no nonzero at the node is skipped. The candidates are swept together,
+    one row per column in zero-padded tables; each row's sums are sequential
+    and start from zero, so two columns that order the node's rows alike
+    score bit-identically.
     """
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    wy = (sw * y)[order]
-    w = sw[order]
-    n = len(v)
-    if v[0] == v[n - 1]:
+    n = len(y_node)
+    starts = csc.indptr[candidates]
+    lengths = csc.indptr[candidates + 1] - starts
+    # every candidate's CSC entries end to end, each tagged with its candidate
+    entry = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    owner = np.repeat(np.arange(len(candidates)), lengths)
+    pos = position[csc.indices[entry]]
+    vals = csc.data[entry]
+    keep = (pos >= 0) & (vals != 0)
+    if not keep.any():
         return None
-    cw = np.cumsum(w)
-    cwy = np.cumsum(wy)
-    total_w, total_wy = cw[-1], cwy[-1]
-    counts = np.arange(1, n)
-    valid = (v[:-1] < v[1:]) & (counts >= min_leaf) & ((n - counts) >= min_leaf)
-    if not valid.any():
+    # stable: equal values keep node order, as a stable sort of the dense column does
+    order = np.lexsort((vals[keep], owner[keep]))
+    owner, pos, vals = owner[keep][order], pos[keep][order], vals[keep][order]
+    present, seg_start, nnz = np.unique(owner, return_index=True, return_counts=True)
+    seg = np.repeat(np.arange(len(present)), nnz)
+    wy_node = w_node * y_node
+    w_nz, wy_nz = w_node[pos], wy_node[pos]
+
+    # each column's sweep, end to end: negatives, the zero bucket, positives
+    zeros = n - nnz
+    length = nnz + (zeros > 0)
+    offset = np.cumsum(length) - length
+    bucket = np.flatnonzero(zeros)
+    negatives = np.bincount(seg[vals < 0], minlength=len(present))
+    at = offset[seg] + np.arange(len(seg)) - seg_start[seg] + ((vals > 0) & (zeros[seg] > 0))
+    at_bucket = offset[bucket] + negatives[bucket]
+    size = int(length.sum())
+    flat_v, flat_w, flat_wy = np.empty(size), np.empty(size), np.empty(size)
+    flat_count = np.ones(size, dtype=np.int64)
+    flat_v[at], flat_w[at], flat_wy[at] = vals, w_nz, wy_nz
+    flat_v[at_bucket] = 0.0
+    flat_w[at_bucket] = w_node.sum() - np.add.reduceat(w_nz, seg_start)[bucket]
+    flat_wy[at_bucket] = wy_node.sum() - np.add.reduceat(wy_nz, seg_start)[bucket]
+    flat_count[at_bucket] = zeros[bucket]
+
+    # one table per group of columns whose sweeps are within a factor 2 in length
+    score, threshold = np.empty(len(present)), np.empty(len(present))
+    group = np.frexp(length - 1)[1]
+    for g in np.unique(group):
+        rows = np.flatnonzero(group == g)
+        cell = offset[rows, None] + np.arange(length[rows].max())
+        pad = cell >= (offset + length)[rows, None]
+        cell[pad] = 0
+        score[rows], threshold[rows] = _sweep(
+            np.where(pad, np.nan, flat_v[cell]),  # NaN never starts a valid split
+            np.where(pad, 0.0, flat_w[cell]),
+            np.where(pad, 0.0, flat_wy[cell]),
+            np.where(pad, 0, flat_count[cell]),
+            n,
+            min_leaf,
+        )
+    winner = int(np.argmax(score))
+    if score[winner] == -np.inf:
         return None
-    left_w, left_wy = cw[:-1], cwy[:-1]
+    return float(score[winner]), int(candidates[present[winner]]), float(threshold[winner])
+
+
+def _sweep(
+    v: np.ndarray, w: np.ndarray, wy: np.ndarray, count: np.ndarray, n: int, min_leaf: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best score (-inf if none beats the unsplit node) and its threshold for
+    each row of a sweep table: ascending values, and the summed weight,
+    weighted target and node-row count of each value."""
+    cw = np.cumsum(w, axis=1)
+    cwy = np.cumsum(wy, axis=1)
+    total_w, total_wy = cw[:, -1:], cwy[:, -1:]
+    left_w, left_wy = cw[:, :-1], cwy[:, :-1]
     right_w, right_wy = total_w - left_w, total_wy - left_wy
+    counts = np.cumsum(count, axis=1)[:, :-1]
+    valid = (v[:, :-1] < v[:, 1:]) & (counts >= min_leaf) & ((n - counts) >= min_leaf)
     with np.errstate(divide="ignore", invalid="ignore"):
         score = np.where(valid, left_wy**2 / left_w + right_wy**2 / right_w, -np.inf)
-    best = int(np.argmax(score))
-    parent_score = total_wy**2 / total_w
-    if score[best] <= parent_score + 1e-12 * max(1.0, abs(parent_score)):
-        return None
-    threshold = (v[best] + v[best + 1]) / 2.0
-    return float(threshold), float(score[best])
+    cut = np.argmax(score, axis=1)
+    rows = np.arange(len(v))
+    best = score[rows, cut]
+    parent = (total_wy**2 / total_w)[:, 0]
+    best[best <= parent + 1e-12 * np.maximum(1.0, np.abs(parent))] = -np.inf
+    return best, (v[rows, cut] + v[rows, cut + 1]) / 2.0
 
 
 def _build_tree(
@@ -629,18 +725,7 @@ def _build_tree(
             return
         candidates = rng.choice(n_features, size=min(n_feature_sample, n_features), replace=False)
         position[rows] = np.arange(n_node)
-        best: tuple[float, int, float] | None = None  # (score, feature, threshold)
-        dense = np.empty(n_node)
-        for j in candidates:
-            start, end = csc.indptr[j], csc.indptr[j + 1]
-            col_rows = csc.indices[start:end]
-            col_pos = position[col_rows]
-            inside = col_pos >= 0
-            dense[:] = 0.0
-            dense[col_pos[inside]] = csc.data[start:end][inside]
-            found = _best_split(dense, y_node, w_node, min_leaf)
-            if found is not None and (best is None or found[1] > best[0]):
-                best = (found[1], int(j), found[0])
+        best = _best_split(csc, position, y_node, w_node, candidates, min_leaf)
         position[rows] = -1
         if best is None:
             return
@@ -752,12 +837,12 @@ def train(
         val_data = _normalize_items(validation_set, "validation")
         if val_data.kind != data.kind:
             raise TrainingError("validation inputs must match train input kind")
-        if val_data.kind == "text":
-            val_matrix = to_csr(transform_many(vocab, val_data.inputs))
-        else:
+        if val_data.kind == "vector":
             val_matrix = to_csr(val_data.inputs)
             if val_matrix.shape[1] != dimension:
                 raise TrainingError("validation vectors disagree on dimension")
+        elif family == FAMILY_LINEAR_SVR:  # the only family that reads the validation set
+            val_matrix = to_csr(transform_many(vocab, val_data.inputs))
         val_y = val_data.y
 
     if family == FAMILY_RIDGE:
@@ -776,11 +861,6 @@ def train(
         return RandomForestModel(trees, metadata, vocab, dimension)
 
     raise TrainingError(f"unhandled family {family!r}")
-
-
-def predict(model: Model, x) -> float:
-    """Single-input convenience over Model.predict_batch."""
-    return model.predict(x)
 
 
 # --- persistence ---------------------------------------------------------------
@@ -845,6 +925,28 @@ def save_model(model: Model, path: str | Path) -> None:
     Path(path).write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
 
+def _tree_problem(tree: _Tree, dimension: int | None) -> str | None:
+    """Why tree cannot be walked safely, or None. The checksum catches
+    accidents, not crafted files, and a child that does not come after its
+    parent would make prediction loop forever."""
+    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
+    if any(a.ndim != 1 for a in arrays) or len({len(a) for a in arrays}) != 1 or len(tree.feature) == 0:
+        return "node arrays must be one-dimensional, non-empty and of equal length"
+    if any(not np.issubdtype(a.dtype, np.integer) for a in (tree.feature, tree.left, tree.right)):
+        return "feature, left and right must be integer arrays"
+    internal = tree.feature >= 0
+    if (tree.feature[~internal] != -1).any():
+        return "a leaf must have feature -1"
+    if dimension is None or (tree.feature >= dimension).any():
+        return f"a split feature is not below the dimension {dimension}"
+    node = np.flatnonzero(internal)
+    n_nodes = len(tree.feature)
+    for child in (tree.left[internal], tree.right[internal]):
+        if ((child <= node) | (child >= n_nodes)).any():
+            return "a child must come after its parent and exist"
+    return None
+
+
 def load_model(path: str | Path) -> Model:
     blob = Path(path).read_bytes()
     if len(blob) < len(_MAGIC) + 8 or not blob.startswith(_MAGIC):
@@ -886,15 +988,17 @@ def load_model(path: str | Path) -> Model:
     if family == FAMILY_RANDOM_FOREST:
         trees = []
         for i in range(extras["n_trees"]):
-            trees.append(
-                _Tree(
-                    feature=arrays[f"t{i}_feature"],
-                    threshold=arrays[f"t{i}_threshold"],
-                    left=arrays[f"t{i}_left"],
-                    right=arrays[f"t{i}_right"],
-                    value=arrays[f"t{i}_value"],
-                )
+            tree = _Tree(
+                feature=arrays[f"t{i}_feature"],
+                threshold=arrays[f"t{i}_threshold"],
+                left=arrays[f"t{i}_left"],
+                right=arrays[f"t{i}_right"],
+                value=arrays[f"t{i}_value"],
             )
+            problem = _tree_problem(tree, dimension)
+            if problem:
+                raise ModelPersistenceError(f"{path}: tree {i}: {problem}")
+            trees.append(tree)
         return RandomForestModel(trees, metadata, vocab, dimension)
     if family == FAMILY_EXTERNAL:
         endpoint = ScorerEndpoint.from_json(extras["endpoint"])

@@ -278,3 +278,11 @@ def test_examples_round_trip(tmp_path):
     path = tmp_path / "sensitivity.jsonl"
     save_examples(examples, path)
     assert load_examples(path) == examples
+
+
+def test_load_examples_rejects_duplicate_post_ids(tmp_path):
+    examples, _ = compute_sensitivities(synthetic_bundle(n_posts=10, seed=1))
+    path = tmp_path / "sensitivity.jsonl"
+    save_examples(examples + examples[3:4], path)
+    with pytest.raises(ValueError, match=f"duplicate post_id '{examples[3].post.post_id}'"):
+        load_examples(path)

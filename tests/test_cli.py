@@ -6,10 +6,15 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 from ctxsens.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from ctxsens.corpus import save_bundle, save_posts
+from ctxsens.features import to_csr, transform_many
+from ctxsens.models import load_model
 
 from helpers import planted_posts, synthetic_bundle, toy_scorer_command
+from oracles import walk_forest
 
 
 @pytest.fixture()
@@ -151,6 +156,38 @@ def test_sample_emits_descending_scores(tmp_path, sensitivity_file):
     scores = [r["score"] for r in rows]
     assert scores == sorted(scores, reverse=True)
     assert [r["rank"] for r in rows] == list(range(10))
+
+
+def test_forest_train_is_deterministic_and_sample_matches_tree_walk(tmp_path, sensitivity_file):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"rf_n_trees": 6, "rf_min_samples_leaf": 2}), encoding="utf-8")
+    for name in ("model", "again"):
+        line = f"train --family rf --data {sensitivity_file} --seed 3 --config {config} --out {tmp_path}/{name}"
+        assert main(_args(line)) == EXIT_OK
+    assert (tmp_path / "model" / "model.bin").read_bytes() == (tmp_path / "again" / "model.bin").read_bytes()
+
+    pool = synthetic_bundle(n_posts=30, seed=12).posts
+    pool_path = tmp_path / "pool.jsonl"
+    save_posts(pool, pool_path)
+    out = tmp_path / "sample"
+    assert main(_args(f"sample --model {tmp_path}/model/model.bin --pool {pool_path} --k 12 --out {out}")) == EXIT_OK
+
+    model = load_model(tmp_path / "model" / "model.bin")
+    assert any((tree.feature >= 0).any() for tree in model.trees)
+    matrix = to_csr(transform_many(model.vocab, [p.target_text for p in pool]))
+    scores = np.clip(walk_forest(model.trees, matrix).mean(axis=0), -1.0, 1.0)
+    ranked = sorted(zip(pool, scores), key=lambda pair: (-pair[1], pair[0].post_id))[:12]
+    expected = [{"post_id": p.post_id, "score": float(score), "rank": rank} for rank, (p, score) in enumerate(ranked)]
+    assert [json.loads(line) for line in (out / "selected.jsonl").read_text().splitlines()] == expected
+
+
+def test_duplicate_post_id_is_validation_error(tmp_path, sensitivity_file, capsys):
+    lines = sensitivity_file.read_text(encoding="utf-8").splitlines(keepends=True)
+    duplicated = tmp_path / "dup.jsonl"
+    duplicated.write_text("".join(lines + lines[2:3]), encoding="utf-8")
+    code = main(_args(f"train --family b1 --data {duplicated} --out {tmp_path}/m"))
+    assert code == EXIT_VALIDATION
+    assert f"duplicate post_id {json.loads(lines[2])['post_id']!r}" in capsys.readouterr().err
 
 
 def test_sample_k_too_large_is_validation_error(tmp_path, sensitivity_file, capsys):

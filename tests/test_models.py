@@ -332,6 +332,44 @@ def test_not_a_model_file_rejected(tmp_path):
         load_model(path)
 
 
+def _forest_file(tmp_path, **changes):
+    """A one-tree forest (root split on feature 0, two leaves) saved with a valid checksum."""
+    arrays = {
+        "feature": np.array([0, -1, -1], dtype=np.int32),
+        "threshold": np.array([0.5, 0.0, 0.0]),
+        "left": np.array([1, -1, -1], dtype=np.int32),
+        "right": np.array([2, -1, -1], dtype=np.int32),
+        "value": np.array([0.0, -0.25, 0.25]),
+    }
+    arrays.update(changes)
+    model = train("random_forest", random_dataset(seed=0), config=TrainConfig(rf_n_trees=1))
+    model.trees = [models._Tree(**arrays)]
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    return path
+
+
+def test_hand_built_forest_loads_and_predicts(tmp_path):
+    clone = load_model(_forest_file(tmp_path))
+    assert clone.predict_batch([fv(0.2, 0, 0, 0), fv(0.9, 0, 0, 0)]).tolist() == [-0.25, 0.25]
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"left": np.array([0, -1, -1], dtype=np.int32)},  # self-loop: the walk would never end
+        {"right": np.array([2, -1, -1, -1], dtype=np.int32)},
+        {"right": np.array([3, -1, -1], dtype=np.int32)},
+        {"feature": np.array([0, -2, -1], dtype=np.int32)},
+        {"feature": np.array([4, -1, -1], dtype=np.int32)},
+        {"left": np.array([1.0, -1.0, -1.0])},
+    ],
+)
+def test_malformed_forest_rejected_on_load(tmp_path, changes):
+    with pytest.raises(ModelPersistenceError, match="tree 0"):
+        load_model(_forest_file(tmp_path, **changes))
+
+
 def test_vocabulary_survives_persistence(tmp_path):
     posts, targets = planted_posts(40, seed=2)
     config = TrainConfig(features=FeatureConfig(min_df=1, ngram_max=1))

@@ -1,19 +1,22 @@
 """Property encodings that pair fast implementations with independent oracles
 or exercise whole-loop invariants on deliberately tiny inputs."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import sparse
 
-from ctxsens import analysis, evaluation
+from ctxsens import analysis, evaluation, models
 from ctxsens.augmentation import AugmentationConfig, TrainPost, run_augmentation
 from ctxsens.corpus import Post
-from ctxsens.features import FeatureVector
+from ctxsens.features import FeatureVector, to_csr
 from ctxsens.models import TrainConfig, train
 
 from helpers import planted_examples
-from oracles import pairwise_auc, threshold_enumeration_ap
+from oracles import dense_node_split, pairwise_auc, threshold_enumeration_ap, walk_forest
 
 pytestmark = pytest.mark.property
 
@@ -78,6 +81,77 @@ def test_rf_prediction_is_mean_of_trees(seed):
     queries = [fv(*rng.normal(0, 1, 3)) for _ in range(4)]
     per_tree = model.predict_per_tree(queries)
     assert model.predict_batch(queries) == pytest.approx(per_tree.mean(axis=0), abs=1e-12)
+
+
+@given(_instance)
+def test_split_search_matches_dense_oracle(seed):
+    rng = np.random.default_rng(seed)
+    n_rows, d = int(rng.integers(2, 25)), int(rng.integers(1, 6))
+    columns = np.zeros((n_rows, d))
+    for j in range(d):
+        nonzero = rng.random(n_rows) < rng.choice([0.0, 0.2, 0.6, 1.0])  # 0.0: an all-zero column
+        tied = rng.choice([-1.0, -0.5, 0.25, 0.5, 1.0], n_rows)
+        columns[:, j] = np.where(nonzero, np.where(rng.random(n_rows) < 0.5, tied, rng.uniform(-1, 1, n_rows)), 0.0)
+    node = np.flatnonzero(rng.random(n_rows) < 0.8)
+    if len(node) < 2:
+        return
+    # On the dyadic grid every partial sum is exact in any order, so the choice
+    # must be the oracle's exactly; with arbitrary floats a different order of
+    # addition may break a tie between two equally good splits the other way.
+    exact = seed % 2 == 0
+    y = rng.integers(-8, 9, n_rows) / 8 if exact else rng.uniform(-1, 1, n_rows)
+    sw = rng.choice([0.5, 1.0, 2.0, 3.0], n_rows) if seed % 3 else np.ones(n_rows)
+    min_leaf = int(rng.integers(1, len(node) // 2 + 2))
+    candidates = rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False)
+    position = np.full(n_rows, -1)
+    position[node] = np.arange(len(node))
+
+    stored = (columns != 0) | (rng.random(columns.shape) < 0.1)  # with some explicit zeros
+    csc = sparse.csc_matrix((columns[stored], np.nonzero(stored)), shape=columns.shape)
+
+    found = models._best_split(csc, position, y[node], sw[node], candidates, min_leaf)
+    expected = dense_node_split(columns[node], y[node], sw[node], candidates, min_leaf)
+    assert (found is None) == (expected is None)
+    if found is None:
+        return
+    assert found[0] == pytest.approx(expected[0], rel=1e-12)
+    if exact:
+        assert found[1:] == expected[1:]
+    else:
+        go_left = columns[node, found[1]] <= found[2]
+        wy, w = sw[node] * y[node], sw[node]
+        left = math.fsum(wy[go_left]) ** 2 / math.fsum(w[go_left])
+        right = math.fsum(wy[~go_left]) ** 2 / math.fsum(w[~go_left])
+        assert left + right == pytest.approx(expected[0], rel=1e-12)
+
+
+@given(_instance)
+def test_predict_per_tree_matches_row_walker(seed):
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(2, 20)), int(rng.integers(1, 6))
+    sparse_row = lambda: fv(*np.where(rng.random(d) < 0.5, rng.normal(0, 1, d), 0.0))
+    constant = seed % 7 == 0  # a single leaf per tree
+    data = [(sparse_row(), 0.5 if constant else float(rng.uniform(-1, 1))) for _ in range(n)]
+    config = TrainConfig(
+        seed=seed,
+        rf_n_trees=int(rng.integers(1, 4)),
+        rf_max_depth=[0, 1, 2, 4, None][seed % 5],
+        rf_min_samples_leaf=int(rng.integers(1, 3)),
+    )
+    model = train("random_forest", data, config=config)
+    queries = [sparse_row() for _ in range(int(rng.integers(1, 12)))] + [fv(*np.zeros(d))]
+    root = model.trees[0]
+    if root.feature[0] >= 0:  # a row sitting exactly on the root threshold
+        on_cut = np.zeros(d)
+        on_cut[root.feature[0]] = root.threshold[0]
+        queries.append(fv(*on_cut))
+    saved = models._BLOCK_FLOATS
+    models._BLOCK_FLOATS = int(rng.choice([1, 3, saved]))  # several row blocks per tree
+    try:
+        per_tree = model.predict_per_tree(queries)
+    finally:
+        models._BLOCK_FLOATS = saved
+    assert np.array_equal(per_tree, walk_forest(model.trees, to_csr(queries)))
 
 
 @given(st.integers(0, 10_000))
