@@ -72,6 +72,9 @@ class AugmentationConfig:
 
 @dataclass(frozen=True)
 class CycleLog:
+    """One cycle's outcome; to_json leaves out the wall-clock time, so that the
+    logs of a rerun are identical."""
+
     cycle: int
     selected_post_ids: tuple[str, ...]
     selected_silver_scores: tuple[float, ...]
@@ -98,7 +101,6 @@ class CycleLog:
             "n_test": self.n_test,
             "train_size": self.train_size,
             "pool_size": self.pool_size,
-            "wall_clock_seconds": self.wall_clock_seconds,
         }
 
 

@@ -600,6 +600,12 @@ def _cmd_augment(args: argparse.Namespace, file_config: Mapping, argv: Sequence[
         {"split": resolved["seed"]},
         {"data": data_path, "pool": pool_path},
         ["cycles.jsonl", "mse_by_cycle.csv"],
+        timings={
+            "cycles": [
+                {"repeat": repeat, "cycle": log.cycle, "wall_clock_seconds": log.wall_clock_seconds}
+                for repeat, log in all_logs
+            ]
+        },
     )
     write_manifest(out, manifest)
     return EXIT_OK

@@ -28,8 +28,12 @@ def build_manifest(
     seeds: Mapping[str, int],
     inputs: Mapping[str, str | Path],
     outputs: Sequence[str],
+    timings: Mapping | None = None,
 ) -> dict:
-    return {
+    """The manifest of one run; timings, when given, hold its wall-clock
+    measurements, which differ between reruns and so stay out of the data
+    outputs."""
+    manifest = {
         "tool": "ctxsens",
         "tool_version": __version__,
         "subcommand": subcommand,
@@ -43,6 +47,9 @@ def build_manifest(
         },
         "outputs": list(outputs),
     }
+    if timings is not None:
+        manifest["timings"] = dict(timings)
+    return manifest
 
 
 def write_manifest(out_dir: str | Path, manifest: Mapping) -> Path:

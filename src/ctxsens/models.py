@@ -232,7 +232,7 @@ class Model:
         if all(isinstance(x, str) for x in inputs):
             if self.vocab is None:
                 raise PredictionError(f"{self.family} model was trained on vectors; pass FeatureVector inputs")
-            return to_csr(transform_many(self.vocab, inputs))
+            return transform_many(self.vocab, inputs)
         if all(isinstance(x, FeatureVector) for x in inputs):
             matrix = to_csr(inputs)
             if self.dimension is not None and matrix.shape[1] != self.dimension:
@@ -458,9 +458,13 @@ def _solve_ridge(
     sw: np.ndarray,
     tol: float,
     max_iter: int,
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, dict]:
     """Conjugate gradient on the normal equations of [X, 1] with the bias
-    column unpenalized. Deterministic; no randomness involved."""
+    column unpenalized. Deterministic; no randomness involved.
+
+    Also returns diagnostics: the iterations run, the norm of the final
+    residual of the normal equations (as CG tracks it) and whether it reached
+    the tolerance before max_iter or a breakdown stopped the solver."""
     n, d = matrix.shape
 
     def apply(theta: np.ndarray) -> np.ndarray:
@@ -481,9 +485,8 @@ def _solve_ridge(
     direction = residual.copy()
     rs = float(residual @ residual)
     threshold = (tol * max(1.0, math.sqrt(float(rhs @ rhs)))) ** 2
-    for _ in range(max_iter):
-        if rs <= threshold:
-            break
+    iterations = 0
+    while iterations < max_iter and rs > threshold:
         applied = apply(direction)
         denom = float(direction @ applied)
         if denom <= 0.0:
@@ -494,7 +497,9 @@ def _solve_ridge(
         rs_next = float(residual @ residual)
         direction = residual + (rs_next / rs) * direction
         rs = rs_next
-    return theta[:d], float(theta[d])
+        iterations += 1
+    diagnostics = {"iterations": iterations, "residual_norm": math.sqrt(rs), "converged": rs <= threshold}
+    return theta[:d], float(theta[d]), diagnostics
 
 
 # --- linear SVR ---------------------------------------------------------------
@@ -826,7 +831,7 @@ def train(
     vocab: Vocabulary | None = None
     if data.kind == "text":
         vocab = fit_vocabulary(data.inputs, config.features)
-        matrix = to_csr(transform_many(vocab, data.inputs))
+        matrix = transform_many(vocab, data.inputs)
     else:
         matrix = to_csr(data.inputs)
     dimension = matrix.shape[1]
@@ -842,13 +847,14 @@ def train(
             if val_matrix.shape[1] != dimension:
                 raise TrainingError("validation vectors disagree on dimension")
         elif family == FAMILY_LINEAR_SVR:  # the only family that reads the validation set
-            val_matrix = to_csr(transform_many(vocab, val_data.inputs))
+            val_matrix = transform_many(vocab, val_data.inputs)
         val_y = val_data.y
 
     if family == FAMILY_RIDGE:
-        weights, bias = _solve_ridge(
+        weights, bias, extras = _solve_ridge(
             matrix, data.y, config.ridge_lambda, data.w, config.ridge_tol, config.ridge_max_iter
         )
+        metadata = replace(metadata, extras=extras)
         return RidgeModel(weights, bias, metadata, vocab, dimension)
 
     if family == FAMILY_LINEAR_SVR:

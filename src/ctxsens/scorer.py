@@ -192,10 +192,16 @@ class ExternalScorerClient:
         """Score (id, text, parent) items concurrently.
 
         Returns (scores, errors) keyed by id; failed items are retried up to
-        `retries` additional times before landing in errors.
+        `retries` additional times before landing in errors. A repeated id
+        raises ValueError before anything is sent.
         """
         if max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
+        seen: set[str] = set()
+        for request_id, _, _ in items:
+            if request_id in seen:
+                raise ValueError(f"duplicate request id {request_id!r}")
+            seen.add(request_id)
         scores: dict[str, float] = {}
         errors: dict[str, str] = {}
         remaining = list(items)

@@ -1,8 +1,14 @@
-"""Brute-force oracles for metrics and the forest, kept independent of the library's fast paths."""
+"""Brute-force oracles for metrics, the featurizer and the forest, kept independent of the library's fast paths."""
 
+import math
+import re
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
+
+_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
 def pairwise_auc(scores: Sequence[float], labels: Sequence[bool]) -> float:
@@ -112,3 +118,58 @@ def walk_forest(trees, matrix) -> np.ndarray:
     for t, tree in enumerate(trees):
         out[t] = [walk_tree(tree, row) for row in rows]
     return out
+
+
+def tokenize(text: str, config) -> list[str]:
+    """Terms for one text: filtered word tokens plus space-joined n-grams."""
+    if config.lowercase:
+        text = text.lower()
+    words = [t for t in _TOKEN_RE.findall(text) if len(t) >= config.min_token_len]
+    if config.stopwords:
+        stop = set(config.stopwords)
+        words = [w for w in words if w not in stop]
+    terms = list(words)
+    for n in range(2, config.ngram_max + 1):
+        terms.extend(" ".join(words[i : i + n]) for i in range(len(words) - n + 1))
+    return terms
+
+
+def fit_terms(texts: Sequence[str], config) -> tuple[dict[str, int], dict[str, int]] | None:
+    """(term_index, doc_freq) by counting each text's term set; None if no term
+    reaches min_df. Ties in the max_features cut break lexicographically."""
+    df: Counter[str] = Counter()
+    for text in texts:
+        df.update(set(tokenize(text, config)))
+    kept = [(term, count) for term, count in df.items() if count >= config.min_df]
+    if not kept:
+        return None
+    if config.max_features is not None and len(kept) > config.max_features:
+        kept.sort(key=lambda tc: (-tc[1], tc[0]))
+        kept = kept[: config.max_features]
+    kept.sort(key=lambda tc: tc[0])
+    return {term: i for i, (term, _) in enumerate(kept)}, dict(kept)
+
+
+def tfidf_rows(vocab, texts: Sequence[str]) -> sparse.csr_matrix:
+    """One text at a time: term counts, tf * idf per in-vocabulary term, sorted
+    by column, divided by the square root of the sequential sum of squares."""
+    config = vocab.config
+    indptr, indices, data = [0], [], []
+    for text in texts:
+        items = []
+        for term, tf in Counter(tokenize(text, config)).items():
+            idx = vocab.term_index.get(term)
+            if idx is None:
+                continue
+            idf = math.log((1.0 + vocab.n_documents) / (1.0 + vocab.doc_freq[term])) + 1.0
+            tf_value = 1.0 + math.log(tf) if config.sublinear_tf else float(tf)
+            items.append((idx, tf_value * idf))
+        items.sort()
+        norm = math.sqrt(sum(w * w for _, w in items))
+        indices.extend(i for i, _ in items)
+        data.extend(w / norm for _, w in items)
+        indptr.append(len(indices))
+    return sparse.csr_matrix(
+        (np.asarray(data, dtype=np.float64), np.asarray(indices, dtype=np.int64), np.asarray(indptr, dtype=np.int64)),
+        shape=(len(texts), vocab.dimension),
+    )

@@ -1,7 +1,10 @@
 import csv
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,11 +13,10 @@ import numpy as np
 
 from ctxsens.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from ctxsens.corpus import save_bundle, save_posts
-from ctxsens.features import to_csr, transform_many
 from ctxsens.models import load_model
 
 from helpers import planted_posts, synthetic_bundle, toy_scorer_command
-from oracles import walk_forest
+from oracles import tfidf_rows, walk_forest
 
 
 @pytest.fixture()
@@ -174,7 +176,7 @@ def test_forest_train_is_deterministic_and_sample_matches_tree_walk(tmp_path, se
 
     model = load_model(tmp_path / "model" / "model.bin")
     assert any((tree.feature >= 0).any() for tree in model.trees)
-    matrix = to_csr(transform_many(model.vocab, [p.target_text for p in pool]))
+    matrix = tfidf_rows(model.vocab, [p.target_text for p in pool])
     scores = np.clip(walk_forest(model.trees, matrix).mean(axis=0), -1.0, 1.0)
     ranked = sorted(zip(pool, scores), key=lambda pair: (-pair[1], pair[0].post_id))[:12]
     expected = [{"post_id": p.post_id, "score": float(score), "rank": rank} for rank, (p, score) in enumerate(ranked)]
@@ -220,6 +222,27 @@ def test_augment_writes_cycles_and_curve(tmp_path, sensitivity_file):
         rows = list(csv.DictReader(fh))
     assert [r["cycle"] for r in rows] == ["0", "1"]
     assert all(float(r["mean_test_mse"]) >= 0 for r in rows)
+
+
+def test_augment_rerun_gives_byte_identical_data_outputs(tmp_path, sensitivity_file):
+    pool, _ = planted_posts(30, seed=6, id_prefix="pool")
+    pool_path = tmp_path / "pool.jsonl"
+    save_posts(pool, pool_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"features": {"min_df": 1}}), encoding="utf-8")
+    for name in ("first", "again"):
+        line = (
+            f"augment --data {sensitivity_file} --pool {pool_path} --cycles 2 --k 3 --repeats 2 "
+            f"--family ridge --seed 4 --config {config} --out {tmp_path}/{name}"
+        )
+        assert main(_args(line)) == EXIT_OK
+    for output in ("cycles.jsonl", "mse_by_cycle.csv"):
+        assert (tmp_path / "first" / output).read_bytes() == (tmp_path / "again" / output).read_bytes()
+    assert "wall_clock_seconds" not in (tmp_path / "first" / "cycles.jsonl").read_text()
+    manifest = json.loads((tmp_path / "first" / "manifest.json").read_text())
+    timings = manifest["timings"]["cycles"]
+    assert [(t["repeat"], t["cycle"]) for t in timings] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert all(t["wall_clock_seconds"] > 0 for t in timings)
 
 
 def test_stratify_with_toy_scorer(tmp_path, sensitivity_file):
@@ -298,3 +321,21 @@ def test_subcommands_do_not_mutate_inputs(tmp_path, corpus_files):
     main(_args(f"evaluate --family b1 --data {sens} --out {tmp_path}/a4"))
     assert {p: _sha(p) for p in corpus_files} == hashes
     assert _sha(sens) == sens_hash
+
+
+def test_benchmark_trace_pass_still_sees_the_featurizer(tmp_path, sensitivity_file):
+    # perfbench/traced.py wraps the featurizer's public functions by name; an
+    # API change that hides them from it would silently zero its layer metrics
+    root = Path(__file__).resolve().parent.parent
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "traced.py"), str(spans), "train", "--family", "ridge",
+         "--data", str(sensitivity_file), "--out", str(tmp_path / "model")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(spans.read_text())
+    assert summary["spans"]["features.fit_vocabulary"]["calls"] >= 1
+    assert summary["spans"]["features.transform_many"]["calls"] >= 1
+    assert summary["counters"]["features.transform_many.texts"] >= 1

@@ -137,6 +137,21 @@ def test_ridge_solution_has_zero_gradient():
     assert abs(grad_b) < 1e-6
 
 
+def test_ridge_records_solver_diagnostics(tmp_path):
+    data = random_dataset(seed=4, n=20, d=5)
+    solved = train("ridge", data, config=TrainConfig(ridge_lambda=0.7))
+    extras = solved.metadata.extras
+    assert extras["converged"] is True
+    assert 1 <= extras["iterations"] <= 6  # CG ends within d + 1 steps, bar rounding
+    assert extras["residual_norm"] < 1e-8
+    cut = train("ridge", data, config=TrainConfig(ridge_lambda=0.7, ridge_max_iter=1))
+    assert cut.metadata.extras["converged"] is False
+    assert cut.metadata.extras["iterations"] == 1
+    assert cut.metadata.extras["residual_norm"] > extras["residual_norm"]
+    save_model(cut, tmp_path / "cut.bin")
+    assert load_model(tmp_path / "cut.bin").metadata.extras == cut.metadata.extras
+
+
 @pytest.mark.property
 @given(st.integers(0, 10_000))
 def test_ridge_gradient_matches_finite_differences(seed):

@@ -77,6 +77,19 @@ def test_score_many_reports_per_item_errors_after_retries():
     assert set(errors) == {"bad"}
 
 
+def test_score_many_rejects_duplicate_ids_before_sending(monkeypatch):
+    items = [("a", "0.1", None), ("b", "0.2", None), ("a", "0.3", None)]
+    with ExternalScorerClient(endpoint("--mode", "float")) as client:
+        sent = []
+        send = client._send
+        monkeypatch.setattr(client, "_send", lambda obj: (sent.append(obj), send(obj)))
+        with pytest.raises(ValueError, match="duplicate request id 'a'"):
+            client.score_many(items)
+        assert sent == []
+        assert client.score_many(items[:2]) == ({"a": 0.1, "b": 0.2}, {})
+    assert [obj["id"] for obj in sent] in (["a", "b"], ["b", "a"])
+
+
 def test_fit_handshake_accept_and_reject():
     with ExternalScorerClient(endpoint("--fit", "accept")) as client:
         assert client.fit([{"text": "a", "parent": None, "target": 0.1}]) is True
