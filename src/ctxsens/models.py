@@ -106,8 +106,16 @@ class TrainConfig:
     external: ScorerEndpoint | None = None
 
     def __post_init__(self) -> None:
-        if self.patience < 1:
-            raise TrainingError("patience must be >= 1")
+        for name, bad, rule in (
+            ("patience", self.patience < 1, ">= 1"),
+            ("svr_batch_size", self.svr_batch_size < 1, ">= 1"),
+            ("svr_c", not self.svr_c > 0, "> 0"),
+            ("svr_learning_rate", not self.svr_learning_rate > 0, "> 0"),
+            ("svr_epsilon", not self.svr_epsilon >= 0, ">= 0"),
+            ("rf_n_trees", self.rf_n_trees < 1, ">= 1"),
+        ):
+            if bad:
+                raise TrainingError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
     def hyperparameters(self, family: str) -> dict:
         if family == FAMILY_RIDGE:
@@ -422,35 +430,6 @@ class ExternalModel(Model):
 # --- ridge -------------------------------------------------------------------
 
 
-def ridge_objective(
-    weights: np.ndarray,
-    bias: float,
-    matrix: sparse.csr_matrix,
-    y: np.ndarray,
-    lam: float,
-    sample_weight: np.ndarray | None = None,
-) -> float:
-    """Weighted squared error plus lam * ||weights||^2 (bias unpenalized)."""
-    sw = np.ones(len(y)) if sample_weight is None else sample_weight
-    residual = y - (matrix @ weights + bias)
-    return float(residual @ (sw * residual) + lam * (weights @ weights))
-
-
-def ridge_gradient(
-    weights: np.ndarray,
-    bias: float,
-    matrix: sparse.csr_matrix,
-    y: np.ndarray,
-    lam: float,
-    sample_weight: np.ndarray | None = None,
-) -> tuple[np.ndarray, float]:
-    sw = np.ones(len(y)) if sample_weight is None else sample_weight
-    residual = sw * (y - (matrix @ weights + bias))
-    grad_w = -2.0 * (matrix.T @ residual) + 2.0 * lam * weights
-    grad_b = -2.0 * float(residual.sum())
-    return grad_w, grad_b
-
-
 def _solve_ridge(
     matrix: sparse.csr_matrix,
     y: np.ndarray,
@@ -505,20 +484,6 @@ def _solve_ridge(
 # --- linear SVR ---------------------------------------------------------------
 
 
-def svr_epsilon_loss(
-    weights: np.ndarray,
-    bias: float,
-    matrix: sparse.csr_matrix,
-    y: np.ndarray,
-    epsilon: float,
-    sample_weight: np.ndarray | None = None,
-) -> float:
-    """Mean weighted epsilon-insensitive loss (no regularizer)."""
-    sw = np.ones(len(y)) if sample_weight is None else sample_weight
-    residual = np.abs(y - (matrix @ weights + bias)) - epsilon
-    return float((sw * np.maximum(residual, 0.0)).sum() / sw.sum())
-
-
 def _validation_mse(weights: np.ndarray, bias: float, matrix, y: np.ndarray) -> float:
     preds = _clamp(matrix @ weights + bias)
     return float(np.mean((preds - y) ** 2))
@@ -535,43 +500,64 @@ def _fit_linear_svr(
     """Mini-batch subgradient descent on
     ||w||^2 / (2 C W) + (1/W) sum_i sw_i max(0, |y_i - f(x_i)| - eps),
     with an epoch-level 1/t learning-rate decay and epoch-level early stopping
-    on validation MSE (patience from config). Returns the best snapshot."""
+    on validation MSE (patience from config). Returns the best snapshot.
+
+    The weights are kept as scale * v (Shalev-Shwartz et al., ICML 2007;
+    Bottou 2010), so a batch's L2 decay is one scalar multiply and a batch
+    costs its own nonzeros. Each epoch gathers its permuted rows into flat
+    arrays once, so a batch is a contiguous slice of them."""
     n, d = matrix.shape
     rng = np.random.default_rng(config.seed)
-    weights = np.zeros(d)
+    v = np.zeros(d)
+    scale = 1.0
     bias = 0.0
     total_weight = float(sw.sum())
     reg = 1.0 / (config.svr_c * total_weight)
+    row_nnz = np.diff(matrix.indptr)
+    batch_size = config.svr_batch_size
 
     has_val = val_matrix is not None and val_y is not None and len(val_y) > 0
     history: list[float] = []
-    best = (math.inf, weights.copy(), bias, 0)
+    best = (math.inf, v, bias, 0)
     if has_val:
-        initial = _validation_mse(weights, bias, val_matrix, val_y)
+        initial = _validation_mse(v, bias, val_matrix, val_y)
         history.append(initial)
-        best = (initial, weights.copy(), bias, 0)
+        best = (initial, v.copy(), bias, 0)
 
     epochs_run = 0
     for epoch in range(1, config.svr_max_epochs + 1):
         lr = config.svr_learning_rate / epoch
+        decay = 1.0 - lr * reg
         order = rng.permutation(n)
-        for start in range(0, n, config.svr_batch_size):
-            batch = order[start : start + config.svr_batch_size]
-            xb = matrix[batch]
-            residual = y[batch] - (xb @ weights + bias)
+        lengths = row_nnz[order]
+        ptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(lengths, out=ptr[1:])
+        entry = np.arange(ptr[-1]) + np.repeat(matrix.indptr[order] - ptr[:-1], lengths)
+        cols, vals = matrix.indices[entry], matrix.data[entry]
+        rows = np.repeat(np.arange(n) % batch_size, lengths)  # each entry's row within its batch
+        y_epoch, sw_epoch, ptr = y[order], sw[order], ptr.tolist()
+        for start in range(0, n, batch_size):
+            stop = min(start + batch_size, n)
+            lo, hi = ptr[start], ptr[stop]
+            col, val, row = cols[lo:hi], vals[lo:hi], rows[lo:hi]
+            dots = np.bincount(row, val * v[col], minlength=stop - start) * scale
+            residual = y_epoch[start:stop] - (dots + bias)
             active = np.abs(residual) > config.svr_epsilon
-            coef = np.where(active, -np.sign(residual), 0.0) * sw[batch]
-            batch_weight = float(sw[batch].sum())
-            grad_w = reg * weights + (xb.T @ coef) / batch_weight
-            grad_b = float(coef.sum()) / batch_weight
-            weights -= lr * grad_w
-            bias -= lr * grad_b
+            coef = np.where(active, -np.sign(residual), 0.0) * sw_epoch[start:stop]
+            batch_weight = float(sw_epoch[start:stop].sum())
+            scale *= decay
+            if decay <= 0.0 or abs(scale) < 1e-9:  # fold the scale into v: it is zeroed, flipped or underflowing
+                v *= scale
+                scale = 1.0
+            np.subtract.at(v, col, (lr / (batch_weight * scale)) * val * coef[row])
+            bias -= lr * (float(coef.sum()) / batch_weight)
         epochs_run = epoch
         if has_val:
+            weights = scale * v
             score = _validation_mse(weights, bias, val_matrix, val_y)
             history.append(score)
             if score < best[0]:
-                best = (score, weights.copy(), bias, epoch)
+                best = (score, weights, bias, epoch)
             elif epoch - best[3] >= config.patience:
                 break
 
@@ -583,6 +569,7 @@ def _fit_linear_svr(
             "validation_mse_history": history,
         }
     else:
+        weights = scale * v
         extras = {"epochs_run": epochs_run, "best_epoch": epochs_run, "validation_mse_history": []}
     return weights, bias, extras
 

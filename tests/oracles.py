@@ -1,4 +1,5 @@
-"""Brute-force oracles for metrics, the featurizer and the forest, kept independent of the library's fast paths."""
+"""Brute-force oracles for metrics, the featurizer, the linear solvers and the
+forest, kept independent of the library's fast paths."""
 
 import math
 import re
@@ -53,6 +54,120 @@ def brute_force_mse(pred: Sequence[float], gold: Sequence[float]) -> float:
 def population_variance(values: Sequence[float]) -> float:
     mean = sum(values) / len(values)
     return sum((v - mean) ** 2 for v in values) / len(values)
+
+
+def ridge_objective(
+    weights: np.ndarray,
+    bias: float,
+    matrix: sparse.csr_matrix,
+    y: np.ndarray,
+    lam: float,
+    sample_weight: np.ndarray | None = None,
+) -> float:
+    """Weighted squared error plus lam * ||weights||^2 (bias unpenalized)."""
+    sw = np.ones(len(y)) if sample_weight is None else sample_weight
+    residual = y - (matrix @ weights + bias)
+    return float(residual @ (sw * residual) + lam * (weights @ weights))
+
+
+def ridge_gradient(
+    weights: np.ndarray,
+    bias: float,
+    matrix: sparse.csr_matrix,
+    y: np.ndarray,
+    lam: float,
+    sample_weight: np.ndarray | None = None,
+) -> tuple[np.ndarray, float]:
+    sw = np.ones(len(y)) if sample_weight is None else sample_weight
+    residual = sw * (y - (matrix @ weights + bias))
+    grad_w = -2.0 * (matrix.T @ residual) + 2.0 * lam * weights
+    grad_b = -2.0 * float(residual.sum())
+    return grad_w, grad_b
+
+
+def svr_epsilon_loss(
+    weights: np.ndarray,
+    bias: float,
+    matrix: sparse.csr_matrix,
+    y: np.ndarray,
+    epsilon: float,
+    sample_weight: np.ndarray | None = None,
+) -> float:
+    """Mean weighted epsilon-insensitive loss (no regularizer)."""
+    sw = np.ones(len(y)) if sample_weight is None else sample_weight
+    residual = np.abs(y - (matrix @ weights + bias)) - epsilon
+    return float((sw * np.maximum(residual, 0.0)).sum() / sw.sum())
+
+
+def validation_mse(weights: np.ndarray, bias: float, matrix, y: np.ndarray) -> float:
+    preds = np.clip(matrix @ weights + bias, -1.0, 1.0)
+    return float(np.mean((preds - y) ** 2))
+
+
+def reference_linear_svr(
+    matrix: sparse.csr_matrix,
+    y: np.ndarray,
+    sw: np.ndarray,
+    val_matrix: sparse.csr_matrix | None,
+    val_y: np.ndarray | None,
+    config,
+) -> tuple[np.ndarray, float, dict]:
+    """Mini-batch subgradient descent on
+    ||w||^2 / (2 C W) + (1/W) sum_i sw_i max(0, |y_i - f(x_i)| - eps),
+    with an epoch-level 1/t learning-rate decay and epoch-level early stopping
+    on validation MSE (patience from config). Returns the best snapshot.
+
+    One batch at a time through scipy: the batch's rows are sliced out of the
+    matrix, and the L2 decay is a dense pass over all the weights."""
+    n, d = matrix.shape
+    rng = np.random.default_rng(config.seed)
+    weights = np.zeros(d)
+    bias = 0.0
+    total_weight = float(sw.sum())
+    reg = 1.0 / (config.svr_c * total_weight)
+
+    has_val = val_matrix is not None and val_y is not None and len(val_y) > 0
+    history: list[float] = []
+    best = (math.inf, weights.copy(), bias, 0)
+    if has_val:
+        initial = validation_mse(weights, bias, val_matrix, val_y)
+        history.append(initial)
+        best = (initial, weights.copy(), bias, 0)
+
+    epochs_run = 0
+    for epoch in range(1, config.svr_max_epochs + 1):
+        lr = config.svr_learning_rate / epoch
+        order = rng.permutation(n)
+        for start in range(0, n, config.svr_batch_size):
+            batch = order[start : start + config.svr_batch_size]
+            xb = matrix[batch]
+            residual = y[batch] - (xb @ weights + bias)
+            active = np.abs(residual) > config.svr_epsilon
+            coef = np.where(active, -np.sign(residual), 0.0) * sw[batch]
+            batch_weight = float(sw[batch].sum())
+            grad_w = reg * weights + (xb.T @ coef) / batch_weight
+            grad_b = float(coef.sum()) / batch_weight
+            weights -= lr * grad_w
+            bias -= lr * grad_b
+        epochs_run = epoch
+        if has_val:
+            score = validation_mse(weights, bias, val_matrix, val_y)
+            history.append(score)
+            if score < best[0]:
+                best = (score, weights.copy(), bias, epoch)
+            elif epoch - best[3] >= config.patience:
+                break
+
+    if has_val:
+        _, weights, bias, best_epoch = best
+        extras = {
+            "epochs_run": epochs_run,
+            "best_epoch": best_epoch,
+            "validation_mse_history": history,
+        }
+    else:
+        extras = {"epochs_run": epochs_run, "best_epoch": epochs_run, "validation_mse_history": []}
+    return weights, bias, extras
 
 
 def dense_best_split(values, y, sw, min_leaf: int) -> tuple[float, float] | None:

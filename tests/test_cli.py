@@ -108,6 +108,39 @@ def test_train_is_byte_deterministic(tmp_path, sensitivity_file):
     assert (out_a / "model.bin").read_bytes() == (out_b / "model.bin").read_bytes()
 
 
+def test_svr_train_and_evaluate_are_byte_deterministic(tmp_path, sensitivity_file):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"features": {"min_df": 1, "ngram_max": 1}}), encoding="utf-8")
+    for name in ("first", "again"):
+        common = f"--family svr --data {sensitivity_file} --seed 7 --config {config}"
+        assert main(_args(f"train {common} --out {tmp_path}/{name}/train")) == EXIT_OK
+        assert main(_args(f"evaluate {common} --repeats 2 --out {tmp_path}/{name}/eval")) == EXIT_OK
+    for output in ("train/model.bin", "eval/report.json", "eval/folds.csv"):
+        assert (tmp_path / "first" / output).read_bytes() == (tmp_path / "again" / output).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "family, bad",
+    [
+        ("svr", {"svr_batch_size": 0}),
+        ("svr", {"svr_c": 0}),
+        ("svr", {"svr_learning_rate": -0.1}),
+        ("svr", {"svr_epsilon": -0.01}),
+        ("rf", {"rf_n_trees": 0}),
+    ],
+)
+def test_bad_hyperparameter_is_validation_error(tmp_path, sensitivity_file, capsys, family, bad):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(bad), encoding="utf-8")
+    out = tmp_path / "m"
+    code = main(_args(f"train --family {family} --data {sensitivity_file} --config {config} --out {out}"))
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert next(iter(bad)) in err
+    assert "Traceback" not in err
+    assert not (out / "model.bin").exists()
+
+
 def test_train_records_resolved_config(tmp_path, sensitivity_file):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"seed": 3}), encoding="utf-8")

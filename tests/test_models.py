@@ -15,14 +15,12 @@ from ctxsens.models import (
     TrainingError,
     VersionError,
     load_model,
-    ridge_gradient,
-    ridge_objective,
     save_model,
-    svr_epsilon_loss,
     train,
 )
 
 from helpers import planted_posts
+from oracles import ridge_gradient, ridge_objective, svr_epsilon_loss
 
 
 def fv(*values: float) -> FeatureVector:

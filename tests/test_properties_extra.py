@@ -16,7 +16,7 @@ from ctxsens.features import FeatureVector, to_csr
 from ctxsens.models import TrainConfig, train
 
 from helpers import planted_examples
-from oracles import dense_node_split, pairwise_auc, threshold_enumeration_ap, walk_forest
+from oracles import dense_node_split, pairwise_auc, reference_linear_svr, threshold_enumeration_ap, walk_forest
 
 pytestmark = pytest.mark.property
 
@@ -164,6 +164,62 @@ def test_svr_early_stopping_bounds(seed):
     assert extras["epochs_run"] <= extras["best_epoch"] + config.patience
     history = extras["validation_mse_history"]
     assert history[extras["best_epoch"]] == min(history)
+
+
+def _svr_rows(rng: np.random.Generator, n: int, d: int) -> sparse.csr_matrix:
+    """Sparse rows with some all-zero rows, repeated rows and stored zeros."""
+    dense = np.where(rng.random((n, d)) < 0.5, rng.normal(0, 1, (n, d)), 0.0)
+    dense[rng.random(n) < 0.2] = 0.0
+    copies = rng.integers(0, n, n // 3)
+    dense[rng.integers(0, n, len(copies))] = dense[copies]
+    stored = (dense != 0) | (rng.random((n, d)) < 0.1)
+    return sparse.csr_matrix((dense[stored], np.nonzero(stored)), shape=(n, d))
+
+
+@given(_instance)
+def test_linear_svr_matches_reference_oracle(seed):
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(1, 16)), int(rng.integers(1, 6))
+    matrix = _svr_rows(rng, n, d)
+    y = rng.uniform(-1, 1, n)
+    mode = seed % 4
+    sw = rng.choice([0.5, 1.0, 2.0, 3.0], n) if seed % 3 and mode != 2 else np.ones(n)
+    n_val = int(rng.integers(0, 8))  # 0: no validation set
+    val_matrix, val_y = (_svr_rows(rng, n_val, d), rng.uniform(-1, 1, n_val)) if n_val else (None, None)
+    # lr * reg in the first epoch: ordinary (mode 0); just under 1, so the
+    # scale drops below 1e-9 and is folded (1); exactly 1, a decay of 0 (2);
+    # above 1, a negative decay (3)
+    if mode == 2:
+        learning_rate, svr_c = 1.0, 1.0 / n  # unit weights: C * W is exactly 1
+        # one epoch: after it a full batch sits on the regularized minimizer,
+        # where later epochs tie exactly and rounding would pick best_epoch
+        max_epochs = 1
+    else:
+        learning_rate = float(rng.uniform(0.01, 2.0))
+        rate = {0: rng.uniform(1e-4, 0.1), 1: 1 - rng.uniform(1e-12, 1e-5), 3: rng.uniform(1.01, 1.9)}[mode]
+        svr_c = learning_rate / (float(rate) * float(sw.sum()))
+        max_epochs = int(rng.integers(1, 8))
+    config = TrainConfig(
+        seed=seed,
+        svr_epsilon=float(rng.choice([0.0, 0.05, 0.3])),
+        svr_learning_rate=learning_rate,
+        svr_c=svr_c,
+        svr_max_epochs=max_epochs,
+        svr_batch_size=int(rng.integers(1, n + 3)),
+        patience=int(rng.integers(1, 4)),
+    )
+    weights, bias, extras = models._fit_linear_svr(matrix, y, sw, val_matrix, val_y, config)
+    ref_weights, ref_bias, ref_extras = reference_linear_svr(matrix, y, sw, val_matrix, val_y, config)
+    assert extras["epochs_run"] == ref_extras["epochs_run"]
+    assert extras["best_epoch"] == ref_extras["best_epoch"]
+    history, ref_history = extras["validation_mse_history"], ref_extras["validation_mse_history"]
+    assert len(history) == len(ref_history)
+    # A decay near 0 cancels the weights down to the rounding noise of the
+    # step before, so the scale also counts the largest step, lr * max |x|.
+    tol = 1e-9 * max(np.abs(ref_weights).max(), abs(ref_bias), learning_rate * np.abs(matrix.data).max(initial=0.0))
+    assert np.abs(weights - ref_weights).max() <= tol
+    assert abs(bias - ref_bias) <= tol
+    assert np.allclose(history, ref_history, rtol=0.0, atol=1e-9 * max(ref_history, default=0.0))
 
 
 @given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 2))
