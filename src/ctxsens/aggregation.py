@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import AnnotationRecord, DatasetBundle, Label, Post
+from .corpus import AnnotationRecord, DatasetBundle, Label, Post, write_jsonl
 
 _TOXIC_LABELS = frozenset({Label.TOXIC, Label.VERY_TOXIC})
 
@@ -265,9 +265,10 @@ def _score_from_obj(obj: dict) -> ToxicityScore:
 
 def save_examples(examples: Sequence[SensitivityExample], path: str | Path) -> None:
     """Write aggregated examples as JSONL (one self-contained row per post)."""
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for ex in examples:
-            obj = {
+    write_jsonl(
+        Path(path),
+        (
+            {
                 "post_id": ex.post.post_id,
                 "target_text": ex.post.target_text,
                 "parent_text": ex.post.parent_text,
@@ -277,7 +278,9 @@ def save_examples(examples: Sequence[SensitivityExample], path: str | Path) -> N
                 "threshold": ex.record.threshold,
                 "is_sensitive": ex.record.is_sensitive,
             }
-            handle.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            for ex in examples
+        ),
+    )
 
 
 def load_examples(path: str | Path) -> list[SensitivityExample]:

@@ -89,12 +89,11 @@ def paired_bootstrap(
     n_resamples: int = 1000,
     seed: int = 0,
     direction: str = DIRECTION_A_GREATER,
-    with_replacement: bool = True,
 ) -> BootstrapResult:
     """Two-proportion paired bootstrap (one-sided).
 
-    Each resample draws resample_size items from each group independently
-    (with replacement by default) and compares the two proportions. The
+    Each resample draws resample_size items from each group independently,
+    with replacement, and compares the two proportions. The
     p-value is the fraction of resamples violating the hypothesized
     direction, with ties contributing one half, so
     p(a greater) + p(b greater) = 1.
@@ -117,12 +116,8 @@ def paired_bootstrap(
     children = np.random.SeedSequence(seed).spawn(n_resamples)
     for child in children:
         rng = np.random.default_rng(child)
-        if with_replacement:
-            prop_a = float(a[rng.integers(0, len(a), resample_size)].mean())
-            prop_b = float(b[rng.integers(0, len(b), resample_size)].mean())
-        else:
-            prop_a = float(a[rng.permutation(len(a))[:resample_size]].mean())
-            prop_b = float(b[rng.permutation(len(b))[:resample_size]].mean())
+        prop_a = float(a[rng.integers(0, len(a), resample_size)].mean())
+        prop_b = float(b[rng.integers(0, len(b), resample_size)].mean())
         if prop_a == prop_b:
             violations += 0.5
         elif direction == DIRECTION_A_GREATER and prop_a < prop_b:

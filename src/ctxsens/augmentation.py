@@ -21,8 +21,6 @@ from .models import FAMILY_RIDGE, TrainConfig, train
 
 SELECTION_TEACHER_TOP_K = "teacher_top_k"
 SELECTION_RANDOM_K = "random_k"
-SCORE_IDENTITY = "identity"
-SCORE_ABS = "abs"
 
 
 class AugmentationError(ValueError):
@@ -31,12 +29,10 @@ class AugmentationError(ValueError):
 
 @dataclass(frozen=True)
 class TrainPost:
-    """A training example with provenance: silver rows carry model targets."""
+    """A training example: gold rows carry rater targets, silver rows model scores."""
 
     post: Post
     target: float
-    silver: bool = False
-    weight: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -50,15 +46,11 @@ class AugmentationConfig:
     student_family: str = FAMILY_RIDGE
     train_config: TrainConfig = field(default_factory=TrainConfig)
     seed: int = 0
-    score_transform: str = SCORE_IDENTITY
-    silver_weight: float = 1.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pool", tuple(self.pool))
         if self.selection not in (SELECTION_TEACHER_TOP_K, SELECTION_RANDOM_K):
             raise AugmentationError(f"unknown selection {self.selection!r}")
-        if self.score_transform not in (SCORE_IDENTITY, SCORE_ABS):
-            raise AugmentationError(f"unknown score_transform {self.score_transform!r}")
         if self.k_per_cycle < 1 or self.n_cycles < 1:
             raise AugmentationError("k_per_cycle and n_cycles must be >= 1")
         if self.k_per_cycle * self.n_cycles > len(self.pool):
@@ -66,8 +58,6 @@ class AugmentationConfig:
                 f"k_per_cycle * n_cycles = {self.k_per_cycle * self.n_cycles} "
                 f"exceeds pool size {len(self.pool)}"
             )
-        if self.silver_weight <= 0:
-            raise AugmentationError("silver_weight must be positive")
 
 
 @dataclass(frozen=True)
@@ -112,8 +102,8 @@ def select_top_k(scored: Sequence[tuple[str, float]], k: int) -> list[str]:
     return [post_id for post_id, _ in ranked[:k]]
 
 
-def _items(rows: Sequence[TrainPost]) -> list[tuple[str, float, float]]:
-    return [(row.post.target_text, row.target, row.weight) for row in rows]
+def _items(rows: Sequence[TrainPost]) -> list[tuple[str, float]]:
+    return [(row.post.target_text, row.target) for row in rows]
 
 
 def run_augmentation(
@@ -154,14 +144,8 @@ def run_augmentation(
     for cycle, k in enumerate(plan):
         started = time.perf_counter()
         silver = teacher.predict_batch([post.target_text for post in pool])
-        if config.score_transform == SCORE_ABS:
-            selection_scores = np.abs(silver)
-        else:
-            selection_scores = silver
         if config.selection == SELECTION_TEACHER_TOP_K:
-            selected_ids = select_top_k(
-                [(post.post_id, float(s)) for post, s in zip(pool, selection_scores)], k
-            )
+            selected_ids = select_top_k([(post.post_id, float(s)) for post, s in zip(pool, silver)], k)
         else:
             rng = np.random.default_rng(np.random.SeedSequence([config.seed, cycle]))
             chosen = rng.choice(len(pool), size=k, replace=False)
@@ -173,10 +157,7 @@ def run_augmentation(
         silver_by_id = {post.post_id: float(s) for post, s in zip(pool, silver)}
         selected_posts = [post for post in pool if post.post_id in selected_set]
         pool = [post for post in pool if post.post_id not in selected_set]
-        for post in selected_posts:
-            train_rows.append(
-                TrainPost(post=post, target=silver_by_id[post.post_id], silver=True, weight=config.silver_weight)
-            )
+        train_rows += [TrainPost(post=post, target=silver_by_id[post.post_id]) for post in selected_posts]
         train_ids = {row.post.post_id for row in train_rows}
         if train_ids & test_ids:
             raise AugmentationError("train set leaked into the test split")

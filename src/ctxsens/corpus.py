@@ -380,17 +380,17 @@ def save_bundle(
     """Persist a bundle so that load_bundle reproduces it field-for-field."""
     posts_path, ic_path, oc_path = Path(posts_path), Path(ic_path), Path(oc_path)
     if format == "jsonl":
-        _write_jsonl(posts_path, (_post_to_obj(p) for p in bundle.posts))
-        _write_jsonl(ic_path, (_annotation_to_obj(r) for r in bundle.ic_annotations))
-        _write_jsonl(oc_path, (_annotation_to_obj(r) for r in bundle.oc_annotations))
+        write_jsonl(posts_path, (_post_to_obj(p) for p in bundle.posts))
+        write_jsonl(ic_path, (_annotation_to_obj(r) for r in bundle.ic_annotations))
+        write_jsonl(oc_path, (_annotation_to_obj(r) for r in bundle.oc_annotations))
     elif format == "csv":
-        _write_csv(
+        write_csv(
             posts_path,
             _POST_HEADER,
             ([p.post_id, p.target_text, p.parent_text or ""] for p in bundle.posts),
         )
         for path, records in ((ic_path, bundle.ic_annotations), (oc_path, bundle.oc_annotations)):
-            _write_csv(
+            write_csv(
                 path,
                 _ANNOTATION_HEADER,
                 (
@@ -407,18 +407,19 @@ def save_bundle(
         raise CorpusError(f"unknown format {format!r} (expected 'jsonl' or 'csv')")
 
 
-def _write_jsonl(path: Path, objs: Iterable[dict]) -> None:
+def write_jsonl(path: Path, objs: Iterable[dict]) -> None:
+    """One JSON object per line, UTF-8, non-ASCII kept as is."""
     with path.open("w", encoding="utf-8") as handle:
         for obj in objs:
             handle.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
-def _write_csv(path: Path, header: list[str], rows: Iterable[list[str]]) -> None:
+def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A header row, then the rows, RFC 4180 quoting."""
     with path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def load_posts(path: str | Path, format: str = "jsonl") -> list[Post]:
@@ -434,11 +435,34 @@ def load_posts(path: str | Path, format: str = "jsonl") -> list[Post]:
 def save_posts(posts: Sequence[Post], path: str | Path, format: str = "jsonl") -> None:
     path = Path(path)
     if format == "jsonl":
-        _write_jsonl(path, (_post_to_obj(p) for p in posts))
+        write_jsonl(path, (_post_to_obj(p) for p in posts))
     elif format == "csv":
-        _write_csv(path, _POST_HEADER, ([p.post_id, p.target_text, p.parent_text or ""] for p in posts))
+        write_csv(path, _POST_HEADER, ([p.post_id, p.target_text, p.parent_text or ""] for p in posts))
     else:
         raise CorpusError(f"unknown format {format!r} (expected 'jsonl' or 'csv')")
+
+
+_BOOLEANS = {**dict.fromkeys(("true", "1", "yes", "t"), True), **dict.fromkeys(("false", "0", "no", "f"), False)}
+
+
+def load_bool_column(path: str | Path) -> list[bool]:
+    """The first column of a CSV file with a header row, as booleans
+    (true/false, 1/0, yes/no or t/f in any case); blank rows are skipped."""
+    path = Path(path)
+    with path.open("r", encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    if not rows:
+        raise ParseError(str(path), 1, "empty file")
+    values = []
+    for row_no, row in enumerate(rows[1:], start=2):
+        if row:
+            cell = row[0].strip().lower()
+            if cell not in _BOOLEANS:
+                raise ParseError(str(path), row_no, f"not a boolean: {row[0]!r}")
+            values.append(_BOOLEANS[cell])
+    if not values:
+        raise ParseError(str(path), len(rows), "no data rows")
+    return values
 
 
 # --- released-data adapter ---------------------------------------------------

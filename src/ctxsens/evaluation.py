@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .aggregation import SensitivityExample
-from .models import Model, TrainConfig, train
+from .models import TrainConfig, train
 from .scorer import ExternalScorerClient, ScorerEndpoint
 
 METRICS = ("mse", "mae", "aupr", "auc")
@@ -268,20 +268,6 @@ def monte_carlo_cv(
             )
         )
     return EvalReport(folds=tuple(folds))
-
-
-def evaluate_model_on(
-    model: Model,
-    examples: Sequence[SensitivityExample],
-) -> FoldMetrics:
-    """Single-split evaluation of an already-trained model."""
-    predictions = model.predict_batch([ex.post.target_text for ex in examples])
-    return fold_metrics(
-        predictions,
-        [ex.record.delta for ex in examples],
-        [ex.record.is_sensitive for ex in examples],
-        [ex.post.post_id for ex in examples],
-    )
 
 
 # --- sensitivity-stratified toxicity evaluation -------------------------------------

@@ -52,8 +52,13 @@ def build_manifest(
     return manifest
 
 
+def write_json(path: Path, obj) -> None:
+    """Indented JSON, UTF-8, non-ASCII kept as is."""
+    path.write_text(json.dumps(obj, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+
+
 def write_manifest(out_dir: str | Path, manifest: Mapping) -> Path:
     """Write the directory's single manifest (overwrites an earlier one)."""
     path = Path(out_dir) / MANIFEST_NAME
-    path.write_text(json.dumps(manifest, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+    write_json(path, manifest)
     return path

@@ -106,13 +106,18 @@ class TrainConfig:
     external: ScorerEndpoint | None = None
 
     def __post_init__(self) -> None:
+        # written as "not valid" so that NaN is rejected too
         for name, bad, rule in (
-            ("patience", self.patience < 1, ">= 1"),
-            ("svr_batch_size", self.svr_batch_size < 1, ">= 1"),
+            ("patience", not self.patience >= 1, ">= 1"),
+            ("ridge_lambda", not self.ridge_lambda >= 0, ">= 0"),
+            ("ridge_max_iter", not self.ridge_max_iter >= 1, ">= 1"),
+            ("svr_batch_size", not self.svr_batch_size >= 1, ">= 1"),
             ("svr_c", not self.svr_c > 0, "> 0"),
             ("svr_learning_rate", not self.svr_learning_rate > 0, "> 0"),
             ("svr_epsilon", not self.svr_epsilon >= 0, ">= 0"),
-            ("rf_n_trees", self.rf_n_trees < 1, ">= 1"),
+            ("rf_n_trees", not self.rf_n_trees >= 1, ">= 1"),
+            ("rf_max_depth", self.rf_max_depth is not None and not self.rf_max_depth >= 0, ">= 0 or None"),
+            ("rf_min_samples_leaf", not self.rf_min_samples_leaf >= 1, ">= 1"),
         ):
             if bad:
                 raise TrainingError(f"{name} must be {rule}, got {getattr(self, name)!r}")

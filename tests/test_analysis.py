@@ -137,14 +137,6 @@ def test_empty_group_rejected():
         paired_bootstrap([], [True])
 
 
-def test_without_replacement_switch():
-    a = [True] * 10 + [False] * 10
-    b = [True] * 5 + [False] * 15
-    result = paired_bootstrap(a, b, resample_size=20, n_resamples=50, seed=0, with_replacement=False)
-    # sampling the whole group without replacement is exact: a always wins
-    assert result.p_value == 0.0
-
-
 @pytest.mark.property
 @given(st.integers(0, 2_000))
 def test_directional_p_values_are_complementary(seed):

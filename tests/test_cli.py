@@ -11,7 +11,7 @@ import pytest
 
 import numpy as np
 
-from ctxsens.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
+from ctxsens.cli import COMMANDS, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, _build_parser, main
 from ctxsens.corpus import save_bundle, save_posts
 from ctxsens.models import load_model
 
@@ -127,6 +127,12 @@ def test_svr_train_and_evaluate_are_byte_deterministic(tmp_path, sensitivity_fil
         ("svr", {"svr_learning_rate": -0.1}),
         ("svr", {"svr_epsilon": -0.01}),
         ("rf", {"rf_n_trees": 0}),
+        ("rf", {"rf_min_samples_leaf": 0}),
+        ("rf", {"rf_min_samples_leaf": float("nan")}),
+        ("rf", {"rf_max_depth": -1}),
+        ("ridge", {"ridge_max_iter": 0}),
+        ("ridge", {"ridge_lambda": -1.0}),
+        ("ridge", {"ridge_lambda": float("nan")}),
     ],
 )
 def test_bad_hyperparameter_is_validation_error(tmp_path, sensitivity_file, capsys, family, bad):
@@ -138,7 +144,48 @@ def test_bad_hyperparameter_is_validation_error(tmp_path, sensitivity_file, caps
     err = capsys.readouterr().err
     assert next(iter(bad)) in err
     assert "Traceback" not in err
-    assert not (out / "model.bin").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "line, config",
+    [
+        ("train --family svr --data {data}", {"svr_c": 0}),
+        ("train --family ridge --data {data}", {"features": [1]}),
+        ("evaluate --family ridge --data {data}", {"repeats": "3"}),
+        ("augment --data {data} --pool {pool}", {"single-shot": 1}),
+        ("stratify --data {data} --scorer {scorer}", {"mode": "sideways"}),
+        ("stratify --data {data} --scorer {scorer} --threads 0", {}),
+        ("sample --model {model} --pool {pool} --k 6", {}),
+        ("sample --model {model} --pool {pool} --k 2 --threads 4", {}),
+    ],
+)
+def test_rejected_run_prints_one_error_and_creates_no_out_directory(
+    tmp_path, sensitivity_file, capsys, line, config
+):
+    pool, _ = planted_posts(5, seed=5, id_prefix="pool")
+    save_posts(pool, tmp_path / "pool.jsonl")
+    assert main(_args(f"train --family b1 --data {sensitivity_file} --out {tmp_path}/model")) == EXIT_OK
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    capsys.readouterr()
+    paths = {"data": sensitivity_file, "pool": tmp_path / "pool.jsonl", "model": tmp_path / "model" / "model.bin"}
+    line = line.format(scorer=shlex.quote(shlex.join(toy_scorer_command())), **paths)
+    assert main(_args(f"{line} --config {tmp_path}/config.json --out {tmp_path}/out")) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_walkthrough_parses():
+    # a flag the README documents but the command table lost would fail here
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## CLI walkthrough", 1)[1].split("\n## ", 1)[0]
+    lines = section.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines if line.startswith("ctxsens ")]
+    assert {argv[1] for argv in commands} == set(COMMANDS)
+    parser = _build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])
 
 
 def test_train_records_resolved_config(tmp_path, sensitivity_file):
@@ -372,3 +419,6 @@ def test_benchmark_trace_pass_still_sees_the_featurizer(tmp_path, sensitivity_fi
     assert summary["spans"]["features.fit_vocabulary"]["calls"] >= 1
     assert summary["spans"]["features.transform_many"]["calls"] >= 1
     assert summary["counters"]["features.transform_many.texts"] >= 1
+    # the CLI's command table must call these through their modules, not hold them
+    for span in ("manifest.build_manifest", "aggregation.load_examples", "models.train.ridge", "models.save_model"):
+        assert summary["spans"][span]["calls"] >= 1, span

@@ -11,7 +11,6 @@ from ctxsens.evaluation import (
     SplitSpec,
     UndefinedMetricError,
     aupr,
-    evaluate_model_on,
     fold_metrics,
     mae,
     monte_carlo_cv,
@@ -301,16 +300,3 @@ def test_unknown_mode_rejected():
     endpoint = ScorerEndpoint(command=toy_scorer_command())
     with pytest.raises(MetricError, match="mode"):
         stratified_toxicity_mae(endpoint, oracle_examples(), [0.0], mode="bogus")
-
-
-# --- single-split evaluation helper ------------------------------------------------------------------
-
-
-def test_evaluate_model_on_reports_all_metrics():
-    examples = examples_with_half_sensitive(40, seed=6)
-    from ctxsens.models import train
-
-    model = train("constant_mean", [("text", 0.1)])
-    metrics = evaluate_model_on(model, examples)
-    assert metrics.auc == 0.5
-    assert metrics.n_test == 40
