@@ -93,10 +93,9 @@ def paired_bootstrap(
     """Two-proportion paired bootstrap (one-sided).
 
     Each resample draws resample_size items from each group independently,
-    with replacement, and compares the two proportions. The
-    p-value is the fraction of resamples violating the hypothesized
-    direction, with ties contributing one half, so
-    p(a greater) + p(b greater) = 1.
+    with replacement, and compares the two proportions. The p-value is the
+    fraction of resamples violating the hypothesized direction, with ties
+    contributing one half, so p(a greater) + p(b greater) = 1.
     """
     if direction not in (DIRECTION_A_GREATER, DIRECTION_B_GREATER):
         raise ValueError(f"unknown direction {direction!r}")

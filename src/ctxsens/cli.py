@@ -444,10 +444,10 @@ def _augment(run: Run) -> None:
 
 def _bootstrap(run: Run) -> None:
     """two-proportion paired bootstrap"""
+    groups = [load_bool_column(run.inputs[name]) for name in ("group_a", "group_b")]
     try:
         result = analysis.paired_bootstrap(
-            load_bool_column(run.inputs["group_a"]),
-            load_bool_column(run.inputs["group_b"]),
+            *groups,
             resample_size=run.config["resample-size"],
             n_resamples=run.config["resamples"],
             seed=run.config["seed"],
