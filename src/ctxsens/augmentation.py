@@ -123,8 +123,6 @@ def run_augmentation(
     overlap = gold_ids & pool_ids
     if overlap:
         raise AugmentationError(f"pool overlaps gold splits on {sorted(overlap)[:5]}")
-    if len(pool_ids) != len(config.pool):
-        raise AugmentationError("pool contains duplicate post ids")
     test_ids = {row.post.post_id for row in gold_test}
     test_texts = [row.post.target_text for row in gold_test]
     test_targets = [row.target for row in gold_test]
@@ -181,5 +179,7 @@ def run_augmentation(
                 wall_clock_seconds=time.perf_counter() - started,
             )
         )
+        teacher.close()
         teacher = student
+    teacher.close()
     return logs

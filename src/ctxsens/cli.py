@@ -100,7 +100,7 @@ SEED = Flag("--seed", int, 0)
 SCORER = (
     Flag("--scorer", help="external scorer command line"),
     Flag("--scorer-tcp", help="external scorer host:port", key="scorer_tcp"),
-    Flag("--threads", int, 8, "cap for request concurrency toward the scorer", rule=AT_LEAST_1),
+    Flag("--threads", int, 8, "requests outstanding on the one scorer connection", rule=AT_LEAST_1),
 )
 FAMILY = Flag("--family", required=True)
 CORPUS = ("posts", "ic", "oc")
@@ -218,6 +218,8 @@ def _run(name: str, args: argparse.Namespace, argv: Sequence[str]) -> None:
     run = Run(resolved, inputs, Path(args.out))
     if command.scorer:
         run.endpoint = _endpoint_from(resolved)
+        if run.endpoint is None and (args.threads is not None or "threads" in file_config):
+            raise CliValidationError("--threads needs --scorer or --scorer-tcp")
     if command.model:
         run.train_config = _train_config(resolved, file_config, run.endpoint)
     command.run(run)
@@ -338,7 +340,10 @@ def _train(run: Run) -> None:
     train_items = [(examples[i].post.target_text, examples[i].record.delta) for i in train_idx]
     val_items = [(examples[i].post.target_text, examples[i].record.delta) for i in val_idx]
     model = models.train(run.config["family"], train_items, val_items or None, run.train_config)
-    models.save_model(model, run.out("model.bin"))
+    try:
+        models.save_model(model, run.out("model.bin"))
+    finally:
+        model.close()
 
 
 def _evaluate(run: Run) -> None:
@@ -368,9 +373,7 @@ def _stratify(run: Run) -> None:
         except ValueError as exc:
             raise CliValidationError(f"bad --thresholds: {exc}") from exc
     examples = _load_examples_checked(run.inputs["data"])
-    result = evaluation.stratified_toxicity_mae(
-        run.endpoint, examples, thresholds, mode=run.config["mode"], max_in_flight=run.config["threads"]
-    )
+    result = evaluation.stratified_toxicity_mae(run.endpoint, examples, thresholds, mode=run.config["mode"])
     write_csv(
         run.out("stratified_mae.csv"),
         ["t", "mae", "n"],
@@ -388,7 +391,16 @@ def _sample(run: Run) -> None:
     if k > len(pool):
         raise CliValidationError(f"--k {k} exceeds pool size {len(pool)}")
     model = models.load_model(run.inputs["model"])
-    scores = model.predict_batch([p.target_text for p in pool])
+    if isinstance(model, models.ExternalModel):
+        if run.endpoint is None:
+            raise CliValidationError("an external model needs --scorer or --scorer-tcp")
+        if run.endpoint.fingerprint != model.endpoint_sha256:
+            raise CliValidationError("--scorer/--scorer-tcp is not the scorer this model was trained with")
+        model.endpoint = run.endpoint
+    try:
+        scores = model.predict_batch([p.target_text for p in pool])
+    finally:
+        model.close()
     ranked = sorted(zip(pool, scores), key=lambda pair: (-pair[1], pair[0].post_id))
     write_jsonl(
         run.out("selected.jsonl"),
@@ -487,7 +499,7 @@ COMMANDS = {
         ),
         scorer=True,
     ),
-    "sample": Command(_sample, ("model", "pool"), (Flag("--k", int, required=True, rule=AT_LEAST_1),)),
+    "sample": Command(_sample, ("model", "pool"), (Flag("--k", int, required=True, rule=AT_LEAST_1),), scorer=True),
     "augment": Command(
         _augment,
         (*DATA, "pool"),

@@ -423,13 +423,20 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> No
 
 
 def load_posts(path: str | Path, format: str = "jsonl") -> list[Post]:
-    """Load a standalone posts file (e.g. an unlabeled sampling pool)."""
+    """Load a standalone posts file (e.g. an unlabeled sampling pool); a
+    repeated post_id is a ParseError at the line that repeats it."""
     path = Path(path)
     if format == "jsonl":
-        return [_post_from_obj(obj, str(path), n) for n, obj in _iter_jsonl(path)]
-    if format == "csv":
-        return [_post_from_csv(row, str(path), n) for n, row in _read_csv_rows(path, _POST_HEADER)]
-    raise CorpusError(f"unknown format {format!r} (expected 'jsonl' or 'csv')")
+        numbered = [(n, _post_from_obj(obj, str(path), n)) for n, obj in _iter_jsonl(path)]
+    elif format == "csv":
+        numbered = [(n, _post_from_csv(row, str(path), n)) for n, row in _read_csv_rows(path, _POST_HEADER)]
+    else:
+        raise CorpusError(f"unknown format {format!r} (expected 'jsonl' or 'csv')")
+    first_line: dict[str, int] = {}
+    for n, post in numbered:
+        if first_line.setdefault(post.post_id, n) != n:
+            raise ParseError(str(path), n, f"duplicate post_id {post.post_id!r} (first on line {first_line[post.post_id]})")
+    return [post for _, post in numbered]
 
 
 def save_posts(posts: Sequence[Post], path: str | Path, format: str = "jsonl") -> None:

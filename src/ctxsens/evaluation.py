@@ -258,7 +258,10 @@ def monte_carlo_cv(
         train_items = [(examples[i].post.target_text, examples[i].record.delta) for i in tr]
         val_items = [(examples[i].post.target_text, examples[i].record.delta) for i in val]
         model = train(family, train_items, val_items, config)
-        predictions = model.predict_batch([examples[i].post.target_text for i in test])
+        try:
+            predictions = model.predict_batch([examples[i].post.target_text for i in test])
+        finally:
+            model.close()
         folds.append(
             fold_metrics(
                 predictions,
@@ -295,7 +298,6 @@ def stratified_toxicity_mae(
     examples: Sequence[SensitivityExample],
     thresholds: Sequence[float],
     mode: str = MODE_TARGET_ONLY,
-    max_in_flight: int = 8,
     retries: int = 1,
 ) -> StratifiedMaeResult:
     """MAE of an external toxicity scorer against the in-context gold score,
@@ -315,7 +317,7 @@ def stratified_toxicity_mae(
             text = ex.post.target_text
         items.append((ex.post.post_id, text, None))
     with ExternalScorerClient(endpoint) as client:
-        scores, errors = client.score_many(items, max_in_flight=max_in_flight, retries=retries)
+        scores, errors = client.score_many(items, retries=retries)
     rows = []
     for t in thresholds:
         pairs = [

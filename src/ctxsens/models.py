@@ -26,7 +26,7 @@ import numpy as np
 from scipy import sparse
 
 from .features import FeatureConfig, FeatureVector, Vocabulary, fit_vocabulary, to_csr, transform_many
-from .scorer import ExternalScorerClient, ScorerEndpoint, ScorerError
+from .scorer import ExternalScorerClient, ScorerEndpoint, transport_fingerprint
 
 FAMILY_CONSTANT_MEAN = "constant_mean"
 FAMILY_UNIFORM_RANDOM = "uniform_random"
@@ -241,6 +241,9 @@ class Model:
     def _raw_scores(self, inputs: list) -> np.ndarray:
         raise NotImplementedError
 
+    def close(self) -> None:
+        """Release what the model holds open; only an external model holds anything."""
+
     def _vectors(self, inputs: list) -> sparse.csr_matrix:
         if all(isinstance(x, str) for x in inputs):
             if self.vocab is None:
@@ -404,14 +407,41 @@ class RandomForestModel(Model):
 
 
 class ExternalModel(Model):
-    """Adapter for a scorer reachable over the NDJSON protocol."""
+    """Adapter for a scorer reachable over the NDJSON protocol.
+
+    The model owns one session with the scorer, opened on first use and kept
+    until close(), so a fit and the predictions after it reach the same
+    process. The model file stores only the fingerprint of the endpoint: a
+    loaded model scores nothing until its caller sets an `endpoint` whose
+    fingerprint matches.
+    """
 
     family = FAMILY_EXTERNAL
 
-    def __init__(self, endpoint: ScorerEndpoint, metadata: TrainingMetadata, fit_accepted: bool | None):
+    def __init__(
+        self,
+        endpoint_sha256: str,
+        metadata: TrainingMetadata,
+        fit_accepted: bool | None,
+        endpoint: ScorerEndpoint | None = None,
+    ):
         super().__init__(metadata, vocab=None, dimension=None)
-        self.endpoint = endpoint
+        self.endpoint_sha256 = endpoint_sha256
         self.fit_accepted = fit_accepted
+        self.endpoint = endpoint
+        self._client: ExternalScorerClient | None = None
+
+    def _session(self) -> ExternalScorerClient:
+        if self._client is None:
+            if self.endpoint is None:
+                raise PredictionError("external model has no scorer endpoint; give the one it was trained with")
+            self._client = ExternalScorerClient(self.endpoint)
+        return self._client
+
+    def close(self) -> None:
+        if self._client is not None:
+            self._client.close()
+            self._client = None
 
     def _raw_scores(self, inputs: list) -> np.ndarray:
         items = []
@@ -422,14 +452,13 @@ class ExternalModel(Model):
                 items.append((str(i), x[0], x[1]))
             else:
                 raise PredictionError("external inputs must be text or (text, parent) tuples")
-        with ExternalScorerClient(self.endpoint) as client:
-            scores, errors = client.score_many(items, max_in_flight=self.endpoint.max_in_flight)
+        scores, errors = self._session().score_many(items)
         if errors:
             raise PredictionError(f"external scorer failed on {len(errors)} inputs: {errors}")
         return np.array([scores[str(i)] for i in range(len(inputs))])
 
     def _extra_metadata(self) -> dict:
-        return {"endpoint": self.endpoint.to_json(), "fit_accepted": self.fit_accepted}
+        return {"endpoint_sha256": self.endpoint_sha256, "fit_accepted": self.fit_accepted}
 
 
 # --- ridge -------------------------------------------------------------------
@@ -815,9 +844,10 @@ def train(
             for x, y in zip(data.inputs, data.y.tolist())
             if isinstance(x, str)
         ]
-        with ExternalScorerClient(config.external) as client:
-            accepted = client.fit(examples) if examples else None
-        return ExternalModel(config.external, metadata, fit_accepted=accepted)
+        model = ExternalModel(config.external.fingerprint, metadata, None, config.external)
+        if examples:
+            model.fit_accepted = model._session().fit(examples)
+        return model
 
     # featurized families
     vocab: Vocabulary | None = None
@@ -999,6 +1029,8 @@ def load_model(path: str | Path) -> Model:
             trees.append(tree)
         return RandomForestModel(trees, metadata, vocab, dimension)
     if family == FAMILY_EXTERNAL:
-        endpoint = ScorerEndpoint.from_json(extras["endpoint"])
-        return ExternalModel(endpoint, metadata, extras.get("fit_accepted"))
+        if "endpoint_sha256" not in extras:  # older files stored the endpoint itself
+            old = extras.pop("endpoint")
+            extras["endpoint_sha256"] = transport_fingerprint(old.get("command"), old.get("address"))
+        return ExternalModel(extras["endpoint_sha256"], metadata, extras.get("fit_accepted"))
     raise ModelPersistenceError(f"{path}: unknown family {family!r}")

@@ -9,14 +9,15 @@ adapter accept training data; adapters that reject it are inference-only.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import queue
 import socket
 import subprocess
 import threading
-from concurrent.futures import Future
-from concurrent.futures import TimeoutError as FutureTimeoutError
+import time
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 DEFAULT_TIMEOUT = 30.0
 
@@ -33,9 +34,20 @@ class ScorerProtocolError(ScorerError):
     pass
 
 
+def transport_fingerprint(command: Sequence[str] | None, address: Sequence | None) -> str:
+    """SHA-256 naming a scorer by its transport: the command line or the
+    host and port. Timeout and in-flight cap do not change which scorer answers."""
+    transport = {
+        "command": list(command) if command else None,
+        "address": [address[0], int(address[1])] if address else None,
+    }
+    return hashlib.sha256(json.dumps(transport, sort_keys=True).encode("utf-8")).hexdigest()
+
+
 @dataclass(frozen=True)
 class ScorerEndpoint:
-    """Where a scorer lives: a command line to spawn, or a TCP host:port."""
+    """Where a scorer lives: a command line to spawn, or a TCP host:port.
+    max_in_flight caps the requests outstanding on the one connection."""
 
     command: tuple[str, ...] | None = None
     address: tuple[str, int] | None = None
@@ -55,37 +67,26 @@ class ScorerEndpoint:
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
 
-    def to_json(self) -> dict:
-        return {
-            "command": list(self.command) if self.command else None,
-            "address": list(self.address) if self.address else None,
-            "timeout": self.timeout,
-            "max_in_flight": self.max_in_flight,
-        }
+    @property
+    def fingerprint(self) -> str:
+        return transport_fingerprint(self.command, self.address)
 
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "ScorerEndpoint":
-        command = obj.get("command")
-        address = obj.get("address")
-        return cls(
-            command=tuple(command) if command else None,
-            address=(address[0], address[1]) if address else None,
-            timeout=obj.get("timeout", DEFAULT_TIMEOUT),
-            max_in_flight=obj.get("max_in_flight", 8),
-        )
+
+Item = tuple[str, str, "str | None"]  # (id, text, parent)
 
 
 class ExternalScorerClient:
-    """Synchronous request/response client over an NDJSON stream.
+    """One session with a scorer: one process or connection, kept until close().
 
-    Thread-safe: many threads may score concurrently; a reader thread
-    dispatches responses to their waiting requests by id.
+    Calls are serialized: each writes its requests from the calling thread,
+    keeping up to `endpoint.max_in_flight` outstanding, while a reader thread
+    parses responses and queues them for the caller to match by id.
     """
 
     def __init__(self, endpoint: ScorerEndpoint):
         self.endpoint = endpoint
-        self._pending: dict[str, Future] = {}
-        self._fit_future: Future | None = None
+        self._responses: queue.SimpleQueue = queue.SimpleQueue()  # parsed objects; None after the stream ends
+        self._ended = False
         self._lock = threading.Lock()
         self._closed = False
         self._process: subprocess.Popen | None = None
@@ -112,15 +113,19 @@ class ExternalScorerClient:
     # -- transport ----------------------------------------------------------
 
     def _send(self, obj: dict) -> None:
-        payload = (json.dumps(obj, ensure_ascii=False) + "\n").encode("utf-8")
-        with self._lock:
-            if self._closed:
-                raise ScorerError("client is closed")
-            try:
-                self._writer.write(payload)
-                self._writer.flush()
-            except (OSError, ValueError) as exc:
-                raise ScorerError(f"failed to write to scorer: {exc}") from exc
+        """Write one request; it reaches the scorer at the next _flush."""
+        if self._closed:
+            raise ScorerError("client is closed")
+        try:
+            self._writer.write((json.dumps(obj, ensure_ascii=False) + "\n").encode("utf-8"))
+        except (OSError, ValueError) as exc:
+            raise ScorerError(f"failed to write to scorer: {exc}") from exc
+
+    def _flush(self) -> None:
+        try:
+            self._writer.flush()
+        except (OSError, ValueError) as exc:
+            raise ScorerError(f"failed to write to scorer: {exc}") from exc
 
     def _read_loop(self) -> None:
         try:
@@ -129,130 +134,115 @@ class ExternalScorerClient:
                     obj = json.loads(raw)
                 except json.JSONDecodeError:
                     continue  # not attributable to a request; it will time out
-                if not isinstance(obj, dict):
-                    continue
-                if obj.get("op") == "fit":
-                    with self._lock:
-                        future, self._fit_future = self._fit_future, None
-                    if future is not None and not future.done():
-                        future.set_result(obj)
-                    continue
-                request_id = obj.get("id")
-                if not isinstance(request_id, str):
-                    continue
-                with self._lock:
-                    future = self._pending.pop(request_id, None)
-                if future is not None and not future.done():
-                    future.set_result(obj)
+                if isinstance(obj, dict):
+                    self._responses.put(obj)
         except (OSError, ValueError):
             pass
         finally:
-            self._fail_pending(ScorerError("scorer closed the stream"))
+            self._ended = True
+            self._responses.put(None)
 
-    def _fail_pending(self, exc: Exception) -> None:
-        with self._lock:
-            pending = list(self._pending.values())
-            self._pending.clear()
-            fit_future, self._fit_future = self._fit_future, None
-        for future in pending:
-            if not future.done():
-                future.set_exception(exc)
-        if fit_future is not None and not fit_future.done():
-            fit_future.set_exception(exc)
+    def _next_response(self, deadline: float) -> dict | None:
+        """The next parsed response, or None once the deadline passes or the stream has ended."""
+        try:
+            obj = self._responses.get(timeout=max(0.0, deadline - time.monotonic()))
+        except queue.Empty:
+            return None
+        if obj is None:
+            self._responses.put(None)  # every later wait sees the end too
+        return obj
 
     # -- operations -----------------------------------------------------------
 
+    def _pass(self, items: Sequence[Item]) -> tuple[dict[str, float], dict[str, ScorerError]]:
+        """Send each item once, keeping up to max_in_flight outstanding, each
+        with its own deadline; returns (scores, failures) keyed by id."""
+        scores: dict[str, float] = {}
+        failures: dict[str, ScorerError] = {}
+        outstanding: dict[str, float] = {}  # id -> deadline; send order, so the first expires first
+        timeout, cap = self.endpoint.timeout, self.endpoint.max_in_flight
+        sent = 0
+        with self._lock:
+            while sent < len(items) or outstanding:
+                if sent < len(items) and len(outstanding) < cap:
+                    burst = items[sent : sent + cap - len(outstanding)]
+                    sent += len(burst)
+                    try:
+                        for request_id, text, parent in burst:
+                            self._send({"id": request_id, "text": text, "parent": parent})
+                        self._flush()
+                    except ScorerError as exc:
+                        failures.update((item[0], exc) for item in burst)
+                        continue
+                    deadline = time.monotonic() + timeout
+                    outstanding.update((item[0], deadline) for item in burst)
+                obj = self._next_response(next(iter(outstanding.values())))
+                if obj is None and self._ended:
+                    for request_id in [*outstanding, *(item[0] for item in items[sent:])]:
+                        failures[request_id] = ScorerError("scorer closed the stream")
+                    break
+                if obj is None:
+                    now = time.monotonic()
+                    for request_id in [r for r, deadline in outstanding.items() if deadline <= now]:
+                        del outstanding[request_id]
+                        failures[request_id] = ScorerTimeout(f"no response for id {request_id!r} within {timeout}s")
+                    continue
+                while obj is not None:  # take every queued response, then refill the window in one burst
+                    request_id = obj.get("id")  # a fit reply, or an id not outstanding, matches nothing
+                    if isinstance(request_id, str) and outstanding.pop(request_id, None) is not None:
+                        score = obj.get("score")
+                        if isinstance(score, (int, float)) and not isinstance(score, bool):
+                            scores[request_id] = float(score)
+                        else:
+                            failures[request_id] = ScorerProtocolError(
+                                f"response for id {request_id!r} has no numeric score: {obj}"
+                            )
+                    obj = self._next_response(0.0)
+        return scores, failures
+
     def score(self, request_id: str, text: str, parent: str | None = None) -> float:
         """Score one text; raises ScorerTimeout or ScorerProtocolError."""
-        future: Future = Future()
-        with self._lock:
-            if request_id in self._pending:
-                raise ScorerError(f"request id {request_id!r} already in flight")
-            self._pending[request_id] = future
-        try:
-            self._send({"id": request_id, "text": text, "parent": parent})
-            obj = future.result(timeout=self.endpoint.timeout)
-        except FutureTimeoutError:
-            with self._lock:
-                self._pending.pop(request_id, None)
-            raise ScorerTimeout(f"no response for id {request_id!r} within {self.endpoint.timeout}s") from None
-        except ScorerError:
-            raise
-        score = obj.get("score")
-        if not isinstance(score, (int, float)) or isinstance(score, bool):
-            raise ScorerProtocolError(f"response for id {request_id!r} has no numeric score: {obj}")
-        return float(score)
+        scores, failures = self._pass([(request_id, text, parent)])
+        if failures:
+            raise failures[request_id]
+        return scores[request_id]
 
-    def score_many(
-        self,
-        items: Sequence[tuple[str, str, str | None]],
-        max_in_flight: int = 8,
-        retries: int = 1,
-    ) -> tuple[dict[str, float], dict[str, str]]:
-        """Score (id, text, parent) items concurrently.
+    def score_many(self, items: Sequence[Item], retries: int = 1) -> tuple[dict[str, float], dict[str, str]]:
+        """Score (id, text, parent) items, pipelined on the one connection.
 
         Returns (scores, errors) keyed by id; failed items are retried up to
-        `retries` additional times before landing in errors. A repeated id
-        raises ValueError before anything is sent.
+        `retries` additional times, each retry a pass over the failures, before
+        landing in errors. A repeated id raises ValueError before anything is sent.
         """
-        if max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
         seen: set[str] = set()
         for request_id, _, _ in items:
             if request_id in seen:
                 raise ValueError(f"duplicate request id {request_id!r}")
             seen.add(request_id)
         scores: dict[str, float] = {}
-        errors: dict[str, str] = {}
+        failures: dict[str, ScorerError] = {}
         remaining = list(items)
         for _ in range(retries + 1):
             if not remaining:
                 break
-            errors = {}
-            failed: list[tuple[str, str, str | None]] = []
-            gate = threading.Semaphore(max_in_flight)
-            lock = threading.Lock()
-
-            def worker(item: tuple[str, str, str | None]) -> None:
-                request_id, text, parent = item
-                try:
-                    value = self.score(request_id, text, parent)
-                    with lock:
-                        scores[request_id] = value
-                except ScorerError as exc:
-                    with lock:
-                        errors[request_id] = str(exc)
-                        failed.append(item)
-                finally:
-                    gate.release()
-
-            threads = []
-            for item in remaining:
-                gate.acquire()
-                thread = threading.Thread(target=worker, args=(item,))
-                thread.start()
-                threads.append(thread)
-            for thread in threads:
-                thread.join()
-            remaining = failed
-        return scores, errors
+            passed, failures = self._pass(remaining)
+            scores.update(passed)
+            remaining = [item for item in remaining if item[0] in failures]
+        return scores, {request_id: str(exc) for request_id, exc in failures.items()}
 
     def fit(self, examples: Sequence[dict]) -> bool:
         """Offer training examples; False means the adapter is inference-only."""
-        future: Future = Future()
         with self._lock:
-            if self._fit_future is not None:
-                raise ScorerError("a fit handshake is already in flight")
-            self._fit_future = future
-        try:
-            self._send({"op": "fit", "examples": list(examples)})
-            obj = future.result(timeout=self.endpoint.timeout)
-        except (FutureTimeoutError, ScorerError):
-            with self._lock:
-                if self._fit_future is future:
-                    self._fit_future = None
-            return False
-        return bool(obj.get("ok"))
+            try:
+                self._send({"op": "fit", "examples": list(examples)})
+                self._flush()
+            except ScorerError:
+                return False
+            deadline = time.monotonic() + self.endpoint.timeout
+            while (obj := self._next_response(deadline)) is not None:
+                if obj.get("op") == "fit":
+                    return bool(obj.get("ok"))
+        return False
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -273,10 +263,13 @@ class ExternalScorerClient:
                 self._process.wait()
         if self._socket is not None:
             try:
+                self._socket.shutdown(socket.SHUT_RDWR)  # ends the reader's blocking read
                 self._socket.close()
             except OSError:
                 pass
         self._reader.join(timeout=5)
+        if not self._reader.is_alive():
+            self._readable.close()
 
     def __enter__(self) -> "ExternalScorerClient":
         return self

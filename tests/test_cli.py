@@ -12,8 +12,10 @@ import pytest
 import numpy as np
 
 from ctxsens.cli import COMMANDS, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, _build_parser, main
-from ctxsens.corpus import save_bundle, save_posts
+from ctxsens.corpus import Post, save_bundle, save_posts
+from ctxsens import models
 from ctxsens.models import load_model
+from ctxsens.scorer import transport_fingerprint
 
 from helpers import planted_posts, synthetic_bundle, toy_scorer_command
 from oracles import tfidf_rows, walk_forest
@@ -160,6 +162,7 @@ def test_bad_hyperparameter_is_validation_error(tmp_path, sensitivity_file, caps
         ("sample --model {model} --pool {pool} --k 2 --threads 4", {}),
     ],
 )
+@pytest.mark.usefixtures("scorer_processes")
 def test_rejected_run_prints_one_error_and_creates_no_out_directory(
     tmp_path, sensitivity_file, capsys, line, config
 ):
@@ -272,6 +275,70 @@ def test_duplicate_post_id_is_validation_error(tmp_path, sensitivity_file, capsy
     assert f"duplicate post_id {json.loads(lines[2])['post_id']!r}" in capsys.readouterr().err
 
 
+def test_sample_rejects_repeated_pool_ids(tmp_path, sensitivity_file, capsys):
+    posts = synthetic_bundle(n_posts=40, seed=12).posts
+    pool_path = tmp_path / "pool.jsonl"
+    save_posts([*posts, *posts[5:8]], pool_path)
+    assert main(_args(f"train --family b1 --data {sensitivity_file} --out {tmp_path}/model")) == EXIT_OK
+    capsys.readouterr()
+    code = main(_args(f"sample --model {tmp_path}/model/model.bin --pool {pool_path} --k 43 --out {tmp_path}/s"))
+    assert code == EXIT_VALIDATION
+    assert f"pool.jsonl:41: duplicate post_id {posts[5].post_id!r} (first on line 6)" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.usefixtures("scorer_processes")
+def test_external_model_file_holds_a_fingerprint_and_sample_needs_its_scorer(tmp_path, sensitivity_file, capsys):
+    pool_path = tmp_path / "pool.jsonl"
+    save_posts([Post(f"pool{i}", f"0.{i}", None) for i in range(6)], pool_path)
+    scorer = shlex.quote(shlex.join(toy_scorer_command("--mode", "float")))
+    assert main(_args(f"train --family external --data {sensitivity_file} --scorer {scorer} --out {tmp_path}/m")) == EXIT_OK
+    model_file = tmp_path / "m" / "model.bin"
+    assert "toy_scorer" not in model_file.read_bytes().decode("utf-8", "replace")
+    assert load_model(model_file).endpoint_sha256 == transport_fingerprint(toy_scorer_command("--mode", "float"), None)
+
+    sample = f"sample --model {model_file} --pool {pool_path} --k 2"
+    assert main(_args(f"{sample} --scorer {scorer} --threads 2 --out {tmp_path}/s")) == EXIT_OK
+    rows = [json.loads(line) for line in (tmp_path / "s" / "selected.jsonl").read_text().splitlines()]
+    assert [(r["post_id"], r["score"]) for r in rows] == [("pool5", 0.5), ("pool4", 0.4)]
+    capsys.readouterr()
+    other = shlex.quote(shlex.join(toy_scorer_command()))
+    for flags, message in (("", "needs --scorer"), (f"--scorer {other}", "not the scorer")):
+        assert main(_args(f"{sample} {flags} --out {tmp_path}/bad")) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.usefixtures("scorer_processes")
+def test_loading_a_crafted_model_file_runs_no_command(tmp_path, monkeypatch):
+    # a model file from before fingerprints stored the endpoint, command included
+    sentinel = tmp_path / "ran"
+    command = [sys.executable, "-c", f"open({str(sentinel)!r}, 'w').close()"]
+    metadata = models.TrainingMetadata(seed=0, hyperparameters={}, training_fingerprint="x")
+    model = models.ExternalModel("unused", metadata, None)
+    old_extras = {"endpoint": {"command": command, "address": None, "timeout": 30.0, "max_in_flight": 8}}
+    monkeypatch.setattr(model, "_extra_metadata", lambda: {**old_extras, "fit_accepted": None})
+    models.save_model(model, tmp_path / "model.bin")
+    pool_path = tmp_path / "pool.jsonl"
+    save_posts([Post("a", "text", None), Post("b", "more text", None)], pool_path)
+
+    loaded = load_model(tmp_path / "model.bin")
+    assert loaded.endpoint is None
+    assert loaded.endpoint_sha256 == transport_fingerprint(command, None)
+    code = main(_args(f"sample --model {tmp_path}/model.bin --pool {pool_path} --k 1 --out {tmp_path}/s"))
+    assert code == EXIT_VALIDATION
+    assert not sentinel.exists()
+
+
+def test_evaluate_external_family_opens_one_scorer_per_fold(tmp_path, sensitivity_file, scorer_processes):
+    scorer = shlex.quote(shlex.join(toy_scorer_command("--mode", "fitted", "--fit", "accept")))
+    line = f"evaluate --family external --data {sensitivity_file} --repeats 2 --scorer {scorer} --out {tmp_path}/e"
+    assert main(_args(line)) == EXIT_OK
+    assert len(scorer_processes) == 2
+    report = json.loads((tmp_path / "e" / "report.json").read_text())
+    assert len(report["folds"]) == 2
+
+
 def test_sample_k_too_large_is_validation_error(tmp_path, sensitivity_file, capsys):
     pool, _ = planted_posts(5, seed=5, id_prefix="pool")
     pool_path = tmp_path / "pool.jsonl"
@@ -325,6 +392,7 @@ def test_augment_rerun_gives_byte_identical_data_outputs(tmp_path, sensitivity_f
     assert all(t["wall_clock_seconds"] > 0 for t in timings)
 
 
+@pytest.mark.usefixtures("scorer_processes")
 def test_stratify_with_toy_scorer(tmp_path, sensitivity_file):
     out = tmp_path / "strat"
     scorer = " ".join(toy_scorer_command())

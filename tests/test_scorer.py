@@ -1,12 +1,12 @@
-import json
 import re
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
-from ctxsens.models import TrainConfig, train
+from ctxsens.models import PredictionError, TrainConfig, train
 from ctxsens.scorer import (
     ExternalScorerClient,
     ScorerEndpoint,
@@ -16,9 +16,11 @@ from ctxsens.scorer import (
 
 from helpers import toy_scorer_command
 
+pytestmark = pytest.mark.usefixtures("scorer_processes")
 
-def endpoint(*extra: str, timeout: float = 10.0) -> ScorerEndpoint:
-    return ScorerEndpoint(command=toy_scorer_command(*extra), timeout=timeout)
+
+def endpoint(*extra: str, timeout: float = 10.0, max_in_flight: int = 8) -> ScorerEndpoint:
+    return ScorerEndpoint(command=toy_scorer_command(*extra), timeout=timeout, max_in_flight=max_in_flight)
 
 
 def test_endpoint_requires_exactly_one_transport():
@@ -45,20 +47,65 @@ def test_float_mode_echoes_text_value():
 
 def test_out_of_order_responses_match_by_id():
     # the scorer buffers 4 requests and answers them in reverse order
-    with ExternalScorerClient(endpoint("--mode", "float", "--batch", "4")) as client:
-        scores, errors = client.score_many(
-            [(f"id{i}", f"0.{i}", None) for i in range(4)], max_in_flight=4
-        )
+    with ExternalScorerClient(endpoint("--mode", "float", "--batch", "4", max_in_flight=4)) as client:
+        scores, errors = client.score_many([(f"id{i}", f"0.{i}", None) for i in range(4)])
     assert errors == {}
     assert scores == {f"id{i}": float(f"0.{i}") for i in range(4)}
 
 
 def test_score_many_with_in_flight_cap():
     items = [(f"id{i}", f"0.{i % 10}", None) for i in range(25)]
-    with ExternalScorerClient(endpoint("--mode", "float")) as client:
-        scores, errors = client.score_many(items, max_in_flight=3)
+    with ExternalScorerClient(endpoint("--mode", "float", max_in_flight=3)) as client:
+        scores, errors = client.score_many(items)
     assert errors == {}
     assert len(scores) == 25
+
+
+def test_outstanding_requests_never_exceed_the_cap(monkeypatch):
+    # the scorer answers each 3 requests it holds in reverse, so full windows complete out of order
+    cap, items = 3, [(f"id{i}", f"0.{i}", None) for i in range(48)]
+    with ExternalScorerClient(endpoint("--mode", "float", "--batch", "3", max_in_flight=cap)) as client:
+        sent, answered, outstanding_at_send = [], set(), []
+        send, next_response = client._send, client._next_response
+
+        def counting_next_response(deadline):
+            obj = next_response(deadline)
+            if obj is not None and obj.get("id") in sent:
+                answered.add(obj["id"])
+            return obj
+
+        def counting_send(obj):
+            sent.append(obj["id"])
+            outstanding_at_send.append(len(sent) - len(answered))
+            send(obj)
+
+        monkeypatch.setattr(client, "_send", counting_send)
+        monkeypatch.setattr(client, "_next_response", counting_next_response)
+        scores, errors = client.score_many(items)
+    assert errors == {} and len(scores) == len(items)
+    assert max(outstanding_at_send) == cap
+
+
+def test_one_dropped_item_fails_alone_within_its_deadlines():
+    items = [(f"id{i}", f"0.{i}", None) for i in range(200)] + [("gone", "poison", None)]
+    timeout, retries = 0.5, 1
+    with ExternalScorerClient(endpoint("--mode", "float", "--drop-substring", "poison", timeout=timeout)) as client:
+        started = time.monotonic()
+        scores, errors = client.score_many(items, retries=retries)
+        elapsed = time.monotonic() - started
+    assert set(errors) == {"gone"} and "within" in errors["gone"]
+    assert len(scores) == 200
+    assert elapsed < (retries + 1) * timeout + 1.5
+
+
+def test_score_many_starts_no_thread(monkeypatch):
+    with ExternalScorerClient(endpoint("--mode", "float")) as client:
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+        scores, errors = client.score_many([(f"id{i}", f"0.{i}", None) for i in range(100)])
+        monkeypatch.undo()
+    assert errors == {} and len(scores) == 100
+    assert started == []
 
 
 def test_timeout_surfaces_as_scorer_timeout():
@@ -126,6 +173,7 @@ def test_tcp_transport_round_trip():
     finally:
         process.terminate()
         process.wait(timeout=5)
+        process.stdout.close()
 
 
 def test_closed_stream_fails_pending_requests():
@@ -138,18 +186,17 @@ def test_closed_stream_fails_pending_requests():
 
 
 def test_external_family_train_and_fit_flags():
-    config = TrainConfig(external=endpoint("--fit", "accept"))
-    model = train("external", [("some text", 0.2)], config=config)
-    assert model.fit_accepted is True
-    config = TrainConfig(external=endpoint("--fit", "reject"))
-    model = train("external", [("some text", 0.2)], config=config)
-    assert model.fit_accepted is False
+    for answer, accepted in (("accept", True), ("reject", False)):
+        model = train("external", [("some text", 0.2)], config=TrainConfig(external=endpoint("--fit", answer)))
+        model.close()
+        assert model.fit_accepted is accepted
 
 
 def test_external_family_scores_batches():
     config = TrainConfig(external=endpoint("--mode", "float"))
     model = train("external", [("0.3", 0.3)], config=config)
     preds = model.predict_batch(["0.1", "0.9", "-0.5"])
+    model.close()
     assert preds.tolist() == [0.1, 0.9, -0.5]
 
 
@@ -157,3 +204,19 @@ def test_external_scores_clamped():
     config = TrainConfig(external=endpoint("--mode", "float"))
     model = train("external", [("0.3", 0.3)], config=config)
     assert model.predict("7.5") == 1.0
+    model.close()
+
+
+def test_external_model_predicts_with_its_fit_through_one_process(scorer_processes):
+    fitted = endpoint("--mode", "fitted", "--fit", "accept")
+    model = train("external", [("a", 0.1), ("b", 0.5)], config=TrainConfig(external=fitted))
+    assert model.fit_accepted is True
+    assert model.predict_batch(["x", "y"]).tolist() == pytest.approx([0.3, 0.3])
+    assert model.predict("z") == pytest.approx(0.3)
+    model.close()
+    assert len(scorer_processes) == 1
+    # a scorer that declined the fit has nothing to predict with
+    unfitted = train("external", [("a", 0.1)], config=TrainConfig(external=endpoint("--mode", "fitted")))
+    with pytest.raises(PredictionError, match="not fitted"):
+        unfitted.predict("x")
+    unfitted.close()

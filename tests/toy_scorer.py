@@ -2,7 +2,8 @@
 """Test scorer speaking the NDJSON protocol over stdio or TCP.
 
 Modes: hash (deterministic pseudo-score from the text), float (parse the text
-itself as the score). --batch buffers requests and answers them in reverse
+itself as the score), fitted (the mean target of the last accepted fit, or an
+error reply before any fit). --batch buffers requests and answers them in reverse
 order to exercise out-of-order matching; --drop-substring silently ignores
 matching texts; --fit controls the training handshake.
 """
@@ -26,6 +27,7 @@ def score_of(text: str, parent, mode: str) -> float:
 
 def serve(read_line, write_line, args) -> None:
     buffered = []
+    fitted_mean = None
 
     def flush():
         for response in reversed(buffered):
@@ -39,6 +41,8 @@ def serve(read_line, write_line, args) -> None:
         msg = json.loads(raw)
         if msg.get("op") == "fit":
             if args.fit == "accept":
+                targets = [example["target"] for example in msg.get("examples", [])]
+                fitted_mean = sum(targets) / len(targets) if targets else None
                 write_line({"op": "fit", "ok": True, "n": len(msg.get("examples", []))})
             elif args.fit == "reject":
                 write_line({"op": "fit", "ok": False})
@@ -47,7 +51,12 @@ def serve(read_line, write_line, args) -> None:
         text = msg.get("text", "")
         if args.drop_substring and args.drop_substring in text:
             continue
-        response = {"id": msg["id"], "score": score_of(text, msg.get("parent"), args.mode)}
+        if args.mode != "fitted":
+            response = {"id": msg["id"], "score": score_of(text, msg.get("parent"), args.mode)}
+        elif fitted_mean is None:
+            response = {"id": msg["id"], "error": "not fitted"}
+        else:
+            response = {"id": msg["id"], "score": fitted_mean}
         if args.batch > 1:
             buffered.append(response)
             if len(buffered) >= args.batch:
@@ -59,7 +68,7 @@ def serve(read_line, write_line, args) -> None:
 
 def main() -> None:
     parser = argparse.ArgumentParser()
-    parser.add_argument("--mode", choices=["hash", "float"], default="hash")
+    parser.add_argument("--mode", choices=["hash", "float", "fitted"], default="hash")
     parser.add_argument("--batch", type=int, default=1)
     parser.add_argument("--drop-substring", default=None)
     parser.add_argument("--fit", choices=["accept", "reject", "ignore"], default="reject")
