@@ -427,16 +427,20 @@ def load_posts(path: str | Path, format: str = "jsonl") -> list[Post]:
     repeated post_id is a ParseError at the line that repeats it."""
     path = Path(path)
     if format == "jsonl":
-        numbered = [(n, _post_from_obj(obj, str(path), n)) for n, obj in _iter_jsonl(path)]
+        rows, parse = _iter_jsonl(path), _post_from_obj
     elif format == "csv":
-        numbered = [(n, _post_from_csv(row, str(path), n)) for n, row in _read_csv_rows(path, _POST_HEADER)]
+        rows, parse = _read_csv_rows(path, _POST_HEADER), _post_from_csv
     else:
         raise CorpusError(f"unknown format {format!r} (expected 'jsonl' or 'csv')")
-    first_line: dict[str, int] = {}
-    for n, post in numbered:
-        if first_line.setdefault(post.post_id, n) != n:
-            raise ParseError(str(path), n, f"duplicate post_id {post.post_id!r} (first on line {first_line[post.post_id]})")
-    return [post for _, post in numbered]
+    posts: list[Post] = []
+    seen: set[str] = set()
+    for n, row in rows:
+        post = parse(row, str(path), n)
+        if post.post_id in seen:
+            raise ParseError(str(path), n, f"duplicate post_id {post.post_id!r}")
+        seen.add(post.post_id)
+        posts.append(post)
+    return posts
 
 
 def save_posts(posts: Sequence[Post], path: str | Path, format: str = "jsonl") -> None:

@@ -283,7 +283,7 @@ def test_sample_rejects_repeated_pool_ids(tmp_path, sensitivity_file, capsys):
     capsys.readouterr()
     code = main(_args(f"sample --model {tmp_path}/model/model.bin --pool {pool_path} --k 43 --out {tmp_path}/s"))
     assert code == EXIT_VALIDATION
-    assert f"pool.jsonl:41: duplicate post_id {posts[5].post_id!r} (first on line 6)" in capsys.readouterr().err
+    assert f"pool.jsonl:41: duplicate post_id {posts[5].post_id!r}" in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
 
 
