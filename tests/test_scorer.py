@@ -1,3 +1,4 @@
+import json
 import re
 import subprocess
 import sys
@@ -93,9 +94,9 @@ def test_one_dropped_item_fails_alone_within_its_deadlines():
 
 def test_score_many_starts_no_thread(monkeypatch):
     with ExternalScorerClient(endpoint("--mode", "float")) as client:
-        started = []
+        started, start = [], threading.Thread.start
         with monkeypatch.context() as patch:
-            patch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+            patch.setattr(threading.Thread, "start", lambda thread: (started.append(thread), start(thread))[1])
             scores, errors = client.score_many([(f"id{i}", f"0.{i}", None) for i in range(100)])
     assert errors == {} and len(scores) == 100
     assert started == []
