@@ -13,13 +13,15 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .corpus import AnnotationRecord, DatasetBundle, Label, Post, write_jsonl
+from .corpus import AnnotationTable, DatasetBundle, Label, Post, write_jsonl
 
 _TOXIC_LABELS = frozenset({Label.TOXIC, Label.VERY_TOXIC})
+_TOXIC_CODES = [code for code, label in enumerate(Label) if label in _TOXIC_LABELS]
+_UNSURE_CODE = list(Label).index(Label.UNSURE)
 
 
 @dataclass(frozen=True)
@@ -71,29 +73,24 @@ class AgreementReport:
     n_categories: int
 
 
-def binary_sem(value: float, n_raters: int) -> float:
-    """Sample-variance SEM of a binary rater sample: sqrt(p(1-p)/(n-1)).
-
-    This is a documented estimator choice; it is 0 at unanimity and for a
-    single rater.
-    """
-    if n_raters <= 1:
-        return 0.0
-    return math.sqrt(value * (1.0 - value) / (n_raters - 1))
-
-
-def aggregate_score(record: AnnotationRecord) -> ToxicityScore | None:
-    """Aggregate one record's judgments; None means the post is excluded.
+def aggregate_scores(table: AnnotationTable) -> list[ToxicityScore | None]:
+    """Aggregate each record's judgments; None means the post is excluded.
 
     Any unsure judgment excludes the record. Both toxic grades count as toxic.
+    The value is toxic / n; the SEM is the sample-variance estimator
+    sqrt(value(1 - value) / (n - 1)), a documented choice that is 0 at
+    unanimity and for a single rater.
     """
-    judgments = record.judgments
-    if any(j.label is Label.UNSURE for j in judgments):
-        return None
-    n = len(judgments)
-    toxic = sum(1 for j in judgments if j.label in _TOXIC_LABELS)
-    value = toxic / n
-    return ToxicityScore(value=value, n_raters=n, sem=binary_sem(value, n))
+    counts = table.counts(table.labels, len(Label))
+    n = counts.sum(axis=1)
+    value = counts[:, _TOXIC_CODES].sum(axis=1) / n
+    # n - 1 is raised to 1 for a single rater, whose value(1 - value) is 0
+    sem = np.sqrt(value * (1.0 - value) / np.maximum(n - 1, 1))
+    unsure = counts[:, _UNSURE_CODE] > 0
+    return [
+        None if skip else ToxicityScore(value=v, n_raters=k, sem=e)
+        for skip, v, k, e in zip(unsure.tolist(), value.tolist(), n.tolist(), sem.tolist())
+    ]
 
 
 def sensitivity(post_id: str, s_oc: ToxicityScore, s_ic: ToxicityScore) -> SensitivityRecord:
@@ -128,16 +125,11 @@ def compute_sensitivities(bundle: DatasetBundle) -> tuple[list[SensitivityExampl
     A post is excluded when either condition's record is missing or is
     excluded by the unsure rule.
     """
+    ic, oc = (dict(zip(t.post_ids, aggregate_scores(t))) for t in (bundle.ic_annotations, bundle.oc_annotations))
     examples: list[SensitivityExample] = []
     excluded: list[str] = []
     for post in bundle.posts:
-        ic = bundle.ic_for(post.post_id)
-        oc = bundle.oc_for(post.post_id)
-        if ic is None or oc is None:
-            excluded.append(post.post_id)
-            continue
-        s_ic = aggregate_score(ic)
-        s_oc = aggregate_score(oc)
+        s_ic, s_oc = ic.get(post.post_id), oc.get(post.post_id)
         if s_ic is None or s_oc is None:
             excluded.append(post.post_id)
             continue
@@ -204,7 +196,7 @@ def binarized_unchanged_fraction(pairs: Sequence[tuple[float, float]]) -> float:
 
 
 def agreement(
-    records: Sequence[AnnotationRecord],
+    records: AnnotationTable,
     n_categories: int = len(Label),
     label_key=None,
 ) -> AgreementReport:
@@ -216,35 +208,29 @@ def agreement(
     the label itself), letting callers collapse the label set; n_categories
     must match the collapsed set's size.
     """
-    if not records:
+    if not len(records):
         raise ValueError("no records")
     if n_categories < 2:
         raise ValueError("need at least 2 categories")
-    key = label_key or (lambda label: label)
-    per_item = []
-    for rec in records:
-        r = len(rec.judgments)
-        if r < 2:
-            raise ValueError(f"post {rec.post_id!r}: agreement needs >= 2 judgments")
-        counts: dict = {}
-        for j in rec.judgments:
-            cat = key(j.label)
-            counts[cat] = counts.get(cat, 0) + 1
-        if len(counts) > n_categories:
-            raise ValueError(
-                f"post {rec.post_id!r}: {len(counts)} distinct categories exceed n_categories={n_categories}"
-            )
-        agree_pairs = sum(c * (c - 1) for c in counts.values())
-        per_item.append(agree_pairs / (r * (r - 1)))
-    p_o = math.fsum(per_item) / len(per_item)  # order-independent
-    chance = 1.0 / n_categories
-    kappa = (p_o - chance) / (1.0 - chance)
-    return AgreementReport(
-        free_marginal_kappa=kappa,
-        mean_pairwise_agreement=p_o,
-        n_items=len(records),
-        n_categories=n_categories,
+    category_index: dict = {}
+    category_of = np.array(
+        [category_index.setdefault(label if label_key is None else label_key(label), len(category_index)) for label in Label]
     )
+    counts = records.counts(category_of[records.labels], len(category_index))
+    r = counts.sum(axis=1)
+    distinct = np.count_nonzero(counts, axis=1)
+    bad = np.flatnonzero((r < 2) | (distinct > n_categories))
+    if bad.size:
+        i = bad[0]
+        if r[i] < 2:
+            raise ValueError(f"post {records.post_ids[i]!r}: agreement needs >= 2 judgments")
+        raise ValueError(
+            f"post {records.post_ids[i]!r}: {distinct[i]} distinct categories exceed n_categories={n_categories}"
+        )
+    per_item = (counts * (counts - 1)).sum(axis=1) / (r * (r - 1))
+    p_o = math.fsum(per_item.tolist()) / len(records)  # order-independent
+    chance = 1.0 / n_categories
+    return AgreementReport((p_o - chance) / (1.0 - chance), p_o, len(records), n_categories)
 
 
 def collapse_binary(label: Label) -> bool:
@@ -259,7 +245,30 @@ def _score_to_obj(score: ToxicityScore) -> dict:
     return {"value": score.value, "n_raters": score.n_raters, "sem": score.sem}
 
 
+# (accepted JSON types, what the message says) per field of a row and of its two scores
+_STRING, _NUMBER, _OBJECT = ((str,), "a string"), ((int, float), "a number"), ((dict,), "an object")
+_ROW_FIELDS = {
+    "post_id": _STRING,
+    "target_text": _STRING,
+    "parent_text": ((str, type(None)), "a string or null"),
+    "s_oc": _OBJECT,
+    "s_ic": _OBJECT,
+    "delta": _NUMBER,
+    "threshold": _NUMBER,
+    "is_sensitive": ((bool,), "true or false"),
+}
+_SCORE_FIELDS = {"value": _NUMBER, "n_raters": ((int,), "an integer"), "sem": _NUMBER}
+
+
+def _check_fields(obj: dict, fields: dict) -> None:
+    for key, (accepted, expected) in fields.items():
+        value = obj.get(key)
+        if type(value) not in accepted:
+            raise ValueError(f"field {key!r} must be {expected}, got {'null' if value is None else type(value).__name__}")
+
+
 def _score_from_obj(obj: dict) -> ToxicityScore:
+    _check_fields(obj, _SCORE_FIELDS)
     return ToxicityScore(value=obj["value"], n_raters=obj["n_raters"], sem=obj["sem"])
 
 
@@ -285,25 +294,33 @@ def save_examples(examples: Sequence[SensitivityExample], path: str | Path) -> N
 
 def load_examples(path: str | Path) -> list[SensitivityExample]:
     """Read a sensitivity file; a post id may appear only once, since a
-    duplicate would be counted twice and could sit on both sides of a split."""
+    duplicate would be counted twice and could sit on both sides of a split.
+    A malformed row (no object, a field missing or of the wrong JSON type,
+    an inconsistent record) is a ValueError naming path:line."""
     examples = []
     seen: set[str] = set()
     with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
+        for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            post = Post(obj["post_id"], obj["target_text"], obj.get("parent_text"))
-            if post.post_id in seen:
-                raise ValueError(f"duplicate post_id {post.post_id!r}")
-            seen.add(post.post_id)
-            record = SensitivityRecord(
-                post_id=obj["post_id"],
-                s_oc=_score_from_obj(obj["s_oc"]),
-                s_ic=_score_from_obj(obj["s_ic"]),
-                delta=obj["delta"],
-                threshold=obj["threshold"],
-                is_sensitive=obj["is_sensitive"],
-            )
+            try:
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise ValueError("each line must be a JSON object")
+                _check_fields(obj, _ROW_FIELDS)
+                post = Post(obj["post_id"], obj["target_text"], obj.get("parent_text"))
+                if post.post_id in seen:
+                    raise ValueError(f"duplicate post_id {post.post_id!r}")
+                seen.add(post.post_id)
+                record = SensitivityRecord(
+                    post_id=obj["post_id"],
+                    s_oc=_score_from_obj(obj["s_oc"]),
+                    s_ic=_score_from_obj(obj["s_ic"]),
+                    delta=obj["delta"],
+                    threshold=obj["threshold"],
+                    is_sensitive=obj["is_sensitive"],
+                )
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from exc
             examples.append(SensitivityExample(post, record))
     return examples

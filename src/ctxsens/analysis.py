@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import AnnotationRecord
+from .corpus import AnnotationTable
 from .aggregation import SensitivityRecord
 
 DIRECTION_A_GREATER = "a_greater"
@@ -29,7 +29,7 @@ class ParentUtilityPoint:
 
 
 def parent_utility(
-    ic_records: Sequence[AnnotationRecord],
+    ic_records: AnnotationTable,
     records: Sequence[SensitivityRecord],
     thresholds: Sequence[float],
 ) -> tuple[list[ParentUtilityPoint], list[str]]:
@@ -39,24 +39,19 @@ def parent_utility(
     Posts whose raters cast no helpful/unhelpful votes count as
     not-helpful-majority and are returned as the flagged id list.
     """
-    ic_by_id = {rec.post_id: rec for rec in ic_records}
-    zero_vote_ids: list[str] = []
-    majority: dict[str, bool] = {}
-    for record in records:
-        ic = ic_by_id.get(record.post_id)
-        votes = [j.parent_helpful for j in ic.judgments if j.parent_helpful is not None] if ic else []
-        if not votes:
-            zero_vote_ids.append(record.post_id)
-            majority[record.post_id] = False
-            continue
-        majority[record.post_id] = sum(votes) > len(votes) / 2.0
+    votes = ic_records.counts(ic_records.helpful + 1, 3)  # columns: null, unhelpful, helpful
+    yes, cast = votes[:, 2].tolist(), (votes[:, 1] + votes[:, 2]).tolist()
+    row_of = {post_id: i for i, post_id in enumerate(ic_records.post_ids)}
+    rows = [row_of.get(r.post_id) for r in records]
+    zero_vote_ids = [r.post_id for r, i in zip(records, rows) if i is None or cast[i] == 0]
+    helpful = np.array([i is not None and 2 * yes[i] > cast[i] for i in rows], dtype=bool)
+    spread = np.abs(np.array([r.delta for r in records], dtype=float))
     points = []
     for t in thresholds:
-        subset = [majority[r.post_id] for r in records if abs(r.delta) >= t]
-        if subset:
-            points.append(ParentUtilityPoint(t=t, fraction_helpful=sum(subset) / len(subset), n=len(subset)))
-        else:
-            points.append(ParentUtilityPoint(t=t, fraction_helpful=None, n=0))
+        above = spread >= t
+        n = int(np.count_nonzero(above))
+        fraction = int(np.count_nonzero(helpful & above)) / n if n else None
+        points.append(ParentUtilityPoint(t=t, fraction_helpful=fraction, n=n))
     return points, zero_vote_ids
 
 

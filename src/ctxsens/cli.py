@@ -238,8 +238,8 @@ def _blank(value):
 def _load_examples_checked(path: Path) -> list[aggregation.SensitivityExample]:
     try:
         examples = aggregation.load_examples(path)
-    except (KeyError, ValueError) as exc:
-        raise CliValidationError(f"{path} is not a valid sensitivity file: {exc}") from exc
+    except ValueError as exc:
+        raise CliValidationError(f"not a valid sensitivity file: {exc}") from exc
     if not examples:
         raise CliValidationError(f"{path} holds no examples")
     return examples

@@ -1,19 +1,30 @@
-"""Posts and dual-condition annotation records: loading, validation, persistence.
+"""Posts and dual-condition annotations: loading, validation, persistence.
 
 A corpus is three files: one posts file and two annotation files (one per
 rating condition). JSONL is the canonical format; CSV is an import/export
 convenience with RFC-4180 quoting. Text is stored verbatim; normalization is
 the featurizer's job.
+
+Each condition's annotations are held as one columnar `AnnotationTable`, not
+as an object per judgment: the post ids in file order, an int8 label code per
+judgment, an int8 parent-helpful flag per judgment (-1 for null) and int64
+CSR-style offsets, one per record plus one. Both loaders fill it through
+`_read_table`; scores, agreement and helpful-vote majorities are per-record
+counts over its arrays.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 
 class Label(str, Enum):
@@ -26,6 +37,15 @@ class Label(str, Enum):
 class Condition(str, Enum):
     IN_CONTEXT = "ic"
     OUT_OF_CONTEXT = "oc"
+
+
+_LABEL_VALUES = tuple(label.value for label in Label)  # label code -> value
+_LABEL_CODES = {value: code for code, value in enumerate(_LABEL_VALUES)}
+_CONDITION_VALUES = frozenset(c.value for c in Condition)
+_HELPFUL_CODES = {None: -1, False: 0, True: 1}  # looked up only after a type check, as 1 == True
+_HELPFUL_TYPES = frozenset({bool, type(None)})
+_HELPFUL_VALUES = {code: value for value, code in _HELPFUL_CODES.items()}
+_HELPFUL_SLOTS = {"": -1, "false": 0, "true": 1}  # CSV
 
 
 class CorpusError(ValueError):
@@ -85,32 +105,66 @@ class Post:
             object.__setattr__(self, "parent_text", None)
 
 
-@dataclass(frozen=True)
-class RaterJudgment:
-    label: Label
-    parent_helpful: bool | None = None
+@dataclass(frozen=True, eq=False)
+class AnnotationTable:
+    """All records of one rating condition, as read-only columns.
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.label, Label):
-            object.__setattr__(self, "label", Label(self.label))
+    Record i is post_ids[i] (file order). Its judgments are entries
+    offsets[i]:offsets[i + 1] of labels (int8 codes in Label definition order)
+    and helpful (int8: 1 true, 0 false, -1 null), so judgment order survives
+    a round trip. `foreign` is the first record a file filed under the other
+    condition, or -1; DatasetBundle rejects it.
+    """
 
-
-@dataclass(frozen=True)
-class AnnotationRecord:
-    """All judgments collected for one post under one rating condition."""
-
-    post_id: str
     condition: Condition
-    judgments: tuple[RaterJudgment, ...]
+    post_ids: tuple[str, ...]
+    labels: np.ndarray
+    helpful: np.ndarray
+    offsets: np.ndarray
+    foreign: int = field(default=-1, repr=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.condition, Condition):
-            object.__setattr__(self, "condition", Condition(self.condition))
-        object.__setattr__(self, "judgments", tuple(self.judgments))
-        if len(self.judgments) == 0:
-            raise EmptyJudgmentsError(
-                f"annotation for post {self.post_id!r} ({self.condition.value}) has no judgments"
-            )
+        object.__setattr__(self, "condition", Condition(self.condition))
+        object.__setattr__(self, "post_ids", tuple(self.post_ids))
+        for name, dtype in (("labels", np.int8), ("helpful", np.int8), ("offsets", np.int64)):
+            column = np.array(getattr(self, name), dtype=dtype)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        n, lengths = len(self.labels), np.diff(self.offsets)
+        if len(self.offsets) != len(self.post_ids) + 1 or self.offsets[0] != 0 or n != self.offsets[-1]:
+            raise CorpusError("offsets must run from 0 to the judgment count, one per record plus one")
+        if len(self.helpful) != n or n and not (0 <= self.labels.min() <= self.labels.max() < len(Label)):
+            raise CorpusError(f"need one label code in [0, {len(Label)}) and one helpful flag per judgment")
+        if n and not -1 <= self.helpful.min() <= self.helpful.max() <= 1:
+            raise CorpusError("helpful flags must be -1, 0 or 1")
+        if (lengths < 1).any():
+            post_id = self.post_ids[np.argmax(lengths < 1)]
+            raise EmptyJudgmentsError(f"annotation for post {post_id!r} ({self.condition.value}) has no judgments")
+
+    def __len__(self) -> int:
+        return len(self.post_ids)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AnnotationTable):
+            return NotImplemented
+        return (self.condition, self.post_ids) == (other.condition, other.post_ids) and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in ("labels", "helpful", "offsets")
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def counts(self, codes: np.ndarray, width: int) -> np.ndarray:
+        """Per-record counts of a per-judgment code in [0, width), shape (records, width)."""
+        record = np.repeat(np.arange(len(self.post_ids)), np.diff(self.offsets))
+        return np.bincount(record * width + codes, minlength=len(self.post_ids) * width).reshape(-1, width)
+
+    def records(self) -> Iterator[tuple[str, list[str], list[bool | None]]]:
+        """(post_id, label values, helpful flags) per record, in order."""
+        labels = [_LABEL_VALUES[code] for code in self.labels.tolist()]
+        helpful = [_HELPFUL_VALUES[flag] for flag in self.helpful.tolist()]
+        bounds = self.offsets.tolist()
+        for i, post_id in enumerate(self.post_ids):
+            yield post_id, labels[bounds[i] : bounds[i + 1]], helpful[bounds[i] : bounds[i + 1]]
 
 
 @dataclass(frozen=True)
@@ -118,138 +172,95 @@ class DatasetBundle:
     """Validated, immutable join of posts with their IC and OC annotations."""
 
     posts: tuple[Post, ...]
-    ic_annotations: tuple[AnnotationRecord, ...]
-    oc_annotations: tuple[AnnotationRecord, ...]
-    _posts_by_id: Mapping[str, Post] = field(repr=False, compare=False, default=None)  # type: ignore[assignment]
-    _ic_by_id: Mapping[str, AnnotationRecord] = field(repr=False, compare=False, default=None)  # type: ignore[assignment]
-    _oc_by_id: Mapping[str, AnnotationRecord] = field(repr=False, compare=False, default=None)  # type: ignore[assignment]
+    ic_annotations: AnnotationTable
+    oc_annotations: AnnotationTable
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "posts", tuple(self.posts))
-        object.__setattr__(self, "ic_annotations", tuple(self.ic_annotations))
-        object.__setattr__(self, "oc_annotations", tuple(self.oc_annotations))
-
-        posts_by_id: dict[str, Post] = {}
+        post_ids: set[str] = set()
         for post in self.posts:
-            if post.post_id in posts_by_id:
+            if post.post_id in post_ids:
                 raise DuplicateRecordError(f"duplicate post_id {post.post_id!r}")
-            posts_by_id[post.post_id] = post
+            post_ids.add(post.post_id)
+        tables = ((self.ic_annotations, Condition.IN_CONTEXT), (self.oc_annotations, Condition.OUT_OF_CONTEXT))
+        for table, expected in tables:
+            foreign = table.foreign if table.condition is expected else 0
+            seen: set[str] = set()
+            for i, post_id in enumerate(table.post_ids):
+                if i == foreign:
+                    other = next(c for c in Condition if c is not expected)
+                    raise CorpusError(
+                        f"record for post {post_id!r} has condition {other.value!r}, expected {expected.value!r}"
+                    )
+                if post_id not in post_ids:
+                    raise DanglingReferenceError(f"annotation references unknown post_id {post_id!r}")
+                if post_id in seen:
+                    raise DuplicateRecordError(f"duplicate ({post_id!r}, {expected.value}) annotation record")
+                seen.add(post_id)
 
-        ic_by_id = self._index_annotations(self.ic_annotations, Condition.IN_CONTEXT, posts_by_id)
-        oc_by_id = self._index_annotations(self.oc_annotations, Condition.OUT_OF_CONTEXT, posts_by_id)
 
-        object.__setattr__(self, "_posts_by_id", posts_by_id)
-        object.__setattr__(self, "_ic_by_id", ic_by_id)
-        object.__setattr__(self, "_oc_by_id", oc_by_id)
-
-    @staticmethod
-    def _index_annotations(
-        records: Sequence[AnnotationRecord],
-        expected: Condition,
-        posts_by_id: Mapping[str, Post],
-    ) -> dict[str, AnnotationRecord]:
-        by_id: dict[str, AnnotationRecord] = {}
-        for rec in records:
-            if rec.condition is not expected:
-                raise CorpusError(
-                    f"record for post {rec.post_id!r} has condition {rec.condition.value!r}, "
-                    f"expected {expected.value!r}"
-                )
-            if rec.post_id not in posts_by_id:
-                raise DanglingReferenceError(
-                    f"annotation references unknown post_id {rec.post_id!r}"
-                )
-            if rec.post_id in by_id:
-                raise DuplicateRecordError(
-                    f"duplicate ({rec.post_id!r}, {expected.value}) annotation record"
-                )
-            by_id[rec.post_id] = rec
-        return by_id
-
-    def post(self, post_id: str) -> Post:
-        return self._posts_by_id[post_id]
-
-    def ic_for(self, post_id: str) -> AnnotationRecord | None:
-        return self._ic_by_id.get(post_id)
-
-    def oc_for(self, post_id: str) -> AnnotationRecord | None:
-        return self._oc_by_id.get(post_id)
-
-    @property
-    def post_ids(self) -> tuple[str, ...]:
-        return tuple(p.post_id for p in self.posts)
+def _read_table(path: Path, rows: Iterator, parse, condition: Condition) -> AnnotationTable:
+    """One annotation file as a table, for either format: parse turns a row
+    into (post_id, condition, label codes, helpful codes)."""
+    source, post_ids = str(path), []
+    labels, helpful, offsets, foreign = array("b"), array("b"), array("q", [0]), -1
+    for n, row in rows:
+        post_id, row_condition, row_labels, row_helpful = parse(row, source, n)
+        if row_condition != condition.value and foreign < 0:
+            foreign = len(post_ids)
+        post_ids.append(post_id)
+        labels.extend(row_labels)
+        helpful.extend(row_helpful)
+        offsets.append(len(labels))
+    return AnnotationTable(condition, post_ids, labels, helpful, offsets, foreign)
 
 
 # --- JSONL -----------------------------------------------------------------
 
 
-def _post_to_obj(post: Post) -> dict:
-    return {
-        "post_id": post.post_id,
-        "target_text": post.target_text,
-        "parent_text": post.parent_text,
-    }
-
-
-def _post_from_obj(obj: dict, source: str, line: int) -> Post:
+def _post(source: str, line: int, post_id: str, target_text: str, parent_text: str | None) -> Post:
     try:
-        return Post(
-            post_id=_require_str(obj, "post_id", source, line),
-            target_text=_require_str(obj, "target_text", source, line),
-            parent_text=_optional_str(obj, "parent_text", source, line),
-        )
+        return Post(post_id, target_text, parent_text or None)
     except CorpusError as exc:
-        if isinstance(exc, ParseError):
-            raise
         raise ParseError(source, line, str(exc)) from exc
 
 
-def _annotation_to_obj(rec: AnnotationRecord) -> dict:
-    return {
-        "post_id": rec.post_id,
-        "condition": rec.condition.value,
-        "judgments": [
-            {"label": j.label.value, "parent_helpful": j.parent_helpful} for j in rec.judgments
-        ],
-    }
+def _post_from_obj(obj: dict, source: str, line: int) -> Post:
+    fields = (_str(obj, "post_id", source, line), _str(obj, "target_text", source, line))
+    return _post(source, line, *fields, _str(obj, "parent_text", source, line, optional=True))
 
 
-def _annotation_from_obj(obj: dict, source: str, line: int) -> AnnotationRecord:
-    post_id = _require_str(obj, "post_id", source, line)
-    condition = _require_str(obj, "condition", source, line)
-    if condition not in (c.value for c in Condition):
+def _annotation_from_obj(obj: dict, source: str, line: int) -> tuple:
+    post_id = _str(obj, "post_id", source, line)
+    condition = _str(obj, "condition", source, line)
+    if condition not in _CONDITION_VALUES:
         raise ParseError(source, line, f"unknown condition {condition!r}")
     raw = obj.get("judgments")
     if not isinstance(raw, list):
         raise ParseError(source, line, "judgments must be a list")
-    judgments = []
-    for item in raw:
-        if not isinstance(item, dict):
-            raise ParseError(source, line, "judgment entries must be objects")
-        label = item.get("label")
-        if label not in (l.value for l in Label):
-            raise ParseError(source, line, f"unknown label {label!r}")
-        helpful = item.get("parent_helpful")
-        if helpful is not None and not isinstance(helpful, bool):
-            raise ParseError(source, line, "parent_helpful must be true, false, or null")
-        judgments.append(RaterJudgment(Label(label), helpful))
+    if not raw:
+        raise ParseError(source, line, f"annotation for post {post_id!r} ({condition}) has no judgments")
     try:
-        return AnnotationRecord(post_id, Condition(condition), tuple(judgments))
-    except EmptyJudgmentsError as exc:
-        raise ParseError(source, line, str(exc)) from exc
+        labels = [_LABEL_CODES[item["label"]] for item in raw]
+        helpful = [item.get("parent_helpful") for item in raw]
+    except (KeyError, TypeError):  # an entry that is no object, or a label that is no known string
+        labels = helpful = None
+    if labels is None or not _HELPFUL_TYPES.issuperset(map(type, helpful)):
+        for item in raw:  # report the first bad entry
+            if not isinstance(item, dict):
+                raise ParseError(source, line, "judgment entries must be objects")
+            label = item.get("label")
+            if not isinstance(label, str) or label not in _LABEL_CODES:
+                raise ParseError(source, line, f"unknown label {label!r}")
+            if type(item.get("parent_helpful")) not in _HELPFUL_TYPES:
+                raise ParseError(source, line, "parent_helpful must be true, false, or null")
+    return post_id, condition, labels, map(_HELPFUL_CODES.__getitem__, helpful)
 
 
-def _require_str(obj: dict, key: str, source: str, line: int) -> str:
+def _str(obj: dict, key: str, source: str, line: int, optional: bool = False) -> str | None:
     value = obj.get(key)
-    if not isinstance(value, str):
-        raise ParseError(source, line, f"field {key!r} must be a string")
-    return value
-
-
-def _optional_str(obj: dict, key: str, source: str, line: int) -> str | None:
-    value = obj.get(key)
-    if value is not None and not isinstance(value, str):
-        raise ParseError(source, line, f"field {key!r} must be a string or null")
+    if not isinstance(value, str) and not (optional and value is None):
+        raise ParseError(source, line, f"field {key!r} must be a string{' or null' if optional else ''}")
     return value
 
 
@@ -290,35 +301,46 @@ def _read_csv_rows(path: Path, expected_header: list[str]) -> Iterator[tuple[int
             yield row_no, row
 
 
-def _encode_helpful(judgments: Sequence[RaterJudgment]) -> str:
-    if all(j.parent_helpful is None for j in judgments):
+def _post_from_csv(row: list[str], source: str, line: int) -> Post:
+    return _post(source, line, *row)
+
+
+def _annotation_from_csv(row: list[str], source: str, line: int) -> tuple:
+    post_id, condition, labels_cell, helpful_cell = row
+    if condition not in _CONDITION_VALUES:
+        raise ParseError(source, line, f"unknown condition {condition!r}")
+    if labels_cell == "":
+        raise ParseError(source, line, f"annotation for post {post_id!r} has no judgments")
+    try:
+        labels = [_LABEL_CODES[label] for label in labels_cell.split("|")]
+    except KeyError as exc:
+        raise ParseError(source, line, f"unknown label {exc.args[0]!r}") from None
+    slots = helpful_cell.split("|") if helpful_cell else [""] * len(labels)
+    if len(slots) != len(labels):
+        raise ParseError(source, line, f"parent_helpful has {len(slots)} slots for {len(labels)} labels")
+    try:
+        return post_id, condition, labels, [_HELPFUL_SLOTS[slot] for slot in slots]
+    except KeyError as exc:
+        raise ParseError(source, line, f"bad parent_helpful slot {exc.args[0]!r}") from None
+
+
+def _encode_helpful(helpful: Sequence[bool | None]) -> str:
+    if all(h is None for h in helpful):
         return ""
-    slots = []
-    for j in judgments:
-        slots.append("" if j.parent_helpful is None else ("true" if j.parent_helpful else "false"))
-    return "|".join(slots)
-
-
-def _decode_helpful(cell: str, n: int, source: str, line: int) -> list[bool | None]:
-    if cell == "":
-        return [None] * n
-    slots = cell.split("|")
-    if len(slots) != n:
-        raise ParseError(source, line, f"parent_helpful has {len(slots)} slots for {n} labels")
-    out: list[bool | None] = []
-    for slot in slots:
-        if slot == "":
-            out.append(None)
-        elif slot == "true":
-            out.append(True)
-        elif slot == "false":
-            out.append(False)
-        else:
-            raise ParseError(source, line, f"bad parent_helpful slot {slot!r}")
-    return out
+    return "|".join("" if h is None else ("true" if h else "false") for h in helpful)
 
 
 # --- public load/save ------------------------------------------------------
+
+
+def _readers(format: str) -> tuple:
+    """(posts rows, post parser, annotation rows, annotation parser) of a file format."""
+    if format == "jsonl":
+        return _iter_jsonl, _post_from_obj, _iter_jsonl, _annotation_from_obj
+    if format == "csv":
+        csv_rows = lambda header: partial(_read_csv_rows, expected_header=header)  # noqa: E731
+        return csv_rows(_POST_HEADER), _post_from_csv, csv_rows(_ANNOTATION_HEADER), _annotation_from_csv
+    raise CorpusError(f"unknown format {format!r} (expected 'jsonl' or 'csv')")
 
 
 def load_bundle(
@@ -329,45 +351,16 @@ def load_bundle(
 ) -> DatasetBundle:
     """Load and validate a corpus from its three files.
 
-    Raises ParseError (with source and line), DuplicateRecordError,
-    DanglingReferenceError, or EmptyJudgmentsError; anything schema-conformant
-    loads.
+    All three files are parsed before the cross-file checks. Raises
+    ParseError (with source and line), DuplicateRecordError,
+    DanglingReferenceError, or CorpusError; anything schema-conformant loads.
     """
     posts_path, ic_path, oc_path = Path(posts_path), Path(ic_path), Path(oc_path)
-    if format == "jsonl":
-        posts = [_post_from_obj(obj, str(posts_path), n) for n, obj in _iter_jsonl(posts_path)]
-        ic = [_annotation_from_obj(obj, str(ic_path), n) for n, obj in _iter_jsonl(ic_path)]
-        oc = [_annotation_from_obj(obj, str(oc_path), n) for n, obj in _iter_jsonl(oc_path)]
-    elif format == "csv":
-        posts = [_post_from_csv(row, str(posts_path), n) for n, row in _read_csv_rows(posts_path, _POST_HEADER)]
-        ic = [_annotation_from_csv(row, str(ic_path), n) for n, row in _read_csv_rows(ic_path, _ANNOTATION_HEADER)]
-        oc = [_annotation_from_csv(row, str(oc_path), n) for n, row in _read_csv_rows(oc_path, _ANNOTATION_HEADER)]
-    else:
-        raise CorpusError(f"unknown format {format!r} (expected 'jsonl' or 'csv')")
-    return DatasetBundle(tuple(posts), tuple(ic), tuple(oc))
-
-
-def _post_from_csv(row: list[str], source: str, line: int) -> Post:
-    post_id, target_text, parent_text = row
-    try:
-        return Post(post_id, target_text, parent_text if parent_text != "" else None)
-    except CorpusError as exc:
-        raise ParseError(source, line, str(exc)) from exc
-
-
-def _annotation_from_csv(row: list[str], source: str, line: int) -> AnnotationRecord:
-    post_id, condition, labels_cell, helpful_cell = row
-    if condition not in (c.value for c in Condition):
-        raise ParseError(source, line, f"unknown condition {condition!r}")
-    if labels_cell == "":
-        raise ParseError(source, line, f"annotation for post {post_id!r} has no judgments")
-    labels = labels_cell.split("|")
-    for label in labels:
-        if label not in (l.value for l in Label):
-            raise ParseError(source, line, f"unknown label {label!r}")
-    helpful = _decode_helpful(helpful_cell, len(labels), source, line)
-    judgments = tuple(RaterJudgment(Label(l), h) for l, h in zip(labels, helpful))
-    return AnnotationRecord(post_id, Condition(condition), judgments)
+    post_rows, parse_post, annotation_rows, parse_annotation = _readers(format)
+    posts = [parse_post(row, str(posts_path), n) for n, row in post_rows(posts_path)]
+    ic = _read_table(ic_path, annotation_rows(ic_path), parse_annotation, Condition.IN_CONTEXT)
+    oc = _read_table(oc_path, annotation_rows(oc_path), parse_annotation, Condition.OUT_OF_CONTEXT)
+    return DatasetBundle(tuple(posts), ic, oc)
 
 
 def save_bundle(
@@ -378,33 +371,27 @@ def save_bundle(
     format: str = "jsonl",
 ) -> None:
     """Persist a bundle so that load_bundle reproduces it field-for-field."""
-    posts_path, ic_path, oc_path = Path(posts_path), Path(ic_path), Path(oc_path)
-    if format == "jsonl":
-        write_jsonl(posts_path, (_post_to_obj(p) for p in bundle.posts))
-        write_jsonl(ic_path, (_annotation_to_obj(r) for r in bundle.ic_annotations))
-        write_jsonl(oc_path, (_annotation_to_obj(r) for r in bundle.oc_annotations))
-    elif format == "csv":
-        write_csv(
-            posts_path,
-            _POST_HEADER,
-            ([p.post_id, p.target_text, p.parent_text or ""] for p in bundle.posts),
-        )
-        for path, records in ((ic_path, bundle.ic_annotations), (oc_path, bundle.oc_annotations)):
-            write_csv(
-                path,
-                _ANNOTATION_HEADER,
+    save_posts(bundle.posts, posts_path, format)  # rejects an unknown format before any other file is written
+    for path, table in ((ic_path, bundle.ic_annotations), (oc_path, bundle.oc_annotations)):
+        condition, records = table.condition.value, table.records()
+        if format == "jsonl":
+            write_jsonl(
+                Path(path),
                 (
-                    [
-                        r.post_id,
-                        r.condition.value,
-                        "|".join(j.label.value for j in r.judgments),
-                        _encode_helpful(r.judgments),
-                    ]
-                    for r in records
+                    {
+                        "post_id": post_id,
+                        "condition": condition,
+                        "judgments": [{"label": l, "parent_helpful": h} for l, h in zip(labels, helpful)],
+                    }
+                    for post_id, labels, helpful in records
                 ),
             )
-    else:
-        raise CorpusError(f"unknown format {format!r} (expected 'jsonl' or 'csv')")
+        else:
+            write_csv(
+                Path(path),
+                _ANNOTATION_HEADER,
+                ([post_id, condition, "|".join(labels), _encode_helpful(helpful)] for post_id, labels, helpful in records),
+            )
 
 
 def write_jsonl(path: Path, objs: Iterable[dict]) -> None:
@@ -426,15 +413,10 @@ def load_posts(path: str | Path, format: str = "jsonl") -> list[Post]:
     """Load a standalone posts file (e.g. an unlabeled sampling pool); a
     repeated post_id is a ParseError at the line that repeats it."""
     path = Path(path)
-    if format == "jsonl":
-        rows, parse = _iter_jsonl(path), _post_from_obj
-    elif format == "csv":
-        rows, parse = _read_csv_rows(path, _POST_HEADER), _post_from_csv
-    else:
-        raise CorpusError(f"unknown format {format!r} (expected 'jsonl' or 'csv')")
+    rows, parse = _readers(format)[:2]
     posts: list[Post] = []
     seen: set[str] = set()
-    for n, row in rows:
+    for n, row in rows(path):
         post = parse(row, str(path), n)
         if post.post_id in seen:
             raise ParseError(str(path), n, f"duplicate post_id {post.post_id!r}")
@@ -446,7 +428,7 @@ def load_posts(path: str | Path, format: str = "jsonl") -> list[Post]:
 def save_posts(posts: Sequence[Post], path: str | Path, format: str = "jsonl") -> None:
     path = Path(path)
     if format == "jsonl":
-        write_jsonl(path, (_post_to_obj(p) for p in posts))
+        write_jsonl(path, ({"post_id": p.post_id, "target_text": p.target_text, "parent_text": p.parent_text} for p in posts))
     elif format == "csv":
         write_csv(path, _POST_HEADER, ([p.post_id, p.target_text, p.parent_text or ""] for p in posts))
     else:

@@ -11,10 +11,11 @@ from ctxsens.aggregation import (
     SensitivityExample,
     SensitivityRecord,
     ToxicityScore,
-    binary_sem,
     sensitivity,
 )
-from ctxsens.corpus import AnnotationRecord, Condition, DatasetBundle, Label, Post, RaterJudgment
+from ctxsens.corpus import AnnotationTable, Condition, DatasetBundle, Label, Post
+
+from oracles import binary_sem
 
 TOY_SCORER = Path(__file__).with_name("toy_scorer.py")
 
@@ -39,9 +40,17 @@ def record_with_delta(delta: float, post_id: str = "p") -> SensitivityRecord:
     return sensitivity(post_id, s_oc, s_ic)
 
 
-def judgments(labels: list[Label], helpful: list[bool | None] | None = None) -> tuple[RaterJudgment, ...]:
-    helpful = helpful or [None] * len(labels)
-    return tuple(RaterJudgment(label, h) for label, h in zip(labels, helpful))
+def annotation_table(condition: Condition, rows) -> AnnotationTable:
+    """A table from (post_id, labels, helpful) rows, where labels are Label
+    members or values and helpful is a parallel list of True/False/None, or
+    None when no rater voted."""
+    post_ids, labels, helpful, offsets = [], [], [], [0]
+    for post_id, row_labels, row_helpful in rows:
+        post_ids.append(post_id)
+        labels += [list(Label).index(Label(label)) for label in row_labels]
+        helpful += [-1 if h is None else int(h) for h in (row_helpful or [None] * len(row_labels))]
+        offsets.append(len(labels))
+    return AnnotationTable(condition, post_ids, labels, helpful, offsets)
 
 
 def synthetic_bundle(n_posts: int = 40, seed: int = 0, n_raters: int = 5) -> DatasetBundle:
@@ -63,9 +72,11 @@ def synthetic_bundle(n_posts: int = 40, seed: int = 0, n_raters: int = 5) -> Dat
             Label.VERY_TOXIC if rng.random() < p_oc else Label.NON_TOXIC for _ in range(n_raters)
         ]
         helpful = [bool(rng.random() < 0.6) for _ in range(n_raters)]
-        ic.append(AnnotationRecord(post_id, Condition.IN_CONTEXT, judgments(ic_labels, helpful)))
-        oc.append(AnnotationRecord(post_id, Condition.OUT_OF_CONTEXT, judgments(oc_labels)))
-    return DatasetBundle(tuple(posts), tuple(ic), tuple(oc))
+        ic.append((post_id, ic_labels, helpful))
+        oc.append((post_id, oc_labels, None))
+    return DatasetBundle(
+        tuple(posts), annotation_table(Condition.IN_CONTEXT, ic), annotation_table(Condition.OUT_OF_CONTEXT, oc)
+    )
 
 
 def planted_posts(

@@ -1,5 +1,6 @@
-"""Brute-force oracles for metrics, the featurizer, the linear solvers and the
-forest, kept independent of the library's fast paths."""
+"""Brute-force oracles for metrics, the featurizer, the linear solvers, the
+forest and the corpus statistics, kept independent of the library's fast
+paths."""
 
 import math
 import re
@@ -8,6 +9,10 @@ from typing import Sequence
 
 import numpy as np
 from scipy import sparse
+
+from ctxsens.aggregation import AgreementReport, SensitivityExample, ToxicityScore, sensitivity
+from ctxsens.analysis import ParentUtilityPoint
+from ctxsens.corpus import Label
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -288,3 +293,89 @@ def tfidf_rows(vocab, texts: Sequence[str]) -> sparse.csr_matrix:
         (np.asarray(data, dtype=np.float64), np.asarray(indices, dtype=np.int64), np.asarray(indptr, dtype=np.int64)),
         shape=(len(texts), vocab.dimension),
     )
+
+
+# --- corpus statistics: one Python object walk per judgment ---------------------
+
+
+def binary_sem(value: float, n_raters: int) -> float:
+    """Sample-variance SEM of a binary rater sample: sqrt(p(1-p)/(n-1)),
+    0 for a single rater."""
+    if n_raters <= 1:
+        return 0.0
+    return math.sqrt(value * (1.0 - value) / (n_raters - 1))
+
+
+def aggregate_score(labels: Sequence[str]) -> ToxicityScore | None:
+    """One record's score from its label values; None when a rater was unsure."""
+    if any(label == Label.UNSURE.value for label in labels):
+        return None
+    n = len(labels)
+    toxic = sum(1 for label in labels if label in (Label.TOXIC.value, Label.VERY_TOXIC.value))
+    value = toxic / n
+    return ToxicityScore(value=value, n_raters=n, sem=binary_sem(value, n))
+
+
+def compute_sensitivities(bundle) -> tuple[list[SensitivityExample], list[str]]:
+    ic = {post_id: labels for post_id, labels, _ in bundle.ic_annotations.records()}
+    oc = {post_id: labels for post_id, labels, _ in bundle.oc_annotations.records()}
+    examples, excluded = [], []
+    for post in bundle.posts:
+        if post.post_id not in ic or post.post_id not in oc:
+            excluded.append(post.post_id)
+            continue
+        s_ic, s_oc = aggregate_score(ic[post.post_id]), aggregate_score(oc[post.post_id])
+        if s_ic is None or s_oc is None:
+            excluded.append(post.post_id)
+            continue
+        examples.append(SensitivityExample(post, sensitivity(post.post_id, s_oc, s_ic)))
+    return examples, excluded
+
+
+def agreement(table, n_categories: int = len(Label), label_key=None) -> AgreementReport:
+    """Randolph's free-marginal kappa from a dict of category counts per item."""
+    records = list(table.records())
+    if not records:
+        raise ValueError("no records")
+    if n_categories < 2:
+        raise ValueError("need at least 2 categories")
+    key = label_key or (lambda label: label)
+    per_item = []
+    for post_id, labels, _ in records:
+        r = len(labels)
+        if r < 2:
+            raise ValueError(f"post {post_id!r}: agreement needs >= 2 judgments")
+        counts: dict = {}
+        for label in labels:
+            category = key(Label(label))
+            counts[category] = counts.get(category, 0) + 1
+        if len(counts) > n_categories:
+            raise ValueError(
+                f"post {post_id!r}: {len(counts)} distinct categories exceed n_categories={n_categories}"
+            )
+        per_item.append(sum(c * (c - 1) for c in counts.values()) / (r * (r - 1)))
+    p_o = math.fsum(per_item) / len(per_item)
+    chance = 1.0 / n_categories
+    return AgreementReport((p_o - chance) / (1.0 - chance), p_o, len(records), n_categories)
+
+
+def parent_utility(ic_table, records, thresholds) -> tuple[list[ParentUtilityPoint], list[str]]:
+    """Strict-majority helpful votes from each post's list of votes."""
+    helpful_by_id = {post_id: helpful for post_id, _, helpful in ic_table.records()}
+    zero_vote_ids: list[str] = []
+    majority: dict[str, bool] = {}
+    for record in records:
+        votes = [h for h in helpful_by_id.get(record.post_id, []) if h is not None]
+        if not votes:
+            zero_vote_ids.append(record.post_id)
+            majority[record.post_id] = False
+            continue
+        majority[record.post_id] = sum(votes) > len(votes) / 2.0
+    points = []
+    for t in thresholds:
+        subset = [majority[r.post_id] for r in records if abs(r.delta) >= t]
+        if subset:
+            points.append(ParentUtilityPoint(t=t, fraction_helpful=sum(subset) / len(subset), n=len(subset)))
+        else:
+            points.append(ParentUtilityPoint(t=t, fraction_helpful=None, n=0))
+    return points, zero_vote_ids

@@ -10,10 +10,9 @@ from ctxsens.aggregation import (
     SensitivityRecord,
     ToxicityScore,
     agreement,
-    aggregate_score,
+    aggregate_scores,
     binarize_toxicity,
     binarized_unchanged_fraction,
-    binary_sem,
     collapse_binary,
     compute_sensitivities,
     count_sensitive,
@@ -23,34 +22,39 @@ from ctxsens.aggregation import (
     sensitivity,
     sensitivity_histogram,
 )
-from ctxsens.corpus import AnnotationRecord, Condition, Label
+from ctxsens.corpus import Condition, Label
 
-from helpers import judgments, record_with_delta, score_of, synthetic_bundle
+from helpers import annotation_table, record_with_delta, score_of, synthetic_bundle
 
 IC, OC = Condition.IN_CONTEXT, Condition.OUT_OF_CONTEXT
 
 
-def record(labels, condition=IC, post_id="p"):
-    return AnnotationRecord(post_id, condition, judgments(labels))
+def records(*rows, condition=IC):
+    """A table of (post_id, labels) rows."""
+    return annotation_table(condition, [(post_id, labels, None) for post_id, labels in rows])
 
 
-# --- aggregate_score ---------------------------------------------------------
+def aggregate_score(labels):
+    """The score of a one-record table."""
+    (score,) = aggregate_scores(records(("p", labels)))
+    return score
+
+
+# --- aggregate_scores ---------------------------------------------------------
 
 
 def test_both_toxic_grades_unify():
-    score = aggregate_score(
-        record([Label.TOXIC, Label.VERY_TOXIC, Label.NON_TOXIC, Label.NON_TOXIC, Label.NON_TOXIC])
-    )
+    score = aggregate_score([Label.TOXIC, Label.VERY_TOXIC, Label.NON_TOXIC, Label.NON_TOXIC, Label.NON_TOXIC])
     assert score.value == pytest.approx(0.4)
     assert score.n_raters == 5
 
 
 def test_any_unsure_judgment_excludes():
-    assert aggregate_score(record([Label.NON_TOXIC, Label.UNSURE, Label.TOXIC])) is None
+    assert aggregate_score([Label.NON_TOXIC, Label.UNSURE, Label.TOXIC]) is None
 
 
 def test_unanimous_non_toxic_has_zero_sem():
-    score = aggregate_score(record([Label.NON_TOXIC] * 10))
+    score = aggregate_score([Label.NON_TOXIC] * 10)
     assert score.value == 0.0
     assert score.sem == 0.0
     assert score.n_raters == 10
@@ -62,16 +66,16 @@ def test_unanimous_non_toxic_has_zero_sem():
 def test_aggregate_score_permutation_invariant(labels, rnd):
     shuffled = list(labels)
     rnd.shuffle(shuffled)
-    a = aggregate_score(record(labels))
-    b = aggregate_score(record(shuffled))
+    a = aggregate_score(labels)
+    b = aggregate_score(shuffled)
     assert a == b
 
 
 def test_sem_formula_is_sample_variance_based():
     # 3 of 5 toxic: sem = sqrt(0.6 * 0.4 / 4)
-    score = aggregate_score(record([Label.TOXIC] * 3 + [Label.NON_TOXIC] * 2))
+    score = aggregate_score([Label.TOXIC] * 3 + [Label.NON_TOXIC] * 2)
     assert score.sem == pytest.approx(math.sqrt(0.6 * 0.4 / 4))
-    assert binary_sem(0.5, 1) == 0.0
+    assert aggregate_score([Label.TOXIC]).sem == 0.0  # a single rater
 
 
 # --- ToxicityScore invariants ---------------------------------------------------
@@ -217,8 +221,7 @@ def test_binarized_unchanged_fraction():
 
 
 def test_perfect_agreement_gives_kappa_one():
-    records = [record([Label.TOXIC] * 3, post_id="a"), record([Label.NON_TOXIC] * 3, post_id="b")]
-    report = agreement(records)
+    report = agreement(records(("a", [Label.TOXIC] * 3), ("b", [Label.NON_TOXIC] * 3)))
     assert report.free_marginal_kappa == pytest.approx(1.0)
     assert report.mean_pairwise_agreement == pytest.approx(1.0)
 
@@ -226,29 +229,24 @@ def test_perfect_agreement_gives_kappa_one():
 def test_two_category_hand_computation():
     # 2 raters, 2 items, k=2: one agreeing item, one disagreeing item
     # P_o = (1 + 0) / 2 = 0.5 and kappa = (0.5 - 1/2) / (1 - 1/2) = 0
-    records = [
-        record([Label.TOXIC, Label.TOXIC], post_id="agree"),
-        record([Label.TOXIC, Label.NON_TOXIC], post_id="disagree"),
-    ]
-    report = agreement(records, n_categories=2)
+    table = records(("agree", [Label.TOXIC, Label.TOXIC]), ("disagree", [Label.TOXIC, Label.NON_TOXIC]))
+    report = agreement(table, n_categories=2)
     assert report.mean_pairwise_agreement == pytest.approx(0.5)
     assert report.free_marginal_kappa == pytest.approx(0.0)
 
 
 def test_binary_collapse_key():
-    records = [record([Label.TOXIC, Label.VERY_TOXIC], post_id="a")]
-    report = agreement(records, n_categories=2, label_key=collapse_binary)
+    report = agreement(records(("a", [Label.TOXIC, Label.VERY_TOXIC])), n_categories=2, label_key=collapse_binary)
     assert report.free_marginal_kappa == pytest.approx(1.0)
 
 
 def test_agreement_rejects_single_judgment():
     with pytest.raises(ValueError, match=">= 2"):
-        agreement([record([Label.TOXIC])])
+        agreement(records(("p", [Label.TOXIC])))
 
 
 def test_agreement_kappa_can_be_negative():
-    records = [record([Label.TOXIC, Label.NON_TOXIC], post_id=f"p{i}") for i in range(3)]
-    report = agreement(records, n_categories=2)
+    report = agreement(records(*[(f"p{i}", [Label.TOXIC, Label.NON_TOXIC]) for i in range(3)]), n_categories=2)
     assert report.free_marginal_kappa == pytest.approx(-1.0)
 
 
@@ -256,10 +254,10 @@ def test_agreement_kappa_can_be_negative():
 @given(st.lists(st.lists(st.sampled_from(list(Label)), min_size=2, max_size=6), min_size=1, max_size=10),
        st.randoms(use_true_random=False))
 def test_agreement_item_order_invariance(label_lists, rnd):
-    records = [record(labels, post_id=f"p{i}") for i, labels in enumerate(label_lists)]
-    shuffled = list(records)
+    rows = [(f"p{i}", labels) for i, labels in enumerate(label_lists)]
+    shuffled = list(rows)
     rnd.shuffle(shuffled)
-    assert agreement(records) == agreement(shuffled)
+    assert agreement(records(*rows)) == agreement(records(*shuffled))
 
 
 # --- bundle aggregation and persistence ------------------------------------------------

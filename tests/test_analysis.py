@@ -10,9 +10,9 @@ from ctxsens.analysis import (
     parent_utility,
     class_ratio,
 )
-from ctxsens.corpus import AnnotationRecord, Condition, Label
+from ctxsens.corpus import Condition, Label
 
-from helpers import judgments, record_with_delta
+from helpers import annotation_table, record_with_delta
 
 
 def records_with_ratio(n_sensitive: int, n_total: int):
@@ -54,14 +54,14 @@ def test_class_ratio_in_unit_interval_and_permutation_invariant(flags, rnd):
 # --- parent utility ------------------------------------------------------------------
 
 
-def ic_record(post_id: str, helpful: list[bool | None]):
-    labels = [Label.TOXIC] * len(helpful)
-    return AnnotationRecord(post_id, Condition.IN_CONTEXT, judgments(labels, helpful))
+def ic_table(votes: dict[str, list[bool | None]]):
+    """An in-context table with one toxic label per vote."""
+    return annotation_table(Condition.IN_CONTEXT, [(pid, [Label.TOXIC] * len(h), h) for pid, h in votes.items()])
 
 
 def test_majority_helpful_vote():
     records = [record_with_delta(0.5, "p0")]
-    ic = [ic_record("p0", [True, True, False])]
+    ic = ic_table({"p0": [True, True, False]})
     points, flagged = parent_utility(ic, records, [0.0])
     assert points[0].fraction_helpful == 1.0
     assert flagged == []
@@ -69,14 +69,14 @@ def test_majority_helpful_vote():
 
 def test_tied_vote_is_not_a_strict_majority():
     records = [record_with_delta(0.5, "p0")]
-    ic = [ic_record("p0", [True, False])]
+    ic = ic_table({"p0": [True, False]})
     points, _ = parent_utility(ic, records, [0.0])
     assert points[0].fraction_helpful == 0.0
 
 
 def test_threshold_beyond_max_delta_reports_null():
     records = [record_with_delta(0.3, "p0")]
-    ic = [ic_record("p0", [True, True])]
+    ic = ic_table({"p0": [True, True]})
     points, _ = parent_utility(ic, records, [0.9])
     assert points[0].fraction_helpful is None
     assert points[0].n == 0
@@ -84,7 +84,7 @@ def test_threshold_beyond_max_delta_reports_null():
 
 def test_zero_vote_posts_flagged_and_counted_unhelpful():
     records = [record_with_delta(0.5, "p0"), record_with_delta(0.5, "p1")]
-    ic = [ic_record("p0", [None, None]), ic_record("p1", [True, True, False])]
+    ic = ic_table({"p0": [None, None], "p1": [True, True, False]})
     points, flagged = parent_utility(ic, records, [0.0])
     assert flagged == ["p0"]
     assert points[0].fraction_helpful == 0.5
@@ -92,11 +92,7 @@ def test_zero_vote_posts_flagged_and_counted_unhelpful():
 
 def test_utility_fraction_over_threshold_subsets():
     records = [record_with_delta(d, f"p{i}") for i, d in enumerate((0.8, 0.2, 0.0))]
-    ic = [
-        ic_record("p0", [True, True]),
-        ic_record("p1", [False, False]),
-        ic_record("p2", [True, True]),
-    ]
+    ic = ic_table({"p0": [True, True], "p1": [False, False], "p2": [True, True]})
     points, _ = parent_utility(ic, records, [0.0, 0.5])
     assert points[0].fraction_helpful == pytest.approx(2 / 3)
     assert points[1].fraction_helpful == pytest.approx(1.0)

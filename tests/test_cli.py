@@ -408,6 +408,39 @@ def test_stratify_with_toy_scorer(tmp_path, sensitivity_file):
     assert sizes == sorted(sizes, reverse=True)
 
 
+def _with_score(field, value):
+    return lambda row: {**row, "s_ic": {**row["s_ic"], field: value}}
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda row: {**row, "s_oc": None},
+        lambda row: {**row, "target_text": 5},
+        _with_score("n_raters", "7"),
+        None,  # a line [1, 2] after the last row
+    ],
+    ids=["null score", "number as text", "string as count", "not an object"],
+)
+def test_malformed_sensitivity_row_is_validation_error(tmp_path, sensitivity_file, capsys, scorer_processes, edit):
+    rows = sensitivity_file.read_text().splitlines()
+    if edit is None:
+        rows.append("[1, 2]")
+        line = len(rows)
+    else:
+        rows[1] = json.dumps(edit(json.loads(rows[1])))
+        line = 2
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(rows) + "\n")
+    code = main(_args(f"stratify --data {bad} --out {tmp_path}/s") + ["--scorer", " ".join(toy_scorer_command())])
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"{bad}:{line}: " in err
+    assert scorer_processes == []
+    assert not (tmp_path / "s").exists()
+
+
 def test_stratify_without_scorer_is_validation_error(tmp_path, sensitivity_file, capsys):
     code = main(_args(f"stratify --data {sensitivity_file} --out {tmp_path}/s"))
     assert code == EXIT_VALIDATION
@@ -471,22 +504,36 @@ def test_subcommands_do_not_mutate_inputs(tmp_path, corpus_files):
     assert _sha(sens) == sens_hash
 
 
-def test_benchmark_trace_pass_still_sees_the_featurizer(tmp_path, sensitivity_file):
-    # perfbench/traced.py wraps the featurizer's public functions by name; an
-    # API change that hides them from it would silently zero its layer metrics
+def _traced(tmp_path, *argv: str) -> dict:
+    """The span summary of one CLI call run through perfbench/traced.py."""
     root = Path(__file__).resolve().parent.parent
     spans = tmp_path / "spans.json"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "traced.py"), str(spans), "train", "--family", "ridge",
-         "--data", str(sensitivity_file), "--out", str(tmp_path / "model")],
+        [sys.executable, str(root / "perfbench" / "traced.py"), str(spans), *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    summary = json.loads(spans.read_text())
+    return json.loads(spans.read_text())
+
+
+def test_benchmark_trace_pass_still_sees_the_featurizer(tmp_path, sensitivity_file):
+    # perfbench/traced.py wraps the featurizer's public functions by name; an
+    # API change that hides them from it would silently zero its layer metrics
+    summary = _traced(tmp_path, "train", "--family", "ridge", "--data", str(sensitivity_file), "--out", str(tmp_path / "model"))
     assert summary["spans"]["features.fit_vocabulary"]["calls"] >= 1
     assert summary["spans"]["features.transform_many"]["calls"] >= 1
     assert summary["counters"]["features.transform_many.texts"] >= 1
     # the CLI's command table must call these through their modules, not hold them
     for span in ("manifest.build_manifest", "aggregation.load_examples", "models.train.ridge", "models.save_model"):
         assert summary["spans"][span]["calls"] >= 1, span
+
+
+def test_benchmark_trace_pass_still_sees_the_corpus_layers(tmp_path, corpus_files):
+    # the same for the spans of corpus-scorer's stats step, and the posts counter read off load_bundle's result
+    posts, ic, oc = corpus_files
+    summary = _traced(tmp_path, "stats", "--posts", str(posts), "--ic", str(ic), "--oc", str(oc), "--out", str(tmp_path / "stats"))
+    for span in ("corpus.load_bundle", "aggregation.compute_sensitivities", "aggregation.agreement", "analysis.parent_utility"):
+        assert summary["spans"][span]["calls"] >= 1, span
+    assert summary["spans"]["aggregation.agreement"]["calls"] == 4  # two label sets per condition
+    assert summary["counters"]["corpus.posts_loaded"] == 40

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ctxsens import aggregation, analysis
 from ctxsens.corpus import (
-    AnnotationRecord,
     Condition,
     CorpusError,
     DanglingReferenceError,
@@ -15,7 +15,6 @@ from ctxsens.corpus import (
     Label,
     ParseError,
     Post,
-    RaterJudgment,
     ScoredRow,
     ScoreTableColumns,
     load_bundle,
@@ -25,7 +24,14 @@ from ctxsens.corpus import (
     save_posts,
 )
 
-from helpers import judgments
+import oracles
+from helpers import annotation_table
+
+IC, OC = Condition.IN_CONTEXT, Condition.OUT_OF_CONTEXT
+
+
+def empty_bundle() -> DatasetBundle:
+    return DatasetBundle((), annotation_table(IC, []), annotation_table(OC, []))
 
 
 def write_three_post_corpus(tmp_path):
@@ -59,8 +65,13 @@ def test_load_well_formed_three_post_file(tmp_path):
     assert len(bundle.posts) == 3
     assert len(bundle.ic_annotations) == 3
     assert len(bundle.oc_annotations) == 3
-    assert bundle.post("p2").target_text == "line one\nline two"
-    assert bundle.ic_for("p1").judgments[0].parent_helpful is True
+    assert bundle.posts[1].target_text == "line one\nline two"
+    ic = bundle.ic_annotations
+    assert ic.post_ids == ("p1", "p2", "p3")
+    assert ic.labels.tolist() == [2, 0] * 3  # toxic, non_toxic in Label order
+    assert ic.helpful.tolist() == [1, -1] * 3
+    assert ic.offsets.tolist() == [0, 2, 4, 6]
+    assert bundle.oc_annotations.helpful.tolist() == [-1] * 6
 
 
 def test_duplicate_record_error_names_post(tmp_path):
@@ -103,6 +114,61 @@ def test_unknown_label_rejected(tmp_path):
         load_bundle(paths["posts"], paths["ic"], paths["oc"])
 
 
+def _corrupt(path, line: int, **fields) -> None:
+    rows = path.read_text().splitlines()
+    rows[line - 1] = json.dumps({**json.loads(rows[line - 1]), **fields})
+    path.write_text("\n".join(rows) + "\n")
+
+
+_TOXIC = {"label": "toxic", "parent_helpful": None}
+
+
+@pytest.mark.parametrize(
+    "fmt, line, fields, message",
+    [
+        # 1 == True and 0 == False as dict keys, so a lookup alone would take these
+        ("jsonl", 2, {"judgments": [_TOXIC, {"label": "toxic", "parent_helpful": 1}]}, "parent_helpful"),
+        ("jsonl", 2, {"judgments": [{"label": "toxic", "parent_helpful": 0}]}, "parent_helpful"),
+        ("jsonl", 2, {"judgments": [{"label": "toxic", "parent_helpful": "true"}]}, "parent_helpful"),
+        # unhashable or non-string labels
+        ("jsonl", 3, {"judgments": [_TOXIC, {"label": ["toxic"], "parent_helpful": None}]}, "unknown label"),
+        ("jsonl", 3, {"judgments": [{"label": {}, "parent_helpful": None}]}, "unknown label"),
+        ("jsonl", 3, {"judgments": [{"label": 3, "parent_helpful": None}]}, "unknown label"),
+        ("jsonl", 3, {"judgments": [{"label": True, "parent_helpful": None}]}, "unknown label"),
+        ("jsonl", 1, {"judgments": {"label": "toxic", "parent_helpful": None}}, "must be a list"),
+        ("jsonl", 2, {"judgments": [_TOXIC, ["toxic", None]]}, "must be objects"),
+        ("csv", 3, {"parent_helpful": "true|1"}, "bad parent_helpful slot '1'"),
+        ("csv", 3, {"labels": "toxic||toxic", "parent_helpful": ""}, "unknown label ''"),
+    ],
+)
+def test_loader_rejects_lookalike_values(tmp_path, fmt, line, fields, message):
+    paths = write_three_post_corpus(tmp_path)
+    if fmt == "csv":
+        bundle = load_bundle(paths["posts"], paths["ic"], paths["oc"])
+        paths = {name: tmp_path / f"{name}.csv" for name in ("posts", "ic", "oc")}
+        save_bundle(bundle, paths["posts"], paths["ic"], paths["oc"], format="csv")
+        rows = paths["ic"].read_text().splitlines()
+        header = rows[0].split(",")
+        cells = dict(zip(header, rows[line - 1].split(",")), **fields)
+        rows[line - 1] = ",".join(cells[name] for name in header)
+        paths["ic"].write_text("\n".join(rows) + "\n")
+    else:
+        _corrupt(paths["ic"], line, **fields)
+    with pytest.raises(ParseError, match=rf"ic\.{fmt}:{line}: .*{message}") as info:
+        load_bundle(paths["posts"], paths["ic"], paths["oc"], format=fmt)
+    assert info.value.line == line
+
+
+def test_condition_mismatch_is_checked_after_every_file_parses(tmp_path):
+    paths = write_three_post_corpus(tmp_path)
+    _corrupt(paths["ic"], 2, condition="oc")
+    with pytest.raises(CorpusError, match="post 'p2' has condition 'oc', expected 'ic'"):
+        load_bundle(paths["posts"], paths["ic"], paths["oc"])
+    _corrupt(paths["oc"], 3, judgments=[])
+    with pytest.raises(ParseError, match=r"oc\.jsonl:3: annotation for post 'p3' \(oc\) has no judgments"):
+        load_bundle(paths["posts"], paths["ic"], paths["oc"])
+
+
 def test_blank_target_text_rejected():
     with pytest.raises(CorpusError, match="blank"):
         Post("p1", "   \n ")
@@ -115,12 +181,12 @@ def test_empty_parent_normalizes_to_none():
 def test_duplicate_post_rejected():
     posts = (Post("a", "x"), Post("a", "y"))
     with pytest.raises(DuplicateRecordError):
-        DatasetBundle(posts, (), ())
+        DatasetBundle(posts, annotation_table(IC, []), annotation_table(OC, []))
 
 
 def test_empty_judgments_type_invariant():
-    with pytest.raises(EmptyJudgmentsError):
-        AnnotationRecord("p", Condition.IN_CONTEXT, ())
+    with pytest.raises(EmptyJudgmentsError, match="'q'"):
+        annotation_table(IC, [("p", [Label.TOXIC], None), ("q", [], None)])
 
 
 def make_bundle():
@@ -128,14 +194,8 @@ def make_bundle():
         Post("a", 'text with "quotes", commas\nand a newline', "parent\ntext"),
         Post("b", "plain"),
     )
-    ic = (
-        AnnotationRecord("a", Condition.IN_CONTEXT, judgments([Label.TOXIC, Label.UNSURE], [True, None])),
-        AnnotationRecord("b", Condition.IN_CONTEXT, judgments([Label.NON_TOXIC], [False])),
-    )
-    oc = (
-        AnnotationRecord("a", Condition.OUT_OF_CONTEXT, judgments([Label.VERY_TOXIC])),
-        AnnotationRecord("b", Condition.OUT_OF_CONTEXT, judgments([Label.NON_TOXIC, Label.TOXIC])),
-    )
+    ic = annotation_table(IC, [("a", [Label.TOXIC, Label.UNSURE], [True, None]), ("b", [Label.NON_TOXIC], [False])])
+    oc = annotation_table(OC, [("a", [Label.VERY_TOXIC], None), ("b", [Label.NON_TOXIC, Label.TOXIC], None)])
     return DatasetBundle(posts, ic, oc)
 
 
@@ -149,7 +209,7 @@ def test_round_trip_awkward_text(tmp_path, fmt):
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
 def test_round_trip_empty_bundle(tmp_path, fmt):
-    bundle = DatasetBundle((), (), ())
+    bundle = empty_bundle()
     paths = [tmp_path / f"{n}.{fmt}" for n in ("posts", "ic", "oc")]
     save_bundle(bundle, *paths, format=fmt)
     assert load_bundle(*paths, format=fmt) == bundle
@@ -157,7 +217,7 @@ def test_round_trip_empty_bundle(tmp_path, fmt):
 
 def test_unknown_format_rejected(tmp_path):
     with pytest.raises(CorpusError, match="format"):
-        save_bundle(DatasetBundle((), (), ()), tmp_path / "a", tmp_path / "b", tmp_path / "c", format="xml")
+        save_bundle(empty_bundle(), tmp_path / "a", tmp_path / "b", tmp_path / "c", format="xml")
 
 
 def test_posts_file_round_trip(tmp_path):
@@ -175,7 +235,7 @@ _text = st.text(alphabet=_chars, min_size=1, max_size=30).filter(lambda s: s.str
 _parent = st.one_of(st.none(), _text)
 _label = st.sampled_from(list(Label))
 _helpful = st.one_of(st.none(), st.booleans())
-_judgment = st.builds(RaterJudgment, label=_label, parent_helpful=_helpful)
+_judgment = st.tuples(_label, _helpful)
 _post_ids = st.lists(
     st.text(alphabet="abcdefghij0123456789", min_size=1, max_size=6),
     min_size=0,
@@ -188,14 +248,15 @@ _post_ids = st.lists(
 def bundles(draw) -> DatasetBundle:
     ids = draw(_post_ids)
     posts = tuple(Post(pid, draw(_text), draw(_parent)) for pid in ids)
-    records = {}
+    tables = []
     for cond in Condition:
-        records[cond] = tuple(
-            AnnotationRecord(pid, cond, tuple(draw(st.lists(_judgment, min_size=1, max_size=5))))
-            for pid in ids
-            if draw(st.booleans())
-        )
-    return DatasetBundle(posts, records[Condition.IN_CONTEXT], records[Condition.OUT_OF_CONTEXT])
+        rows = []
+        for pid in ids:
+            if draw(st.booleans()):
+                judgments = draw(st.lists(_judgment, min_size=1, max_size=5))
+                rows.append((pid, [label for label, _ in judgments], [helpful for _, helpful in judgments]))
+        tables.append(annotation_table(cond, rows))
+    return DatasetBundle(posts, *tables)
 
 
 @pytest.mark.property
@@ -207,14 +268,31 @@ def test_round_trip_identity_property(tmp_path_factory, bundle, fmt):
     assert load_bundle(*paths, format=fmt) == bundle
 
 
+def _outcome(fn, *args, **kwargs):
+    """fn's result, or the type and message of the ValueError it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
 @pytest.mark.property
 @given(bundle=bundles())
 def test_bundle_lookup_consistent(bundle):
-    for record in bundle.ic_annotations:
-        assert bundle.ic_for(record.post_id) is record
-        assert bundle.post(record.post_id).post_id == record.post_id
-    for record in bundle.oc_annotations:
-        assert bundle.oc_for(record.post_id) is record
+    post_ids = {post.post_id for post in bundle.posts}
+    for table in (bundle.ic_annotations, bundle.oc_annotations):
+        assert len(set(table.post_ids)) == len(table) and set(table.post_ids) <= post_ids
+    # the count-based statistics equal the object-walking oracles exactly
+    examples, excluded = aggregation.compute_sensitivities(bundle)
+    assert (examples, excluded) == oracles.compute_sensitivities(bundle)
+    for table in (bundle.ic_annotations, bundle.oc_annotations):
+        for kwargs in ({}, {"n_categories": 2, "label_key": aggregation.collapse_binary}):
+            assert _outcome(aggregation.agreement, table, **kwargs) == _outcome(oracles.agreement, table, **kwargs)
+    records = [ex.record for ex in examples]
+    thresholds = [0.0, 0.2, 0.5, 1.0]
+    assert analysis.parent_utility(bundle.ic_annotations, records, thresholds) == oracles.parent_utility(
+        bundle.ic_annotations, records, thresholds
+    )
 
 
 # --- released-data adapter ------------------------------------------------------
