@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import AnnotationTable, DatasetBundle, Label, Post, write_jsonl
+from .corpus import AnnotationTable, DatasetBundle, Label, Post, not_utf8, write_jsonl
 
 _TOXIC_LABELS = frozenset({Label.TOXIC, Label.VERY_TOXIC})
 _TOXIC_CODES = [code for code, label in enumerate(Label) if label in _TOXIC_LABELS]
@@ -117,6 +117,11 @@ class SensitivityExample:
 
     post: Post
     record: SensitivityRecord
+
+
+def training_columns(examples: Sequence[SensitivityExample]) -> tuple[list[str], list[float]]:
+    """The target texts and deltas of examples, the inputs and targets of models.train."""
+    return [ex.post.target_text for ex in examples], [ex.record.delta for ex in examples]
 
 
 def compute_sensitivities(bundle: DatasetBundle) -> tuple[list[SensitivityExample], list[str]]:
@@ -300,27 +305,30 @@ def load_examples(path: str | Path) -> list[SensitivityExample]:
     examples = []
     seen: set[str] = set()
     with Path(path).open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise ValueError("each line must be a JSON object")
-                _check_fields(obj, _ROW_FIELDS)
-                post = Post(obj["post_id"], obj["target_text"], obj.get("parent_text"))
-                if post.post_id in seen:
-                    raise ValueError(f"duplicate post_id {post.post_id!r}")
-                seen.add(post.post_id)
-                record = SensitivityRecord(
-                    post_id=obj["post_id"],
-                    s_oc=_score_from_obj(obj["s_oc"]),
-                    s_ic=_score_from_obj(obj["s_ic"]),
-                    delta=obj["delta"],
-                    threshold=obj["threshold"],
-                    is_sensitive=obj["is_sensitive"],
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: {exc}") from exc
-            examples.append(SensitivityExample(post, record))
+        try:
+            for line_no, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                    if not isinstance(obj, dict):
+                        raise ValueError("each line must be a JSON object")
+                    _check_fields(obj, _ROW_FIELDS)
+                    post = Post(obj["post_id"], obj["target_text"], obj.get("parent_text"))
+                    if post.post_id in seen:
+                        raise ValueError(f"duplicate post_id {post.post_id!r}")
+                    seen.add(post.post_id)
+                    record = SensitivityRecord(
+                        post_id=obj["post_id"],
+                        s_oc=_score_from_obj(obj["s_oc"]),
+                        s_ic=_score_from_obj(obj["s_ic"]),
+                        delta=obj["delta"],
+                        threshold=obj["threshold"],
+                        is_sensitive=obj["is_sensitive"],
+                    )
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{line_no}: {exc}") from exc
+                examples.append(SensitivityExample(post, record))
+        except UnicodeDecodeError:
+            raise not_utf8(Path(path)) from None
     return examples

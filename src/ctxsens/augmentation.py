@@ -102,8 +102,8 @@ def select_top_k(scored: Sequence[tuple[str, float]], k: int) -> list[str]:
     return [post_id for post_id, _ in ranked[:k]]
 
 
-def _items(rows: Sequence[TrainPost]) -> list[tuple[str, float]]:
-    return [(row.post.target_text, row.target) for row in rows]
+def _columns(rows: Sequence[TrainPost]) -> tuple[list[str], list[float]]:
+    return [row.post.target_text for row in rows], [row.target for row in rows]
 
 
 def run_augmentation(
@@ -129,9 +129,9 @@ def run_augmentation(
 
     pool: list[Post] = list(config.pool)
     train_rows: list[TrainPost] = list(gold_train)
-    val_items = _items(gold_validation)
+    validation = _columns(gold_validation)
 
-    teacher = train(config.teacher_family, _items(train_rows), val_items, config.train_config)
+    teacher = train(config.teacher_family, *_columns(train_rows), validation, config.train_config)
 
     if config.single_shot:
         plan = [config.k_per_cycle * config.n_cycles]
@@ -160,7 +160,7 @@ def run_augmentation(
         if train_ids & test_ids:
             raise AugmentationError("train set leaked into the test split")
 
-        student = train(config.student_family, _items(train_rows), val_items, config.train_config)
+        student = train(config.student_family, *_columns(train_rows), validation, config.train_config)
         predictions = student.predict_batch(test_texts)
         scores = [silver_by_id[post_id] for post_id in selected_ids]
         logs.append(

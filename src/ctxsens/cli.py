@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import aggregation, analysis, augmentation, evaluation, models
-from .corpus import CorpusError, load_bool_column, load_bundle, load_posts, write_csv, write_jsonl
+from .corpus import CorpusError, load_bool_column, load_bundle, load_posts, not_utf8, write_csv, write_jsonl
 from .features import FeatureConfig, FeatureError
 from .manifest import build_manifest, write_json, write_manifest
 from .scorer import ScorerEndpoint, ScorerError
@@ -140,6 +140,8 @@ def _load_config_file(path: str | None) -> dict:
         obj = json.loads(file.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise CliValidationError(f"config file {path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError:
+        raise CliValidationError(f"config file {not_utf8(file)}") from None
     if not isinstance(obj, dict):
         raise CliValidationError(f"config file {path} must hold a JSON object")
     return obj
@@ -337,9 +339,9 @@ def _train(run: Run) -> None:
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     if len(train_idx) == 0:
         raise CliValidationError("validation fraction leaves no training data")
-    train_items = [(examples[i].post.target_text, examples[i].record.delta) for i in train_idx]
-    val_items = [(examples[i].post.target_text, examples[i].record.delta) for i in val_idx]
-    model = models.train(run.config["family"], train_items, val_items or None, run.train_config)
+    train_set = aggregation.training_columns([examples[i] for i in train_idx])
+    validation = aggregation.training_columns([examples[i] for i in val_idx])
+    model = models.train(run.config["family"], *train_set, validation, run.train_config)
     try:
         models.save_model(model, run.out("model.bin"))
     finally:

@@ -264,18 +264,34 @@ def _str(obj: dict, key: str, source: str, line: int, optional: bool = False) ->
     return value
 
 
+def not_utf8(path: Path) -> ParseError:
+    """The error for a file that failed to decode as UTF-8, at its first
+    undecodable line. Readers call it only once decoding has failed, so a
+    good file is read once."""
+    with open(path, "rb") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return ParseError(str(path), line_no, f"not UTF-8: byte {line[exc.start]:#04x} at column {exc.start + 1}")
+    return ParseError(str(path), 1, "not UTF-8")
+
+
 def _iter_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
     with path.open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(str(path), line_no, f"invalid JSON: {exc.msg}") from exc
-            if not isinstance(obj, dict):
-                raise ParseError(str(path), line_no, "each line must be a JSON object")
-            yield line_no, obj
+        try:
+            for line_no, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(str(path), line_no, f"invalid JSON: {exc.msg}") from exc
+                if not isinstance(obj, dict):
+                    raise ParseError(str(path), line_no, "each line must be a JSON object")
+                yield line_no, obj
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
 
 
 # --- CSV -------------------------------------------------------------------
@@ -288,17 +304,19 @@ def _read_csv_rows(path: Path, expected_header: list[str]) -> Iterator[tuple[int
     with path.open("r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(str(path), 1, "missing header row") from None
-        if header != expected_header:
-            raise ParseError(str(path), 1, f"expected header {expected_header}, got {header}")
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected_header):
-                raise ParseError(str(path), row_no, f"expected {len(expected_header)} fields, got {len(row)}")
-            yield row_no, row
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(str(path), 1, "missing header row")
+            if header != expected_header:
+                raise ParseError(str(path), 1, f"expected header {expected_header}, got {header}")
+            for row_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(expected_header):
+                    raise ParseError(str(path), row_no, f"expected {len(expected_header)} fields, got {len(row)}")
+                yield row_no, row
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
 
 
 def _post_from_csv(row: list[str], source: str, line: int) -> Post:
@@ -443,7 +461,10 @@ def load_bool_column(path: str | Path) -> list[bool]:
     (true/false, 1/0, yes/no or t/f in any case); blank rows are skipped."""
     path = Path(path)
     with path.open("r", encoding="utf-8", newline="") as handle:
-        rows = list(csv.reader(handle))
+        try:
+            rows = list(csv.reader(handle))
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
     if not rows:
         raise ParseError(str(path), 1, "empty file")
     values = []

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .aggregation import SensitivityExample
+from .aggregation import SensitivityExample, training_columns
 from .models import TrainConfig, train
 from .scorer import ExternalScorerClient, ScorerEndpoint
 
@@ -50,17 +50,10 @@ def mae(pred: Sequence[float], gold: Sequence[float]) -> float:
 
 
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks; tied scores share the mean of their ranks."""
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True, equal_nan=False)
+    last = np.cumsum(counts)  # 1-based rank of each tie group's last member
+    return ((2 * last - counts - 1) / 2.0 + 1.0)[inverse]
 
 
 def roc_auc(scores: Sequence[float], labels: Sequence[bool]) -> float:
@@ -86,25 +79,11 @@ def aupr(scores: Sequence[float], labels: Sequence[bool]) -> float:
     n_pos = int(y.sum())
     if n_pos == 0:
         raise UndefinedMetricError("aupr needs at least one positive")
-    order = np.argsort(-s, kind="mergesort")
-    s_sorted = s[order]
-    y_sorted = y[order]
-    ap = 0.0
-    tp = 0
-    seen = 0
-    i = 0
-    n = len(s_sorted)
-    while i < n:
-        j = i
-        while j + 1 < n and s_sorted[j + 1] == s_sorted[i]:
-            j += 1
-        group_pos = int(y_sorted[i : j + 1].sum())
-        tp += group_pos
-        seen += j - i + 1
-        if group_pos > 0:
-            ap += (group_pos / n_pos) * (tp / seen)
-        i = j + 1
-    return float(ap)
+    # tie groups by descending score
+    _, inverse, counts = np.unique(-s, return_inverse=True, return_counts=True, equal_nan=False)
+    group_pos = np.bincount(inverse[y], minlength=len(counts))
+    terms = (group_pos / n_pos) * (np.cumsum(group_pos) / np.cumsum(counts))
+    return float(np.cumsum(terms)[-1])  # summed in order, one term at a time
 
 
 # --- splits ---------------------------------------------------------------------
@@ -255,9 +234,8 @@ def monte_carlo_cv(
     folds = []
     for repeat in range(split.n_repeats):
         tr, val, test = split_indices(len(examples), split, repeat)
-        train_items = [(examples[i].post.target_text, examples[i].record.delta) for i in tr]
-        val_items = [(examples[i].post.target_text, examples[i].record.delta) for i in val]
-        model = train(family, train_items, val_items, config)
+        validation = training_columns([examples[i] for i in val])
+        model = train(family, *training_columns([examples[i] for i in tr]), validation, config)
         try:
             predictions = model.predict_batch([examples[i].post.target_text for i in test])
         finally:

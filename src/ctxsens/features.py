@@ -166,26 +166,6 @@ def _windows(row: np.ndarray, n: int) -> np.ndarray:
     return np.flatnonzero(row[: len(row) - n + 1] == row[n - 1 :])
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Sparse L2-normalized vector: strictly increasing indices < dimension."""
-
-    indices: tuple[int, ...]
-    weights: tuple[float, ...]
-    dimension: int
-
-    def __post_init__(self) -> None:
-        if len(self.indices) != len(self.weights):
-            raise FeatureError("indices and weights must be parallel")
-        if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
-            raise FeatureError("indices must be strictly increasing")
-        if self.indices and self.indices[-1] >= self.dimension:
-            raise FeatureError("index out of range")
-
-    def norm(self) -> float:
-        return math.sqrt(sum(w * w for w in self.weights))
-
-
 class _TermLookup:
     """The vocabulary's terms as a trie over word ids, one level per n-gram length.
 
@@ -390,24 +370,11 @@ def transform_many(vocab: Vocabulary, texts: Sequence[str]) -> sparse.csr_matrix
     )
 
 
-def transform(vocab: Vocabulary, text: str) -> FeatureVector:
-    """One text's row of transform_many as a FeatureVector."""
-    row = transform_many(vocab, [text])
-    return FeatureVector(
-        indices=tuple(row.indices.tolist()), weights=tuple(row.data.tolist()), dimension=vocab.dimension
-    )
-
-
-def to_csr(vectors: Sequence[FeatureVector]) -> sparse.csr_matrix:
-    """Stack feature vectors into a CSR matrix (rows in input order)."""
-    if not vectors:
-        raise FeatureError("no vectors")
-    dimension = vectors[0].dimension
-    if any(v.dimension != dimension for v in vectors):
-        raise FeatureError("vectors disagree on dimension")
-    indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
-    for i, v in enumerate(vectors):
-        indptr[i + 1] = indptr[i] + len(v.indices)
-    indices = np.concatenate([np.asarray(v.indices, dtype=np.int64) for v in vectors]) if indptr[-1] else np.zeros(0, dtype=np.int64)
-    data = np.concatenate([np.asarray(v.weights, dtype=np.float64) for v in vectors]) if indptr[-1] else np.zeros(0)
-    return sparse.csr_matrix((data, indices, indptr), shape=(len(vectors), dimension))
+def to_csr(matrix) -> sparse.csr_matrix:
+    """A copy of a scipy sparse matrix as canonical float64 CSR: indices
+    sorted within each row, duplicate entries summed."""
+    if not sparse.issparse(matrix):
+        raise FeatureError(f"expected a scipy sparse matrix, got {type(matrix).__name__}")
+    matrix = sparse.csr_matrix(matrix, dtype=np.float64, copy=True)
+    matrix.sum_duplicates()
+    return matrix

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from .features import FeatureConfig, FeatureVector, Vocabulary, fit_vocabulary, to_csr, transform_many
+from .features import FeatureConfig, Vocabulary, fit_vocabulary, to_csr, transform_many
 from .scorer import ExternalScorerClient, ScorerEndpoint, transport_fingerprint
 
 FAMILY_CONSTANT_MEAN = "constant_mean"
@@ -106,18 +106,24 @@ class TrainConfig:
     external: ScorerEndpoint | None = None
 
     def __post_init__(self) -> None:
+        max_features = self.rf_max_features  # type() is int: a bool is not a count
+        max_features_ok = max_features in ("sqrt", "all") or (type(max_features) is int and max_features >= 1)
         # written as "not valid" so that NaN is rejected too
         for name, bad, rule in (
             ("patience", not self.patience >= 1, ">= 1"),
             ("ridge_lambda", not self.ridge_lambda >= 0, ">= 0"),
+            ("ridge_tol", not self.ridge_tol >= 0, ">= 0"),
             ("ridge_max_iter", not self.ridge_max_iter >= 1, ">= 1"),
             ("svr_batch_size", not self.svr_batch_size >= 1, ">= 1"),
             ("svr_c", not self.svr_c > 0, "> 0"),
             ("svr_learning_rate", not self.svr_learning_rate > 0, "> 0"),
             ("svr_epsilon", not self.svr_epsilon >= 0, ">= 0"),
+            ("svr_max_epochs", not self.svr_max_epochs >= 1, ">= 1"),
             ("rf_n_trees", not self.rf_n_trees >= 1, ">= 1"),
             ("rf_max_depth", self.rf_max_depth is not None and not self.rf_max_depth >= 0, ">= 0 or None"),
             ("rf_min_samples_leaf", not self.rf_min_samples_leaf >= 1, ">= 1"),
+            ("rf_max_features", not max_features_ok, '"sqrt", "all" or an int >= 1'),
+            ("rf_bootstrap", not isinstance(self.rf_bootstrap, bool), "a bool"),
         ):
             if bad:
                 raise TrainingError(f"{name} must be {rule}, got {getattr(self, name)!r}")
@@ -157,57 +163,60 @@ class TrainingMetadata:
     extras: dict = field(default_factory=dict)
 
 
-# --- training data normalization ---------------------------------------------
+# --- inputs and targets --------------------------------------------------------
 
 
-@dataclass
-class _TrainingData:
-    kind: str  # "text" | "vector"
-    inputs: list
-    y: np.ndarray
-    w: np.ndarray
+def _n_rows(inputs) -> int:
+    return inputs.shape[0] if sparse.issparse(inputs) else len(inputs)
 
 
-def _normalize_items(items: Sequence, what: str) -> _TrainingData:
-    if not items:
+def _texts(inputs, error: type[Exception]) -> list[str]:
+    texts = list(inputs)
+    if not all(isinstance(x, str) for x in texts):
+        raise error("inputs must be a list of texts or a scipy sparse matrix")
+    return texts
+
+
+def _targets(targets, n_rows: int, what: str) -> np.ndarray:
+    y = np.asarray(targets, dtype=np.float64)
+    if y.shape != (n_rows,):
+        raise TrainingError(f"{what} set has {n_rows} inputs but {y.size} targets")
+    if n_rows == 0:
         raise TrainingError(f"{what} set is empty")
-    inputs, ys, ws = [], [], []
-    for item in items:
-        if len(item) == 2:
-            x, y = item
-            w = 1.0
-        elif len(item) == 3:
-            x, y, w = item
-        else:
-            raise TrainingError("items must be (input, target) or (input, target, weight)")
-        if not -1.0 <= y <= 1.0:
-            raise TrainingError(f"target {y} outside [-1, 1]")
-        if w <= 0:
-            raise TrainingError("weights must be positive")
-        inputs.append(x)
-        ys.append(float(y))
-        ws.append(float(w))
-    if all(isinstance(x, str) for x in inputs):
-        kind = "text"
-    elif all(isinstance(x, FeatureVector) for x in inputs):
-        kind = "vector"
-    else:
-        raise TrainingError(f"{what} inputs must be all text or all FeatureVector")
-    return _TrainingData(kind=kind, inputs=inputs, y=np.asarray(ys), w=np.asarray(ws))
+    outside = ~((y >= -1.0) & (y <= 1.0))
+    if outside.any():
+        raise TrainingError(f"target {y[outside][0]} outside [-1, 1]")
+    return y
 
 
-def _fingerprint(data: _TrainingData) -> str:
+def _features(inputs, vocab: Vocabulary | None, dimension: int | None, error: type[Exception]) -> sparse.csr_matrix:
+    """CSR rows of a batch: texts through vocab, or a sparse matrix of the
+    given dimension (any dimension if None) as canonical CSR."""
+    if sparse.issparse(inputs):
+        matrix = to_csr(inputs)
+        if dimension is not None and matrix.shape[1] != dimension:
+            raise error(f"expected dimension {dimension}, got {matrix.shape[1]}")
+        return matrix
+    if vocab is None:
+        raise error("model was trained on a sparse matrix; pass one")
+    return transform_many(vocab, _texts(inputs, error))
+
+
+def _fingerprint(inputs: list[str] | sparse.csr_matrix, y: np.ndarray) -> str:
+    """SHA-256 over the rows: a text, or a row's column indices and values,
+    then its target and a constant 1.0, which keeps the byte stream, and so
+    the fingerprint, that existing model files store."""
     digest = hashlib.sha256()
-    digest.update(data.kind.encode())
-    for x, y, w in zip(data.inputs, data.y, data.w):
-        if isinstance(x, str):
-            digest.update(b"T")
-            digest.update(x.encode("utf-8", "surrogatepass"))
-        else:
-            digest.update(b"V")
-            digest.update(np.asarray(x.indices, dtype=np.int64).tobytes())
-            digest.update(np.asarray(x.weights, dtype=np.float64).tobytes())
-        digest.update(struct.pack("<dd", y, w))
+    if isinstance(inputs, list):
+        digest.update(b"text")
+        rows = (b"T" + x.encode("utf-8", "surrogatepass") for x in inputs)
+    else:
+        digest.update(b"vector")
+        indices, data, bounds = inputs.indices.astype(np.int64), inputs.data, inputs.indptr.tolist()
+        rows = (b"V" + indices[a:b].tobytes() + data[a:b].tobytes() for a, b in zip(bounds, bounds[1:]))
+    for row, target in zip(rows, y.tolist()):
+        digest.update(row)
+        digest.update(struct.pack("<dd", target, 1.0))
         digest.update(b"\x00")
     return digest.hexdigest()
 
@@ -229,32 +238,21 @@ class Model:
         self.vocab = vocab
         self.dimension = dimension
 
-    def predict_batch(self, inputs: Sequence) -> np.ndarray:
-        """Predict for a batch; outputs are clamped to [-1, 1]."""
-        if len(inputs) == 0:
+    def predict_batch(self, inputs) -> np.ndarray:
+        """Predict for a list of texts or a sparse matrix, one score per input
+        or row, clamped to [-1, 1]."""
+        if _n_rows(inputs) == 0:
             return np.zeros(0)
-        return _clamp(self._raw_scores(list(inputs)))
+        return _clamp(self._raw_scores(inputs))
 
-    def predict(self, x) -> float:
-        return float(self.predict_batch([x])[0])
-
-    def _raw_scores(self, inputs: list) -> np.ndarray:
+    def _raw_scores(self, inputs) -> np.ndarray:
         raise NotImplementedError
 
     def close(self) -> None:
         """Release what the model holds open; only an external model holds anything."""
 
-    def _vectors(self, inputs: list) -> sparse.csr_matrix:
-        if all(isinstance(x, str) for x in inputs):
-            if self.vocab is None:
-                raise PredictionError(f"{self.family} model was trained on vectors; pass FeatureVector inputs")
-            return transform_many(self.vocab, inputs)
-        if all(isinstance(x, FeatureVector) for x in inputs):
-            matrix = to_csr(inputs)
-            if self.dimension is not None and matrix.shape[1] != self.dimension:
-                raise PredictionError(f"expected dimension {self.dimension}, got {matrix.shape[1]}")
-            return matrix
-        raise PredictionError("inputs must be all text or all FeatureVector")
+    def _matrix(self, inputs) -> sparse.csr_matrix:
+        return _features(inputs, self.vocab, self.dimension, PredictionError)
 
     # persistence hooks
     def _param_arrays(self) -> dict[str, np.ndarray]:
@@ -271,8 +269,8 @@ class ConstantMeanModel(Model):
         super().__init__(metadata, vocab=None, dimension=None)
         self.mean = float(mean)
 
-    def _raw_scores(self, inputs: list) -> np.ndarray:
-        return np.full(len(inputs), self.mean)
+    def _raw_scores(self, inputs) -> np.ndarray:
+        return np.full(_n_rows(inputs), self.mean)
 
     def _param_arrays(self) -> dict[str, np.ndarray]:
         return {"mean": np.array([self.mean])}
@@ -287,9 +285,9 @@ class UniformRandomModel(Model):
     def __init__(self, metadata: TrainingMetadata):
         super().__init__(metadata, vocab=None, dimension=None)
 
-    def _raw_scores(self, inputs: list) -> np.ndarray:
+    def _raw_scores(self, inputs) -> np.ndarray:
         rng = np.random.default_rng(self.metadata.seed)
-        return rng.uniform(-1.0, 1.0, len(inputs))
+        return rng.uniform(-1.0, 1.0, _n_rows(inputs))
 
 
 class _LinearModel(Model):
@@ -305,9 +303,8 @@ class _LinearModel(Model):
         self.weights = np.asarray(weights, dtype=np.float64)
         self.bias = float(bias)
 
-    def _raw_scores(self, inputs: list) -> np.ndarray:
-        matrix = self._vectors(inputs)
-        return matrix @ self.weights + self.bias
+    def _raw_scores(self, inputs) -> np.ndarray:
+        return self._matrix(inputs) @ self.weights + self.bias
 
     def _param_arrays(self) -> dict[str, np.ndarray]:
         return {"weights": self.weights, "bias": np.array([self.bias])}
@@ -381,15 +378,15 @@ class RandomForestModel(Model):
         super().__init__(metadata, vocab, dimension)
         self.trees = list(trees)
 
-    def predict_per_tree(self, inputs: Sequence) -> np.ndarray:
+    def predict_per_tree(self, inputs) -> np.ndarray:
         """Unclamped per-tree scores, shape (n_trees, n_inputs)."""
-        columns = self._vectors(list(inputs)).tocsc()
+        columns = self._matrix(inputs).tocsc()
         out = np.empty((len(self.trees), columns.shape[0]))
         for t, tree in enumerate(self.trees):
             out[t] = tree.predict(columns)
         return out
 
-    def _raw_scores(self, inputs: list) -> np.ndarray:
+    def _raw_scores(self, inputs) -> np.ndarray:
         return self.predict_per_tree(inputs).mean(axis=0)
 
     def _param_arrays(self) -> dict[str, np.ndarray]:
@@ -443,19 +440,14 @@ class ExternalModel(Model):
             self._client.close()
             self._client = None
 
-    def _raw_scores(self, inputs: list) -> np.ndarray:
-        items = []
-        for i, x in enumerate(inputs):
-            if isinstance(x, str):
-                items.append((str(i), x, None))
-            elif isinstance(x, tuple) and len(x) == 2:
-                items.append((str(i), x[0], x[1]))
-            else:
-                raise PredictionError("external inputs must be text or (text, parent) tuples")
-        scores, errors = self._session().score_many(items)
+    def _raw_scores(self, inputs) -> np.ndarray:
+        if sparse.issparse(inputs):
+            raise PredictionError("an external model scores texts only")
+        texts = _texts(inputs, PredictionError)
+        scores, errors = self._session().score_many([(str(i), x, None) for i, x in enumerate(texts)])
         if errors:
             raise PredictionError(f"external scorer failed on {len(errors)} inputs: {errors}")
-        return np.array([scores[str(i)] for i in range(len(inputs))])
+        return np.array([scores[str(i)] for i in range(len(texts))])
 
     def _extra_metadata(self) -> dict:
         return {"endpoint_sha256": self.endpoint_sha256, "fit_accepted": self.fit_accepted}
@@ -468,7 +460,6 @@ def _solve_ridge(
     matrix: sparse.csr_matrix,
     y: np.ndarray,
     lam: float,
-    sw: np.ndarray,
     tol: float,
     max_iter: int,
 ) -> tuple[np.ndarray, float, dict]:
@@ -482,16 +473,15 @@ def _solve_ridge(
 
     def apply(theta: np.ndarray) -> np.ndarray:
         w, b = theta[:d], theta[d]
-        t = sw * (matrix @ w + b)
+        t = matrix @ w + b
         out = np.empty(d + 1)
         out[:d] = matrix.T @ t + lam * w
         out[d] = t.sum()
         return out
 
     rhs = np.empty(d + 1)
-    t = sw * y
-    rhs[:d] = matrix.T @ t
-    rhs[d] = t.sum()
+    rhs[:d] = matrix.T @ y
+    rhs[d] = y.sum()
 
     theta = np.zeros(d + 1)
     residual = rhs - apply(theta)
@@ -526,13 +516,12 @@ def _validation_mse(weights: np.ndarray, bias: float, matrix, y: np.ndarray) -> 
 def _fit_linear_svr(
     matrix: sparse.csr_matrix,
     y: np.ndarray,
-    sw: np.ndarray,
     val_matrix: sparse.csr_matrix | None,
     val_y: np.ndarray | None,
     config: TrainConfig,
 ) -> tuple[np.ndarray, float, dict]:
     """Mini-batch subgradient descent on
-    ||w||^2 / (2 C W) + (1/W) sum_i sw_i max(0, |y_i - f(x_i)| - eps),
+    ||w||^2 / (2 C n) + (1/n) sum_i max(0, |y_i - f(x_i)| - eps),
     with an epoch-level 1/t learning-rate decay and epoch-level early stopping
     on validation MSE (patience from config). Returns the best snapshot.
 
@@ -545,8 +534,7 @@ def _fit_linear_svr(
     v = np.zeros(d)
     scale = 1.0
     bias = 0.0
-    total_weight = float(sw.sum())
-    reg = 1.0 / (config.svr_c * total_weight)
+    reg = 1.0 / (config.svr_c * n)
     row_nnz = np.diff(matrix.indptr)
     batch_size = config.svr_batch_size
 
@@ -569,7 +557,7 @@ def _fit_linear_svr(
         entry = np.arange(ptr[-1]) + np.repeat(matrix.indptr[order] - ptr[:-1], lengths)
         cols, vals = matrix.indices[entry], matrix.data[entry]
         rows = np.repeat(np.arange(n) % batch_size, lengths)  # each entry's row within its batch
-        y_epoch, sw_epoch, ptr = y[order], sw[order], ptr.tolist()
+        y_epoch, ptr = y[order], ptr.tolist()
         for start in range(0, n, batch_size):
             stop = min(start + batch_size, n)
             lo, hi = ptr[start], ptr[stop]
@@ -577,14 +565,13 @@ def _fit_linear_svr(
             dots = np.bincount(row, val * v[col], minlength=stop - start) * scale
             residual = y_epoch[start:stop] - (dots + bias)
             active = np.abs(residual) > config.svr_epsilon
-            coef = np.where(active, -np.sign(residual), 0.0) * sw_epoch[start:stop]
-            batch_weight = float(sw_epoch[start:stop].sum())
+            coef = np.where(active, -np.sign(residual), 0.0)
             scale *= decay
             if decay <= 0.0 or abs(scale) < 1e-9:  # fold the scale into v: it is zeroed, flipped or underflowing
                 v *= scale
                 scale = 1.0
-            np.subtract.at(v, col, (lr / (batch_weight * scale)) * val * coef[row])
-            bias -= lr * (float(coef.sum()) / batch_weight)
+            np.subtract.at(v, col, (lr / ((stop - start) * scale)) * val * coef[row])
+            bias -= lr * (float(coef.sum()) / (stop - start))
         epochs_run = epoch
         if has_val:
             weights = scale * v
@@ -615,15 +602,14 @@ def _best_split(
     csc: sparse.csc_matrix,
     position: np.ndarray,
     y_node: np.ndarray,
-    w_node: np.ndarray,
     candidates: np.ndarray,
     min_leaf: int,
 ) -> tuple[float, int, float] | None:
     """Best (score, feature, threshold) over the candidate columns at a node.
 
     position maps each row of csc to its index among the node's rows, or -1.
-    The score is sum_left^2/W_left + sum_right^2/W_right of weighted targets;
-    maximizing it minimizes weighted SSE. Thresholds are midpoints between
+    The score is sum_left^2/n_left + sum_right^2/n_right of the targets;
+    maximizing it minimizes the SSE. Thresholds are midpoints between
     distinct consecutive values; the first best threshold of the first best
     candidate wins, and a split must beat the unsplit node.
 
@@ -651,8 +637,7 @@ def _best_split(
     owner, pos, vals = owner[keep][order], pos[keep][order], vals[keep][order]
     present, seg_start, nnz = np.unique(owner, return_index=True, return_counts=True)
     seg = np.repeat(np.arange(len(present)), nnz)
-    wy_node = w_node * y_node
-    w_nz, wy_nz = w_node[pos], wy_node[pos]
+    y_nz = y_node[pos]
 
     # each column's sweep, end to end: negatives, the zero bucket, positives
     zeros = n - nnz
@@ -663,12 +648,11 @@ def _best_split(
     at = offset[seg] + np.arange(len(seg)) - seg_start[seg] + ((vals > 0) & (zeros[seg] > 0))
     at_bucket = offset[bucket] + negatives[bucket]
     size = int(length.sum())
-    flat_v, flat_w, flat_wy = np.empty(size), np.empty(size), np.empty(size)
+    flat_v, flat_y = np.empty(size), np.empty(size)
     flat_count = np.ones(size, dtype=np.int64)
-    flat_v[at], flat_w[at], flat_wy[at] = vals, w_nz, wy_nz
+    flat_v[at], flat_y[at] = vals, y_nz
     flat_v[at_bucket] = 0.0
-    flat_w[at_bucket] = w_node.sum() - np.add.reduceat(w_nz, seg_start)[bucket]
-    flat_wy[at_bucket] = wy_node.sum() - np.add.reduceat(wy_nz, seg_start)[bucket]
+    flat_y[at_bucket] = y_node.sum() - np.add.reduceat(y_nz, seg_start)[bucket]
     flat_count[at_bucket] = zeros[bucket]
 
     # one table per group of columns whose sweeps are within a factor 2 in length
@@ -681,8 +665,7 @@ def _best_split(
         cell[pad] = 0
         score[rows], threshold[rows] = _sweep(
             np.where(pad, np.nan, flat_v[cell]),  # NaN never starts a valid split
-            np.where(pad, 0.0, flat_w[cell]),
-            np.where(pad, 0.0, flat_wy[cell]),
+            np.where(pad, 0.0, flat_y[cell]),
             np.where(pad, 0, flat_count[cell]),
             n,
             min_leaf,
@@ -694,24 +677,22 @@ def _best_split(
 
 
 def _sweep(
-    v: np.ndarray, w: np.ndarray, wy: np.ndarray, count: np.ndarray, n: int, min_leaf: int
+    v: np.ndarray, y: np.ndarray, count: np.ndarray, n: int, min_leaf: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best score (-inf if none beats the unsplit node) and its threshold for
-    each row of a sweep table: ascending values, and the summed weight,
-    weighted target and node-row count of each value."""
-    cw = np.cumsum(w, axis=1)
-    cwy = np.cumsum(wy, axis=1)
-    total_w, total_wy = cw[:, -1:], cwy[:, -1:]
-    left_w, left_wy = cw[:, :-1], cwy[:, :-1]
-    right_w, right_wy = total_w - left_w, total_wy - left_wy
+    each row of a sweep table: ascending values, and the summed target and
+    node-row count of each value; every row covers all n node rows."""
+    cy = np.cumsum(y, axis=1)
+    total, left = cy[:, -1], cy[:, :-1]
+    right = total[:, None] - left
     counts = np.cumsum(count, axis=1)[:, :-1]
     valid = (v[:, :-1] < v[:, 1:]) & (counts >= min_leaf) & ((n - counts) >= min_leaf)
     with np.errstate(divide="ignore", invalid="ignore"):
-        score = np.where(valid, left_wy**2 / left_w + right_wy**2 / right_w, -np.inf)
+        score = np.where(valid, left**2 / counts + right**2 / (n - counts), -np.inf)
     cut = np.argmax(score, axis=1)
     rows = np.arange(len(v))
     best = score[rows, cut]
-    parent = (total_wy**2 / total_w)[:, 0]
+    parent = total**2 / n
     best[best <= parent + 1e-12 * np.maximum(1.0, np.abs(parent))] = -np.inf
     return best, (v[rows, cut] + v[rows, cut + 1]) / 2.0
 
@@ -719,7 +700,6 @@ def _sweep(
 def _build_tree(
     csc: sparse.csc_matrix,
     y: np.ndarray,
-    sw: np.ndarray,
     rng: np.random.Generator,
     max_depth: int | None,
     min_leaf: int,
@@ -742,16 +722,16 @@ def _build_tree(
         return len(feature) - 1
 
     def grow(rows: np.ndarray, depth: int, node: int) -> None:
-        y_node, w_node = y[rows], sw[rows]
-        value[node] = float((w_node * y_node).sum() / w_node.sum())
+        y_node = y[rows]
         n_node = len(rows)
+        value[node] = float(y_node.sum() / n_node)
         if n_node < 2 * min_leaf or (max_depth is not None and depth >= max_depth):
             return
         if y_node.max() - y_node.min() <= 0.0:
             return
         candidates = rng.choice(n_features, size=min(n_feature_sample, n_features), replace=False)
         position[rows] = np.arange(n_node)
-        best = _best_split(csc, position, y_node, w_node, candidates, min_leaf)
+        best = _best_split(csc, position, y_node, candidates, min_leaf)
         position[rows] = -1
         if best is None:
             return
@@ -778,16 +758,14 @@ def _build_tree(
     )
 
 
-def _fit_forest(matrix: sparse.csr_matrix, y: np.ndarray, sw: np.ndarray, config: TrainConfig) -> list[_Tree]:
+def _fit_forest(matrix: sparse.csr_matrix, y: np.ndarray, config: TrainConfig) -> list[_Tree]:
     n, d = matrix.shape
     if config.rf_max_features == "sqrt":
         n_sample = max(1, int(round(math.sqrt(d))))
     elif config.rf_max_features == "all":
         n_sample = d
-    elif isinstance(config.rf_max_features, int) and config.rf_max_features >= 1:
-        n_sample = min(d, config.rf_max_features)
     else:
-        raise TrainingError(f"bad rf_max_features {config.rf_max_features!r}")
+        n_sample = min(d, config.rf_max_features)
     trees = []
     for i in range(config.rf_n_trees):
         # per-tree seed = master ^ i, so parallel tree training could never
@@ -799,7 +777,6 @@ def _fit_forest(matrix: sparse.csr_matrix, y: np.ndarray, sw: np.ndarray, config
             _build_tree(
                 csc,
                 y[boot],
-                sw[boot],
                 rng,
                 config.rf_max_depth,
                 config.rf_min_samples_leaf,
@@ -814,24 +791,27 @@ def _fit_forest(matrix: sparse.csr_matrix, y: np.ndarray, sw: np.ndarray, config
 
 def train(
     family: str,
-    train_set: Sequence,
-    validation_set: Sequence | None = None,
+    inputs,
+    targets: Sequence[float],
+    validation: tuple | None = None,
     config: TrainConfig | None = None,
 ) -> Model:
-    """Train a regressor. Items are (input, target[, weight]) with targets in
-    [-1, 1]; inputs are texts (featurized internally) or FeatureVectors."""
+    """Train a regressor on inputs, a list of texts (featurized internally)
+    or a scipy sparse matrix with one row per input, and one target in
+    [-1, 1] per input. validation is an (inputs, targets) pair of the same
+    kind, read only by linear_svr; an empty one counts as none."""
     family = resolve_family(family)
     config = config or TrainConfig()
-    data = _normalize_items(train_set, "train")
+    inputs = to_csr(inputs) if sparse.issparse(inputs) else _texts(inputs, TrainingError)
+    y = _targets(targets, _n_rows(inputs), "train")
     metadata = TrainingMetadata(
         seed=config.seed,
         hyperparameters=config.hyperparameters(family),
-        training_fingerprint=_fingerprint(data),
+        training_fingerprint=_fingerprint(inputs, y),
     )
 
     if family == FAMILY_CONSTANT_MEAN:
-        mean = float((data.w * data.y).sum() / data.w.sum())
-        return ConstantMeanModel(mean, metadata)
+        return ConstantMeanModel(float(y.sum() / len(y)), metadata)
 
     if family == FAMILY_UNIFORM_RANDOM:
         return UniformRandomModel(metadata)
@@ -839,53 +819,42 @@ def train(
     if family == FAMILY_EXTERNAL:
         if config.external is None:
             raise TrainingError("external family needs config.external (a ScorerEndpoint)")
-        examples = [
-            {"text": x, "parent": None, "target": y}
-            for x, y in zip(data.inputs, data.y.tolist())
-            if isinstance(x, str)
-        ]
+        if not isinstance(inputs, list):
+            raise TrainingError("external family trains on texts only")
         model = ExternalModel(config.external.fingerprint, metadata, None, config.external)
-        if examples:
-            model.fit_accepted = model._session().fit(examples)
+        examples = [{"text": x, "parent": None, "target": t} for x, t in zip(inputs, y.tolist())]
+        model.fit_accepted = model._session().fit(examples)
         return model
 
     # featurized families
-    vocab: Vocabulary | None = None
-    if data.kind == "text":
-        vocab = fit_vocabulary(data.inputs, config.features)
-        matrix = transform_many(vocab, data.inputs)
-    else:
-        matrix = to_csr(data.inputs)
+    vocab = fit_vocabulary(inputs, config.features) if isinstance(inputs, list) else None
+    matrix = _features(inputs, vocab, None, TrainingError)
     dimension = matrix.shape[1]
 
     val_matrix = None
     val_y = None
-    if validation_set:
-        val_data = _normalize_items(validation_set, "validation")
-        if val_data.kind != data.kind:
-            raise TrainingError("validation inputs must match train input kind")
-        if val_data.kind == "vector":
-            val_matrix = to_csr(val_data.inputs)
-            if val_matrix.shape[1] != dimension:
-                raise TrainingError("validation vectors disagree on dimension")
-        elif family == FAMILY_LINEAR_SVR:  # the only family that reads the validation set
-            val_matrix = transform_many(vocab, val_data.inputs)
-        val_y = val_data.y
+    if validation is not None and _n_rows(validation[0]) > 0:
+        val_inputs, val_targets = validation
+        if sparse.issparse(val_inputs) != sparse.issparse(inputs):
+            raise TrainingError("validation inputs must be of the same kind as the train inputs")
+        val_y = _targets(val_targets, _n_rows(val_inputs), "validation")
+        if family == FAMILY_LINEAR_SVR:  # the only family that reads the validation set
+            val_matrix = _features(val_inputs, vocab, dimension, TrainingError)
 
     if family == FAMILY_RIDGE:
         weights, bias, extras = _solve_ridge(
-            matrix, data.y, config.ridge_lambda, data.w, config.ridge_tol, config.ridge_max_iter
+            matrix, y, config.ridge_lambda, config.ridge_tol, config.ridge_max_iter
         )
         metadata = replace(metadata, extras=extras)
         return RidgeModel(weights, bias, metadata, vocab, dimension)
 
     if family == FAMILY_LINEAR_SVR:
-        weights, bias, extras = _fit_linear_svr(matrix, data.y, data.w, val_matrix, val_y, config)
+        weights, bias, extras = _fit_linear_svr(matrix, y, val_matrix, val_y, config)
         metadata = replace(metadata, extras=extras)
         return LinearSVRModel(weights, bias, metadata, vocab, dimension)
 
     if family == FAMILY_RANDOM_FOREST:
-        trees = _fit_forest(matrix, data.y, data.w, config)
+        trees = _fit_forest(matrix, y, config)
         return RandomForestModel(trees, metadata, vocab, dimension)
 
     raise TrainingError(f"unhandled family {family!r}")

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from ctxsens.aggregation import (
     SensitivityExample,
@@ -22,6 +23,11 @@ TOY_SCORER = Path(__file__).with_name("toy_scorer.py")
 
 def toy_scorer_command(*extra: str) -> tuple[str, ...]:
     return (sys.executable, str(TOY_SCORER), *extra)
+
+
+def csr(rows) -> sparse.csr_matrix:
+    """A CSR matrix of dense rows (a 2-D array-like); zeros are not stored."""
+    return sparse.csr_matrix(np.asarray(rows, dtype=np.float64))
 
 
 def score_of(value: float, denominator: int = 1000) -> ToxicityScore:

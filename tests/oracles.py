@@ -52,6 +52,48 @@ def threshold_enumeration_ap(scores: Sequence[float], labels: Sequence[bool]) ->
     return ap
 
 
+def tie_walk_ranks(scores: np.ndarray) -> np.ndarray:
+    """1-based average ranks, walking each run of tied sorted scores."""
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(len(scores))
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def tie_walk_aupr(scores: Sequence[float], labels: Sequence[bool]) -> float:
+    """Average precision walking runs of tied scores in descending order,
+    adding one term per run that holds a positive."""
+    y = np.asarray(labels, dtype=bool)
+    s = np.asarray(scores, dtype=np.float64)
+    n_pos = int(y.sum())
+    order = np.argsort(-s, kind="mergesort")
+    s_sorted = s[order]
+    y_sorted = y[order]
+    ap = 0.0
+    tp = 0
+    seen = 0
+    i = 0
+    n = len(s_sorted)
+    while i < n:
+        j = i
+        while j + 1 < n and s_sorted[j + 1] == s_sorted[i]:
+            j += 1
+        group_pos = int(y_sorted[i : j + 1].sum())
+        tp += group_pos
+        seen += j - i + 1
+        if group_pos > 0:
+            ap += (group_pos / n_pos) * (tp / seen)
+        i = j + 1
+    return float(ap)
+
+
 def brute_force_mse(pred: Sequence[float], gold: Sequence[float]) -> float:
     return sum((p - g) ** 2 for p, g in zip(pred, gold)) / len(pred)
 

@@ -105,14 +105,14 @@ def test_criterion_2_baseline_identities():
         # splits it decomposes as variance + squared mean offset
         rng = np.random.default_rng(7)
         gold = rng.uniform(-1, 1, 400).tolist()
-        model = models.train("constant_mean", [(f"t{i}", y) for i, y in enumerate(gold)])
+        model = models.train("constant_mean", [f"t{i}" for i in range(len(gold))], gold)
         predictions = model.predict_batch([f"t{i}" for i in range(len(gold))])
         assert abs(evaluation.mse(predictions, gold) - population_variance(gold)) <= 1e-12
         for split_seed in range(20):
             split_rng = np.random.default_rng(split_seed)
             perm = split_rng.permutation(len(gold))
             train_idx, test_idx = perm[:300], perm[300:]
-            b1 = models.train("constant_mean", [(f"t{i}", gold[i]) for i in train_idx])
+            b1 = models.train("constant_mean", [f"t{i}" for i in train_idx], [gold[i] for i in train_idx])
             test_gold = [gold[i] for i in test_idx]
             preds = b1.predict_batch([f"t{i}" for i in test_idx])
             observed = evaluation.mse(preds, test_gold)

@@ -134,8 +134,9 @@ def test_silver_scores_replayable_from_first_teacher():
     logs = run_augmentation(tr, val, test, config)
     teacher = train(
         config.teacher_family,
-        [(row.post.target_text, row.target) for row in tr],
-        [(row.post.target_text, row.target) for row in val],
+        [row.post.target_text for row in tr],
+        [row.target for row in tr],
+        ([row.post.target_text for row in val], [row.target for row in val]),
         config.train_config,
     )
     posts_by_id = {post.post_id: post for post in pool}

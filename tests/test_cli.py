@@ -135,6 +135,14 @@ def test_svr_train_and_evaluate_are_byte_deterministic(tmp_path, sensitivity_fil
         ("ridge", {"ridge_max_iter": 0}),
         ("ridge", {"ridge_lambda": -1.0}),
         ("ridge", {"ridge_lambda": float("nan")}),
+        ("svr", {"svr_max_epochs": 0}),
+        ("svr", {"svr_max_epochs": -3}),
+        ("ridge", {"ridge_tol": float("nan")}),
+        ("ridge", {"ridge_tol": -1.0}),
+        ("rf", {"rf_max_features": True}),
+        ("rf", {"rf_max_features": 0}),
+        ("rf", {"rf_max_features": "log2"}),
+        ("rf", {"rf_bootstrap": 1}),
     ],
 )
 def test_bad_hyperparameter_is_validation_error(tmp_path, sensitivity_file, capsys, family, bad):
@@ -479,6 +487,32 @@ def test_bootstrap_oversized_resample_is_validation_error(tmp_path):
     b_path.write_text("v\ntrue\nfalse\n")
     code = main(_args(f"bootstrap --group-a {a_path} --group-b {b_path} --resample-size 10 --out {tmp_path}/b"))
     assert code == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("case", ["posts", "ic_csv", "group_a", "config", "data"])
+def test_non_utf8_input_is_validation_error_naming_its_line(tmp_path, corpus_files, sensitivity_file, capsys, case):
+    posts, ic, oc = corpus_files
+    csv_files = [tmp_path / f"{name}.csv" for name in ("posts", "ic", "oc")]
+    save_bundle(synthetic_bundle(n_posts=10, seed=1), *csv_files, format="csv")
+    group, config = tmp_path / "group.csv", tmp_path / "config.json"
+    group.write_text("helpful\ntrue\nfalse\n")
+    config.write_text(json.dumps({"ridge_lambda": 1.0, "ridge_max_iter": 50}, indent=1))
+    good, line = {
+        "posts": (posts, f"aggregate --posts {{bad}} --ic {ic} --oc {oc}"),
+        "ic_csv": (csv_files[1], f"aggregate --input-format csv --posts {csv_files[0]} --ic {{bad}} --oc {csv_files[2]}"),
+        "group_a": (group, f"bootstrap --group-a {{bad}} --group-b {group}"),
+        "config": (config, f"train --family ridge --data {sensitivity_file} --config {{bad}}"),
+        "data": (sensitivity_file, "train --family ridge --data {bad}"),
+    }[case]
+    lines = good.read_bytes().splitlines(keepends=True)
+    lines[1] = lines[1][:3] + b"\xe9" + lines[1][3:]  # a lone Latin-1 e-acute is not UTF-8
+    bad = tmp_path / f"bad_{good.name}"
+    bad.write_bytes(b"".join(lines))
+    code = main(_args(line.format(bad=bad) + f" --out {tmp_path}/out"))
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert f"{bad}:2: not UTF-8: byte 0xe9 at column 4" in err
+    assert "Traceback" not in err
 
 
 def test_corrupt_model_file_is_runtime_error(tmp_path, sensitivity_file, capsys):

@@ -1,23 +1,31 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import sparse
 
 from ctxsens import features
 from ctxsens.features import (
     EmptyVocabularyError,
     FeatureConfig,
-    FeatureVector,
+    FeatureError,
     Vocabulary,
     fit_vocabulary,
     to_csr,
-    transform,
     transform_many,
 )
 
 from oracles import fit_terms, tfidf_rows, tokenize
 
 UNIGRAM = FeatureConfig(min_token_len=1, ngram_max=1, min_df=1, max_features=None)
+
+
+def row(vocab: Vocabulary, text: str) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """One text's (column indices, weights) from transform_many."""
+    matrix = transform_many(vocab, [text])
+    return tuple(matrix.indices.tolist()), tuple(matrix.data.tolist())
 
 
 def test_vocabulary_counts_document_frequency():
@@ -107,14 +115,12 @@ def test_transform_many_is_the_same_in_any_block_size(monkeypatch):
 
 def test_single_term_vector_normalizes_to_one():
     vocab = fit_vocabulary(["solo"], FeatureConfig(min_df=1))
-    vec = transform(vocab, "solo")
-    assert vec.indices == (0,)
-    assert vec.weights == (1.0,)
+    assert row(vocab, "solo") == ((0,), (1.0,))
 
 
 def test_l2_scale_invariance_for_single_term():
     vocab = fit_vocabulary(["b b", "b"], UNIGRAM)
-    assert transform(vocab, "b b") == transform(vocab, "b")
+    assert row(vocab, "b b") == row(vocab, "b")
 
 
 def test_hand_computed_tfidf():
@@ -123,22 +129,20 @@ def test_hand_computed_tfidf():
     vocab = fit_vocabulary(["a b", "b c"], UNIGRAM)
     assert vocab.idf("a") == pytest.approx(1.4054651081081644, abs=1e-15)
     assert vocab.idf("b") == pytest.approx(1.0, abs=1e-15)
-    vec = transform(vocab, "a b b")
-    by_term = {term: vec.weights[vec.indices.index(idx)] for term, idx in vocab.term_index.items() if idx in vec.indices}
+    indices, weights = row(vocab, "a b b")
+    by_term = {term: weights[indices.index(idx)] for term, idx in vocab.term_index.items() if idx in indices}
     assert by_term["a"] == pytest.approx(0.5749618667993135, abs=1e-12)
     assert by_term["b"] == pytest.approx(0.8181802073667197, abs=1e-12)
 
 
 def test_out_of_vocabulary_terms_ignored():
     vocab = fit_vocabulary(["a b", "b c"], UNIGRAM)
-    vec = transform(vocab, "zz yy b")
-    assert vec.indices == (vocab.term_index["b"],)
+    assert row(vocab, "zz yy b")[0] == (vocab.term_index["b"],)
 
 
 def test_zero_vector_for_fully_oov_text():
     vocab = fit_vocabulary(["a b", "b c"], UNIGRAM)
-    vec = transform(vocab, "zz yy")
-    assert vec.indices == () and vec.norm() == 0.0
+    assert row(vocab, "zz yy") == ((), ())
 
 
 def test_vocabulary_json_round_trip():
@@ -147,14 +151,20 @@ def test_vocabulary_json_round_trip():
     assert clone.term_index == vocab.term_index
     assert clone.doc_freq == vocab.doc_freq
     assert clone.n_documents == vocab.n_documents
-    assert transform(clone, "a b d") == transform(vocab, "a b d")
+    assert row(clone, "a b d") == row(vocab, "a b d")
 
 
-def test_feature_vector_invariants():
-    with pytest.raises(ValueError):
-        FeatureVector(indices=(1, 0), weights=(0.5, 0.5), dimension=2)
-    with pytest.raises(ValueError):
-        FeatureVector(indices=(3,), weights=(1.0,), dimension=2)
+def test_to_csr_sorts_indices_and_sums_duplicates():
+    coo = sparse.coo_matrix(([0.5, 0.25, 0.25, 1.0], ([0, 0, 0, 1], [1, 0, 1, 0])), shape=(2, 3), dtype=np.float32)
+    matrix = to_csr(coo)
+    assert matrix.format == "csr" and matrix.dtype == np.float64 and matrix.shape == (2, 3)
+    assert matrix.indptr.tolist() == [0, 2, 3]
+    assert matrix.indices.tolist() == [0, 1, 0] and matrix.data.tolist() == [0.25, 0.75, 1.0]
+    unsorted = sparse.csr_matrix(([0.5, 0.25], [1, 0], [0, 2]), shape=(1, 2))
+    assert to_csr(unsorted).indices.tolist() == [0, 1]
+    assert unsorted.indices.tolist() == [1, 0]  # a copy: the caller's matrix is left as it was
+    with pytest.raises(FeatureError, match="sparse matrix"):
+        to_csr([[1.0, 0.0]])
 
 
 def test_sublinear_tf_matches_oracle_at_large_counts():
@@ -168,10 +178,11 @@ def test_sublinear_tf_matches_oracle_at_large_counts():
 
 def test_to_csr_stacks_in_order():
     vocab = fit_vocabulary(["a b", "b c"], UNIGRAM)
-    matrix = to_csr([transform(vocab, "a"), transform(vocab, "c b")])
+    rows = transform_many(vocab, ["a", "c b"])
+    matrix = to_csr(sparse.vstack([rows[0], rows[1]], format="coo"))
     assert matrix.shape == (2, 3)
     assert matrix[0, vocab.term_index["a"]] == pytest.approx(1.0)
-    assert (matrix != transform_many(vocab, ["a", "c b"])).nnz == 0
+    assert (matrix != rows).nnz == 0
 
 
 _texts = st.lists(st.text(alphabet="abcd ", min_size=1, max_size=12), min_size=1, max_size=8)
@@ -184,15 +195,16 @@ def test_transform_deterministic_and_in_range(corpus, query):
         vocab = fit_vocabulary(corpus, UNIGRAM)
     except EmptyVocabularyError:
         return
-    first = transform(vocab, query)
-    second = transform(vocab, query)
+    first = row(vocab, query)
+    second = row(vocab, query)
     assert first == second
-    assert all(i < vocab.dimension for i in first.indices)
+    indices, weights = first
+    assert all(i < vocab.dimension for i in indices)
     in_vocab = [t for t in tokenize(query, vocab.config) if t in vocab.term_index]
     if in_vocab:
-        assert first.norm() == pytest.approx(1.0, abs=1e-12)
+        assert math.sqrt(sum(w * w for w in weights)) == pytest.approx(1.0, abs=1e-12)
     else:
-        assert first.indices == ()
+        assert indices == ()
 
 
 @pytest.mark.property
@@ -203,9 +215,9 @@ def test_fit_transform_indices_within_bounds(corpus):
     except EmptyVocabularyError:
         return
     for text in corpus:
-        vec = transform(vocab, text)
-        assert all(i < len(vocab) for i in vec.indices)
-        assert list(vec.indices) == sorted(set(vec.indices))
+        indices, _ = row(vocab, text)
+        assert all(i < len(vocab) for i in indices)
+        assert list(indices) == sorted(set(indices))
 
 
 # Words that repeat across texts (so df ties and tf > 1 are common), with

@@ -12,22 +12,20 @@ from scipy import sparse
 from ctxsens import analysis, evaluation, models
 from ctxsens.augmentation import AugmentationConfig, TrainPost, run_augmentation
 from ctxsens.corpus import Post
-from ctxsens.features import FeatureVector, to_csr
 from ctxsens.models import TrainConfig, train
 
-from helpers import planted_examples
-from oracles import dense_node_split, pairwise_auc, reference_linear_svr, threshold_enumeration_ap, walk_forest
+from helpers import csr, planted_examples
+from oracles import (
+    dense_node_split,
+    pairwise_auc,
+    reference_linear_svr,
+    threshold_enumeration_ap,
+    tie_walk_aupr,
+    tie_walk_ranks,
+    walk_forest,
+)
 
 pytestmark = pytest.mark.property
-
-
-def fv(*values: float) -> FeatureVector:
-    pairs = [(i, v) for i, v in enumerate(values) if v != 0.0]
-    return FeatureVector(
-        indices=tuple(i for i, _ in pairs),
-        weights=tuple(v for _, v in pairs),
-        dimension=len(values),
-    )
 
 
 _instance = st.integers(0, 10**9)
@@ -42,6 +40,7 @@ def test_roc_auc_equals_pairwise_oracle(seed):
     if all(labels) or not any(labels):
         return
     assert evaluation.roc_auc(scores, labels) == pytest.approx(pairwise_auc(scores, labels), abs=1e-12)
+    assert np.array_equal(evaluation._average_ranks(np.array(scores)), tie_walk_ranks(np.array(scores)))
 
 
 @given(_instance)
@@ -53,6 +52,7 @@ def test_aupr_equals_enumeration_oracle(seed):
     if not any(labels):
         return
     assert evaluation.aupr(scores, labels) == pytest.approx(threshold_enumeration_ap(scores, labels), abs=1e-12)
+    assert evaluation.aupr(scores, labels) == tie_walk_aupr(scores, labels)
 
 
 @given(st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)), min_size=1, max_size=40))
@@ -75,10 +75,10 @@ def test_monte_carlo_cv_reproducible(seed):
 @given(st.integers(0, 10_000))
 def test_rf_prediction_is_mean_of_trees(seed):
     rng = np.random.default_rng(seed)
-    data = [(fv(*rng.normal(0, 1, 3)), float(rng.uniform(-1, 1))) for _ in range(8)]
+    data = [(rng.normal(0, 1, 3), float(rng.uniform(-1, 1))) for _ in range(8)]
     config = TrainConfig(seed=seed, rf_n_trees=3, rf_max_depth=3, rf_min_samples_leaf=1)
-    model = train("random_forest", data, config=config)
-    queries = [fv(*rng.normal(0, 1, 3)) for _ in range(4)]
+    model = train("random_forest", csr([x for x, _ in data]), [y for _, y in data], config=config)
+    queries = csr([rng.normal(0, 1, 3) for _ in range(4)])
     per_tree = model.predict_per_tree(queries)
     assert model.predict_batch(queries) == pytest.approx(per_tree.mean(axis=0), abs=1e-12)
 
@@ -100,7 +100,6 @@ def test_split_search_matches_dense_oracle(seed):
     # addition may break a tie between two equally good splits the other way.
     exact = seed % 2 == 0
     y = rng.integers(-8, 9, n_rows) / 8 if exact else rng.uniform(-1, 1, n_rows)
-    sw = rng.choice([0.5, 1.0, 2.0, 3.0], n_rows) if seed % 3 else np.ones(n_rows)
     min_leaf = int(rng.integers(1, len(node) // 2 + 2))
     candidates = rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False)
     position = np.full(n_rows, -1)
@@ -109,8 +108,8 @@ def test_split_search_matches_dense_oracle(seed):
     stored = (columns != 0) | (rng.random(columns.shape) < 0.1)  # with some explicit zeros
     csc = sparse.csc_matrix((columns[stored], np.nonzero(stored)), shape=columns.shape)
 
-    found = models._best_split(csc, position, y[node], sw[node], candidates, min_leaf)
-    expected = dense_node_split(columns[node], y[node], sw[node], candidates, min_leaf)
+    found = models._best_split(csc, position, y[node], candidates, min_leaf)
+    expected = dense_node_split(columns[node], y[node], np.ones(len(node)), candidates, min_leaf)
     assert (found is None) == (expected is None)
     if found is None:
         return
@@ -119,9 +118,8 @@ def test_split_search_matches_dense_oracle(seed):
         assert found[1:] == expected[1:]
     else:
         go_left = columns[node, found[1]] <= found[2]
-        wy, w = sw[node] * y[node], sw[node]
-        left = math.fsum(wy[go_left]) ** 2 / math.fsum(w[go_left])
-        right = math.fsum(wy[~go_left]) ** 2 / math.fsum(w[~go_left])
+        left = math.fsum(y[node][go_left]) ** 2 / go_left.sum()
+        right = math.fsum(y[node][~go_left]) ** 2 / (~go_left).sum()
         assert left + right == pytest.approx(expected[0], rel=1e-12)
 
 
@@ -129,7 +127,7 @@ def test_split_search_matches_dense_oracle(seed):
 def test_predict_per_tree_matches_row_walker(seed):
     rng = np.random.default_rng(seed)
     n, d = int(rng.integers(2, 20)), int(rng.integers(1, 6))
-    sparse_row = lambda: fv(*np.where(rng.random(d) < 0.5, rng.normal(0, 1, d), 0.0))
+    sparse_row = lambda: np.where(rng.random(d) < 0.5, rng.normal(0, 1, d), 0.0)
     constant = seed % 7 == 0  # a single leaf per tree
     data = [(sparse_row(), 0.5 if constant else float(rng.uniform(-1, 1))) for _ in range(n)]
     config = TrainConfig(
@@ -138,28 +136,31 @@ def test_predict_per_tree_matches_row_walker(seed):
         rf_max_depth=[0, 1, 2, 4, None][seed % 5],
         rf_min_samples_leaf=int(rng.integers(1, 3)),
     )
-    model = train("random_forest", data, config=config)
-    queries = [sparse_row() for _ in range(int(rng.integers(1, 12)))] + [fv(*np.zeros(d))]
+    model = train("random_forest", csr([x for x, _ in data]), [y for _, y in data], config=config)
+    queries = [sparse_row() for _ in range(int(rng.integers(1, 12)))] + [np.zeros(d)]
     root = model.trees[0]
     if root.feature[0] >= 0:  # a row sitting exactly on the root threshold
         on_cut = np.zeros(d)
         on_cut[root.feature[0]] = root.threshold[0]
-        queries.append(fv(*on_cut))
+        queries.append(on_cut)
     saved = models._BLOCK_FLOATS
     models._BLOCK_FLOATS = int(rng.choice([1, 3, saved]))  # several row blocks per tree
     try:
-        per_tree = model.predict_per_tree(queries)
+        per_tree = model.predict_per_tree(csr(queries))
     finally:
         models._BLOCK_FLOATS = saved
-    assert np.array_equal(per_tree, walk_forest(model.trees, to_csr(queries)))
+    assert np.array_equal(per_tree, walk_forest(model.trees, csr(queries)))
 
 
 @given(st.integers(0, 10_000))
 def test_svr_early_stopping_bounds(seed):
     rng = np.random.default_rng(seed)
-    make = lambda n: [(fv(*rng.normal(0, 1, 3)), float(rng.uniform(-0.5, 0.5))) for _ in range(n)]
+    def make(n):
+        rows = [(rng.normal(0, 1, 3), float(rng.uniform(-0.5, 0.5))) for _ in range(n)]
+        return csr([x for x, _ in rows]), [y for _, y in rows]
+
     config = TrainConfig(seed=seed, svr_max_epochs=12, patience=2)
-    model = train("linear_svr", make(10), make(5), config)
+    model = train("linear_svr", *make(10), make(5), config)
     extras = model.metadata.extras
     assert extras["epochs_run"] <= extras["best_epoch"] + config.patience
     history = extras["validation_mse_history"]
@@ -183,21 +184,20 @@ def test_linear_svr_matches_reference_oracle(seed):
     matrix = _svr_rows(rng, n, d)
     y = rng.uniform(-1, 1, n)
     mode = seed % 4
-    sw = rng.choice([0.5, 1.0, 2.0, 3.0], n) if seed % 3 and mode != 2 else np.ones(n)
     n_val = int(rng.integers(0, 8))  # 0: no validation set
     val_matrix, val_y = (_svr_rows(rng, n_val, d), rng.uniform(-1, 1, n_val)) if n_val else (None, None)
     # lr * reg in the first epoch: ordinary (mode 0); just under 1, so the
     # scale drops below 1e-9 and is folded (1); exactly 1, a decay of 0 (2);
     # above 1, a negative decay (3)
     if mode == 2:
-        learning_rate, svr_c = 1.0, 1.0 / n  # unit weights: C * W is exactly 1
+        learning_rate, svr_c = 1.0, 1.0 / n  # C * n is exactly 1
         # one epoch: after it a full batch sits on the regularized minimizer,
         # where later epochs tie exactly and rounding would pick best_epoch
         max_epochs = 1
     else:
         learning_rate = float(rng.uniform(0.01, 2.0))
         rate = {0: rng.uniform(1e-4, 0.1), 1: 1 - rng.uniform(1e-12, 1e-5), 3: rng.uniform(1.01, 1.9)}[mode]
-        svr_c = learning_rate / (float(rate) * float(sw.sum()))
+        svr_c = learning_rate / (float(rate) * n)
         max_epochs = int(rng.integers(1, 8))
     config = TrainConfig(
         seed=seed,
@@ -208,8 +208,8 @@ def test_linear_svr_matches_reference_oracle(seed):
         svr_batch_size=int(rng.integers(1, n + 3)),
         patience=int(rng.integers(1, 4)),
     )
-    weights, bias, extras = models._fit_linear_svr(matrix, y, sw, val_matrix, val_y, config)
-    ref_weights, ref_bias, ref_extras = reference_linear_svr(matrix, y, sw, val_matrix, val_y, config)
+    weights, bias, extras = models._fit_linear_svr(matrix, y, val_matrix, val_y, config)
+    ref_weights, ref_bias, ref_extras = reference_linear_svr(matrix, y, np.ones(n), val_matrix, val_y, config)
     assert extras["epochs_run"] == ref_extras["epochs_run"]
     assert extras["best_epoch"] == ref_extras["best_epoch"]
     history, ref_history = extras["validation_mse_history"], ref_extras["validation_mse_history"]

@@ -181,14 +181,14 @@ def test_closed_stream_fails_pending_requests():
 
 def test_external_family_train_and_fit_flags():
     for answer, accepted in (("accept", True), ("reject", False)):
-        model = train("external", [("some text", 0.2)], config=TrainConfig(external=endpoint("--fit", answer)))
+        model = train("external", ["some text"], [0.2], config=TrainConfig(external=endpoint("--fit", answer)))
         model.close()
         assert model.fit_accepted is accepted
 
 
 def test_external_family_scores_batches():
     config = TrainConfig(external=endpoint("--mode", "float"))
-    model = train("external", [("0.3", 0.3)], config=config)
+    model = train("external", ["0.3"], [0.3], config=config)
     preds = model.predict_batch(["0.1", "0.9", "-0.5"])
     model.close()
     assert preds.tolist() == [0.1, 0.9, -0.5]
@@ -196,21 +196,21 @@ def test_external_family_scores_batches():
 
 def test_external_scores_clamped():
     config = TrainConfig(external=endpoint("--mode", "float"))
-    model = train("external", [("0.3", 0.3)], config=config)
-    assert model.predict("7.5") == 1.0
+    model = train("external", ["0.3"], [0.3], config=config)
+    assert model.predict_batch(["7.5"]).tolist() == [1.0]
     model.close()
 
 
 def test_external_model_predicts_with_its_fit_through_one_process(scorer_processes):
     fitted = endpoint("--mode", "fitted", "--fit", "accept")
-    model = train("external", [("a", 0.1), ("b", 0.5)], config=TrainConfig(external=fitted))
+    model = train("external", ["a", "b"], [0.1, 0.5], config=TrainConfig(external=fitted))
     assert model.fit_accepted is True
     assert model.predict_batch(["x", "y"]).tolist() == pytest.approx([0.3, 0.3])
-    assert model.predict("z") == pytest.approx(0.3)
+    assert model.predict_batch(["z"]).tolist() == pytest.approx([0.3])
     model.close()
     assert len(scorer_processes) == 1
     # a scorer that declined the fit has nothing to predict with
-    unfitted = train("external", [("a", 0.1)], config=TrainConfig(external=endpoint("--mode", "fitted")))
+    unfitted = train("external", ["a"], [0.1], config=TrainConfig(external=endpoint("--mode", "fitted")))
     with pytest.raises(PredictionError, match="not fitted"):
-        unfitted.predict("x")
+        unfitted.predict_batch(["x"])
     unfitted.close()
