@@ -91,6 +91,10 @@ def paired_bootstrap(
     with replacement, and compares the two proportions. The p-value is the
     fraction of resamples violating the hypothesized direction, with ties
     contributing one half, so p(a greater) + p(b greater) = 1.
+
+    A resample's count of true items from a group with k of n true is exactly
+    Binomial(resample_size, k/n), so each group's counts are one binomial
+    draw per resample; at equal sizes, comparing counts compares proportions.
     """
     if direction not in (DIRECTION_A_GREATER, DIRECTION_B_GREATER):
         raise ValueError(f"unknown direction {direction!r}")
@@ -98,6 +102,8 @@ def paired_bootstrap(
         raise ValueError("both groups must be nonempty")
     if resample_size < 1:
         raise ValueError("resample_size must be >= 1")
+    if n_resamples < 1:
+        raise ValueError("n_resamples must be >= 1")
     if resample_size > min(len(group_a), len(group_b)):
         raise ValueError(
             f"resample_size {resample_size} exceeds a group size "
@@ -106,24 +112,17 @@ def paired_bootstrap(
     a = np.asarray(group_a, dtype=bool)
     b = np.asarray(group_b, dtype=bool)
 
-    violations = 0.0
-    children = np.random.SeedSequence(seed).spawn(n_resamples)
-    for child in children:
-        rng = np.random.default_rng(child)
-        prop_a = float(a[rng.integers(0, len(a), resample_size)].mean())
-        prop_b = float(b[rng.integers(0, len(b), resample_size)].mean())
-        if prop_a == prop_b:
-            violations += 0.5
-        elif direction == DIRECTION_A_GREATER and prop_a < prop_b:
-            violations += 1.0
-        elif direction == DIRECTION_B_GREATER and prop_b < prop_a:
-            violations += 1.0
+    rng = np.random.default_rng(seed)
+    count_a = rng.binomial(resample_size, a.mean(), n_resamples)
+    count_b = rng.binomial(resample_size, b.mean(), n_resamples)
+    losses = count_a < count_b if direction == DIRECTION_A_GREATER else count_b < count_a
+    violations = np.count_nonzero(losses) + 0.5 * np.count_nonzero(count_a == count_b)
     return BootstrapResult(
         n_resamples=n_resamples,
         resample_size=resample_size,
         observed_a=float(a.mean()),
         observed_b=float(b.mean()),
-        p_value=violations / n_resamples,
+        p_value=float(violations / n_resamples),
         direction=direction,
         seed=seed,
     )

@@ -18,15 +18,18 @@ import sys
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import aggregation, analysis, augmentation, evaluation, models
+from . import aggregation, analysis, evaluation
 from .corpus import CorpusError, load_bool_column, load_bundle, load_posts, not_utf8, write_csv, write_jsonl
-from .features import FeatureConfig, FeatureError
 from .manifest import build_manifest, write_json, write_manifest
 from .scorer import ScorerEndpoint, ScorerError
+
+# features, models and augmentation load scipy: subcommands import them on first use
+if TYPE_CHECKING:
+    from . import models
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -188,6 +191,8 @@ def _endpoint_from(resolved: Mapping) -> ScorerEndpoint | None:
 def _train_config(resolved: dict, file_config: Mapping, endpoint: ScorerEndpoint | None) -> models.TrainConfig:
     """TrainConfig from the config file's field names plus the resolved seed;
     records the canonical family name in resolved."""
+    from . import models
+    from .features import FeatureConfig, FeatureError
     resolved["family"] = models.resolve_family(resolved["family"])
     if resolved["family"] == models.FAMILY_EXTERNAL and endpoint is None:
         raise CliValidationError("external family needs --scorer or --scorer-tcp")
@@ -333,6 +338,7 @@ def _stats(run: Run) -> None:
 
 def _train(run: Run) -> None:
     """train one regressor family"""
+    from . import models
     examples = _load_examples_checked(run.inputs["data"])
     perm = np.random.default_rng(run.train_config.seed).permutation(len(examples))
     n_val = int(len(examples) * run.config["val-fraction"])
@@ -388,6 +394,7 @@ def _stratify(run: Run) -> None:
 
 def _sample(run: Run) -> None:
     """top-k posts by predicted sensitivity"""
+    from . import models
     k = run.config["k"]
     pool = load_posts(run.inputs["pool"])
     if k > len(pool):
@@ -412,6 +419,7 @@ def _sample(run: Run) -> None:
 
 def _augment(run: Run) -> None:
     """teacher-student augmentation loop"""
+    from . import augmentation
     examples = _load_examples_checked(run.inputs["data"])
     pool = load_posts(run.inputs["pool"])
     seed, n_repeats = run.config["seed"], run.config["repeats"]
@@ -511,7 +519,7 @@ COMMANDS = {
             Flag(
                 "--selection",
                 default="teacher",
-                choices={"teacher": augmentation.SELECTION_TEACHER_TOP_K, "random": augmentation.SELECTION_RANDOM_K},
+                choices={"teacher": "teacher_top_k", "random": "random_k"},  # augmentation.SELECTION_*
             ),
             Flag("--single-shot", bool, False),
             dataclasses.replace(FAMILY, required=False, default="ridge"),
@@ -524,7 +532,7 @@ COMMANDS = {
         _bootstrap,
         ("group_a", "group_b"),
         (
-            Flag("--resamples", int, 1000),
+            Flag("--resamples", int, 1000, rule=AT_LEAST_1),
             Flag("--resample-size", int, 100),
             Flag(
                 "--direction",
@@ -535,6 +543,13 @@ COMMANDS = {
         seed="bootstrap",
     ),
 }
+
+
+def _loaded(module: str, *classes: str) -> tuple[type[Exception], ...]:
+    """Exception classes of a ctxsens module; none if this process never
+    loaded it, since then it raised none of them."""
+    loaded = sys.modules.get(f"{__package__}.{module}")
+    return tuple(getattr(loaded, cls) for cls in classes) if loaded else ()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -551,13 +566,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         CliValidationError,
         CorpusError,
         evaluation.MetricError,
-        models.TrainingError,
-        augmentation.AugmentationError,
-        FeatureError,
+        *_loaded("models", "TrainingError"),
+        *_loaded("augmentation", "AugmentationError"),
+        *_loaded("features", "FeatureError"),
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ScorerError, models.ModelPersistenceError, models.PredictionError, OSError) as exc:
+    except (ScorerError, *_loaded("models", "ModelPersistenceError", "PredictionError"), OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except Exception:

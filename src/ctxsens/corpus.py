@@ -517,32 +517,32 @@ def load_score_table(path: str | Path, columns: ScoreTableColumns | None = None)
     columns = columns or ScoreTableColumns()
     path = Path(path)
     with path.open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise ParseError(str(path), 1, "missing header row")
-        missing = [
-            c
-            for c in (columns.post_id, columns.oc_score, columns.ic_score)
-            if c not in reader.fieldnames
-        ]
-        if missing:
-            raise ParseError(str(path), 1, f"missing required columns {missing}; found {reader.fieldnames}")
-        rows = []
-        for row_no, row in enumerate(reader, start=2):
-            try:
-                s_oc = float(row[columns.oc_score])
-                s_ic = float(row[columns.ic_score])
-            except (TypeError, ValueError) as exc:
-                raise ParseError(str(path), row_no, f"non-numeric score: {exc}") from exc
-            rows.append(
-                ScoredRow(
-                    post_id=str(row.get(columns.post_id, row_no)),
-                    target_text=row.get(columns.target_text) or "",
-                    parent_text=row.get(columns.parent_text) or None,
-                    s_oc=s_oc,
-                    s_ic=s_ic,
-                )
+        try:
+            reader = csv.DictReader(handle)
+            header, table = reader.fieldnames, list(reader)
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
+    if header is None:
+        raise ParseError(str(path), 1, "missing header row")
+    missing = [c for c in (columns.post_id, columns.oc_score, columns.ic_score) if c not in header]
+    if missing:
+        raise ParseError(str(path), 1, f"missing required columns {missing}; found {header}")
+    rows = []
+    for row_no, row in enumerate(table, start=2):
+        try:
+            s_oc = float(row[columns.oc_score])
+            s_ic = float(row[columns.ic_score])
+        except (TypeError, ValueError) as exc:
+            raise ParseError(str(path), row_no, f"non-numeric score: {exc}") from exc
+        rows.append(
+            ScoredRow(
+                post_id=str(row.get(columns.post_id, row_no)),
+                target_text=row.get(columns.target_text) or "",
+                parent_text=row.get(columns.parent_text) or None,
+                s_oc=s_oc,
+                s_ic=s_ic,
             )
+        )
     if any(r.s_oc > 1.0 or r.s_ic > 1.0 for r in rows):
         rows = [
             ScoredRow(r.post_id, r.target_text, r.parent_text, r.s_oc / 100.0, r.s_ic / 100.0)

@@ -12,13 +12,15 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .aggregation import SensitivityExample, training_columns
-from .models import TrainConfig, train
 from .scorer import ExternalScorerClient, ScorerEndpoint
+
+if TYPE_CHECKING:
+    from .models import TrainConfig
 
 METRICS = ("mse", "mae", "aupr", "auc")
 
@@ -227,6 +229,7 @@ def monte_carlo_cv(
     early stopping on the validation part, and evaluates on the test part.
     AUC/AUPR use the per-post is_sensitive labels as binary ground truth.
     """
+    from .models import TrainConfig, train  # loads scipy, which only training needs
     if not examples:
         raise MetricError("no examples")
     config = config or TrainConfig()

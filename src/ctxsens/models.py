@@ -106,22 +106,25 @@ class TrainConfig:
     external: ScorerEndpoint | None = None
 
     def __post_init__(self) -> None:
-        max_features = self.rf_max_features  # type() is int: a bool is not a count
-        max_features_ok = max_features in ("sqrt", "all") or (type(max_features) is int and max_features >= 1)
+        def count(value, least: int) -> bool:  # type() is int: a bool or a float is not a count
+            return type(value) is int and value >= least
+
+        max_features = self.rf_max_features
+        max_features_ok = max_features in ("sqrt", "all") or count(max_features, 1)
         # written as "not valid" so that NaN is rejected too
         for name, bad, rule in (
-            ("patience", not self.patience >= 1, ">= 1"),
+            ("patience", not count(self.patience, 1), "an int >= 1"),
             ("ridge_lambda", not self.ridge_lambda >= 0, ">= 0"),
             ("ridge_tol", not self.ridge_tol >= 0, ">= 0"),
-            ("ridge_max_iter", not self.ridge_max_iter >= 1, ">= 1"),
-            ("svr_batch_size", not self.svr_batch_size >= 1, ">= 1"),
+            ("ridge_max_iter", not count(self.ridge_max_iter, 1), "an int >= 1"),
+            ("svr_batch_size", not count(self.svr_batch_size, 1), "an int >= 1"),
             ("svr_c", not self.svr_c > 0, "> 0"),
             ("svr_learning_rate", not self.svr_learning_rate > 0, "> 0"),
             ("svr_epsilon", not self.svr_epsilon >= 0, ">= 0"),
-            ("svr_max_epochs", not self.svr_max_epochs >= 1, ">= 1"),
-            ("rf_n_trees", not self.rf_n_trees >= 1, ">= 1"),
-            ("rf_max_depth", self.rf_max_depth is not None and not self.rf_max_depth >= 0, ">= 0 or None"),
-            ("rf_min_samples_leaf", not self.rf_min_samples_leaf >= 1, ">= 1"),
+            ("svr_max_epochs", not count(self.svr_max_epochs, 1), "an int >= 1"),
+            ("rf_n_trees", not count(self.rf_n_trees, 1), "an int >= 1"),
+            ("rf_max_depth", self.rf_max_depth is not None and not count(self.rf_max_depth, 0), "an int >= 0 or None"),
+            ("rf_min_samples_leaf", not count(self.rf_min_samples_leaf, 1), "an int >= 1"),
             ("rf_max_features", not max_features_ok, '"sqrt", "all" or an int >= 1'),
             ("rf_bootstrap", not isinstance(self.rf_bootstrap, bool), "a bool"),
         ):

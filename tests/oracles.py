@@ -1,6 +1,6 @@
 """Brute-force oracles for metrics, the featurizer, the linear solvers, the
-forest and the corpus statistics, kept independent of the library's fast
-paths."""
+forest, the corpus statistics and the bootstrap, kept independent of the
+library's fast paths."""
 
 import math
 import re
@@ -11,7 +11,7 @@ import numpy as np
 from scipy import sparse
 
 from ctxsens.aggregation import AgreementReport, SensitivityExample, ToxicityScore, sensitivity
-from ctxsens.analysis import ParentUtilityPoint
+from ctxsens.analysis import DIRECTION_A_GREATER, DIRECTION_B_GREATER, ParentUtilityPoint
 from ctxsens.corpus import Label
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -421,3 +421,38 @@ def parent_utility(ic_table, records, thresholds) -> tuple[list[ParentUtilityPoi
         else:
             points.append(ParentUtilityPoint(t=t, fraction_helpful=None, n=0))
     return points, zero_vote_ids
+
+
+def per_resample_bootstrap_p(group_a, group_b, resample_size: int, n_resamples: int, seed: int, direction: str) -> float:
+    """The paired bootstrap's p-value by gathering resample_size items from
+    each group per resample, with one generator per resample."""
+    a = np.asarray(group_a, dtype=bool)
+    b = np.asarray(group_b, dtype=bool)
+    violations = 0.0
+    for child in np.random.SeedSequence(seed).spawn(n_resamples):
+        rng = np.random.default_rng(child)
+        prop_a = float(a[rng.integers(0, len(a), resample_size)].mean())
+        prop_b = float(b[rng.integers(0, len(b), resample_size)].mean())
+        if prop_a == prop_b:
+            violations += 0.5
+        elif direction == DIRECTION_A_GREATER and prop_a < prop_b:
+            violations += 1.0
+        elif direction == DIRECTION_B_GREATER and prop_b < prop_a:
+            violations += 1.0
+    return violations / n_resamples
+
+
+def _binomial_pmf(m: int, p: float) -> list[float]:
+    return [math.comb(m, i) * p**i * (1.0 - p) ** (m - i) for i in range(m + 1)]
+
+
+def exact_bootstrap_p(group_a, group_b, resample_size: int, direction: str) -> float:
+    """The p-value the bootstrap estimates, in closed form. A resample's count
+    of true items is Binomial(m, k/n) per group; for "a greater" a loss is
+    K_a < K_b, so p = sum_i P(K_a = i) * [P(K_b > i) + P(K_b = i) / 2], and
+    the groups swap roles for "b greater"."""
+    if direction == DIRECTION_B_GREATER:
+        group_a, group_b = group_b, group_a
+    pmf_a = _binomial_pmf(resample_size, sum(group_a) / len(group_a))
+    pmf_b = _binomial_pmf(resample_size, sum(group_b) / len(group_b))
+    return math.fsum(pmf_a[i] * (math.fsum(pmf_b[i + 1 :]) + 0.5 * pmf_b[i]) for i in range(resample_size + 1))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,6 +15,7 @@ from ctxsens.analysis import (
 from ctxsens.corpus import Condition, Label
 
 from helpers import annotation_table, record_with_delta
+from oracles import exact_bootstrap_p, per_resample_bootstrap_p
 
 
 def records_with_ratio(n_sensitive: int, n_total: int):
@@ -131,6 +134,51 @@ def test_resample_size_validated():
 def test_empty_group_rejected():
     with pytest.raises(ValueError, match="nonempty"):
         paired_bootstrap([], [True])
+
+
+def test_resample_count_validated():
+    with pytest.raises(ValueError, match="n_resamples"):
+        paired_bootstrap([True] * 5, [False] * 5, resample_size=2, n_resamples=0)
+
+
+def _within_sampling_error(estimate: float, exact: float, n_resamples: int) -> bool:
+    """Five binomial standard errors, plus five resamples' worth of slack: near
+    p = 0 or 1 the count of violations is Poisson-like, not normal."""
+    variance = max(exact * (1 - exact), 0.0)  # exact may stray past 1 by a rounding error
+    return abs(estimate - exact) <= 5 * math.sqrt(variance / n_resamples) + 5 / n_resamples
+
+
+def _group(n_true: int, n: int) -> list[bool]:
+    return [True] * n_true + [False] * (n - n_true)
+
+
+@pytest.mark.property
+@given(st.integers(0, 2**32 - 1))
+def test_bootstrap_estimates_the_exact_p_value(seed):
+    rng = np.random.default_rng([0, seed])  # not the bootstrap's own stream
+    n_a, n_b = rng.integers(1, 31, 2).tolist()
+    group_a, group_b = _group(int(rng.integers(0, n_a + 1)), n_a), _group(int(rng.integers(0, n_b + 1)), n_b)
+    size = int(rng.integers(1, min(n_a, n_b) + 1))
+    direction = (DIRECTION_A_GREATER, DIRECTION_B_GREATER)[seed % 2]
+    result = paired_bootstrap(group_a, group_b, resample_size=size, n_resamples=1000, seed=seed, direction=direction)
+    exact = exact_bootstrap_p(group_a, group_b, size, direction)
+    assert _within_sampling_error(result.p_value, exact, 1000), (result.p_value, exact)
+
+
+def test_per_resample_bootstrap_estimates_the_same_exact_p_value():
+    # the former gather-per-resample loop and the binomial counts estimate one p
+    for n_true_a, n_a, n_true_b, n_b, size, direction in [
+        (9, 20, 11, 20, 10, DIRECTION_A_GREATER),
+        (3, 12, 8, 15, 12, DIRECTION_B_GREATER),
+        (5, 5, 0, 7, 5, DIRECTION_A_GREATER),
+        (7, 25, 7, 25, 20, DIRECTION_B_GREATER),
+    ]:
+        group_a, group_b = _group(n_true_a, n_a), _group(n_true_b, n_b)
+        exact = exact_bootstrap_p(group_a, group_b, size, direction)
+        old = per_resample_bootstrap_p(group_a, group_b, size, 1000, seed=3, direction=direction)
+        assert _within_sampling_error(old, exact, 1000), (old, exact)
+    group = _group(7, 25)
+    assert exact_bootstrap_p(group, group, 20, DIRECTION_A_GREATER) == pytest.approx(0.5, abs=1e-12)
 
 
 @pytest.mark.property

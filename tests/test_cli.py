@@ -143,6 +143,15 @@ def test_svr_train_and_evaluate_are_byte_deterministic(tmp_path, sensitivity_fil
         ("rf", {"rf_max_features": 0}),
         ("rf", {"rf_max_features": "log2"}),
         ("rf", {"rf_bootstrap": 1}),
+        # the integer fields take neither a bool nor a float
+        ("rf", {"rf_n_trees": True}),
+        ("rf", {"rf_n_trees": 2.5}),
+        ("rf", {"rf_max_depth": 3.0}),
+        ("rf", {"rf_min_samples_leaf": 2.0}),
+        ("ridge", {"ridge_max_iter": 1.5}),
+        ("svr", {"svr_batch_size": 2.5}),
+        ("svr", {"svr_max_epochs": 10.0}),
+        ("svr", {"patience": True}),
     ],
 )
 def test_bad_hyperparameter_is_validation_error(tmp_path, sensitivity_file, capsys, family, bad):
@@ -481,6 +490,17 @@ def test_bootstrap_bad_boolean_is_validation_error(tmp_path, capsys):
     assert "boolean" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("resamples", ["0", "-3"])
+def test_bootstrap_resamples_below_one_is_validation_error(tmp_path, capsys, resamples):
+    group = tmp_path / "group.csv"
+    group.write_text("v\ntrue\nfalse\n")
+    out = tmp_path / "b"
+    code = main(_args(f"bootstrap --group-a {group} --group-b {group} --resample-size 2 --resamples {resamples} --out {out}"))
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines() == ["error: --resamples must be >= 1"]
+    assert not out.exists()
+
+
 def test_bootstrap_oversized_resample_is_validation_error(tmp_path):
     a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
     a_path.write_text("v\ntrue\nfalse\n")
@@ -538,15 +558,44 @@ def test_subcommands_do_not_mutate_inputs(tmp_path, corpus_files):
     assert _sha(sens) == sens_hash
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _python(*argv: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports ctxsens from this checkout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_corpus_subcommands_never_import_scipy(tmp_path, corpus_files):
+    # scipy costs every process about 0.17 s and 17 MB; only featurizing and
+    # training need it
+    posts, ic, oc = corpus_files
+    group = tmp_path / "group.csv"
+    group.write_text("helpful\ntrue\nfalse\ntrue\n")
+    scorer = shlex.quote(shlex.join(toy_scorer_command()))
+    lines = [
+        f"aggregate --posts {posts} --ic {ic} --oc {oc} --out {tmp_path}/agg",
+        f"stats --posts {posts} --ic {ic} --oc {oc} --out {tmp_path}/stats",
+        f"stratify --data {tmp_path}/agg/sensitivity.jsonl --scorer {scorer} --out {tmp_path}/strat",
+        f"bootstrap --group-a {group} --group-b {group} --resample-size 2 --out {tmp_path}/boot",
+    ]
+    script = f"""
+import shlex, sys
+import ctxsens.cli
+assert "scipy" not in sys.modules, "import ctxsens.cli"
+for line in {lines!r}:
+    assert ctxsens.cli.main(shlex.split(line)) == 0, line
+    assert "scipy" not in sys.modules, line
+"""
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+
+
 def _traced(tmp_path, *argv: str) -> dict:
     """The span summary of one CLI call run through perfbench/traced.py."""
-    root = Path(__file__).resolve().parent.parent
     spans = tmp_path / "spans.json"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "traced.py"), str(spans), *argv],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = _python(str(ROOT / "perfbench" / "traced.py"), str(spans), *argv)
     assert proc.returncode == 0, proc.stderr
     return json.loads(spans.read_text())
 

@@ -325,3 +325,10 @@ def test_score_table_adapter_reports_missing_columns(tmp_path):
     path.write_text("a,b\n1,2\n", encoding="utf-8")
     with pytest.raises(ParseError, match="missing required columns"):
         load_score_table(path)
+
+
+def test_score_table_adapter_reports_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "released.csv"
+    path.write_bytes(b"id,text,parent,toxicity_oc,toxicity_ic\n1,caf\xe9,a parent,70,0\n")
+    with pytest.raises(ParseError, match=r"released\.csv:2: not UTF-8: byte 0xe9 at column 6"):
+        load_score_table(path)
