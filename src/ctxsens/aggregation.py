@@ -4,7 +4,7 @@ A post's toxicity score is the fraction of raters who judged it toxic
 (the two toxic grades are unified). Context sensitivity is the difference
 between the out-of-context and in-context scores; a post counts as sensitive
 when that difference exceeds a per-post threshold equal to the sum of the two
-scores' standard errors.
+scores' standard errors. The scored posts are one columnar `SensitivityTable`.
 """
 
 from __future__ import annotations
@@ -22,47 +22,59 @@ from .corpus import AnnotationTable, DatasetBundle, Label, Post, not_utf8, write
 _TOXIC_LABELS = frozenset({Label.TOXIC, Label.VERY_TOXIC})
 _TOXIC_CODES = [code for code, label in enumerate(Label) if label in _TOXIC_LABELS]
 _UNSURE_CODE = list(Label).index(Label.UNSURE)
+_TEXT_COLUMNS = ("post_ids", "target_texts", "parent_texts")
+_SCORE_COLUMNS = ("oc_value", "oc_raters", "oc_sem", "ic_value", "ic_raters", "ic_sem")
 
 
-@dataclass(frozen=True)
-class ToxicityScore:
-    """Fraction of raters judging a post toxic, with its standard error."""
+@dataclass(frozen=True, eq=False)
+class SensitivityTable:
+    """Scored posts as read-only columns, row i being post post_ids[i].
 
-    value: float
-    n_raters: int
-    sem: float
+    Each condition's score is its toxic fraction (value), its rater count and
+    its SEM; delta, threshold and is_sensitive are computed from them.
+    """
 
-    def __post_init__(self) -> None:
-        if self.n_raters < 1:
-            raise ValueError("n_raters must be positive")
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"value {self.value} outside [0, 1]")
-        if abs(self.value * self.n_raters - round(self.value * self.n_raters)) > 1e-9:
-            raise ValueError(f"value {self.value} is not a count fraction of {self.n_raters} raters")
-        if self.sem < 0.0:
-            raise ValueError("sem must be >= 0")
-        if self.value in (0.0, 1.0) and self.sem != 0.0:
-            raise ValueError("sem must be 0 at unanimity")
-
-
-@dataclass(frozen=True)
-class SensitivityRecord:
-    """Per-post sensitivity: delta = s_oc - s_ic, thresholded by summed SEMs."""
-
-    post_id: str
-    s_oc: ToxicityScore
-    s_ic: ToxicityScore
-    delta: float
-    threshold: float
-    is_sensitive: bool
+    post_ids: tuple[str, ...]
+    target_texts: tuple[str, ...]
+    parent_texts: tuple[str | None, ...]
+    oc_value: np.ndarray
+    oc_raters: np.ndarray
+    oc_sem: np.ndarray
+    ic_value: np.ndarray
+    ic_raters: np.ndarray
+    ic_sem: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.delta != self.s_oc.value - self.s_ic.value:
-            raise ValueError("delta must equal s_oc.value - s_ic.value exactly")
-        if self.threshold < 0.0:
-            raise ValueError("threshold must be >= 0")
-        if self.is_sensitive != (abs(self.delta) > self.threshold):
-            raise ValueError("is_sensitive must equal |delta| > threshold")
+        for name in _TEXT_COLUMNS:
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        for name in _SCORE_COLUMNS:
+            column = np.array(getattr(self, name), dtype=np.int64 if name.endswith("raters") else np.float64)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        if len({len(getattr(self, name)) for name in (*_TEXT_COLUMNS, *_SCORE_COLUMNS)}) > 1:
+            raise ValueError("columns differ in length")
+
+    def __len__(self) -> int:
+        return len(self.post_ids)
+
+    @property
+    def delta(self) -> np.ndarray:  # s_oc - s_ic
+        return self.oc_value - self.ic_value
+
+    @property
+    def threshold(self) -> np.ndarray:  # the sum of the two SEMs
+        return self.oc_sem + self.ic_sem
+
+    @property
+    def is_sensitive(self) -> np.ndarray:
+        """|delta| > threshold, strict: unanimous posts (all zeros) are insensitive."""
+        return np.abs(self.delta) > self.threshold
+
+    def take(self, idx) -> SensitivityTable:
+        """The rows idx (an index sequence), in that order."""
+        idx = np.asarray(idx, dtype=np.int64)
+        texts = ([getattr(self, name)[i] for i in idx.tolist()] for name in _TEXT_COLUMNS)
+        return SensitivityTable(*texts, *(getattr(self, name)[idx] for name in _SCORE_COLUMNS))
 
 
 @dataclass(frozen=True)
@@ -73,8 +85,8 @@ class AgreementReport:
     n_categories: int
 
 
-def aggregate_scores(table: AnnotationTable) -> list[ToxicityScore | None]:
-    """Aggregate each record's judgments; None means the post is excluded.
+def aggregate_scores(table: AnnotationTable) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each record's (value, n_raters, sem, excluded) as columns.
 
     Any unsure judgment excludes the record. Both toxic grades count as toxic.
     The value is toxic / n; the SEM is the sample-variance estimator
@@ -86,60 +98,30 @@ def aggregate_scores(table: AnnotationTable) -> list[ToxicityScore | None]:
     value = counts[:, _TOXIC_CODES].sum(axis=1) / n
     # n - 1 is raised to 1 for a single rater, whose value(1 - value) is 0
     sem = np.sqrt(value * (1.0 - value) / np.maximum(n - 1, 1))
-    unsure = counts[:, _UNSURE_CODE] > 0
-    return [
-        None if skip else ToxicityScore(value=v, n_raters=k, sem=e)
-        for skip, v, k, e in zip(unsure.tolist(), value.tolist(), n.tolist(), sem.tolist())
-    ]
+    return value, n, sem, counts[:, _UNSURE_CODE] > 0
 
 
-def sensitivity(post_id: str, s_oc: ToxicityScore, s_ic: ToxicityScore) -> SensitivityRecord:
-    """Combine a post's two condition scores into a sensitivity record.
-
-    is_sensitive uses a strict inequality so unanimous-agreement posts
-    (both SEMs zero, delta zero) are classified insensitive.
-    """
-    delta = s_oc.value - s_ic.value
-    threshold = s_oc.sem + s_ic.sem
-    return SensitivityRecord(
-        post_id=post_id,
-        s_oc=s_oc,
-        s_ic=s_ic,
-        delta=delta,
-        threshold=threshold,
-        is_sensitive=abs(delta) > threshold,
-    )
-
-
-@dataclass(frozen=True)
-class SensitivityExample:
-    """A post joined with its sensitivity record: one regression example."""
-
-    post: Post
-    record: SensitivityRecord
-
-
-def training_columns(examples: Sequence[SensitivityExample]) -> tuple[list[str], list[float]]:
-    """The target texts and deltas of examples, the inputs and targets of models.train."""
-    return [ex.post.target_text for ex in examples], [ex.record.delta for ex in examples]
-
-
-def compute_sensitivities(bundle: DatasetBundle) -> tuple[list[SensitivityExample], list[str]]:
-    """Aggregate a bundle into examples, returning (examples, excluded_ids).
+def compute_sensitivities(bundle: DatasetBundle) -> tuple[SensitivityTable, list[str]]:
+    """Aggregate a bundle into a table of its scored posts, in post order,
+    returning (table, excluded_ids).
 
     A post is excluded when either condition's record is missing or is
     excluded by the unsure rule.
     """
-    ic, oc = (dict(zip(t.post_ids, aggregate_scores(t))) for t in (bundle.ic_annotations, bundle.oc_annotations))
-    examples: list[SensitivityExample] = []
-    excluded: list[str] = []
-    for post in bundle.posts:
-        s_ic, s_oc = ic.get(post.post_id), oc.get(post.post_id)
-        if s_ic is None or s_oc is None:
-            excluded.append(post.post_id)
-            continue
-        examples.append(SensitivityExample(post, sensitivity(post.post_id, s_oc, s_ic)))
-    return examples, excluded
+    rows, scores = [], []
+    excluded = np.zeros(len(bundle.posts), dtype=bool)
+    for table in (bundle.oc_annotations, bundle.ic_annotations):
+        *score, unsure = aggregate_scores(table)
+        row_of = {post_id: i for i, post_id in enumerate(table.post_ids)}
+        row = np.array([row_of.get(post.post_id, -1) for post in bundle.posts], dtype=np.int64)
+        excluded |= np.append(unsure, True)[row]  # row -1, a missing record, reads the appended True
+        rows.append(row)
+        scores.append(score)
+    kept = np.flatnonzero(~excluded)
+    posts = [bundle.posts[i] for i in kept.tolist()]
+    texts = ([getattr(post, name) for post in posts] for name in ("post_id", "target_text", "parent_text"))
+    columns = (column[row[kept]] for row, score in zip(rows, scores) for column in score)
+    return SensitivityTable(*texts, *columns), [post.post_id for post, out in zip(bundle.posts, excluded.tolist()) if out]
 
 
 @dataclass(frozen=True)
@@ -152,18 +134,17 @@ class Histogram:
         return tuple((a + b) / 2.0 for a, b in zip(self.edges[:-1], self.edges[1:]))
 
 
-def sensitivity_histogram(records: Sequence[SensitivityRecord], bins: int) -> Histogram:
-    """Histogram of delta over [-1, 1]; counts always sum to len(records)."""
+def sensitivity_histogram(deltas: Sequence[float], bins: int) -> Histogram:
+    """Histogram of deltas over [-1, 1]; counts always sum to len(deltas)."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    deltas = [r.delta for r in records]
     counts, edges = np.histogram(deltas, bins=bins, range=(-1.0, 1.0))
-    return Histogram(edges=tuple(edges.tolist()), counts=tuple(int(c) for c in counts))
+    return Histogram(edges=tuple(edges.tolist()), counts=tuple(counts.tolist()))
 
 
-def count_sensitive(records: Sequence[SensitivityRecord], t: float) -> int:
+def count_sensitive(deltas: Sequence[float], t: float) -> int:
     """Number of posts with |delta| >= t. Non-increasing in t."""
-    return sum(1 for r in records if abs(r.delta) >= t)
+    return int(np.count_nonzero(np.abs(np.asarray(deltas, dtype=np.float64)) >= t))
 
 
 @dataclass(frozen=True)
@@ -178,26 +159,23 @@ class DeltaBuckets:
 
 
 def delta_buckets(deltas: Sequence[float]) -> DeltaBuckets:
+    deltas = np.asarray(deltas, dtype=np.float64)
     n = len(deltas)
     if n == 0:
         raise ValueError("no deltas")
-    zero = sum(1 for d in deltas if d == 0.0)
-    neg = sum(1 for d in deltas if d < 0.0)
+    zero = int(np.count_nonzero(deltas == 0.0))
+    neg = int(np.count_nonzero(deltas < 0.0))
     pos = n - zero - neg
     return DeltaBuckets(n=n, unchanged=zero / n, increased=neg / n, decreased=pos / n)
 
 
-def binarize_toxicity(score: ToxicityScore) -> bool:
-    """Strict-majority binarization; a tied score (exactly 0.5) is non-toxic."""
-    return score.value > 0.5
-
-
-def binarized_unchanged_fraction(pairs: Sequence[tuple[float, float]]) -> float:
-    """Fraction of (s_oc, s_ic) pairs whose strict-majority labels agree."""
-    if not pairs:
+def binarized_unchanged_fraction(s_oc: Sequence[float], s_ic: Sequence[float]) -> float:
+    """Fraction of posts whose strict-majority labels agree across the two
+    conditions; a score is toxic above 0.5, so a tie (exactly 0.5) is not."""
+    if len(s_oc) == 0:
         raise ValueError("no score pairs")
-    same = sum(1 for oc, ic in pairs if (oc > 0.5) == (ic > 0.5))
-    return same / len(pairs)
+    same = np.count_nonzero((np.asarray(s_oc) > 0.5) == (np.asarray(s_ic) > 0.5))
+    return int(same) / len(s_oc)
 
 
 def agreement(
@@ -243,11 +221,7 @@ def collapse_binary(label: Label) -> bool:
     return label in _TOXIC_LABELS
 
 
-# --- sensitivity example persistence ----------------------------------------
-
-
-def _score_to_obj(score: ToxicityScore) -> dict:
-    return {"value": score.value, "n_raters": score.n_raters, "sem": score.sem}
+# --- sensitivity table persistence -------------------------------------------
 
 
 # (accepted JSON types, what the message says) per field of a row and of its two scores
@@ -263,6 +237,7 @@ _ROW_FIELDS = {
     "is_sensitive": ((bool,), "true or false"),
 }
 _SCORE_FIELDS = {"value": _NUMBER, "n_raters": ((int,), "an integer"), "sem": _NUMBER}
+_MAX_RATERS = np.iinfo(np.int64).max
 
 
 def _check_fields(obj: dict, fields: dict) -> None:
@@ -272,37 +247,43 @@ def _check_fields(obj: dict, fields: dict) -> None:
             raise ValueError(f"field {key!r} must be {expected}, got {'null' if value is None else type(value).__name__}")
 
 
-def _score_from_obj(obj: dict) -> ToxicityScore:
+def _checked_score(obj: dict) -> tuple:
+    """A row's (value, n_raters, sem) for one condition, held to what the
+    count arithmetic guarantees."""
     _check_fields(obj, _SCORE_FIELDS)
-    return ToxicityScore(value=obj["value"], n_raters=obj["n_raters"], sem=obj["sem"])
+    value, n_raters, sem = obj["value"], obj["n_raters"], obj["sem"]
+    if not 1 <= n_raters <= _MAX_RATERS:  # the column is int64
+        raise ValueError("n_raters must be positive" if n_raters < 1 else f"n_raters {n_raters} exceeds {_MAX_RATERS}")
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"value {value} outside [0, 1]")
+    if abs(value * n_raters - round(value * n_raters)) > 1e-9:
+        raise ValueError(f"value {value} is not a count fraction of {n_raters} raters")
+    if sem < 0.0:
+        raise ValueError("sem must be >= 0")
+    if value in (0.0, 1.0) and sem != 0.0:
+        raise ValueError("sem must be 0 at unanimity")
+    return value, n_raters, sem
 
 
-def save_examples(examples: Sequence[SensitivityExample], path: str | Path) -> None:
-    """Write aggregated examples as JSONL (one self-contained row per post)."""
-    write_jsonl(
-        Path(path),
-        (
-            {
-                "post_id": ex.post.post_id,
-                "target_text": ex.post.target_text,
-                "parent_text": ex.post.parent_text,
-                "s_oc": _score_to_obj(ex.record.s_oc),
-                "s_ic": _score_to_obj(ex.record.s_ic),
-                "delta": ex.record.delta,
-                "threshold": ex.record.threshold,
-                "is_sensitive": ex.record.is_sensitive,
-            }
-            for ex in examples
-        ),
-    )
+def save_examples(table: SensitivityTable, path: str | Path) -> None:
+    """Write a table as JSONL, one self-contained row per post, its keys in _ROW_FIELDS order."""
+
+    def scores(names: Sequence[str]):
+        return (dict(zip(_SCORE_FIELDS, score)) for score in zip(*(getattr(table, name).tolist() for name in names)))
+
+    texts = (getattr(table, name) for name in _TEXT_COLUMNS)
+    derived = (table.delta.tolist(), table.threshold.tolist(), table.is_sensitive.tolist())
+    rows = zip(*texts, scores(_SCORE_COLUMNS[:3]), scores(_SCORE_COLUMNS[3:]), *derived)
+    write_jsonl(Path(path), (dict(zip(_ROW_FIELDS, row)) for row in rows))
 
 
-def load_examples(path: str | Path) -> list[SensitivityExample]:
+def load_examples(path: str | Path) -> SensitivityTable:
     """Read a sensitivity file; a post id may appear only once, since a
     duplicate would be counted twice and could sit on both sides of a split.
     A malformed row (no object, a field missing or of the wrong JSON type,
-    an inconsistent record) is a ValueError naming path:line."""
-    examples = []
+    an inconsistent score, delta, threshold or is_sensitive) is a ValueError
+    naming path:line."""
+    columns: list[list] = [[] for _ in (*_TEXT_COLUMNS, *_SCORE_COLUMNS)]
     seen: set[str] = set()
     with Path(path).open("r", encoding="utf-8") as handle:
         try:
@@ -318,17 +299,20 @@ def load_examples(path: str | Path) -> list[SensitivityExample]:
                     if post.post_id in seen:
                         raise ValueError(f"duplicate post_id {post.post_id!r}")
                     seen.add(post.post_id)
-                    record = SensitivityRecord(
-                        post_id=obj["post_id"],
-                        s_oc=_score_from_obj(obj["s_oc"]),
-                        s_ic=_score_from_obj(obj["s_ic"]),
-                        delta=obj["delta"],
-                        threshold=obj["threshold"],
-                        is_sensitive=obj["is_sensitive"],
-                    )
+                    oc, ic = _checked_score(obj["s_oc"]), _checked_score(obj["s_ic"])
+                    delta, threshold = obj["delta"], obj["threshold"]
+                    if delta != oc[0] - ic[0]:
+                        raise ValueError("delta must equal s_oc.value - s_ic.value exactly")
+                    if threshold < 0.0:
+                        raise ValueError("threshold must be >= 0")
+                    if threshold != oc[2] + ic[2]:
+                        raise ValueError("threshold must equal s_oc.sem + s_ic.sem exactly")
+                    if obj["is_sensitive"] != (abs(delta) > threshold):
+                        raise ValueError("is_sensitive must equal |delta| > threshold")
                 except ValueError as exc:
                     raise ValueError(f"{path}:{line_no}: {exc}") from exc
-                examples.append(SensitivityExample(post, record))
+                for column, value in zip(columns, (post.post_id, post.target_text, post.parent_text, *oc, *ic)):
+                    column.append(value)
         except UnicodeDecodeError:
             raise not_utf8(Path(path)) from None
-    return examples
+    return SensitivityTable(*columns)

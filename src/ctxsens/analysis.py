@@ -7,18 +7,18 @@ from typing import Sequence
 
 import numpy as np
 
+from .aggregation import SensitivityTable
 from .corpus import AnnotationTable
-from .aggregation import SensitivityRecord
 
 DIRECTION_A_GREATER = "a_greater"
 DIRECTION_B_GREATER = "b_greater"
 
 
-def class_ratio(records: Sequence[SensitivityRecord]) -> float:
-    """Fraction of records flagged context-sensitive."""
-    if not records:
+def class_ratio(table: SensitivityTable) -> float:
+    """Fraction of posts flagged context-sensitive."""
+    if not len(table):
         raise ValueError("no records")
-    return sum(1 for r in records if r.is_sensitive) / len(records)
+    return int(np.count_nonzero(table.is_sensitive)) / len(table)
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class ParentUtilityPoint:
 
 def parent_utility(
     ic_records: AnnotationTable,
-    records: Sequence[SensitivityRecord],
+    table: SensitivityTable,
     thresholds: Sequence[float],
 ) -> tuple[list[ParentUtilityPoint], list[str]]:
     """Fraction of posts whose voting raters strictly-majority found the
@@ -42,10 +42,10 @@ def parent_utility(
     votes = ic_records.counts(ic_records.helpful + 1, 3)  # columns: null, unhelpful, helpful
     yes, cast = votes[:, 2].tolist(), (votes[:, 1] + votes[:, 2]).tolist()
     row_of = {post_id: i for i, post_id in enumerate(ic_records.post_ids)}
-    rows = [row_of.get(r.post_id) for r in records]
-    zero_vote_ids = [r.post_id for r, i in zip(records, rows) if i is None or cast[i] == 0]
+    rows = [row_of.get(post_id) for post_id in table.post_ids]
+    zero_vote_ids = [post_id for post_id, i in zip(table.post_ids, rows) if i is None or cast[i] == 0]
     helpful = np.array([i is not None and 2 * yes[i] > cast[i] for i in rows], dtype=bool)
-    spread = np.abs(np.array([r.delta for r in records], dtype=float))
+    spread = np.abs(table.delta)
     points = []
     for t in thresholds:
         above = spread >= t

@@ -22,17 +22,11 @@ from .models import FAMILY_RIDGE, TrainConfig, train
 SELECTION_TEACHER_TOP_K = "teacher_top_k"
 SELECTION_RANDOM_K = "random_k"
 
+GoldSplit = tuple[Sequence[str], Sequence[str], Sequence[float]]  # (post_ids, texts, targets)
+
 
 class AugmentationError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class TrainPost:
-    """A training example: gold rows carry rater targets, silver rows model scores."""
-
-    post: Post
-    target: float
 
 
 @dataclass(frozen=True)
@@ -102,36 +96,29 @@ def select_top_k(scored: Sequence[tuple[str, float]], k: int) -> list[str]:
     return [post_id for post_id, _ in ranked[:k]]
 
 
-def _columns(rows: Sequence[TrainPost]) -> tuple[list[str], list[float]]:
-    return [row.post.target_text for row in rows], [row.target for row in rows]
-
-
 def run_augmentation(
-    gold_train: Sequence[TrainPost],
-    gold_validation: Sequence[TrainPost],
-    gold_test: Sequence[TrainPost],
-    config: AugmentationConfig,
+    gold_train: GoldSplit, gold_validation: GoldSplit, gold_test: GoldSplit, config: AugmentationConfig
 ) -> list[CycleLog]:
     """Run the augmentation loop, returning one log per cycle.
 
-    The pool must be disjoint from every gold split. The evaluation split is
-    the given gold_test for every cycle. Fully deterministic given (seed,
-    config) for deterministic model families.
+    Each gold split is (post_ids, texts, targets) columns. The pool must be
+    disjoint from every gold split. The evaluation split is the given
+    gold_test for every cycle. Fully deterministic given (seed, config) for
+    deterministic model families.
     """
-    gold_ids = {row.post.post_id for row in (*gold_train, *gold_validation, *gold_test)}
+    gold_ids = {post_id for ids, _, _ in (gold_train, gold_validation, gold_test) for post_id in ids}
     pool_ids = {post.post_id for post in config.pool}
     overlap = gold_ids & pool_ids
     if overlap:
         raise AugmentationError(f"pool overlaps gold splits on {sorted(overlap)[:5]}")
-    test_ids = {row.post.post_id for row in gold_test}
-    test_texts = [row.post.target_text for row in gold_test]
-    test_targets = [row.target for row in gold_test]
+    test_ids, test_texts, test_targets = gold_test
+    test_ids = set(test_ids)
 
     pool: list[Post] = list(config.pool)
-    train_rows: list[TrainPost] = list(gold_train)
-    validation = _columns(gold_validation)
+    train_ids, train_texts, train_targets = (list(column) for column in gold_train)
+    validation = gold_validation[1:]
 
-    teacher = train(config.teacher_family, *_columns(train_rows), validation, config.train_config)
+    teacher = train(config.teacher_family, train_texts, train_targets, validation, config.train_config)
 
     if config.single_shot:
         plan = [config.k_per_cycle * config.n_cycles]
@@ -153,14 +140,16 @@ def run_augmentation(
             raise AugmentationError("selection leaked into the test split")
 
         silver_by_id = {post.post_id: float(s) for post, s in zip(pool, silver)}
-        selected_posts = [post for post in pool if post.post_id in selected_set]
+        for post in pool:
+            if post.post_id in selected_set:
+                train_ids.append(post.post_id)
+                train_texts.append(post.target_text)
+                train_targets.append(silver_by_id[post.post_id])
         pool = [post for post in pool if post.post_id not in selected_set]
-        train_rows += [TrainPost(post=post, target=silver_by_id[post.post_id]) for post in selected_posts]
-        train_ids = {row.post.post_id for row in train_rows}
-        if train_ids & test_ids:
+        if test_ids.intersection(train_ids):
             raise AugmentationError("train set leaked into the test split")
 
-        student = train(config.student_family, *_columns(train_rows), validation, config.train_config)
+        student = train(config.student_family, train_texts, train_targets, validation, config.train_config)
         predictions = student.predict_batch(test_texts)
         scores = [silver_by_id[post_id] for post_id in selected_ids]
         logs.append(
@@ -173,8 +162,8 @@ def run_augmentation(
                 silver_max=max(scores),
                 student_mse=mse(predictions, test_targets),
                 student_mae=mae(predictions, test_targets),
-                n_test=len(gold_test),
-                train_size=len(train_rows),
+                n_test=len(test_texts),
+                train_size=len(train_ids),
                 pool_size=len(pool),
                 wall_clock_seconds=time.perf_counter() - started,
             )

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import shlex
 import sys
 import traceback
@@ -242,21 +243,21 @@ def _blank(value):
     return "" if value is None else value
 
 
-def _load_examples_checked(path: Path) -> list[aggregation.SensitivityExample]:
+def _load_examples_checked(path: Path) -> aggregation.SensitivityTable:
     try:
-        examples = aggregation.load_examples(path)
+        table = aggregation.load_examples(path)
     except ValueError as exc:
         raise CliValidationError(f"not a valid sensitivity file: {exc}") from exc
-    if not examples:
+    if not len(table):
         raise CliValidationError(f"{path} holds no examples")
-    return examples
+    return table
 
 
 def _aggregate(run: Run) -> None:
     """aggregate judgments into sensitivity records"""
     bundle = load_bundle(*run.inputs.values(), format=run.config["input-format"])
-    examples, excluded = aggregation.compute_sensitivities(bundle)
-    aggregation.save_examples(examples, run.out("sensitivity.jsonl"))
+    table, excluded = aggregation.compute_sensitivities(bundle)
+    aggregation.save_examples(table, run.out("sensitivity.jsonl"))
     write_json(run.out("excluded.json"), {"excluded_post_ids": excluded, "n_excluded": len(excluded)})
 
 
@@ -283,41 +284,38 @@ def _agreement(records: Sequence) -> dict:
 def _stats(run: Run) -> None:
     """agreement, histograms, and figure CSVs"""
     bundle = load_bundle(*run.inputs.values(), format=run.config["input-format"])
-    examples, excluded = aggregation.compute_sensitivities(bundle)
-    records = [ex.record for ex in examples]
+    table, excluded = aggregation.compute_sensitivities(bundle)
     report: dict = {
         "n_posts": len(bundle.posts),
-        "n_scored": len(records),
+        "n_scored": len(table),
         "n_excluded": len(excluded),
         "agreement": {"ic": _agreement(bundle.ic_annotations), "oc": _agreement(bundle.oc_annotations)},
     }
 
-    if records:
-        hist = aggregation.sensitivity_histogram(records, run.config["bins"])
+    if len(table):
+        deltas = table.delta
+        hist = aggregation.sensitivity_histogram(deltas, run.config["bins"])
         write_csv(run.out("delta_histogram.csv"), ["bin_center", "count"], zip(hist.centers, hist.counts))
         report["delta_histogram"] = {"edges": list(hist.edges), "counts": list(hist.counts)}
 
-        report["delta_buckets"] = dataclasses.asdict(aggregation.delta_buckets([r.delta for r in records]))
-        report["binarized_unchanged_fraction"] = aggregation.binarized_unchanged_fraction(
-            [(r.s_oc.value, r.s_ic.value) for r in records]
-        )
+        report["delta_buckets"] = dataclasses.asdict(aggregation.delta_buckets(deltas))
+        unchanged = aggregation.binarized_unchanged_fraction(table.oc_value, table.ic_value)
+        report["binarized_unchanged_fraction"] = unchanged
 
         write_csv(
             run.out("sensitive_counts.csv"),
             ["t", "count"],
-            [(t, aggregation.count_sensitive(records, t)) for t in THRESHOLD_GRID],
+            [(t, aggregation.count_sensitive(deltas, t)) for t in THRESHOLD_GRID],
         )
 
         write_csv(
             run.out("toxicity_histogram.csv"),
             ["bin_center", "oc_count", "ic_count"],
-            _histogram_rows(
-                np.linspace(0.0, 1.0, 21), [r.s_oc.value for r in records], [r.s_ic.value for r in records]
-            ),
+            _histogram_rows(np.linspace(0.0, 1.0, 21), table.oc_value, table.ic_value),
         )
 
-        points, zero_vote = analysis.parent_utility(bundle.ic_annotations, records, THRESHOLD_GRID)
-        if len(zero_vote) < len(records):
+        points, zero_vote = analysis.parent_utility(bundle.ic_annotations, table, THRESHOLD_GRID)
+        if len(zero_vote) < len(table):
             write_csv(
                 run.out("parent_utility.csv"),
                 ["t", "fraction_helpful", "n"],
@@ -339,15 +337,13 @@ def _stats(run: Run) -> None:
 def _train(run: Run) -> None:
     """train one regressor family"""
     from . import models
-    examples = _load_examples_checked(run.inputs["data"])
-    perm = np.random.default_rng(run.train_config.seed).permutation(len(examples))
-    n_val = int(len(examples) * run.config["val-fraction"])
-    val_idx, train_idx = perm[:n_val], perm[n_val:]
-    if len(train_idx) == 0:
+    table = _load_examples_checked(run.inputs["data"])
+    perm = np.random.default_rng(run.train_config.seed).permutation(len(table))
+    n_val = int(len(table) * run.config["val-fraction"])
+    tr, val = table.take(perm[n_val:]), table.take(perm[:n_val])
+    if not len(tr):
         raise CliValidationError("validation fraction leaves no training data")
-    train_set = aggregation.training_columns([examples[i] for i in train_idx])
-    validation = aggregation.training_columns([examples[i] for i in val_idx])
-    model = models.train(run.config["family"], *train_set, validation, run.train_config)
+    model = models.train(run.config["family"], tr.target_texts, tr.delta, (val.target_texts, val.delta), run.train_config)
     try:
         models.save_model(model, run.out("model.bin"))
     finally:
@@ -356,9 +352,9 @@ def _train(run: Run) -> None:
 
 def _evaluate(run: Run) -> None:
     """Monte Carlo cross-validation of a family"""
-    examples = _load_examples_checked(run.inputs["data"])
+    table = _load_examples_checked(run.inputs["data"])
     split = evaluation.SplitSpec(n_repeats=run.config["repeats"], seed=run.train_config.seed)
-    report = evaluation.monte_carlo_cv(examples, run.config["family"], run.train_config, split)
+    report = evaluation.monte_carlo_cv(table, run.config["family"], run.train_config, split)
     obj = report.to_json()
     obj["means_x100"] = {metric: None if v is None else v * 100.0 for metric, v in obj["means"].items()}
     obj["family"] = run.config["family"]
@@ -378,10 +374,12 @@ def _stratify(run: Run) -> None:
     if run.config["thresholds"] is not None:
         try:
             thresholds = tuple(float(x) for x in run.config["thresholds"].split(","))
+            if not all(map(math.isfinite, thresholds)):
+                raise ValueError(f"{run.config['thresholds']!r} holds a value that is not finite")
         except ValueError as exc:
             raise CliValidationError(f"bad --thresholds: {exc}") from exc
-    examples = _load_examples_checked(run.inputs["data"])
-    result = evaluation.stratified_toxicity_mae(run.endpoint, examples, thresholds, mode=run.config["mode"])
+    table = _load_examples_checked(run.inputs["data"])
+    result = evaluation.stratified_toxicity_mae(run.endpoint, table, thresholds, mode=run.config["mode"])
     write_csv(
         run.out("stratified_mae.csv"),
         ["t", "mae", "n"],
@@ -420,18 +418,15 @@ def _sample(run: Run) -> None:
 def _augment(run: Run) -> None:
     """teacher-student augmentation loop"""
     from . import augmentation
-    examples = _load_examples_checked(run.inputs["data"])
+    table = _load_examples_checked(run.inputs["data"])
     pool = load_posts(run.inputs["pool"])
     seed, n_repeats = run.config["seed"], run.config["repeats"]
     split = evaluation.SplitSpec(n_repeats=n_repeats, seed=seed)
 
     all_logs: list[tuple[int, augmentation.CycleLog]] = []
     for repeat in range(n_repeats):
-        tr, val, test = evaluation.split_indices(len(examples), split, repeat)
-
-        def rows(idx) -> list[augmentation.TrainPost]:
-            return [augmentation.TrainPost(examples[i].post, examples[i].record.delta) for i in idx]
-
+        parts = (table.take(idx) for idx in evaluation.split_indices(len(table), split, repeat))
+        gold = [(part.post_ids, part.target_texts, part.delta) for part in parts]
         aug_config = augmentation.AugmentationConfig(
             pool=tuple(pool),
             selection=run.config["selection"],
@@ -443,7 +438,7 @@ def _augment(run: Run) -> None:
             train_config=run.train_config,
             seed=int(np.random.SeedSequence([seed, repeat]).generate_state(1)[0]),
         )
-        logs = augmentation.run_augmentation(rows(tr), rows(val), rows(test), aug_config)
+        logs = augmentation.run_augmentation(*gold, aug_config)
         all_logs += [(repeat, log) for log in logs]
 
     write_jsonl(run.out("cycles.jsonl"), ({"repeat": repeat, **log.to_json()} for repeat, log in all_logs))
@@ -514,8 +509,8 @@ COMMANDS = {
         _augment,
         (*DATA, "pool"),
         (
-            Flag("--cycles", int, 5),
-            Flag("--k", int, 1000),
+            Flag("--cycles", int, 5, rule=AT_LEAST_1),
+            Flag("--k", int, 1000, rule=AT_LEAST_1),
             Flag(
                 "--selection",
                 default="teacher",
@@ -523,7 +518,7 @@ COMMANDS = {
             ),
             Flag("--single-shot", bool, False),
             dataclasses.replace(FAMILY, required=False, default="ridge"),
-            Flag("--repeats", int, 3),
+            Flag("--repeats", int, 3, rule=AT_LEAST_1),
         ),
         seed="split",
         model=True,

@@ -513,7 +513,9 @@ class ScoredRow:
 
 
 def load_score_table(path: str | Path, columns: ScoreTableColumns | None = None) -> list[ScoredRow]:
-    """Read a released-data CSV into per-post aggregate score rows."""
+    """Read a released-data CSV into per-post aggregate score rows. A score
+    that is not a number in [0, 100] (nan, inf, negative, above 100) and a
+    blank, missing or repeated post id are each a ParseError naming file:line."""
     columns = columns or ScoreTableColumns()
     path = Path(path)
     with path.open("r", encoding="utf-8", newline="") as handle:
@@ -527,16 +529,24 @@ def load_score_table(path: str | Path, columns: ScoreTableColumns | None = None)
     missing = [c for c in (columns.post_id, columns.oc_score, columns.ic_score) if c not in header]
     if missing:
         raise ParseError(str(path), 1, f"missing required columns {missing}; found {header}")
-    rows = []
+    rows, seen = [], set()
     for row_no, row in enumerate(table, start=2):
+        post_id = row[columns.post_id]
+        if post_id is None or not post_id.strip():
+            raise ParseError(str(path), row_no, f"missing or blank {columns.post_id!r}")
+        if post_id in seen:
+            raise ParseError(str(path), row_no, f"duplicate post id {post_id!r}")
+        seen.add(post_id)
         try:
             s_oc = float(row[columns.oc_score])
             s_ic = float(row[columns.ic_score])
         except (TypeError, ValueError) as exc:
             raise ParseError(str(path), row_no, f"non-numeric score: {exc}") from exc
+        if not (0.0 <= s_oc <= 100.0 and 0.0 <= s_ic <= 100.0):  # false for nan too
+            raise ParseError(str(path), row_no, f"scores {s_oc}, {s_ic} must both lie in [0, 100]")
         rows.append(
             ScoredRow(
-                post_id=str(row.get(columns.post_id, row_no)),
+                post_id=post_id,
                 target_text=row.get(columns.target_text) or "",
                 parent_text=row.get(columns.parent_text) or None,
                 s_oc=s_oc,

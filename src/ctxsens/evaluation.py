@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .aggregation import SensitivityExample, training_columns
+from .aggregation import SensitivityTable
 from .scorer import ExternalScorerClient, ScorerEndpoint
 
 if TYPE_CHECKING:
@@ -91,22 +91,19 @@ def aupr(scores: Sequence[float], labels: Sequence[bool]) -> float:
 # --- splits ---------------------------------------------------------------------
 
 
+# Monte Carlo resplit fractions: test and validation take a tenth each, training the rest.
+VALIDATION_FRACTION = 0.1
+TEST_FRACTION = 0.1
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """Monte Carlo resplit protocol: independent random splits per repeat."""
 
-    train_fraction: float = 0.8
-    validation_fraction: float = 0.1
-    test_fraction: float = 0.1
     n_repeats: int = 3
     seed: int = 0
 
     def __post_init__(self) -> None:
-        total = self.train_fraction + self.validation_fraction + self.test_fraction
-        if abs(total - 1.0) > 1e-9:
-            raise MetricError(f"split fractions sum to {total}, expected 1")
-        if min(self.train_fraction, self.validation_fraction, self.test_fraction) < 0:
-            raise MetricError("split fractions must be non-negative")
         if self.n_repeats < 1:
             raise MetricError("n_repeats must be >= 1")
 
@@ -115,8 +112,8 @@ def split_indices(n: int, spec: SplitSpec, repeat: int) -> tuple[np.ndarray, np.
     """Disjoint (train, validation, test) index arrays covering range(n)."""
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, repeat]))
     perm = rng.permutation(n)
-    n_test = int(n * spec.test_fraction)
-    n_val = int(n * spec.validation_fraction)
+    n_test = int(n * TEST_FRACTION)
+    n_val = int(n * VALIDATION_FRACTION)
     n_train = n - n_test - n_val
     if n_train < 1:
         raise MetricError(f"split leaves no training items (n={n})")
@@ -218,7 +215,7 @@ def fold_metrics(
 
 
 def monte_carlo_cv(
-    examples: Sequence[SensitivityExample],
+    table: SensitivityTable,
     family: str,
     config: TrainConfig | None = None,
     split: SplitSpec | None = None,
@@ -230,27 +227,19 @@ def monte_carlo_cv(
     AUC/AUPR use the per-post is_sensitive labels as binary ground truth.
     """
     from .models import TrainConfig, train  # loads scipy, which only training needs
-    if not examples:
+    if not len(table):
         raise MetricError("no examples")
     config = config or TrainConfig()
     split = split or SplitSpec()
     folds = []
     for repeat in range(split.n_repeats):
-        tr, val, test = split_indices(len(examples), split, repeat)
-        validation = training_columns([examples[i] for i in val])
-        model = train(family, *training_columns([examples[i] for i in tr]), validation, config)
+        tr, val, test = (table.take(idx) for idx in split_indices(len(table), split, repeat))
+        model = train(family, tr.target_texts, tr.delta, (val.target_texts, val.delta), config)
         try:
-            predictions = model.predict_batch([examples[i].post.target_text for i in test])
+            predictions = model.predict_batch(test.target_texts)
         finally:
             model.close()
-        folds.append(
-            fold_metrics(
-                predictions,
-                [examples[i].record.delta for i in test],
-                [examples[i].record.is_sensitive for i in test],
-                [examples[i].post.post_id for i in test],
-            )
-        )
+        folds.append(fold_metrics(predictions, test.delta, test.is_sensitive, test.post_ids))
     return EvalReport(folds=tuple(folds))
 
 
@@ -276,10 +265,9 @@ class StratifiedMaeResult:
 
 def stratified_toxicity_mae(
     endpoint: ScorerEndpoint,
-    examples: Sequence[SensitivityExample],
+    table: SensitivityTable,
     thresholds: Sequence[float],
     mode: str = MODE_TARGET_ONLY,
-    retries: int = 1,
 ) -> StratifiedMaeResult:
     """MAE of an external toxicity scorer against the in-context gold score,
     over increasingly context-sensitive subsets {p : |delta(p)| >= t}.
@@ -290,24 +278,17 @@ def stratified_toxicity_mae(
     """
     if mode not in (MODE_TARGET_ONLY, MODE_CONCAT_PARENT):
         raise MetricError(f"unknown mode {mode!r}")
-    items = []
-    for ex in examples:
-        if mode == MODE_CONCAT_PARENT and ex.post.parent_text:
-            text = ex.post.parent_text + "\n" + ex.post.target_text
-        else:
-            text = ex.post.target_text
-        items.append((ex.post.post_id, text, None))
+    texts = table.target_texts
+    if mode == MODE_CONCAT_PARENT:
+        texts = [parent + "\n" + text if parent else text for parent, text in zip(table.parent_texts, texts)]
     with ExternalScorerClient(endpoint) as client:
-        scores, errors = client.score_many(items, retries=retries)
+        scores, errors = client.score_many([(post_id, text, None) for post_id, text in zip(table.post_ids, texts)])
+    scored = np.array([post_id in scores for post_id in table.post_ids], dtype=bool)
+    predictions = np.array([scores.get(post_id, math.nan) for post_id in table.post_ids], dtype=np.float64)
+    spread = np.abs(table.delta)
     rows = []
     for t in thresholds:
-        pairs = [
-            (scores[ex.post.post_id], ex.record.s_ic.value)
-            for ex in examples
-            if ex.post.post_id in scores and abs(ex.record.delta) >= t
-        ]
-        if pairs:
-            rows.append(StratumMae(t=t, mae=mae(*zip(*pairs)), n=len(pairs)))
-        else:
-            rows.append(StratumMae(t=t, mae=None, n=0))
+        subset = scored & (spread >= t)
+        n = int(np.count_nonzero(subset))
+        rows.append(StratumMae(t=t, mae=mae(predictions[subset], table.ic_value[subset]) if n else None, n=n))
     return StratifiedMaeResult(rows=tuple(rows), errors=errors)

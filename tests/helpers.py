@@ -8,12 +8,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from ctxsens.aggregation import (
-    SensitivityExample,
-    SensitivityRecord,
-    ToxicityScore,
-    sensitivity,
-)
+from ctxsens.aggregation import SensitivityTable
 from ctxsens.corpus import AnnotationTable, Condition, DatasetBundle, Label, Post
 
 from oracles import binary_sem
@@ -30,20 +25,38 @@ def csr(rows) -> sparse.csr_matrix:
     return sparse.csr_matrix(np.asarray(rows, dtype=np.float64))
 
 
-def score_of(value: float, denominator: int = 1000) -> ToxicityScore:
-    """A ToxicityScore whose value sits on the 1/denominator grid."""
+def score_of(value: float, denominator: int = 1000) -> tuple[float, int, float]:
+    """A score's (value, n_raters, sem), its value put on the 1/denominator grid."""
     count = round(value * denominator)
     value = count / denominator
-    return ToxicityScore(value=value, n_raters=denominator, sem=binary_sem(value, denominator))
+    return value, denominator, binary_sem(value, denominator)
 
 
-def record_with_delta(delta: float, post_id: str = "p") -> SensitivityRecord:
-    """A consistent record with the given delta (on the 1/1000 grid)."""
+def record_with_delta(delta: float, post_id: str = "p", target_text: str = "text", parent_text=None) -> tuple:
+    """A table row with the given delta (on the 1/1000 grid): one score is
+    |delta|, the other 0."""
     if delta >= 0:
         s_oc, s_ic = score_of(delta), score_of(0.0)
     else:
         s_oc, s_ic = score_of(0.0), score_of(-delta)
-    return sensitivity(post_id, s_oc, s_ic)
+    return post_id, target_text, parent_text, s_oc, s_ic
+
+
+def sensitivity_table(rows) -> SensitivityTable:
+    """A table of (post_id, target_text, parent_text, s_oc, s_ic) rows, each
+    score a (value, n_raters, sem) triple."""
+    rows = list(rows)
+    texts = ([row[i] for row in rows] for i in range(3))
+    scores = ([row[3 + i // 3][i % 3] for row in rows] for i in range(6))
+    return SensitivityTable(*texts, *scores)
+
+
+def table_rows(table: SensitivityTable) -> list[tuple]:
+    """Each row of a table as plain values: texts, both scores' (value,
+    n_raters, sem), delta, threshold and is_sensitive."""
+    names = ("oc_value", "oc_raters", "oc_sem", "ic_value", "ic_raters", "ic_sem", "delta", "threshold", "is_sensitive")
+    columns = (getattr(table, name).tolist() for name in names)
+    return list(zip(table.post_ids, table.target_texts, table.parent_texts, *columns))
 
 
 def annotation_table(condition: Condition, rows) -> AnnotationTable:
@@ -108,13 +121,15 @@ def planted_posts(
     return posts, targets
 
 
-def planted_examples(n: int, seed: int, **kwargs) -> list[SensitivityExample]:
-    """SensitivityExamples with planted deltas quantized to the 1/1000 grid."""
+def split_columns(posts, targets) -> tuple[list[str], list[str], list[float]]:
+    """A gold split as run_augmentation takes it: (post_ids, texts, targets)."""
+    return [p.post_id for p in posts], [p.target_text for p in posts], list(targets)
+
+
+def planted_examples(n: int, seed: int, **kwargs) -> SensitivityTable:
+    """A table of planted posts, their deltas quantized to the 1/1000 grid."""
     posts, targets = planted_posts(n, seed, **kwargs)
-    examples = []
-    for post, target in zip(posts, targets):
-        examples.append(SensitivityExample(post, record_with_delta(round(target, 3), post.post_id)))
-    return examples
+    return sensitivity_table(record_with_delta(round(t, 3), p.post_id, p.target_text) for p, t in zip(posts, targets))
 
 
 HOT_TOKEN_VALUE = 0.7

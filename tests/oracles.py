@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from ctxsens.aggregation import AgreementReport, SensitivityExample, ToxicityScore, sensitivity
+from ctxsens.aggregation import AgreementReport
 from ctxsens.analysis import DIRECTION_A_GREATER, DIRECTION_B_GREATER, ParentUtilityPoint
 from ctxsens.corpus import Label
 
@@ -348,20 +348,23 @@ def binary_sem(value: float, n_raters: int) -> float:
     return math.sqrt(value * (1.0 - value) / (n_raters - 1))
 
 
-def aggregate_score(labels: Sequence[str]) -> ToxicityScore | None:
-    """One record's score from its label values; None when a rater was unsure."""
+def aggregate_score(labels: Sequence[str]) -> tuple[float, int, float] | None:
+    """One record's (value, n_raters, sem) from its label values; None when a
+    rater was unsure."""
     if any(label == Label.UNSURE.value for label in labels):
         return None
     n = len(labels)
     toxic = sum(1 for label in labels if label in (Label.TOXIC.value, Label.VERY_TOXIC.value))
     value = toxic / n
-    return ToxicityScore(value=value, n_raters=n, sem=binary_sem(value, n))
+    return value, n, binary_sem(value, n)
 
 
-def compute_sensitivities(bundle) -> tuple[list[SensitivityExample], list[str]]:
+def compute_sensitivities(bundle) -> tuple[list[tuple], list[str]]:
+    """(rows, excluded ids): per scored post its texts, both scores' (value,
+    n_raters, sem), delta, threshold and is_sensitive, walking one post at a time."""
     ic = {post_id: labels for post_id, labels, _ in bundle.ic_annotations.records()}
     oc = {post_id: labels for post_id, labels, _ in bundle.oc_annotations.records()}
-    examples, excluded = [], []
+    rows, excluded = [], []
     for post in bundle.posts:
         if post.post_id not in ic or post.post_id not in oc:
             excluded.append(post.post_id)
@@ -370,8 +373,10 @@ def compute_sensitivities(bundle) -> tuple[list[SensitivityExample], list[str]]:
         if s_ic is None or s_oc is None:
             excluded.append(post.post_id)
             continue
-        examples.append(SensitivityExample(post, sensitivity(post.post_id, s_oc, s_ic)))
-    return examples, excluded
+        delta, threshold = s_oc[0] - s_ic[0], s_oc[2] + s_ic[2]
+        texts = (post.post_id, post.target_text, post.parent_text)
+        rows.append((*texts, *s_oc, *s_ic, delta, threshold, abs(delta) > threshold))
+    return rows, excluded
 
 
 def agreement(table, n_categories: int = len(Label), label_key=None) -> AgreementReport:
@@ -401,21 +406,22 @@ def agreement(table, n_categories: int = len(Label), label_key=None) -> Agreemen
     return AgreementReport((p_o - chance) / (1.0 - chance), p_o, len(records), n_categories)
 
 
-def parent_utility(ic_table, records, thresholds) -> tuple[list[ParentUtilityPoint], list[str]]:
+def parent_utility(ic_table, table, thresholds) -> tuple[list[ParentUtilityPoint], list[str]]:
     """Strict-majority helpful votes from each post's list of votes."""
     helpful_by_id = {post_id: helpful for post_id, _, helpful in ic_table.records()}
+    records = list(zip(table.post_ids, table.delta.tolist()))
     zero_vote_ids: list[str] = []
     majority: dict[str, bool] = {}
-    for record in records:
-        votes = [h for h in helpful_by_id.get(record.post_id, []) if h is not None]
+    for post_id, _ in records:
+        votes = [h for h in helpful_by_id.get(post_id, []) if h is not None]
         if not votes:
-            zero_vote_ids.append(record.post_id)
-            majority[record.post_id] = False
+            zero_vote_ids.append(post_id)
+            majority[post_id] = False
             continue
-        majority[record.post_id] = sum(votes) > len(votes) / 2.0
+        majority[post_id] = sum(votes) > len(votes) / 2.0
     points = []
     for t in thresholds:
-        subset = [majority[r.post_id] for r in records if abs(r.delta) >= t]
+        subset = [majority[post_id] for post_id, delta in records if abs(delta) >= t]
         if subset:
             points.append(ParentUtilityPoint(t=t, fraction_helpful=sum(subset) / len(subset), n=len(subset)))
         else:

@@ -17,12 +17,11 @@ import numpy as np
 import pytest
 
 from ctxsens import aggregation, analysis, evaluation, models
-from ctxsens.aggregation import SensitivityExample, collapse_binary
+from ctxsens.aggregation import SensitivityTable, collapse_binary
 from ctxsens.augmentation import (
     SELECTION_RANDOM_K,
     SELECTION_TEACHER_TOP_K,
     AugmentationConfig,
-    TrainPost,
     run_augmentation,
 )
 from ctxsens.corpus import load_bundle, load_score_table
@@ -30,9 +29,10 @@ from ctxsens.features import FeatureConfig
 from ctxsens.models import TrainConfig
 
 from helpers import (
-    planted_examples,
     planted_posts,
     record_with_delta,
+    sensitivity_table,
+    split_columns,
     two_region_corpus,
 )
 from oracles import pairwise_auc, population_variance, threshold_enumeration_ap
@@ -83,13 +83,11 @@ def test_criterion_1_metric_oracle_equivalence():
         assert auc_checked >= 900 and aupr_checked >= 900
 
 
-def _balanced_examples(n: int, seed: int) -> list[SensitivityExample]:
-    examples = planted_examples(n, seed=seed)
-    out = []
-    for i, ex in enumerate(examples):
-        delta = 0.6 if i % 2 == 0 else 0.0
-        out.append(SensitivityExample(ex.post, record_with_delta(delta, ex.post.post_id)))
-    return out
+def _balanced_examples(n: int, seed: int) -> SensitivityTable:
+    posts, _ = planted_posts(n, seed=seed)
+    return sensitivity_table(
+        record_with_delta(0.6 if i % 2 == 0 else 0.0, post.post_id, post.target_text) for i, post in enumerate(posts)
+    )
 
 
 def test_criterion_2_baseline_identities():
@@ -154,27 +152,25 @@ def test_criterion_3_dataset_statistics_reproduction():
     with _Criterion(3, "dataset statistics reproduction", 60):
         if bundle_paths is not None:
             bundle = load_bundle(*bundle_paths)
-            examples, _ = aggregation.compute_sensitivities(bundle)
-            deltas = [ex.record.delta for ex in examples]
-            pairs = [(ex.record.s_oc.value, ex.record.s_ic.value) for ex in examples]
+            table, _ = aggregation.compute_sensitivities(bundle)
+            deltas, s_oc, s_ic = table.delta, table.oc_value, table.ic_value
             report = aggregation.agreement(
                 bundle.ic_annotations, n_categories=2, label_key=collapse_binary
             )
             assert abs(report.free_marginal_kappa - 0.8393) <= 0.005
             assert abs(report.mean_pairwise_agreement - 0.92) <= 0.005
             # strongly sensitive posts are rare: the |delta| >= 0.7 count is tiny
-            records = [ex.record for ex in examples]
-            assert aggregation.count_sensitive(records, 0.7) <= 0.02 * len(records)
+            assert aggregation.count_sensitive(deltas, 0.7) <= 0.02 * len(table)
         else:
             rows = load_score_table(score_table)
             deltas = [row.delta for row in rows]
-            pairs = [(row.s_oc, row.s_ic) for row in rows]
+            s_oc, s_ic = [row.s_oc for row in rows], [row.s_ic for row in rows]
             print("\nNOTE: released files lack per-rater labels; criterion degraded to the delta-bucket check")
         buckets = aggregation.delta_buckets(deltas)
         assert abs(buckets.unchanged - 0.661) <= 0.002
         assert abs(buckets.increased - 0.096) <= 0.002
         assert abs(buckets.decreased - 0.243) <= 0.002
-        assert abs(aggregation.binarized_unchanged_fraction(pairs) - 0.947) <= 0.002
+        assert abs(aggregation.binarized_unchanged_fraction(s_oc, s_ic) - 0.947) <= 0.002
 
 
 def test_criterion_4_classical_regressor_ballpark():
@@ -187,18 +183,16 @@ def test_criterion_4_classical_regressor_ballpark():
         )
     with _Criterion(4, "ridge regression ballpark on CCC", 600):
         bundle = load_bundle(*bundle_paths)
-        examples, _ = aggregation.compute_sensitivities(bundle)
-        report = evaluation.monte_carlo_cv(
-            examples, "ridge", TrainConfig(seed=0), evaluation.SplitSpec(seed=0)
-        )
+        table, _ = aggregation.compute_sensitivities(bundle)
+        report = evaluation.monte_carlo_cv(table, "ridge", TrainConfig(seed=0), evaluation.SplitSpec(seed=0))
         assert report.mean("auc") >= 0.65
         assert report.mean("mse") <= 0.025
 
 
 def _planted_split(seed: int):
     gold_posts, gold_targets = planted_posts(150, seed=seed, vocab_size=60)
-    rows = [TrainPost(post=p, target=t) for p, t in zip(gold_posts, gold_targets)]
-    return rows[:100], rows[100:120], rows[120:]
+    parts = (slice(0, 100), slice(100, 120), slice(120, None))
+    return tuple(split_columns(gold_posts[part], gold_targets[part]) for part in parts)
 
 
 def test_criterion_5_augmentation_structural_suite():
@@ -225,11 +219,11 @@ def test_criterion_5_augmentation_structural_suite():
         # conservation: |train_t| = |train_0| + t*k and |pool_t| = |pool_0| - t*k
         for logs in (top, rand):
             for t, log in enumerate(logs, start=1):
-                assert log.train_size == len(gold_train) + t * 40
+                assert log.train_size == len(gold_train[0]) + t * 40
                 assert log.pool_size == len(pool) - t * 40
             selected = [pid for log in logs for pid in log.selected_post_ids]
             assert len(selected) == len(set(selected))
-            test_ids = {row.post.post_id for row in gold_test}
+            test_ids = set(gold_test[0])
             assert not test_ids & set(selected)
 
         # end-to-end seed determinism (wall clock excluded)
@@ -254,7 +248,7 @@ def test_criterion_6_augmentation_trend():
             val_items = two_region_corpus(40, seed + 4, {"A": 0.1}, "val")
 
             def rows(items):
-                return [TrainPost(post=p, target=t) for p, t, _ in items]
+                return split_columns([p for p, _, _ in items], [t for _, t, _ in items])
 
             config = TrainConfig(features=FeatureConfig(min_df=2, ngram_max=1), ridge_lambda=0.01, seed=seed)
             base = dict(

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,11 +8,9 @@ from hypothesis import strategies as st
 
 from ctxsens.aggregation import (
     AgreementReport,
-    SensitivityRecord,
-    ToxicityScore,
+    SensitivityTable,
     agreement,
     aggregate_scores,
-    binarize_toxicity,
     binarized_unchanged_fraction,
     collapse_binary,
     compute_sensitivities,
@@ -19,12 +18,11 @@ from ctxsens.aggregation import (
     delta_buckets,
     load_examples,
     save_examples,
-    sensitivity,
     sensitivity_histogram,
 )
-from ctxsens.corpus import Condition, Label
+from ctxsens.corpus import Condition, DatasetBundle, Label, Post
 
-from helpers import annotation_table, record_with_delta, score_of, synthetic_bundle
+from helpers import annotation_table, record_with_delta, score_of, sensitivity_table, synthetic_bundle, table_rows
 
 IC, OC = Condition.IN_CONTEXT, Condition.OUT_OF_CONTEXT
 
@@ -35,18 +33,22 @@ def records(*rows, condition=IC):
 
 
 def aggregate_score(labels):
-    """The score of a one-record table."""
-    (score,) = aggregate_scores(records(("p", labels)))
-    return score
+    """The (value, n_raters, sem) of a one-record table; None if it is excluded."""
+    value, n_raters, sem, excluded = (column.item() for column in aggregate_scores(records(("p", labels))))
+    return None if excluded else (value, n_raters, sem)
+
+
+def one_post(s_oc, s_ic) -> SensitivityTable:
+    return sensitivity_table([("p", "text", None, s_oc, s_ic)])
 
 
 # --- aggregate_scores ---------------------------------------------------------
 
 
 def test_both_toxic_grades_unify():
-    score = aggregate_score([Label.TOXIC, Label.VERY_TOXIC, Label.NON_TOXIC, Label.NON_TOXIC, Label.NON_TOXIC])
-    assert score.value == pytest.approx(0.4)
-    assert score.n_raters == 5
+    value, n_raters, _ = aggregate_score([Label.TOXIC, Label.VERY_TOXIC, Label.NON_TOXIC, Label.NON_TOXIC, Label.NON_TOXIC])
+    assert value == pytest.approx(0.4)
+    assert n_raters == 5
 
 
 def test_any_unsure_judgment_excludes():
@@ -54,10 +56,7 @@ def test_any_unsure_judgment_excludes():
 
 
 def test_unanimous_non_toxic_has_zero_sem():
-    score = aggregate_score([Label.NON_TOXIC] * 10)
-    assert score.value == 0.0
-    assert score.sem == 0.0
-    assert score.n_raters == 10
+    assert aggregate_score([Label.NON_TOXIC] * 10) == (0.0, 10, 0.0)
 
 
 @pytest.mark.property
@@ -73,82 +72,175 @@ def test_aggregate_score_permutation_invariant(labels, rnd):
 
 def test_sem_formula_is_sample_variance_based():
     # 3 of 5 toxic: sem = sqrt(0.6 * 0.4 / 4)
-    score = aggregate_score([Label.TOXIC] * 3 + [Label.NON_TOXIC] * 2)
-    assert score.sem == pytest.approx(math.sqrt(0.6 * 0.4 / 4))
-    assert aggregate_score([Label.TOXIC]).sem == 0.0  # a single rater
+    _, _, sem = aggregate_score([Label.TOXIC] * 3 + [Label.NON_TOXIC] * 2)
+    assert sem == pytest.approx(math.sqrt(0.6 * 0.4 / 4))
+    assert aggregate_score([Label.TOXIC])[2] == 0.0  # a single rater
 
 
-# --- ToxicityScore invariants ---------------------------------------------------
+# --- the sensitivity file's invariants --------------------------------------------------
 
 
-def test_score_value_must_be_count_fraction():
-    with pytest.raises(ValueError, match="count fraction"):
-        ToxicityScore(value=0.3333, n_raters=5, sem=0.1)
+def rejection(tmp_path, edit) -> tuple[str, str]:
+    """(expected prefix, message) of load_examples on a three-row file whose
+    second row is edited; the prefix is path:2."""
+    path = tmp_path / "sensitivity.jsonl"
+    sensitive = ("b", "text b", "parent", score_of(0.8, 5), score_of(0.0, 5))
+    rows = [record_with_delta(0.2, "a"), sensitive, record_with_delta(-0.3, "c")]
+    save_examples(sensitivity_table(rows), path)
+    objs = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    edited = edit(objs[1])
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in (objs[0], edited, objs[2])), encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_examples(path)
+    return f"{path}:2: ", str(info.value)
 
 
-def test_score_bounds_checked():
-    with pytest.raises(ValueError):
-        ToxicityScore(value=1.2, n_raters=5, sem=0.0)
-    with pytest.raises(ValueError, match="unanimity"):
-        ToxicityScore(value=1.0, n_raters=5, sem=0.1)
+def with_score(condition, **fields):
+    return lambda row: {**row, condition: {**row[condition], **fields}}
+
+
+def with_fields(**fields):
+    return lambda row: {**row, **fields}
+
+
+def assert_rejected(tmp_path, edit, message):
+    prefix, error = rejection(tmp_path, edit)
+    assert error == prefix + message
+
+
+def test_score_value_must_be_count_fraction(tmp_path):
+    assert_rejected(tmp_path, with_score("s_oc", value=0.3333), "value 0.3333 is not a count fraction of 5 raters")
+
+
+def test_score_bounds_checked(tmp_path):
+    assert_rejected(tmp_path, with_score("s_ic", value=1.2), "value 1.2 outside [0, 1]")
+    assert_rejected(tmp_path, with_score("s_oc", value=1, sem=0.1), "sem must be 0 at unanimity")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda row: [1, 2], "each line must be a JSON object"),
+        (lambda row: "{", None),
+        (with_fields(post_id=5), "field 'post_id' must be a string, got int"),
+        (with_fields(target_text=None), "field 'target_text' must be a string, got null"),
+        (with_fields(parent_text=1), "field 'parent_text' must be a string or null, got int"),
+        (with_fields(s_oc=[0.6]), "field 's_oc' must be an object, got list"),
+        (with_fields(delta="0.4"), "field 'delta' must be a number, got str"),
+        (with_fields(is_sensitive=1), "field 'is_sensitive' must be true or false, got int"),
+        (with_score("s_ic", n_raters=5.0), "field 'n_raters' must be an integer, got float"),
+        (with_score("s_ic", sem=None), "field 'sem' must be a number, got null"),
+        (with_fields(post_id=""), "post_id must be nonempty"),
+        (with_fields(target_text=" "), "post 'b': target_text is blank"),
+        (with_fields(post_id="a"), "duplicate post_id 'a'"),
+        (with_score("s_oc", n_raters=0), "n_raters must be positive"),
+        (with_score("s_oc", n_raters=2**63), f"n_raters {2**63} exceeds {2**63 - 1}"),
+        (with_score("s_oc", sem=-0.1), "sem must be >= 0"),
+        (with_fields(threshold=-0.1), "threshold must be >= 0"),
+        (with_fields(threshold=0.5), "threshold must equal s_oc.sem + s_ic.sem exactly"),
+    ],
+    ids=[
+        "not an object", "not JSON", "post_id type", "target_text type", "parent_text type", "score type",
+        "delta type", "is_sensitive type", "n_raters type", "sem type", "empty post_id", "blank text",
+        "duplicate id", "no raters", "too many raters", "negative sem", "negative threshold", "threshold not the SEM sum",
+    ],
+)
+def test_load_examples_names_path_line_and_message(tmp_path, edit, message):
+    if message is None:  # a line that is no JSON at all: the decoder's own message
+        path = tmp_path / "sensitivity.jsonl"
+        path.write_text("{\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{path}:1: Expecting property name"):
+            load_examples(path)
+        return
+    assert_rejected(tmp_path, edit, message)
 
 
 # --- sensitivity ----------------------------------------------------------------
 
 
 def test_positive_delta_example():
-    rec = sensitivity("p", score_of(0.70, 10), score_of(0.0, 5))
-    assert rec.delta == pytest.approx(0.70)
-    assert rec.is_sensitive
+    table = one_post(score_of(0.70, 10), score_of(0.0, 5))
+    assert table.delta[0] == pytest.approx(0.70)
+    assert table.is_sensitive[0]
 
 
 def test_negative_delta_example():
-    rec = sensitivity("p", score_of(0.366, 500), score_of(0.80, 5))
-    assert rec.delta == pytest.approx(-0.434)
-    assert rec.delta == rec.s_oc.value - rec.s_ic.value
+    table = one_post(score_of(0.366, 500), score_of(0.80, 5))
+    assert table.delta[0] == pytest.approx(-0.434)
+    assert table.delta[0] == table.oc_value[0] - table.ic_value[0]
 
 
 def test_identity_scores_are_insensitive():
     s = score_of(0.5, 10)
-    rec = sensitivity("p", s, s)
-    assert rec.delta == 0.0
-    assert not rec.is_sensitive
+    table = one_post(s, s)
+    assert table.delta[0] == 0.0
+    assert not table.is_sensitive[0]
 
 
 def test_threshold_is_sum_of_sems():
     s_oc, s_ic = score_of(0.4, 5), score_of(0.2, 5)
-    rec = sensitivity("p", s_oc, s_ic)
-    assert rec.threshold == s_oc.sem + s_ic.sem
+    assert one_post(s_oc, s_ic).threshold[0] == s_oc[2] + s_ic[2]
+    # from judgments: 2 of 5 toxic out of context, 1 of 5 in context
+    bundle = DatasetBundle(
+        (Post("p", "text"),),
+        records(("p", [Label.TOXIC] + [Label.NON_TOXIC] * 4)),
+        records(("p", [Label.TOXIC] * 2 + [Label.NON_TOXIC] * 3), condition=OC),
+    )
+    table, _ = compute_sensitivities(bundle)
+    assert table.threshold[0] == table.oc_sem[0] + table.ic_sem[0] == math.sqrt(0.24 / 4) + math.sqrt(0.16 / 4)
 
 
-def test_strict_inequality_at_threshold():
-    # delta 0.2 with threshold exactly |delta| would not be sensitive
-    s_oc, s_ic = score_of(0.2, 1000), score_of(0.0, 5)
-    rec = sensitivity("p", s_oc, s_ic)
-    assert rec.is_sensitive == (abs(rec.delta) > rec.threshold)
+def test_strict_inequality_at_threshold(tmp_path):
+    # 1 of 2 raters toxic out of context, none in context: |delta| = 0.5 = sem = threshold
+    bundle = DatasetBundle(
+        (Post("tie", "text"), Post("over", "text")),
+        records(("tie", [Label.NON_TOXIC] * 5), ("over", [Label.NON_TOXIC] * 5)),
+        records(
+            ("tie", [Label.TOXIC, Label.NON_TOXIC]), ("over", [Label.TOXIC, Label.TOXIC, Label.NON_TOXIC]), condition=OC
+        ),
+    )
+    table, _ = compute_sensitivities(bundle)
+    assert table.delta[0] == table.threshold[0] == 0.5
+    assert table.is_sensitive.tolist() == [False, True]
+    # a file claiming the tie is sensitive is rejected
+    path = tmp_path / "sensitivity.jsonl"
+    save_examples(table, path)
+    row = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
+    path.write_text(json.dumps({**row, "is_sensitive": True}) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{path}:1: is_sensitive must equal \|delta\| > threshold$"):
+        load_examples(path)
 
 
-def test_record_invariants_enforced():
-    s = score_of(0.5, 10)
-    with pytest.raises(ValueError, match="delta"):
-        SensitivityRecord("p", s, s, delta=0.1, threshold=0.0, is_sensitive=True)
-    with pytest.raises(ValueError, match="is_sensitive"):
-        SensitivityRecord("p", s, s, delta=0.0, threshold=0.1, is_sensitive=True)
+def test_record_invariants_enforced(tmp_path):
+    assert_rejected(tmp_path, with_fields(delta=0.1), "delta must equal s_oc.value - s_ic.value exactly")
+    assert_rejected(tmp_path, with_fields(is_sensitive=False), "is_sensitive must equal |delta| > threshold")
 
 
 @pytest.mark.property
 @given(st.integers(-1000, 1000).map(lambda k: k / 1000))
 def test_sensitivity_of_equal_scores_is_zero(delta):
     s = score_of(abs(delta), 1000)
-    assert sensitivity("p", s, s).delta == 0.0
+    table = one_post(s, s)
+    assert table.delta[0] == 0.0 and not table.is_sensitive[0]
+
+
+def test_table_take_and_read_only_columns():
+    table = sensitivity_table(record_with_delta(d, f"p{i}", f"text {i}") for i, d in enumerate((0.1, -0.3, 0.7)))
+    part = table.take([2, 0])
+    assert part.post_ids == ("p2", "p0") and part.target_texts == ("text 2", "text 0")
+    assert table_rows(part) == [table_rows(table)[2], table_rows(table)[0]]
+    assert len(table.take([])) == 0
+    with pytest.raises(ValueError):
+        table.oc_value[0] = 0.5
+    with pytest.raises(ValueError, match="length"):
+        SensitivityTable(["p"], ["text"], [None], [0.1, 0.2], [5], [0.1], [0.0], [5], [0.0])
 
 
 # --- histogram and counting -------------------------------------------------------
 
 
 def test_histogram_binning_example():
-    records = [record_with_delta(0.0, "a"), record_with_delta(0.0, "b"), record_with_delta(0.5, "c")]
-    hist = sensitivity_histogram(records, bins=4)
+    hist = sensitivity_histogram([0.0, 0.0, 0.5], bins=4)
     assert hist.counts == (0, 0, 2, 1)
     assert hist.edges == (-1.0, -0.5, 0.0, 0.5, 1.0)
 
@@ -159,17 +251,16 @@ def test_histogram_empty_records_is_not_an_error():
 
 
 def test_histogram_all_zero_deltas_in_one_bin():
-    records = [record_with_delta(0.0, f"p{i}") for i in range(7)]
-    hist = sensitivity_histogram(records, bins=5)
+    hist = sensitivity_histogram(np.zeros(7), bins=5)
     assert max(hist.counts) == 7
     assert sum(hist.counts) == 7
 
 
 def test_count_sensitive_examples():
-    records = [record_with_delta(d, f"p{i}") for i, d in enumerate((0.1, -0.3, 0.7))]
-    assert count_sensitive(records, 0.0) == 3
-    assert count_sensitive(records, 0.3) == 2
-    assert count_sensitive(records, 0.71) == 0
+    deltas = sensitivity_table(record_with_delta(d, f"p{i}") for i, d in enumerate((0.1, -0.3, 0.7))).delta
+    assert count_sensitive(deltas, 0.0) == 3
+    assert count_sensitive(deltas, 0.3) == 2
+    assert count_sensitive(deltas, 0.71) == 0
 
 
 @pytest.mark.property
@@ -178,9 +269,8 @@ def test_count_sensitive_examples():
     st.integers(1, 40),
 )
 def test_histogram_counts_conserve_mass(deltas, bins):
-    records = [record_with_delta(d, f"p{i}") for i, d in enumerate(deltas)]
-    hist = sensitivity_histogram(records, bins)
-    assert sum(hist.counts) == count_sensitive(records, 0.0) == len(records)
+    hist = sensitivity_histogram(deltas, bins)
+    assert sum(hist.counts) == count_sensitive(deltas, 0.0) == len(deltas)
 
 
 @pytest.mark.property
@@ -190,9 +280,8 @@ def test_histogram_counts_conserve_mass(deltas, bins):
     st.floats(0, 1),
 )
 def test_count_sensitive_antitone(deltas, t1, t2):
-    records = [record_with_delta(d, f"p{i}") for i, d in enumerate(deltas)]
     lo, hi = min(t1, t2), max(t1, t2)
-    assert count_sensitive(records, hi) <= count_sensitive(records, lo)
+    assert count_sensitive(deltas, hi) <= count_sensitive(deltas, lo)
 
 
 def test_delta_buckets():
@@ -207,14 +296,18 @@ def test_delta_buckets():
 
 
 def test_binarize_examples():
-    assert binarize_toxicity(score_of(0.8, 5)) is True
-    assert binarize_toxicity(score_of(0.0, 5)) is False
-    assert binarize_toxicity(score_of(0.5, 2)) is False  # tie is conservative
+    # a score is toxic above 0.5; a tie at 0.5 is non-toxic (conservative)
+    assert binarized_unchanged_fraction([0.8], [0.6]) == 1.0
+    assert binarized_unchanged_fraction([0.0], [0.8]) == 0.0
+    assert binarized_unchanged_fraction([0.5, 0.5], [0.0, 0.6]) == 0.5
+    with pytest.raises(ValueError):
+        binarized_unchanged_fraction([], [])
 
 
 def test_binarized_unchanged_fraction():
-    pairs = [(0.8, 0.6), (0.2, 0.8), (0.0, 0.0), (0.5, 0.6)]
-    assert binarized_unchanged_fraction(pairs) == pytest.approx(0.5)
+    s_oc, s_ic = [0.8, 0.2, 0.0, 0.5], [0.6, 0.8, 0.0, 0.6]
+    assert binarized_unchanged_fraction(s_oc, s_ic) == pytest.approx(0.5)
+    assert binarized_unchanged_fraction(np.array(s_oc), np.array(s_ic)) == pytest.approx(0.5)
 
 
 # --- agreement ----------------------------------------------------------------------
@@ -265,22 +358,23 @@ def test_agreement_item_order_invariance(label_lists, rnd):
 
 def test_compute_sensitivities_excludes_unsure_and_unpaired():
     bundle = synthetic_bundle(n_posts=12, seed=3)
-    examples, excluded = compute_sensitivities(bundle)
-    assert len(examples) + len(excluded) == 12
-    for ex in examples:
-        assert ex.record.delta == ex.record.s_oc.value - ex.record.s_ic.value
+    table, excluded = compute_sensitivities(bundle)
+    assert len(table) + len(excluded) == 12
+    assert set(table.post_ids).isdisjoint(excluded)
+    assert np.array_equal(table.delta, table.oc_value - table.ic_value)
+    assert np.array_equal(table.is_sensitive, np.abs(table.delta) > table.oc_sem + table.ic_sem)
 
 
 def test_examples_round_trip(tmp_path):
-    examples, _ = compute_sensitivities(synthetic_bundle(n_posts=10, seed=1))
+    table, _ = compute_sensitivities(synthetic_bundle(n_posts=10, seed=1))
     path = tmp_path / "sensitivity.jsonl"
-    save_examples(examples, path)
-    assert load_examples(path) == examples
+    save_examples(table, path)
+    assert table_rows(load_examples(path)) == table_rows(table)
 
 
 def test_load_examples_rejects_duplicate_post_ids(tmp_path):
-    examples, _ = compute_sensitivities(synthetic_bundle(n_posts=10, seed=1))
+    table, _ = compute_sensitivities(synthetic_bundle(n_posts=10, seed=1))
     path = tmp_path / "sensitivity.jsonl"
-    save_examples(examples + examples[3:4], path)
-    with pytest.raises(ValueError, match=f"duplicate post_id '{examples[3].post.post_id}'"):
+    save_examples(table.take([*range(len(table)), 3]), path)
+    with pytest.raises(ValueError, match=f"^{path}:{len(table) + 1}: duplicate post_id '{table.post_ids[3]}'$"):
         load_examples(path)

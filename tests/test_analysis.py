@@ -14,16 +14,16 @@ from ctxsens.analysis import (
 )
 from ctxsens.corpus import Condition, Label
 
-from helpers import annotation_table, record_with_delta
+from helpers import annotation_table, record_with_delta, sensitivity_table
 from oracles import exact_bootstrap_p, per_resample_bootstrap_p
 
 
 def records_with_ratio(n_sensitive: int, n_total: int):
-    records = []
-    for i in range(n_total):
-        delta = 0.9 if i < n_sensitive else 0.0
-        records.append(record_with_delta(delta, f"p{i:04d}"))
-    return records
+    return sensitivity_table(record_with_delta(0.9 if i < n_sensitive else 0.0, f"p{i:04d}") for i in range(n_total))
+
+
+def deltas_table(*deltas):
+    return sensitivity_table(record_with_delta(d, f"p{i}") for i, d in enumerate(deltas))
 
 
 # --- class ratio -------------------------------------------------------------------
@@ -40,18 +40,17 @@ def test_class_ratio_all_insensitive_is_zero():
 
 def test_class_ratio_empty_is_an_error():
     with pytest.raises(ValueError):
-        class_ratio([])
+        class_ratio(sensitivity_table([]))
 
 
 @pytest.mark.property
 @given(st.lists(st.booleans(), min_size=1, max_size=50), st.randoms(use_true_random=False))
 def test_class_ratio_in_unit_interval_and_permutation_invariant(flags, rnd):
-    records = [record_with_delta(0.9 if f else 0.0, f"p{i}") for i, f in enumerate(flags)]
-    value = class_ratio(records)
+    rows = [record_with_delta(0.9 if f else 0.0, f"p{i}") for i, f in enumerate(flags)]
+    value = class_ratio(sensitivity_table(rows))
     assert 0.0 <= value <= 1.0
-    shuffled = list(records)
-    rnd.shuffle(shuffled)
-    assert class_ratio(shuffled) == value
+    rnd.shuffle(rows)
+    assert class_ratio(sensitivity_table(rows)) == value
 
 
 # --- parent utility ------------------------------------------------------------------
@@ -63,40 +62,40 @@ def ic_table(votes: dict[str, list[bool | None]]):
 
 
 def test_majority_helpful_vote():
-    records = [record_with_delta(0.5, "p0")]
+    table = deltas_table(0.5)
     ic = ic_table({"p0": [True, True, False]})
-    points, flagged = parent_utility(ic, records, [0.0])
+    points, flagged = parent_utility(ic, table, [0.0])
     assert points[0].fraction_helpful == 1.0
     assert flagged == []
 
 
 def test_tied_vote_is_not_a_strict_majority():
-    records = [record_with_delta(0.5, "p0")]
+    table = deltas_table(0.5)
     ic = ic_table({"p0": [True, False]})
-    points, _ = parent_utility(ic, records, [0.0])
+    points, _ = parent_utility(ic, table, [0.0])
     assert points[0].fraction_helpful == 0.0
 
 
 def test_threshold_beyond_max_delta_reports_null():
-    records = [record_with_delta(0.3, "p0")]
+    table = deltas_table(0.3)
     ic = ic_table({"p0": [True, True]})
-    points, _ = parent_utility(ic, records, [0.9])
+    points, _ = parent_utility(ic, table, [0.9])
     assert points[0].fraction_helpful is None
     assert points[0].n == 0
 
 
 def test_zero_vote_posts_flagged_and_counted_unhelpful():
-    records = [record_with_delta(0.5, "p0"), record_with_delta(0.5, "p1")]
+    table = deltas_table(0.5, 0.5)
     ic = ic_table({"p0": [None, None], "p1": [True, True, False]})
-    points, flagged = parent_utility(ic, records, [0.0])
+    points, flagged = parent_utility(ic, table, [0.0])
     assert flagged == ["p0"]
     assert points[0].fraction_helpful == 0.5
 
 
 def test_utility_fraction_over_threshold_subsets():
-    records = [record_with_delta(d, f"p{i}") for i, d in enumerate((0.8, 0.2, 0.0))]
+    table = deltas_table(0.8, 0.2, 0.0)
     ic = ic_table({"p0": [True, True], "p1": [False, False], "p2": [True, True]})
-    points, _ = parent_utility(ic, records, [0.0, 0.5])
+    points, _ = parent_utility(ic, table, [0.0, 0.5])
     assert points[0].fraction_helpful == pytest.approx(2 / 3)
     assert points[1].fraction_helpful == pytest.approx(1.0)
 

@@ -8,14 +8,14 @@ from ctxsens.augmentation import (
     SELECTION_TEACHER_TOP_K,
     AugmentationConfig,
     AugmentationError,
-    TrainPost,
     run_augmentation,
     select_top_k,
 )
+from ctxsens.corpus import Post
 from ctxsens.features import FeatureConfig
 from ctxsens.models import TrainConfig, train
 
-from helpers import planted_posts
+from helpers import planted_posts, split_columns
 
 
 # --- select_top_k ------------------------------------------------------------------
@@ -46,9 +46,9 @@ def test_select_top_k_rejects_oversized_k():
 def small_setup(pool_size=30, gold_size=24, seed=0, noise=0.15):
     pool, _ = planted_posts(pool_size, seed=seed + 1000, id_prefix="pool")
     gold_posts, gold_targets = planted_posts(gold_size, seed=seed, noise=noise)
-    rows = [TrainPost(post=p, target=round(t, 3)) for p, t in zip(gold_posts, gold_targets)]
     third = gold_size // 3
-    return pool, rows[: third], rows[third : 2 * third], rows[2 * third :]
+    splits = [slice(0, third), slice(third, 2 * third), slice(2 * third, None)]
+    return pool, *(split_columns(gold_posts[part], [round(t, 3) for t in gold_targets[part]]) for part in splits)
 
 
 def base_config(pool, **overrides):
@@ -77,7 +77,7 @@ def test_config_rejects_unknown_selection():
 
 def test_pool_must_be_disjoint_from_gold():
     pool, tr, val, test = small_setup()
-    poisoned = base_config(tuple(pool[:-1]) + (tr[0].post,))
+    poisoned = base_config(tuple(pool[:-1]) + (Post(tr[0][0], tr[1][0]),))
     with pytest.raises(AugmentationError, match="overlap"):
         run_augmentation(tr, val, test, poisoned)
 
@@ -90,7 +90,7 @@ def test_conservation_of_train_and_pool_sizes():
     logs = run_augmentation(tr, val, test, base_config(pool))
     assert [log.cycle for log in logs] == [0, 1]
     for t, log in enumerate(logs, start=1):
-        assert log.train_size == len(tr) + t * 3
+        assert log.train_size == len(tr[0]) + t * 3
         assert log.pool_size == len(pool) - t * 3
         assert len(log.selected_post_ids) == 3
 
@@ -110,7 +110,7 @@ def test_single_shot_performs_one_big_cycle():
     logs = run_augmentation(tr, val, test, base_config(pool, single_shot=True))
     assert len(logs) == 1
     assert len(logs[0].selected_post_ids) == 6
-    assert logs[0].train_size == len(tr) + 6
+    assert logs[0].train_size == len(tr[0]) + 6
 
 
 def test_loop_is_seed_deterministic():
@@ -132,13 +132,7 @@ def test_silver_scores_replayable_from_first_teacher():
     pool, tr, val, test = small_setup()
     config = base_config(pool)
     logs = run_augmentation(tr, val, test, config)
-    teacher = train(
-        config.teacher_family,
-        [row.post.target_text for row in tr],
-        [row.target for row in tr],
-        ([row.post.target_text for row in val], [row.target for row in val]),
-        config.train_config,
-    )
+    teacher = train(config.teacher_family, tr[1], tr[2], val[1:], config.train_config)
     posts_by_id = {post.post_id: post for post in pool}
     replayed = teacher.predict_batch(
         [posts_by_id[post_id].target_text for post_id in logs[0].selected_post_ids]

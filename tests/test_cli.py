@@ -177,6 +177,12 @@ def test_bad_hyperparameter_is_validation_error(tmp_path, sensitivity_file, caps
         ("stratify --data {data} --scorer {scorer} --threads 0", {}),
         ("sample --model {model} --pool {pool} --k 6", {}),
         ("sample --model {model} --pool {pool} --k 2 --threads 4", {}),
+        ("augment --data {data} --pool {pool} --cycles 0", {}),
+        ("augment --data {data} --pool {pool} --k 0", {}),
+        ("augment --data {data} --pool {pool} --repeats 0", {}),
+        ("augment --data {data} --pool {pool}", {"repeats": -1}),
+        ("stratify --data {data} --scorer {scorer} --thresholds nan,inf", {}),
+        ("stratify --data {data} --scorer {scorer} --thresholds 0.1,-inf", {}),
     ],
 )
 @pytest.mark.usefixtures("scorer_processes")

@@ -25,7 +25,7 @@ from ctxsens.corpus import (
 )
 
 import oracles
-from helpers import annotation_table
+from helpers import annotation_table, table_rows
 
 IC, OC = Condition.IN_CONTEXT, Condition.OUT_OF_CONTEXT
 
@@ -283,15 +283,14 @@ def test_bundle_lookup_consistent(bundle):
     for table in (bundle.ic_annotations, bundle.oc_annotations):
         assert len(set(table.post_ids)) == len(table) and set(table.post_ids) <= post_ids
     # the count-based statistics equal the object-walking oracles exactly
-    examples, excluded = aggregation.compute_sensitivities(bundle)
-    assert (examples, excluded) == oracles.compute_sensitivities(bundle)
+    scored, excluded = aggregation.compute_sensitivities(bundle)
+    assert (table_rows(scored), excluded) == oracles.compute_sensitivities(bundle)
     for table in (bundle.ic_annotations, bundle.oc_annotations):
         for kwargs in ({}, {"n_categories": 2, "label_key": aggregation.collapse_binary}):
             assert _outcome(aggregation.agreement, table, **kwargs) == _outcome(oracles.agreement, table, **kwargs)
-    records = [ex.record for ex in examples]
     thresholds = [0.0, 0.2, 0.5, 1.0]
-    assert analysis.parent_utility(bundle.ic_annotations, records, thresholds) == oracles.parent_utility(
-        bundle.ic_annotations, records, thresholds
+    assert analysis.parent_utility(bundle.ic_annotations, scored, thresholds) == oracles.parent_utility(
+        bundle.ic_annotations, scored, thresholds
     )
 
 
@@ -332,3 +331,27 @@ def test_score_table_adapter_reports_a_file_that_is_not_utf8(tmp_path):
     path.write_bytes(b"id,text,parent,toxicity_oc,toxicity_ic\n1,caf\xe9,a parent,70,0\n")
     with pytest.raises(ParseError, match=r"released\.csv:2: not UTF-8: byte 0xe9 at column 6"):
         load_score_table(path)
+
+
+_HEADER = "id,text,parent,toxicity_oc,toxicity_ic\n"
+
+
+@pytest.mark.parametrize(
+    "content, line, message",
+    [
+        (_HEADER + "1,a,,0.2,0\n2,b,,nan,0\n", 3, "scores nan, 0.0 must both lie in [0, 100]"),
+        (_HEADER + "1,a,,0.2,0\n2,b,,0.1,inf\n", 3, "scores 0.1, inf must both lie in [0, 100]"),
+        (_HEADER + "1,a,,-0.1,0\n", 2, "scores -0.1, 0.0 must both lie in [0, 100]"),
+        (_HEADER + "1,a,,70,100.5\n", 2, "scores 70.0, 100.5 must both lie in [0, 100]"),
+        (_HEADER + " ,a,,0.2,0\n", 2, "missing or blank 'id'"),
+        ("text,toxicity_oc,toxicity_ic,id\na,0.2,0\n", 2, "missing or blank 'id'"),
+        (_HEADER + "1,a,,0.2,0\n2,b,,0.3,0\n1,c,,0.4,0\n", 4, "duplicate post id '1'"),
+    ],
+    ids=["nan", "inf", "negative", "above 100", "blank id", "missing id", "repeated id"],
+)
+def test_score_table_adapter_rejects_bad_rows(tmp_path, content, line, message):
+    path = tmp_path / "released.csv"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        load_score_table(path)
+    assert str(info.value) == f"{path}:{line}: {message}"

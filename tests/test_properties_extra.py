@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from ctxsens import analysis, evaluation, models
-from ctxsens.augmentation import AugmentationConfig, TrainPost, run_augmentation
+from ctxsens.augmentation import AugmentationConfig, run_augmentation
 from ctxsens.corpus import Post
 from ctxsens.models import TrainConfig, train
 
@@ -225,10 +225,7 @@ def test_linear_svr_matches_reference_oracle(seed):
 @given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 2))
 def test_augmentation_conservation(seed, k, cycles):
     rng = np.random.default_rng(seed)
-    gold = [
-        TrainPost(post=Post(f"g{i}", f"text {i}"), target=float(rng.uniform(-1, 1)))
-        for i in range(6)
-    ]
+    ids, texts, targets = [f"g{i}" for i in range(6)], [f"text {i}" for i in range(6)], rng.uniform(-1, 1, 6).tolist()
     pool = tuple(Post(f"p{i}", f"pool text {i}") for i in range(8))
     config = AugmentationConfig(
         pool=pool,
@@ -240,7 +237,8 @@ def test_augmentation_conservation(seed, k, cycles):
         seed=seed,
         selection="random_k" if seed % 2 else "teacher_top_k",
     )
-    logs = run_augmentation(gold[:4], gold[4:5], gold[5:], config)
+    gold = [(ids[part], texts[part], targets[part]) for part in (slice(0, 4), slice(4, 5), slice(5, None))]
+    logs = run_augmentation(*gold, config)
     for t, log in enumerate(logs, start=1):
         assert log.train_size == 4 + t * k
         assert log.pool_size == len(pool) - t * k
