@@ -17,26 +17,22 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import AnnotationTable, DatasetBundle, Label, Post, not_utf8, write_jsonl
+from .corpus import AnnotationTable, DatasetBundle, Label, PostTable, not_utf8, posts_at, write_jsonl
 
 _TOXIC_LABELS = frozenset({Label.TOXIC, Label.VERY_TOXIC})
 _TOXIC_CODES = [code for code, label in enumerate(Label) if label in _TOXIC_LABELS]
 _UNSURE_CODE = list(Label).index(Label.UNSURE)
-_TEXT_COLUMNS = ("post_ids", "target_texts", "parent_texts")
 _SCORE_COLUMNS = ("oc_value", "oc_raters", "oc_sem", "ic_value", "ic_raters", "ic_sem")
 
 
 @dataclass(frozen=True, eq=False)
-class SensitivityTable:
-    """Scored posts as read-only columns, row i being post post_ids[i].
-
-    Each condition's score is its toxic fraction (value), its rater count and
-    its SEM; delta, threshold and is_sensitive are computed from them.
+class SensitivityTable(PostTable):
+    """Scored posts as read-only columns, row i being post post_ids[i]: the
+    text columns of a PostTable, then each condition's score as its toxic
+    fraction (value), its rater count and its SEM; delta, threshold and
+    is_sensitive are computed from them.
     """
 
-    post_ids: tuple[str, ...]
-    target_texts: tuple[str, ...]
-    parent_texts: tuple[str | None, ...]
     oc_value: np.ndarray
     oc_raters: np.ndarray
     oc_sem: np.ndarray
@@ -44,18 +40,17 @@ class SensitivityTable:
     ic_raters: np.ndarray
     ic_sem: np.ndarray
 
+    __eq__ = object.__eq__  # identity: PostTable's would compare the text columns alone
+    __hash__ = object.__hash__
+
     def __post_init__(self) -> None:
-        for name in _TEXT_COLUMNS:
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+        super().__post_init__()
         for name in _SCORE_COLUMNS:
             column = np.array(getattr(self, name), dtype=np.int64 if name.endswith("raters") else np.float64)
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        if len({len(getattr(self, name)) for name in (*_TEXT_COLUMNS, *_SCORE_COLUMNS)}) > 1:
+        if {len(getattr(self, name)) for name in _SCORE_COLUMNS} != {len(self)}:
             raise ValueError("columns differ in length")
-
-    def __len__(self) -> int:
-        return len(self.post_ids)
 
     @property
     def delta(self) -> np.ndarray:  # s_oc - s_ic
@@ -69,12 +64,6 @@ class SensitivityTable:
     def is_sensitive(self) -> np.ndarray:
         """|delta| > threshold, strict: unanimous posts (all zeros) are insensitive."""
         return np.abs(self.delta) > self.threshold
-
-    def take(self, idx) -> SensitivityTable:
-        """The rows idx (an index sequence), in that order."""
-        idx = np.asarray(idx, dtype=np.int64)
-        texts = ([getattr(self, name)[i] for i in idx.tolist()] for name in _TEXT_COLUMNS)
-        return SensitivityTable(*texts, *(getattr(self, name)[idx] for name in _SCORE_COLUMNS))
 
 
 @dataclass(frozen=True)
@@ -108,20 +97,19 @@ def compute_sensitivities(bundle: DatasetBundle) -> tuple[SensitivityTable, list
     A post is excluded when either condition's record is missing or is
     excluded by the unsure rule.
     """
-    rows, scores = [], []
-    excluded = np.zeros(len(bundle.posts), dtype=bool)
+    posts, rows, scores = bundle.posts, [], []
+    excluded = np.zeros(len(posts), dtype=bool)
     for table in (bundle.oc_annotations, bundle.ic_annotations):
         *score, unsure = aggregate_scores(table)
         row_of = {post_id: i for i, post_id in enumerate(table.post_ids)}
-        row = np.array([row_of.get(post.post_id, -1) for post in bundle.posts], dtype=np.int64)
+        row = np.array([row_of.get(post_id, -1) for post_id in posts.post_ids], dtype=np.int64)
         excluded |= np.append(unsure, True)[row]  # row -1, a missing record, reads the appended True
         rows.append(row)
         scores.append(score)
-    kept = np.flatnonzero(~excluded)
-    posts = [bundle.posts[i] for i in kept.tolist()]
-    texts = ([getattr(post, name) for post in posts] for name in ("post_id", "target_text", "parent_text"))
-    columns = (column[row[kept]] for row, score in zip(rows, scores) for column in score)
-    return SensitivityTable(*texts, *columns), [post.post_id for post, out in zip(bundle.posts, excluded.tolist()) if out]
+    kept = posts.take(np.flatnonzero(~excluded))
+    columns = (column[row[~excluded]] for row, score in zip(rows, scores) for column in score)
+    table = SensitivityTable(kept.post_ids, kept.target_texts, kept.parent_texts, *columns)
+    return table, [post_id for post_id, out in zip(posts.post_ids, excluded.tolist()) if out]
 
 
 @dataclass(frozen=True)
@@ -271,7 +259,7 @@ def save_examples(table: SensitivityTable, path: str | Path) -> None:
     def scores(names: Sequence[str]):
         return (dict(zip(_SCORE_FIELDS, score)) for score in zip(*(getattr(table, name).tolist() for name in names)))
 
-    texts = (getattr(table, name) for name in _TEXT_COLUMNS)
+    texts = (table.post_ids, table.target_texts, table.parent_texts)
     derived = (table.delta.tolist(), table.threshold.tolist(), table.is_sensitive.tolist())
     rows = zip(*texts, scores(_SCORE_COLUMNS[:3]), scores(_SCORE_COLUMNS[3:]), *derived)
     write_jsonl(Path(path), (dict(zip(_ROW_FIELDS, row)) for row in rows))
@@ -283,8 +271,9 @@ def load_examples(path: str | Path) -> SensitivityTable:
     A malformed row (no object, a field missing or of the wrong JSON type,
     an inconsistent score, delta, threshold or is_sensitive) is a ValueError
     naming path:line."""
-    columns: list[list] = [[] for _ in (*_TEXT_COLUMNS, *_SCORE_COLUMNS)]
-    seen: set[str] = set()
+    texts: list[tuple] = []
+    scores: list[list] = [[] for _ in _SCORE_COLUMNS]
+    lines: list[int] = []
     with Path(path).open("r", encoding="utf-8") as handle:
         try:
             for line_no, line in enumerate(handle, start=1):
@@ -295,10 +284,8 @@ def load_examples(path: str | Path) -> SensitivityTable:
                     if not isinstance(obj, dict):
                         raise ValueError("each line must be a JSON object")
                     _check_fields(obj, _ROW_FIELDS)
-                    post = Post(obj["post_id"], obj["target_text"], obj.get("parent_text"))
-                    if post.post_id in seen:
-                        raise ValueError(f"duplicate post_id {post.post_id!r}")
-                    seen.add(post.post_id)
+                    texts.append((obj["post_id"], obj["target_text"], obj.get("parent_text")))
+                    lines.append(line_no)
                     oc, ic = _checked_score(obj["s_oc"]), _checked_score(obj["s_ic"])
                     delta, threshold = obj["delta"], obj["threshold"]
                     if delta != oc[0] - ic[0]:
@@ -310,9 +297,12 @@ def load_examples(path: str | Path) -> SensitivityTable:
                     if obj["is_sensitive"] != (abs(delta) > threshold):
                         raise ValueError("is_sensitive must equal |delta| > threshold")
                 except ValueError as exc:
+                    posts_at(str(path), lines, texts)  # a bad text in this row or above it is reported first
                     raise ValueError(f"{path}:{line_no}: {exc}") from exc
-                for column, value in zip(columns, (post.post_id, post.target_text, post.parent_text, *oc, *ic)):
+                for column, value in zip(scores, (*oc, *ic)):
                     column.append(value)
         except UnicodeDecodeError:
+            posts_at(str(path), lines, texts)
             raise not_utf8(Path(path)) from None
-    return SensitivityTable(*columns)
+    posts = posts_at(str(path), lines, texts)
+    return SensitivityTable(posts.post_ids, posts.target_texts, posts.parent_texts, *scores)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Post
+from .corpus import PostTable
 from .evaluation import mae, mse
 from .models import FAMILY_RIDGE, TrainConfig, train
 
@@ -31,7 +31,7 @@ class AugmentationError(ValueError):
 
 @dataclass(frozen=True)
 class AugmentationConfig:
-    pool: tuple[Post, ...]
+    pool: PostTable
     selection: str = SELECTION_TEACHER_TOP_K
     k_per_cycle: int = 1000
     n_cycles: int = 5
@@ -42,7 +42,6 @@ class AugmentationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pool", tuple(self.pool))
         if self.selection not in (SELECTION_TEACHER_TOP_K, SELECTION_RANDOM_K):
             raise AugmentationError(f"unknown selection {self.selection!r}")
         if self.k_per_cycle < 1 or self.n_cycles < 1:
@@ -88,12 +87,14 @@ class CycleLog:
         }
 
 
-def select_top_k(scored: Sequence[tuple[str, float]], k: int) -> list[str]:
-    """Ids of the k largest scores; ties break by ascending post id."""
-    if k > len(scored):
-        raise AugmentationError(f"k={k} exceeds pool size {len(scored)}")
-    ranked = sorted(scored, key=lambda item: (-item[1], item[0]))
-    return [post_id for post_id, _ in ranked[:k]]
+def select_top_k(post_ids: Sequence[str], scores: Sequence[float], k: int) -> np.ndarray:
+    """Row indices of the k largest scores, largest first; ties break by
+    ascending post id."""
+    if k > len(post_ids):
+        raise AugmentationError(f"k={k} exceeds pool size {len(post_ids)}")
+    id_rank = np.empty(len(post_ids), dtype=np.int64)
+    id_rank[sorted(range(len(post_ids)), key=post_ids.__getitem__)] = np.arange(len(post_ids))
+    return np.lexsort((id_rank, -np.asarray(scores, dtype=np.float64)))[:k]
 
 
 def run_augmentation(
@@ -102,19 +103,20 @@ def run_augmentation(
     """Run the augmentation loop, returning one log per cycle.
 
     Each gold split is (post_ids, texts, targets) columns. The pool must be
-    disjoint from every gold split. The evaluation split is the given
-    gold_test for every cycle. Fully deterministic given (seed, config) for
-    deterministic model families.
+    disjoint from every gold split, and the training split from the test
+    split. The evaluation split is the given gold_test for every cycle.
+    Fully deterministic given (seed, config) for deterministic model families.
     """
+    pool = config.pool
     gold_ids = {post_id for ids, _, _ in (gold_train, gold_validation, gold_test) for post_id in ids}
-    pool_ids = {post.post_id for post in config.pool}
-    overlap = gold_ids & pool_ids
+    overlap = gold_ids.intersection(pool.post_ids)
     if overlap:
         raise AugmentationError(f"pool overlaps gold splits on {sorted(overlap)[:5]}")
     test_ids, test_texts, test_targets = gold_test
-    test_ids = set(test_ids)
+    if set(test_ids).intersection(gold_train[0]):
+        raise AugmentationError("train set leaked into the test split")
 
-    pool: list[Post] = list(config.pool)
+    remaining = np.arange(len(pool))  # pool rows not yet selected, in pool order
     train_ids, train_texts, train_targets = (list(column) for column in gold_train)
     validation = gold_validation[1:]
 
@@ -128,34 +130,26 @@ def run_augmentation(
     logs: list[CycleLog] = []
     for cycle, k in enumerate(plan):
         started = time.perf_counter()
-        silver = teacher.predict_batch([post.target_text for post in pool])
+        rows = remaining.tolist()
+        silver = teacher.predict_batch([pool.target_texts[i] for i in rows])
         if config.selection == SELECTION_TEACHER_TOP_K:
-            selected_ids = select_top_k([(post.post_id, float(s)) for post, s in zip(pool, silver)], k)
+            chosen = select_top_k([pool.post_ids[i] for i in rows], silver, k)
         else:
             rng = np.random.default_rng(np.random.SeedSequence([config.seed, cycle]))
-            chosen = rng.choice(len(pool), size=k, replace=False)
-            selected_ids = [pool[i].post_id for i in sorted(chosen)]
-        selected_set = set(selected_ids)
-        if selected_set & test_ids:
-            raise AugmentationError("selection leaked into the test split")
-
-        silver_by_id = {post.post_id: float(s) for post, s in zip(pool, silver)}
-        for post in pool:
-            if post.post_id in selected_set:
-                train_ids.append(post.post_id)
-                train_texts.append(post.target_text)
-                train_targets.append(silver_by_id[post.post_id])
-        pool = [post for post in pool if post.post_id not in selected_set]
-        if test_ids.intersection(train_ids):
-            raise AugmentationError("train set leaked into the test split")
+            chosen = np.sort(rng.choice(len(rows), size=k, replace=False))
+        for i in np.sort(chosen).tolist():  # training rows join in pool order
+            train_ids.append(pool.post_ids[rows[i]])
+            train_texts.append(pool.target_texts[rows[i]])
+            train_targets.append(float(silver[i]))
+        remaining = np.delete(remaining, chosen)
 
         student = train(config.student_family, train_texts, train_targets, validation, config.train_config)
         predictions = student.predict_batch(test_texts)
-        scores = [silver_by_id[post_id] for post_id in selected_ids]
+        scores = silver[chosen].tolist()
         logs.append(
             CycleLog(
                 cycle=cycle,
-                selected_post_ids=tuple(selected_ids),
+                selected_post_ids=tuple(pool.post_ids[rows[i]] for i in chosen.tolist()),
                 selected_silver_scores=tuple(scores),
                 silver_min=min(scores),
                 silver_mean=float(np.mean(scores)),
@@ -164,7 +158,7 @@ def run_augmentation(
                 student_mae=mae(predictions, test_targets),
                 n_test=len(test_texts),
                 train_size=len(train_ids),
-                pool_size=len(pool),
+                pool_size=len(remaining),
                 wall_clock_seconds=time.perf_counter() - started,
             )
         )

@@ -323,8 +323,8 @@ def _stats(run: Run) -> None:
             )
             report["parent_utility_zero_vote_post_ids"] = zero_vote
 
-    target_lengths = [len(p.target_text) for p in bundle.posts]
-    parent_lengths = [len(p.parent_text) for p in bundle.posts if p.parent_text is not None]
+    target_lengths = [len(text) for text in bundle.posts.target_texts]
+    parent_lengths = [len(text) for text in bundle.posts.parent_texts if text is not None]
     length_bins = np.linspace(0, max(target_lengths + parent_lengths, default=1), 21)
     write_csv(
         run.out("lengths.csv"),
@@ -341,8 +341,6 @@ def _train(run: Run) -> None:
     perm = np.random.default_rng(run.train_config.seed).permutation(len(table))
     n_val = int(len(table) * run.config["val-fraction"])
     tr, val = table.take(perm[n_val:]), table.take(perm[:n_val])
-    if not len(tr):
-        raise CliValidationError("validation fraction leaves no training data")
     model = models.train(run.config["family"], tr.target_texts, tr.delta, (val.target_texts, val.delta), run.train_config)
     try:
         models.save_model(model, run.out("model.bin"))
@@ -392,7 +390,7 @@ def _stratify(run: Run) -> None:
 
 def _sample(run: Run) -> None:
     """top-k posts by predicted sensitivity"""
-    from . import models
+    from . import augmentation, models
     k = run.config["k"]
     pool = load_posts(run.inputs["pool"])
     if k > len(pool):
@@ -405,13 +403,13 @@ def _sample(run: Run) -> None:
             raise CliValidationError("--scorer/--scorer-tcp is not the scorer this model was trained with")
         model.endpoint = run.endpoint
     try:
-        scores = model.predict_batch([p.target_text for p in pool])
+        scores = model.predict_batch(pool.target_texts)
     finally:
         model.close()
-    ranked = sorted(zip(pool, scores), key=lambda pair: (-pair[1], pair[0].post_id))
+    top = augmentation.select_top_k(pool.post_ids, scores, k).tolist()
     write_jsonl(
         run.out("selected.jsonl"),
-        ({"post_id": p.post_id, "score": float(s), "rank": rank} for rank, (p, s) in enumerate(ranked[:k])),
+        ({"post_id": pool.post_ids[i], "score": float(scores[i]), "rank": rank} for rank, i in enumerate(top)),
     )
 
 
@@ -428,7 +426,7 @@ def _augment(run: Run) -> None:
         parts = (table.take(idx) for idx in evaluation.split_indices(len(table), split, repeat))
         gold = [(part.post_ids, part.target_texts, part.delta) for part in parts]
         aug_config = augmentation.AugmentationConfig(
-            pool=tuple(pool),
+            pool=pool,
             selection=run.config["selection"],
             k_per_cycle=run.config["k"],
             n_cycles=run.config["cycles"],

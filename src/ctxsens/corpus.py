@@ -1,16 +1,16 @@
-"""Posts and dual-condition annotations: loading, validation, persistence.
+"""Posts and dual-condition annotations: loading and validation.
 
 A corpus is three files: one posts file and two annotation files (one per
 rating condition). JSONL is the canonical format; CSV is an import/export
 convenience with RFC-4180 quoting. Text is stored verbatim; normalization is
 the featurizer's job.
 
-Each condition's annotations are held as one columnar `AnnotationTable`, not
-as an object per judgment: the post ids in file order, an int8 label code per
-judgment, an int8 parent-helpful flag per judgment (-1 for null) and int64
-CSR-style offsets, one per record plus one. Both loaders fill it through
-`_read_table`; scores, agreement and helpful-vote majorities are per-record
-counts over its arrays.
+Posts are one columnar `PostTable` and each condition's annotations one
+columnar `AnnotationTable`, not an object per judgment: the post ids in file
+order, an int8 label code per judgment, an int8 parent-helpful flag per
+judgment (-1 for null) and int64 CSR-style offsets, one per record plus one.
+Both loaders fill it through `_read_table`; scores, agreement and
+helpful-vote majorities are per-record counts over its arrays.
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ from __future__ import annotations
 import csv
 import json
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -74,35 +75,86 @@ class EmptyJudgmentsError(CorpusError):
 
 
 @dataclass(frozen=True)
-class Post:
-    """A target post and, optionally, the post it replied to.
+class PostTable:
+    """Posts as read-only columns, row i being post post_ids[i] with its
+    target text and its parent's text, or None, which an empty one becomes.
 
-    An empty parent_text is normalized to None: a parent that carries no text
-    is indistinguishable from an absent one. NUL characters are rejected
-    (the CSV dialect cannot carry them).
+    Ids are unique and nonempty, target texts not blank, and no text holds
+    a NUL or a lone surrogate. The columns are checked whole; only when a
+    check fails are the rows walked, to raise the first bad row's error
+    with its index as `row`.
     """
 
-    post_id: str
-    target_text: str
-    parent_text: str | None = None
+    post_ids: tuple[str, ...]
+    target_texts: tuple[str, ...]
+    parent_texts: tuple[str | None, ...]
 
     def __post_init__(self) -> None:
-        if not self.post_id:
-            raise CorpusError("post_id must be nonempty")
-        if not self.target_text.strip():
-            raise CorpusError(f"post {self.post_id!r}: target_text is blank")
-        for name in ("post_id", "target_text", "parent_text"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if "\x00" in value:
-                raise CorpusError(f"post {self.post_id!r}: {name} contains a NUL character")
-            try:
-                value.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise CorpusError(f"post {self.post_id!r}: {name} is not valid UTF-8: {exc}") from exc
-        if self.parent_text == "":
-            object.__setattr__(self, "parent_text", None)
+        ids, targets, parents = tuple(self.post_ids), tuple(self.target_texts), tuple(self.parent_texts)
+        if not len(ids) == len(targets) == len(parents):
+            raise ValueError("columns differ in length")
+        try:  # a text that is not a str fails the join, a lone surrogate the encoding
+            texts = "".join(chain(ids, targets, filter(None, parents)))
+            encodable = texts.isascii() or bool(texts.encode("utf-8"))
+        except (TypeError, UnicodeEncodeError):
+            encodable = False
+        if not (
+            encodable
+            and set(map(type, parents)) <= {str, type(None)}
+            and "" not in ids
+            and all(map(str.strip, targets))
+            and "\x00" not in texts  # the CSV dialect cannot carry a NUL
+            and len(set(ids)) == len(ids)
+        ):
+            seen: set[str] = set()
+            for row, (post_id, target, parent) in enumerate(zip(ids, targets, parents)):
+                if error := _row_error(post_id, target, parent, seen):
+                    error.row = row
+                    raise error
+                seen.add(post_id)
+        object.__setattr__(self, "post_ids", ids)
+        object.__setattr__(self, "target_texts", targets)
+        object.__setattr__(self, "parent_texts", tuple(parent or None for parent in parents))
+
+    def __len__(self) -> int:
+        return len(self.post_ids)
+
+    def take(self, idx):
+        """The rows idx (an index sequence), in that order, as a table of this type."""
+        idx = np.asarray(idx, dtype=np.int64)
+        rows = idx.tolist()
+        columns = (getattr(self, f.name) for f in fields(self))
+        return type(self)(*([column[i] for i in rows] if isinstance(column, tuple) else column[idx] for column in columns))
+
+
+def _row_error(post_id, target, parent, seen: set[str]) -> CorpusError | None:
+    """The error of the first check that a row fails, in this order, or None."""
+    for key, value in (("post_id", post_id), ("target_text", target)):
+        if not isinstance(value, str):
+            return CorpusError(f"field {key!r} must be a string")
+    if parent is not None and not isinstance(parent, str):
+        return CorpusError("field 'parent_text' must be a string or null")
+    if not post_id:
+        return CorpusError("post_id must be nonempty")
+    if not target.strip():
+        return CorpusError(f"post {post_id!r}: target_text is blank")
+    for name, value in (("post_id", post_id), ("target_text", target), ("parent_text", parent or "")):
+        if "\x00" in value:
+            return CorpusError(f"post {post_id!r}: {name} contains a NUL character")
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            return CorpusError(f"post {post_id!r}: {name} is not valid UTF-8: {exc}")
+    return DuplicateRecordError(f"duplicate post_id {post_id!r}") if post_id in seen else None
+
+
+def posts_at(source: str, lines: Sequence[int], rows: Sequence[tuple]) -> PostTable:
+    """The PostTable of (post_id, target_text, parent_text) rows read from
+    these lines of source; a row that it rejects is a ParseError at its line."""
+    try:
+        return PostTable(*(list(zip(*rows)) or [(), (), ()]))
+    except CorpusError as exc:
+        raise ParseError(source, lines[exc.row], str(exc)) from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,17 +223,12 @@ class AnnotationTable:
 class DatasetBundle:
     """Validated, immutable join of posts with their IC and OC annotations."""
 
-    posts: tuple[Post, ...]
+    posts: PostTable
     ic_annotations: AnnotationTable
     oc_annotations: AnnotationTable
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "posts", tuple(self.posts))
-        post_ids: set[str] = set()
-        for post in self.posts:
-            if post.post_id in post_ids:
-                raise DuplicateRecordError(f"duplicate post_id {post.post_id!r}")
-            post_ids.add(post.post_id)
+        post_ids = set(self.posts.post_ids)
         tables = ((self.ic_annotations, Condition.IN_CONTEXT), (self.oc_annotations, Condition.OUT_OF_CONTEXT))
         for table, expected in tables:
             foreign = table.foreign if table.condition is expected else 0
@@ -218,16 +265,8 @@ def _read_table(path: Path, rows: Iterator, parse, condition: Condition) -> Anno
 # --- JSONL -----------------------------------------------------------------
 
 
-def _post(source: str, line: int, post_id: str, target_text: str, parent_text: str | None) -> Post:
-    try:
-        return Post(post_id, target_text, parent_text or None)
-    except CorpusError as exc:
-        raise ParseError(source, line, str(exc)) from exc
-
-
-def _post_from_obj(obj: dict, source: str, line: int) -> Post:
-    fields = (_str(obj, "post_id", source, line), _str(obj, "target_text", source, line))
-    return _post(source, line, *fields, _str(obj, "parent_text", source, line, optional=True))
+def _post_from_obj(obj: dict) -> tuple:
+    return obj.get("post_id"), obj.get("target_text"), obj.get("parent_text")
 
 
 def _annotation_from_obj(obj: dict, source: str, line: int) -> tuple:
@@ -257,10 +296,10 @@ def _annotation_from_obj(obj: dict, source: str, line: int) -> tuple:
     return post_id, condition, labels, map(_HELPFUL_CODES.__getitem__, helpful)
 
 
-def _str(obj: dict, key: str, source: str, line: int, optional: bool = False) -> str | None:
+def _str(obj: dict, key: str, source: str, line: int) -> str:
     value = obj.get(key)
-    if not isinstance(value, str) and not (optional and value is None):
-        raise ParseError(source, line, f"field {key!r} must be a string{' or null' if optional else ''}")
+    if not isinstance(value, str):
+        raise ParseError(source, line, f"field {key!r} must be a string")
     return value
 
 
@@ -319,10 +358,6 @@ def _read_csv_rows(path: Path, expected_header: list[str]) -> Iterator[tuple[int
             raise not_utf8(path) from None
 
 
-def _post_from_csv(row: list[str], source: str, line: int) -> Post:
-    return _post(source, line, *row)
-
-
 def _annotation_from_csv(row: list[str], source: str, line: int) -> tuple:
     post_id, condition, labels_cell, helpful_cell = row
     if condition not in _CONDITION_VALUES:
@@ -342,22 +377,16 @@ def _annotation_from_csv(row: list[str], source: str, line: int) -> tuple:
         raise ParseError(source, line, f"bad parent_helpful slot {exc.args[0]!r}") from None
 
 
-def _encode_helpful(helpful: Sequence[bool | None]) -> str:
-    if all(h is None for h in helpful):
-        return ""
-    return "|".join("" if h is None else ("true" if h else "false") for h in helpful)
-
-
-# --- public load/save ------------------------------------------------------
+# --- public loaders --------------------------------------------------------
 
 
 def _readers(format: str) -> tuple:
-    """(posts rows, post parser, annotation rows, annotation parser) of a file format."""
+    """(posts rows, post fields of a row, annotation rows, annotation parser) of a file format."""
     if format == "jsonl":
         return _iter_jsonl, _post_from_obj, _iter_jsonl, _annotation_from_obj
     if format == "csv":
         csv_rows = lambda header: partial(_read_csv_rows, expected_header=header)  # noqa: E731
-        return csv_rows(_POST_HEADER), _post_from_csv, csv_rows(_ANNOTATION_HEADER), _annotation_from_csv
+        return csv_rows(_POST_HEADER), tuple, csv_rows(_ANNOTATION_HEADER), _annotation_from_csv
     raise CorpusError(f"unknown format {format!r} (expected 'jsonl' or 'csv')")
 
 
@@ -373,43 +402,12 @@ def load_bundle(
     ParseError (with source and line), DuplicateRecordError,
     DanglingReferenceError, or CorpusError; anything schema-conformant loads.
     """
-    posts_path, ic_path, oc_path = Path(posts_path), Path(ic_path), Path(oc_path)
-    post_rows, parse_post, annotation_rows, parse_annotation = _readers(format)
-    posts = [parse_post(row, str(posts_path), n) for n, row in post_rows(posts_path)]
+    ic_path, oc_path = Path(ic_path), Path(oc_path)
+    posts = _read_posts(Path(posts_path), format)
+    _, _, annotation_rows, parse_annotation = _readers(format)
     ic = _read_table(ic_path, annotation_rows(ic_path), parse_annotation, Condition.IN_CONTEXT)
     oc = _read_table(oc_path, annotation_rows(oc_path), parse_annotation, Condition.OUT_OF_CONTEXT)
-    return DatasetBundle(tuple(posts), ic, oc)
-
-
-def save_bundle(
-    bundle: DatasetBundle,
-    posts_path: str | Path,
-    ic_path: str | Path,
-    oc_path: str | Path,
-    format: str = "jsonl",
-) -> None:
-    """Persist a bundle so that load_bundle reproduces it field-for-field."""
-    save_posts(bundle.posts, posts_path, format)  # rejects an unknown format before any other file is written
-    for path, table in ((ic_path, bundle.ic_annotations), (oc_path, bundle.oc_annotations)):
-        condition, records = table.condition.value, table.records()
-        if format == "jsonl":
-            write_jsonl(
-                Path(path),
-                (
-                    {
-                        "post_id": post_id,
-                        "condition": condition,
-                        "judgments": [{"label": l, "parent_helpful": h} for l, h in zip(labels, helpful)],
-                    }
-                    for post_id, labels, helpful in records
-                ),
-            )
-        else:
-            write_csv(
-                Path(path),
-                _ANNOTATION_HEADER,
-                ([post_id, condition, "|".join(labels), _encode_helpful(helpful)] for post_id, labels, helpful in records),
-            )
+    return DatasetBundle(posts, ic, oc)
 
 
 def write_jsonl(path: Path, objs: Iterable[dict]) -> None:
@@ -427,30 +425,24 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> No
         writer.writerows(rows)
 
 
-def load_posts(path: str | Path, format: str = "jsonl") -> list[Post]:
-    """Load a standalone posts file (e.g. an unlabeled sampling pool); a
-    repeated post_id is a ParseError at the line that repeats it."""
-    path = Path(path)
-    rows, parse = _readers(format)[:2]
-    posts: list[Post] = []
-    seen: set[str] = set()
-    for n, row in rows(path):
-        post = parse(row, str(path), n)
-        if post.post_id in seen:
-            raise ParseError(str(path), n, f"duplicate post_id {post.post_id!r}")
-        seen.add(post.post_id)
-        posts.append(post)
-    return posts
+def load_posts(path: str | Path, format: str = "jsonl") -> PostTable:
+    """Load a standalone posts file (e.g. an unlabeled sampling pool)."""
+    return _read_posts(Path(path), format)
 
 
-def save_posts(posts: Sequence[Post], path: str | Path, format: str = "jsonl") -> None:
-    path = Path(path)
-    if format == "jsonl":
-        write_jsonl(path, ({"post_id": p.post_id, "target_text": p.target_text, "parent_text": p.parent_text} for p in posts))
-    elif format == "csv":
-        write_csv(path, _POST_HEADER, ([p.post_id, p.target_text, p.parent_text or ""] for p in posts))
-    else:
-        raise CorpusError(f"unknown format {format!r} (expected 'jsonl' or 'csv')")
+def _read_posts(path: Path, format: str) -> PostTable:
+    """A posts file as a table. The first bad row in file order is a
+    ParseError at its line, a repeated post_id included."""
+    rows, fields_of = _readers(format)[:2]
+    records, lines = [], []
+    try:
+        for n, row in rows(path):
+            records.append(fields_of(row))
+            lines.append(n)
+    except ParseError:
+        posts_at(str(path), lines, records)  # a bad row above the line that fails to parse is reported first
+        raise
+    return posts_at(str(path), lines, records)
 
 
 _BOOLEANS = {**dict.fromkeys(("true", "1", "yes", "t"), True), **dict.fromkeys(("false", "0", "no", "f"), False)}

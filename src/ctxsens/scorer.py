@@ -2,8 +2,8 @@
 
 Transport is either a child process's standard streams or a TCP endpoint.
 Requests are `{"id": str, "text": str, "parent": str|null}`; responses are
-`{"id": str, "score": float}` and may arrive out of order (matching is by
-id). An optional `{"op": "fit", "examples": [...]}` handshake lets an
+`{"id": str, "score": finite float}` and may arrive out of order (matching
+is by id). An optional `{"op": "fit", "examples": [...]}` handshake lets an
 adapter accept training data; adapters that reject it are inference-only.
 """
 
@@ -14,6 +14,7 @@ import json
 import queue
 import socket
 import subprocess
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -191,11 +192,11 @@ class ExternalScorerClient:
                     request_id = obj.get("id")  # a fit reply, or an id not outstanding, matches nothing
                     if isinstance(request_id, str) and outstanding.pop(request_id, None) is not None:
                         score = obj.get("score")
-                        if isinstance(score, (int, float)) and not isinstance(score, bool):
+                        if type(score) in (int, float) and abs(score) <= sys.float_info.max:  # no NaN, inf or huge int
                             scores[request_id] = float(score)
                         else:
                             failures[request_id] = ScorerProtocolError(
-                                f"response for id {request_id!r} has no numeric score: {obj}"
+                                f"response for id {request_id!r} has no finite numeric score: {obj}"
                             )
                     obj = self._next_response(0.0)
         return scores, failures

@@ -9,7 +9,7 @@ import numpy as np
 from scipy import sparse
 
 from ctxsens.aggregation import SensitivityTable
-from ctxsens.corpus import AnnotationTable, Condition, DatasetBundle, Label, Post
+from ctxsens.corpus import AnnotationTable, Condition, DatasetBundle, Label, PostTable, write_csv, write_jsonl
 
 from oracles import binary_sem
 
@@ -18,6 +18,52 @@ TOY_SCORER = Path(__file__).with_name("toy_scorer.py")
 
 def toy_scorer_command(*extra: str) -> tuple[str, ...]:
     return (sys.executable, str(TOY_SCORER), *extra)
+
+
+def post_table(rows) -> PostTable:
+    """A table of (post_id, target_text) or (post_id, target_text, parent_text) rows."""
+    rows = [(*row, None)[:3] for row in rows]
+    return PostTable(*(zip(*rows) if rows else ((), (), ())))
+
+
+def save_posts(posts: PostTable, path, format: str = "jsonl") -> None:
+    """Write a posts file, JSONL or CSV, that load_posts reads back as the same table."""
+    rows = zip(posts.post_ids, posts.target_texts, posts.parent_texts)
+    if format == "jsonl":
+        write_jsonl(Path(path), ({"post_id": i, "target_text": t, "parent_text": p} for i, t, p in rows))
+    else:
+        write_csv(Path(path), ["post_id", "target_text", "parent_text"], ([i, t, p or ""] for i, t, p in rows))
+
+
+def _encode_helpful(helpful) -> str:
+    if all(h is None for h in helpful):
+        return ""
+    return "|".join("" if h is None else ("true" if h else "false") for h in helpful)
+
+
+def save_bundle(bundle: DatasetBundle, posts_path, ic_path, oc_path, format: str = "jsonl") -> None:
+    """Write a bundle's three files so that load_bundle reproduces it field for field."""
+    save_posts(bundle.posts, posts_path, format)
+    for path, table in ((ic_path, bundle.ic_annotations), (oc_path, bundle.oc_annotations)):
+        condition, records = table.condition.value, table.records()
+        if format == "jsonl":
+            write_jsonl(
+                Path(path),
+                (
+                    {
+                        "post_id": post_id,
+                        "condition": condition,
+                        "judgments": [{"label": l, "parent_helpful": h} for l, h in zip(labels, helpful)],
+                    }
+                    for post_id, labels, helpful in records
+                ),
+            )
+        else:
+            write_csv(
+                Path(path),
+                ["post_id", "condition", "labels", "parent_helpful"],
+                ([post_id, condition, "|".join(labels), _encode_helpful(helpful)] for post_id, labels, helpful in records),
+            )
 
 
 def csr(rows) -> sparse.csr_matrix:
@@ -81,7 +127,7 @@ def synthetic_bundle(n_posts: int = 40, seed: int = 0, n_raters: int = 5) -> Dat
         post_id = f"post{i:03d}"
         text = " ".join(rng.choice(words, size=rng.integers(3, 8)))
         parent = " ".join(rng.choice(words, size=4)) if rng.random() < 0.8 else None
-        posts.append(Post(post_id, text, parent))
+        posts.append((post_id, text, parent))
         p_oc = rng.random() * 0.8
         p_ic = max(0.0, min(1.0, p_oc + rng.normal(0, 0.25)))
         ic_labels = [
@@ -94,7 +140,7 @@ def synthetic_bundle(n_posts: int = 40, seed: int = 0, n_raters: int = 5) -> Dat
         ic.append((post_id, ic_labels, helpful))
         oc.append((post_id, oc_labels, None))
     return DatasetBundle(
-        tuple(posts), annotation_table(Condition.IN_CONTEXT, ic), annotation_table(Condition.OUT_OF_CONTEXT, oc)
+        post_table(posts), annotation_table(Condition.IN_CONTEXT, ic), annotation_table(Condition.OUT_OF_CONTEXT, oc)
     )
 
 
@@ -104,7 +150,7 @@ def planted_posts(
     vocab_size: int = 60,
     id_prefix: str = "p",
     noise: float = 0.0,
-) -> tuple[list[Post], list[float]]:
+) -> tuple[PostTable, list[float]]:
     """Posts whose true sensitivity is the mean of per-token planted values."""
     rng = np.random.default_rng(seed)
     token_values = rng.uniform(-0.8, 0.8, vocab_size)
@@ -116,20 +162,21 @@ def planted_posts(
         value = float(np.mean(token_values[token_ids]))
         if noise:
             value = float(np.clip(value + rng.normal(0, noise), -1.0, 1.0))
-        posts.append(Post(f"{id_prefix}{i:05d}", text))
+        posts.append((f"{id_prefix}{i:05d}", text))
         targets.append(value)
-    return posts, targets
+    return post_table(posts), targets
 
 
-def split_columns(posts, targets) -> tuple[list[str], list[str], list[float]]:
-    """A gold split as run_augmentation takes it: (post_ids, texts, targets)."""
-    return [p.post_id for p in posts], [p.target_text for p in posts], list(targets)
+def split_columns(posts: PostTable, targets, part: slice = slice(None)) -> tuple[list[str], list[str], list[float]]:
+    """Rows part of posts as a gold split as run_augmentation takes it: (post_ids, texts, targets)."""
+    return list(posts.post_ids[part]), list(posts.target_texts[part]), list(targets[part])
 
 
 def planted_examples(n: int, seed: int, **kwargs) -> SensitivityTable:
     """A table of planted posts, their deltas quantized to the 1/1000 grid."""
     posts, targets = planted_posts(n, seed, **kwargs)
-    return sensitivity_table(record_with_delta(round(t, 3), p.post_id, p.target_text) for p, t in zip(posts, targets))
+    rows = zip(posts.post_ids, posts.target_texts, targets)
+    return sensitivity_table(record_with_delta(round(t, 3), post_id, text) for post_id, text, t in rows)
 
 
 HOT_TOKEN_VALUE = 0.7
@@ -142,7 +189,7 @@ def two_region_corpus(
     mix: dict[str, float],
     id_prefix: str,
     base_vocab: int = 60,
-) -> list[tuple[Post, float, str]]:
+) -> tuple[PostTable, list[float]]:
     """Bag-of-tokens corpus with two rare high-sensitivity regions.
 
     Region "A" posts carry strong tokens from group a, region "B" from group
@@ -154,7 +201,7 @@ def two_region_corpus(
     """
     rng = np.random.default_rng(seed)
     base_values = np.random.default_rng(123).uniform(-0.05, 0.05, base_vocab)
-    out = []
+    posts, targets = [], []
     for i in range(n):
         u = rng.random()
         kind = "base"
@@ -182,5 +229,6 @@ def two_region_corpus(
             add_hot("a", 2)
             add_hot("b", 2)
         target = round(float(np.clip(np.mean(values), -1.0, 1.0)), 3)
-        out.append((Post(f"{id_prefix}{i:05d}", " ".join(words)), target, kind))
-    return out
+        posts.append((f"{id_prefix}{i:05d}", " ".join(words)))
+        targets.append(target)
+    return post_table(posts), targets

@@ -365,17 +365,17 @@ def compute_sensitivities(bundle) -> tuple[list[tuple], list[str]]:
     ic = {post_id: labels for post_id, labels, _ in bundle.ic_annotations.records()}
     oc = {post_id: labels for post_id, labels, _ in bundle.oc_annotations.records()}
     rows, excluded = [], []
-    for post in bundle.posts:
-        if post.post_id not in ic or post.post_id not in oc:
-            excluded.append(post.post_id)
+    posts = bundle.posts
+    for post_id, target_text, parent_text in zip(posts.post_ids, posts.target_texts, posts.parent_texts):
+        if post_id not in ic or post_id not in oc:
+            excluded.append(post_id)
             continue
-        s_ic, s_oc = aggregate_score(ic[post.post_id]), aggregate_score(oc[post.post_id])
+        s_ic, s_oc = aggregate_score(ic[post_id]), aggregate_score(oc[post_id])
         if s_ic is None or s_oc is None:
-            excluded.append(post.post_id)
+            excluded.append(post_id)
             continue
         delta, threshold = s_oc[0] - s_ic[0], s_oc[2] + s_ic[2]
-        texts = (post.post_id, post.target_text, post.parent_text)
-        rows.append((*texts, *s_oc, *s_ic, delta, threshold, abs(delta) > threshold))
+        rows.append((post_id, target_text, parent_text, *s_oc, *s_ic, delta, threshold, abs(delta) > threshold))
     return rows, excluded
 
 

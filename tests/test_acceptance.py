@@ -86,7 +86,8 @@ def test_criterion_1_metric_oracle_equivalence():
 def _balanced_examples(n: int, seed: int) -> SensitivityTable:
     posts, _ = planted_posts(n, seed=seed)
     return sensitivity_table(
-        record_with_delta(0.6 if i % 2 == 0 else 0.0, post.post_id, post.target_text) for i, post in enumerate(posts)
+        record_with_delta(0.6 if i % 2 == 0 else 0.0, post_id, text)
+        for i, (post_id, text) in enumerate(zip(posts.post_ids, posts.target_texts))
     )
 
 
@@ -192,7 +193,7 @@ def test_criterion_4_classical_regressor_ballpark():
 def _planted_split(seed: int):
     gold_posts, gold_targets = planted_posts(150, seed=seed, vocab_size=60)
     parts = (slice(0, 100), slice(100, 120), slice(120, None))
-    return tuple(split_columns(gold_posts[part], gold_targets[part]) for part in parts)
+    return tuple(split_columns(gold_posts, gold_targets, part) for part in parts)
 
 
 def test_criterion_5_augmentation_structural_suite():
@@ -204,7 +205,7 @@ def test_criterion_5_augmentation_structural_suite():
 
         def run(selection):
             aug = AugmentationConfig(
-                pool=tuple(pool),
+                pool=pool,
                 selection=selection,
                 k_per_cycle=40,
                 n_cycles=5,
@@ -247,25 +248,19 @@ def test_criterion_6_augmentation_trend():
             test_items = two_region_corpus(200, seed + 3, {"A": 0.15, "AB": 0.1, "B": 0.25}, "test")
             val_items = two_region_corpus(40, seed + 4, {"A": 0.1}, "val")
 
-            def rows(items):
-                return split_columns([p for p, _, _ in items], [t for _, t, _ in items])
-
             config = TrainConfig(features=FeatureConfig(min_df=2, ngram_max=1), ridge_lambda=0.01, seed=seed)
             base = dict(
-                pool=tuple(p for p, _, _ in pool_items),
+                pool=pool_items[0],
                 k_per_cycle=100,
                 n_cycles=5,
                 train_config=config,
                 seed=seed,
             )
-            cycled = run_augmentation(
-                rows(gold_items), rows(val_items), rows(test_items), AugmentationConfig(**base)
-            )
-            single = run_augmentation(
-                rows(gold_items), rows(val_items), rows(test_items), AugmentationConfig(**base, single_shot=True)
-            )
+            splits = [split_columns(*items) for items in (gold_items, val_items, test_items)]
+            cycled = run_augmentation(*splits, AugmentationConfig(**base))
+            single = run_augmentation(*splits, AugmentationConfig(**base, single_shot=True))
             # guard: the student genuinely learns the planted signal
-            zero_mse = float(np.mean(np.array([t for _, t, _ in test_items]) ** 2))
+            zero_mse = float(np.mean(np.array(test_items[1]) ** 2))
             assert cycled[-1].student_mse < 0.5 * zero_mse
             wins += cycled[-1].student_mse <= single[0].student_mse
         assert wins >= 4, f"cycled beat single-shot on only {wins}/5 seeds"

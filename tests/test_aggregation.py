@@ -20,9 +20,17 @@ from ctxsens.aggregation import (
     save_examples,
     sensitivity_histogram,
 )
-from ctxsens.corpus import Condition, DatasetBundle, Label, Post
+from ctxsens.corpus import Condition, DatasetBundle, DuplicateRecordError, Label
 
-from helpers import annotation_table, record_with_delta, score_of, sensitivity_table, synthetic_bundle, table_rows
+from helpers import (
+    annotation_table,
+    post_table,
+    record_with_delta,
+    score_of,
+    sensitivity_table,
+    synthetic_bundle,
+    table_rows,
+)
 
 IC, OC = Condition.IN_CONTEXT, Condition.OUT_OF_CONTEXT
 
@@ -182,7 +190,7 @@ def test_threshold_is_sum_of_sems():
     assert one_post(s_oc, s_ic).threshold[0] == s_oc[2] + s_ic[2]
     # from judgments: 2 of 5 toxic out of context, 1 of 5 in context
     bundle = DatasetBundle(
-        (Post("p", "text"),),
+        post_table([("p", "text")]),
         records(("p", [Label.TOXIC] + [Label.NON_TOXIC] * 4)),
         records(("p", [Label.TOXIC] * 2 + [Label.NON_TOXIC] * 3), condition=OC),
     )
@@ -193,7 +201,7 @@ def test_threshold_is_sum_of_sems():
 def test_strict_inequality_at_threshold(tmp_path):
     # 1 of 2 raters toxic out of context, none in context: |delta| = 0.5 = sem = threshold
     bundle = DatasetBundle(
-        (Post("tie", "text"), Post("over", "text")),
+        post_table([("tie", "text"), ("over", "text")]),
         records(("tie", [Label.NON_TOXIC] * 5), ("over", [Label.NON_TOXIC] * 5)),
         records(
             ("tie", [Label.TOXIC, Label.NON_TOXIC]), ("over", [Label.TOXIC, Label.TOXIC, Label.NON_TOXIC]), condition=OC
@@ -375,6 +383,32 @@ def test_examples_round_trip(tmp_path):
 def test_load_examples_rejects_duplicate_post_ids(tmp_path):
     table, _ = compute_sensitivities(synthetic_bundle(n_posts=10, seed=1))
     path = tmp_path / "sensitivity.jsonl"
-    save_examples(table.take([*range(len(table)), 3]), path)
+    save_examples(table, path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines + lines[3:4]), encoding="utf-8")
     with pytest.raises(ValueError, match=f"^{path}:{len(table) + 1}: duplicate post_id '{table.post_ids[3]}'$"):
         load_examples(path)
+    with pytest.raises(DuplicateRecordError, match=f"^duplicate post_id '{table.post_ids[3]}'$"):
+        table.take([*range(len(table)), 3])
+
+
+@pytest.mark.parametrize(
+    "edits, line, message",
+    [
+        ({1: with_fields(target_text=" ", delta=0.9)}, 2, "post 'b': target_text is blank"),
+        ({1: with_fields(delta=0.9), 2: with_fields(target_text=" ")}, 2, "delta must equal s_oc.value - s_ic.value exactly"),
+        ({1: with_fields(target_text=" "), 2: with_fields(delta=0.9)}, 2, "post 'b': target_text is blank"),
+        ({1: with_fields(post_id=5, target_text=" ")}, 2, "field 'post_id' must be a string, got int"),
+        ({1: with_fields(post_id="a"), 2: lambda row: "{"}, 2, "duplicate post_id 'a'"),
+    ],
+    ids=["text before score", "score row first", "text row first", "type before text", "duplicate before no JSON"],
+)
+def test_load_examples_reports_the_first_bad_row(tmp_path, edits, line, message):
+    path = tmp_path / "sensitivity.jsonl"
+    save_examples(sensitivity_table([record_with_delta(0.2, "a"), record_with_delta(0.4, "b"), record_with_delta(0.0, "c")]), path)
+    objs = [json.loads(row) for row in path.read_text(encoding="utf-8").splitlines()]
+    rows = [edits.get(i, lambda row: row)(obj) for i, obj in enumerate(objs)]
+    path.write_text("".join((row if isinstance(row, str) else json.dumps(row)) + "\n" for row in rows), encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_examples(path)
+    assert str(info.value) == f"{path}:{line}: {message}"

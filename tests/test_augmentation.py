@@ -11,33 +11,48 @@ from ctxsens.augmentation import (
     run_augmentation,
     select_top_k,
 )
-from ctxsens.corpus import Post
 from ctxsens.features import FeatureConfig
 from ctxsens.models import TrainConfig, train
 
-from helpers import planted_posts, split_columns
+from helpers import planted_posts, post_table, split_columns
 
 
 # --- select_top_k ------------------------------------------------------------------
 
 
+def top_k(scored, k):
+    """The ids select_top_k picks from (post_id, score) pairs."""
+    ids = [post_id for post_id, _ in scored]
+    return [ids[i] for i in select_top_k(ids, [score for _, score in scored], k)]
+
+
 def test_select_top_k_takes_largest_scores():
-    assert select_top_k([("a", 0.9), ("b", 0.1), ("c", 0.9)], 2) == ["a", "c"]
+    assert top_k([("a", 0.9), ("b", 0.1), ("c", 0.9)], 2) == ["a", "c"]
 
 
 def test_select_top_k_whole_pool_ordering():
     scored = [("b", 0.5), ("a", 0.5), ("c", 0.9)]
-    assert select_top_k(scored, 3) == ["c", "a", "b"]
+    assert top_k(scored, 3) == ["c", "a", "b"]
 
 
 def test_select_top_k_all_equal_uses_id_order():
     scored = [("zz", 0.5), ("aa", 0.5), ("mm", 0.5), ("bb", 0.5)]
-    assert select_top_k(scored, 3) == ["aa", "bb", "mm"]
+    assert top_k(scored, 3) == ["aa", "bb", "mm"]
 
 
 def test_select_top_k_rejects_oversized_k():
     with pytest.raises(AugmentationError):
-        select_top_k([("a", 0.1)], 2)
+        top_k([("a", 0.1)], 2)
+
+
+def test_select_top_k_matches_sorting_by_score_then_id_under_heavy_ties():
+    rng = np.random.default_rng(11)
+    ids = [f"p{i}" for i in rng.permutation(5000)]
+    scores = rng.integers(-3, 4, 5000) / 4.0  # seven distinct scores, and -0.0 next to 0.0
+    scores[rng.random(5000) < 0.1] *= -1.0
+    expected = sorted(zip(ids, scores.tolist()), key=lambda item: (-item[1], item[0]))
+    for k in (1, 700, 5000):
+        assert [ids[i] for i in select_top_k(ids, scores, k)] == [post_id for post_id, _ in expected[:k]]
 
 
 # --- config validation --------------------------------------------------------------
@@ -48,12 +63,13 @@ def small_setup(pool_size=30, gold_size=24, seed=0, noise=0.15):
     gold_posts, gold_targets = planted_posts(gold_size, seed=seed, noise=noise)
     third = gold_size // 3
     splits = [slice(0, third), slice(third, 2 * third), slice(2 * third, None)]
-    return pool, *(split_columns(gold_posts[part], [round(t, 3) for t in gold_targets[part]]) for part in splits)
+    targets = [round(t, 3) for t in gold_targets]
+    return pool, *(split_columns(gold_posts, targets, part) for part in splits)
 
 
 def base_config(pool, **overrides):
     defaults = dict(
-        pool=tuple(pool),
+        pool=pool,
         k_per_cycle=3,
         n_cycles=2,
         train_config=TrainConfig(features=FeatureConfig(min_df=1, ngram_max=1), ridge_lambda=0.1),
@@ -77,7 +93,8 @@ def test_config_rejects_unknown_selection():
 
 def test_pool_must_be_disjoint_from_gold():
     pool, tr, val, test = small_setup()
-    poisoned = base_config(tuple(pool[:-1]) + (Post(tr[0][0], tr[1][0]),))
+    rows = [*zip(pool.post_ids, pool.target_texts)][:-1]
+    poisoned = base_config(post_table([*rows, (tr[0][0], tr[1][0])]))
     with pytest.raises(AugmentationError, match="overlap"):
         run_augmentation(tr, val, test, poisoned)
 
@@ -133,10 +150,8 @@ def test_silver_scores_replayable_from_first_teacher():
     config = base_config(pool)
     logs = run_augmentation(tr, val, test, config)
     teacher = train(config.teacher_family, tr[1], tr[2], val[1:], config.train_config)
-    posts_by_id = {post.post_id: post for post in pool}
-    replayed = teacher.predict_batch(
-        [posts_by_id[post_id].target_text for post_id in logs[0].selected_post_ids]
-    )
+    text_of = dict(zip(pool.post_ids, pool.target_texts))
+    replayed = teacher.predict_batch([text_of[post_id] for post_id in logs[0].selected_post_ids])
     assert np.array_equal(replayed, np.array(logs[0].selected_silver_scores))
 
 
@@ -144,7 +159,7 @@ def test_constant_teacher_degenerates_to_id_order():
     pool, tr, val, test = small_setup()
     config = base_config(pool, teacher_family="constant_mean", student_family="constant_mean")
     logs = run_augmentation(tr, val, test, config)
-    expected = sorted(post.post_id for post in pool)[:3]
+    expected = sorted(pool.post_ids)[:3]
     assert list(logs[0].selected_post_ids) == expected
 
 

@@ -12,12 +12,11 @@ import pytest
 import numpy as np
 
 from ctxsens.cli import COMMANDS, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, _build_parser, main
-from ctxsens.corpus import Post, save_bundle, save_posts
 from ctxsens import models
 from ctxsens.models import load_model
 from ctxsens.scorer import transport_fingerprint
 
-from helpers import planted_posts, synthetic_bundle, toy_scorer_command
+from helpers import planted_posts, post_table, save_bundle, save_posts, synthetic_bundle, toy_scorer_command
 from oracles import tfidf_rows, walk_forest
 
 
@@ -228,6 +227,13 @@ def test_train_records_resolved_config(tmp_path, sensitivity_file):
     assert manifest2["resolved_config"]["seed"] == 9  # flag wins
 
 
+def test_train_keeps_a_training_row_at_any_validation_fraction(tmp_path, sensitivity_file):
+    one_row = tmp_path / "one.jsonl"
+    one_row.write_text(sensitivity_file.read_text(encoding="utf-8").splitlines(keepends=True)[0], encoding="utf-8")
+    assert main(_args(f"train --family b1 --data {one_row} --val-fraction 0.99 --out {tmp_path}/m")) == EXIT_OK
+    assert (tmp_path / "m" / "model.bin").is_file()
+
+
 def test_train_unknown_family_fails_fast(tmp_path, sensitivity_file, capsys):
     code = main(_args(f"train --family gbm --data {sensitivity_file} --out {tmp_path}/m"))
     assert code == EXIT_VALIDATION
@@ -282,10 +288,10 @@ def test_forest_train_is_deterministic_and_sample_matches_tree_walk(tmp_path, se
 
     model = load_model(tmp_path / "model" / "model.bin")
     assert any((tree.feature >= 0).any() for tree in model.trees)
-    matrix = tfidf_rows(model.vocab, [p.target_text for p in pool])
+    matrix = tfidf_rows(model.vocab, pool.target_texts)
     scores = np.clip(walk_forest(model.trees, matrix).mean(axis=0), -1.0, 1.0)
-    ranked = sorted(zip(pool, scores), key=lambda pair: (-pair[1], pair[0].post_id))[:12]
-    expected = [{"post_id": p.post_id, "score": float(score), "rank": rank} for rank, (p, score) in enumerate(ranked)]
+    ranked = sorted(zip(pool.post_ids, scores), key=lambda pair: (-pair[1], pair[0]))[:12]
+    expected = [{"post_id": post_id, "score": float(score), "rank": rank} for rank, (post_id, score) in enumerate(ranked)]
     assert [json.loads(line) for line in (out / "selected.jsonl").read_text().splitlines()] == expected
 
 
@@ -301,19 +307,21 @@ def test_duplicate_post_id_is_validation_error(tmp_path, sensitivity_file, capsy
 def test_sample_rejects_repeated_pool_ids(tmp_path, sensitivity_file, capsys):
     posts = synthetic_bundle(n_posts=40, seed=12).posts
     pool_path = tmp_path / "pool.jsonl"
-    save_posts([*posts, *posts[5:8]], pool_path)
+    save_posts(posts, pool_path)
+    lines = pool_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    pool_path.write_text("".join(lines + lines[5:8]), encoding="utf-8")
     assert main(_args(f"train --family b1 --data {sensitivity_file} --out {tmp_path}/model")) == EXIT_OK
     capsys.readouterr()
     code = main(_args(f"sample --model {tmp_path}/model/model.bin --pool {pool_path} --k 43 --out {tmp_path}/s"))
     assert code == EXIT_VALIDATION
-    assert f"pool.jsonl:41: duplicate post_id {posts[5].post_id!r}" in capsys.readouterr().err
+    assert f"pool.jsonl:41: duplicate post_id {posts.post_ids[5]!r}" in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
 
 
 @pytest.mark.usefixtures("scorer_processes")
 def test_external_model_file_holds_a_fingerprint_and_sample_needs_its_scorer(tmp_path, sensitivity_file, capsys):
     pool_path = tmp_path / "pool.jsonl"
-    save_posts([Post(f"pool{i}", f"0.{i}", None) for i in range(6)], pool_path)
+    save_posts(post_table([(f"pool{i}", f"0.{i}") for i in range(6)]), pool_path)
     scorer = shlex.quote(shlex.join(toy_scorer_command("--mode", "float")))
     assert main(_args(f"train --family external --data {sensitivity_file} --scorer {scorer} --out {tmp_path}/m")) == EXIT_OK
     model_file = tmp_path / "m" / "model.bin"
@@ -343,7 +351,7 @@ def test_loading_a_crafted_model_file_runs_no_command(tmp_path, monkeypatch):
     monkeypatch.setattr(model, "_extra_metadata", lambda: {**old_extras, "fit_accepted": None})
     models.save_model(model, tmp_path / "model.bin")
     pool_path = tmp_path / "pool.jsonl"
-    save_posts([Post("a", "text", None), Post("b", "more text", None)], pool_path)
+    save_posts(post_table([("a", "text"), ("b", "more text")]), pool_path)
 
     loaded = load_model(tmp_path / "model.bin")
     assert loaded.endpoint is None
@@ -429,6 +437,20 @@ def test_stratify_with_toy_scorer(tmp_path, sensitivity_file):
     assert [r["t"] for r in rows] == ["0.0", "0.2", "0.4"]
     sizes = [int(r["n"]) for r in rows]
     assert sizes == sorted(sizes, reverse=True)
+
+
+@pytest.mark.usefixtures("scorer_processes")
+@pytest.mark.parametrize("mode", ["nan", "inf"])
+def test_stratify_reports_non_finite_scores_as_errors(tmp_path, sensitivity_file, capsys, mode):
+    out = tmp_path / "strat"
+    code = main(_args(f"stratify --data {sensitivity_file} --out {out}") + ["--scorer", " ".join(toy_scorer_command("--mode", mode))])
+    assert code == EXIT_OK
+    post_ids = [json.loads(line)["post_id"] for line in sensitivity_file.read_text().splitlines()]
+    errors = json.loads((out / "errors.json").read_text())["per_post_errors"]
+    assert sorted(errors) == sorted(post_ids)
+    for table in out.glob("*.csv"):
+        assert not {"nan", "inf"} & set(table.read_text().lower().replace(",", "\n").split()), table.name
+    assert f"{len(post_ids)} posts failed to score" in capsys.readouterr().err
 
 
 def _with_score(field, value):

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -14,24 +15,22 @@ from ctxsens.corpus import (
     EmptyJudgmentsError,
     Label,
     ParseError,
-    Post,
+    PostTable,
     ScoredRow,
     ScoreTableColumns,
     load_bundle,
     load_posts,
     load_score_table,
-    save_bundle,
-    save_posts,
 )
 
 import oracles
-from helpers import annotation_table, table_rows
+from helpers import annotation_table, post_table, save_bundle, save_posts, table_rows
 
 IC, OC = Condition.IN_CONTEXT, Condition.OUT_OF_CONTEXT
 
 
 def empty_bundle() -> DatasetBundle:
-    return DatasetBundle((), annotation_table(IC, []), annotation_table(OC, []))
+    return DatasetBundle(post_table([]), annotation_table(IC, []), annotation_table(OC, []))
 
 
 def write_three_post_corpus(tmp_path):
@@ -65,7 +64,7 @@ def test_load_well_formed_three_post_file(tmp_path):
     assert len(bundle.posts) == 3
     assert len(bundle.ic_annotations) == 3
     assert len(bundle.oc_annotations) == 3
-    assert bundle.posts[1].target_text == "line one\nline two"
+    assert bundle.posts.target_texts[1] == "line one\nline two"
     ic = bundle.ic_annotations
     assert ic.post_ids == ("p1", "p2", "p3")
     assert ic.labels.tolist() == [2, 0] * 3  # toxic, non_toxic in Label order
@@ -171,17 +170,24 @@ def test_condition_mismatch_is_checked_after_every_file_parses(tmp_path):
 
 def test_blank_target_text_rejected():
     with pytest.raises(CorpusError, match="blank"):
-        Post("p1", "   \n ")
+        PostTable(("p1",), ("   \n ",), (None,))
 
 
 def test_empty_parent_normalizes_to_none():
-    assert Post("p1", "text", "").parent_text is None
+    assert post_table([("p1", "text", ""), ("p2", "text", "parent")]).parent_texts == (None, "parent")
 
 
 def test_duplicate_post_rejected():
-    posts = (Post("a", "x"), Post("a", "y"))
-    with pytest.raises(DuplicateRecordError):
-        DatasetBundle(posts, annotation_table(IC, []), annotation_table(OC, []))
+    with pytest.raises(DuplicateRecordError, match="duplicate post_id 'a'"):
+        DatasetBundle(post_table([("a", "x"), ("a", "y")]), annotation_table(IC, []), annotation_table(OC, []))
+
+
+def test_post_table_take_and_length_check():
+    posts = post_table([("a", "x"), ("b", "y", "parent"), ("c", "z")])
+    assert posts.take([2, 1]) == post_table([("c", "z"), ("b", "y", "parent")])
+    assert len(posts.take([])) == 0 and len(posts) == 3
+    with pytest.raises(ValueError, match="length"):
+        PostTable(("a", "b"), ("x",), (None, None))
 
 
 def test_empty_judgments_type_invariant():
@@ -190,10 +196,7 @@ def test_empty_judgments_type_invariant():
 
 
 def make_bundle():
-    posts = (
-        Post("a", 'text with "quotes", commas\nand a newline', "parent\ntext"),
-        Post("b", "plain"),
-    )
+    posts = post_table([("a", 'text with "quotes", commas\nand a newline', "parent\ntext"), ("b", "plain")])
     ic = annotation_table(IC, [("a", [Label.TOXIC, Label.UNSURE], [True, None]), ("b", [Label.NON_TOXIC], [False])])
     oc = annotation_table(OC, [("a", [Label.VERY_TOXIC], None), ("b", [Label.NON_TOXIC, Label.TOXIC], None)])
     return DatasetBundle(posts, ic, oc)
@@ -216,16 +219,100 @@ def test_round_trip_empty_bundle(tmp_path, fmt):
 
 
 def test_unknown_format_rejected(tmp_path):
+    paths = write_three_post_corpus(tmp_path)
     with pytest.raises(CorpusError, match="format"):
-        save_bundle(empty_bundle(), tmp_path / "a", tmp_path / "b", tmp_path / "c", format="xml")
+        load_bundle(paths["posts"], paths["ic"], paths["oc"], format="xml")
+    with pytest.raises(CorpusError, match="format"):
+        load_posts(paths["posts"], format="xml")
 
 
 def test_posts_file_round_trip(tmp_path):
-    posts = [Post("x", "some text", None), Post("y", "more, text", "a parent")]
+    posts = post_table([("x", "some text", None), ("y", "more, text", "a parent")])
     for fmt in ("jsonl", "csv"):
         path = tmp_path / f"pool.{fmt}"
         save_posts(posts, path, format=fmt)
         assert load_posts(path, format=fmt) == posts
+
+
+_ROWS = [{"post_id": f"p{i}", "target_text": f"text {i}", "parent_text": None} for i in (1, 2, 3)]
+
+
+def _write_posts(path, rows) -> None:
+    """Each row a JSON object or a raw line; a CSV file gets a header and
+    the three fields of each object, so a row sits on line n + 1."""
+    if path.suffix == ".jsonl":  # json.dumps escapes a lone surrogate, which a UTF-8 file cannot hold raw
+        path.write_text("".join((row if isinstance(row, str) else json.dumps(row)) + "\n" for row in rows), encoding="utf-8")
+        return
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["post_id", "target_text", "parent_text"])
+        for row in rows:
+            writer.writerow(row.split(",") if isinstance(row, str) else [row["post_id"], row["target_text"], row["parent_text"] or ""])
+
+
+def _load_bundle_of(path, format):
+    """load_bundle on a posts file with empty annotation files."""
+    ic, oc = path.with_name(f"ic.{format}"), path.with_name(f"oc.{format}")
+    for annotations in (ic, oc):
+        annotations.write_text("post_id,condition,labels,parent_helpful\n" if format == "csv" else "", encoding="utf-8")
+    return load_bundle(path, ic, oc, format=format)
+
+
+@pytest.mark.parametrize("loader", [load_posts, _load_bundle_of], ids=["load_posts", "load_bundle"])
+@pytest.mark.parametrize(
+    "fmt, fields, message",
+    [
+        ("jsonl", {"post_id": ""}, "post_id must be nonempty"),
+        ("csv", {"post_id": ""}, "post_id must be nonempty"),
+        ("jsonl", {"target_text": " \t "}, "post 'p2': target_text is blank"),
+        ("csv", {"target_text": " \t "}, "post 'p2': target_text is blank"),
+        ("jsonl", {"parent_text": "a\x00b"}, "post 'p2': parent_text contains a NUL character"),
+        ("csv", {"target_text": "a\x00b"}, "post 'p2': target_text contains a NUL character"),
+        (
+            "jsonl",
+            {"target_text": "a\ud800"},
+            "post 'p2': target_text is not valid UTF-8: "
+            "'utf-8' codec can't encode character '\\ud800' in position 1: surrogates not allowed",
+        ),
+        ("jsonl", {"post_id": "p1"}, "duplicate post_id 'p1'"),
+        ("csv", {"post_id": "p1"}, "duplicate post_id 'p1'"),
+        ("jsonl", {"post_id": 7}, "field 'post_id' must be a string"),
+        ("jsonl", {"target_text": None}, "field 'target_text' must be a string"),
+        ("jsonl", {"parent_text": 0}, "field 'parent_text' must be a string or null"),
+    ],
+)
+def test_bad_post_row_is_a_parse_error_at_its_line(tmp_path, loader, fmt, fields, message):
+    path = tmp_path / f"posts.{fmt}"
+    _write_posts(path, [_ROWS[0], {**_ROWS[1], **fields}, _ROWS[2]])
+    line = 2 if fmt == "jsonl" else 3
+    with pytest.raises(ParseError) as info:
+        loader(path, format=fmt)
+    assert (str(info.value), info.value.line) == (f"{path}:{line}: {message}", line)
+
+
+_BLANK = {**_ROWS[1], "target_text": " "}
+
+
+@pytest.mark.parametrize(
+    "fmt, rows, line, message",
+    [
+        ("jsonl", [_ROWS[0], _BLANK, _ROWS[2], "{not json"], 2, "post 'p2': target_text is blank"),
+        ("jsonl", [_ROWS[0], _BLANK, "[1, 2]"], 2, "post 'p2': target_text is blank"),
+        ("jsonl", [_ROWS[0], _ROWS[0], _BLANK], 2, "duplicate post_id 'p1'"),
+        ("jsonl", [_ROWS[0], _BLANK, _ROWS[0]], 2, "post 'p2': target_text is blank"),
+        ("jsonl", [_ROWS[0], {**_BLANK, "post_id": "p1"}], 2, "post 'p1': target_text is blank"),
+        ("jsonl", [_ROWS[0], {**_ROWS[1], "post_id": 5}, _BLANK], 2, "field 'post_id' must be a string"),
+        ("jsonl", [_ROWS[0], _ROWS[1], "{not json", _BLANK], 3, "invalid JSON: Expecting property name enclosed in double quotes"),
+        ("csv", [_ROWS[0], _BLANK, "p3,two fields"], 3, "post 'p2': target_text is blank"),
+        ("csv", [_ROWS[0], _ROWS[0], _BLANK], 3, "duplicate post_id 'p1'"),
+    ],
+)
+def test_first_bad_post_row_in_file_order_is_reported(tmp_path, fmt, rows, line, message):
+    path = tmp_path / f"posts.{fmt}"
+    _write_posts(path, rows)
+    with pytest.raises(ParseError) as info:
+        load_posts(path, format=fmt)
+    assert str(info.value) == f"{path}:{line}: {message}"
 
 
 # --- property suite -----------------------------------------------------------
@@ -247,7 +334,7 @@ _post_ids = st.lists(
 @st.composite
 def bundles(draw) -> DatasetBundle:
     ids = draw(_post_ids)
-    posts = tuple(Post(pid, draw(_text), draw(_parent)) for pid in ids)
+    posts = post_table([(pid, draw(_text), draw(_parent)) for pid in ids])
     tables = []
     for cond in Condition:
         rows = []
@@ -279,7 +366,7 @@ def _outcome(fn, *args, **kwargs):
 @pytest.mark.property
 @given(bundle=bundles())
 def test_bundle_lookup_consistent(bundle):
-    post_ids = {post.post_id for post in bundle.posts}
+    post_ids = set(bundle.posts.post_ids)
     for table in (bundle.ic_annotations, bundle.oc_annotations):
         assert len(set(table.post_ids)) == len(table) and set(table.post_ids) <= post_ids
     # the count-based statistics equal the object-walking oracles exactly

@@ -169,7 +169,8 @@ def examples_with_half_sensitive(n: int, seed: int = 0):
     posts, _ = planted_posts(n, seed=seed)
     # force a balanced label mix by alternating strong and null deltas
     return sensitivity_table(
-        record_with_delta(0.5 if i % 2 == 0 else 0.0, post.post_id, post.target_text) for i, post in enumerate(posts)
+        record_with_delta(0.5 if i % 2 == 0 else 0.0, post_id, text)
+        for i, (post_id, text) in enumerate(zip(posts.post_ids, posts.target_texts))
     )
 
 

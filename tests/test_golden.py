@@ -19,16 +19,18 @@ import csv
 import io
 import json
 import math
+import os
 import shlex
 import struct
+import subprocess
 import sys
 from pathlib import Path
 
 from ctxsens.cli import EXIT_OK, main
-from ctxsens.corpus import Post, save_bundle, save_posts
+from ctxsens.corpus import PostTable
 from ctxsens.models import _unpack_arrays
 
-from helpers import synthetic_bundle, toy_scorer_command
+from helpers import save_bundle, save_posts, synthetic_bundle, toy_scorer_command
 
 GOLDEN = Path(__file__).with_name("golden")
 REL = 1e-12
@@ -73,10 +75,8 @@ def _write_inputs(inputs: Path) -> None:
     bundle = synthetic_bundle(n_posts=40, seed=21)
     save_bundle(bundle, inputs / "posts.jsonl", inputs / "ic.jsonl", inputs / "oc.jsonl")
     save_bundle(bundle, inputs / "posts.csv", inputs / "ic.csv", inputs / "oc.csv", format="csv")
-    pool = [
-        Post(f"pool{i:03d}", post.target_text, post.parent_text)
-        for i, post in enumerate(synthetic_bundle(n_posts=30, seed=22).posts)
-    ]
+    posts = synthetic_bundle(n_posts=30, seed=22).posts
+    pool = PostTable([f"pool{i:03d}" for i in range(len(posts))], posts.target_texts, posts.parent_texts)
     save_posts(pool, inputs / "pool.jsonl")
     (inputs / "a.csv").write_text("helpful\n" + "true\nfalse\ntrue\n" * 14, encoding="utf-8")
     (inputs / "b.csv").write_text("helpful\n" + "false\ntrue\nfalse\nfalse\n" * 10, encoding="utf-8")
@@ -189,6 +189,27 @@ def test_every_subcommand_matches_its_golden_outputs(tmp_path):
         expected = json.loads((GOLDEN / f"{step}.json").read_text(encoding="utf-8"))
         problems += _differences(expected, _observed(inputs, outputs / step), step)
     assert not problems, "\n".join(problems[:20])
+
+
+def test_traced_sample_records_the_pool_and_the_ranking(tmp_path):
+    # perfbench/traced.py wraps ctxsens functions by name; a rename would
+    # otherwise first show as a missing benchmark metric
+    inputs, outputs = tmp_path / "inputs", tmp_path / "outputs"
+    inputs.mkdir()
+    _write_inputs(inputs)
+    for step in ("aggregate", "train"):  # train fits the ridge model that sample reads
+        line = dict(STEPS)[step].format(i=inputs, o=outputs)
+        assert main(shlex.split(line) + ["--out", str(outputs / step)]) == EXIT_OK, step
+    root = Path(__file__).resolve().parent.parent
+    spans = tmp_path / "spans.json"
+    sample = shlex.split(dict(STEPS)["sample"].format(i=inputs, o=outputs)) + ["--out", str(tmp_path / "sample")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    traced = [sys.executable, str(root / "perfbench" / "traced.py"), str(spans), *sample]
+    result = subprocess.run(traced, capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == EXIT_OK, result.stderr
+    summary = json.loads(spans.read_text(encoding="utf-8"))
+    assert summary["counters"]["corpus.posts_loaded"] == 30
+    assert summary["spans"]["augmentation.select_top_k"]["calls"] == 1
 
 
 def test_model_file_is_byte_identical_across_runs_in_one_process(tmp_path):

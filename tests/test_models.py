@@ -249,16 +249,16 @@ def test_rf_respects_min_samples_leaf():
 def test_text_training_embeds_vocabulary():
     posts, targets = planted_posts(60, seed=0)
     config = TrainConfig(features=FeatureConfig(min_df=1, ngram_max=1))
-    model = train("ridge", [p.target_text for p in posts], targets, config=config)
+    model = train("ridge", posts.target_texts, targets, config=config)
     assert model.vocab is not None
-    preds = model.predict_batch([p.target_text for p in posts])
+    preds = model.predict_batch(posts.target_texts)
     assert float(np.mean((preds - np.array(targets)) ** 2)) < 0.02
 
 
 @pytest.mark.parametrize("family", ["ridge", "linear_svr", "random_forest"])
 def test_training_on_texts_equals_training_on_their_matrix(family):
     posts, targets = planted_posts(60, seed=3)
-    texts = [p.target_text for p in posts]
+    texts = posts.target_texts
     config = TrainConfig(
         seed=2, features=FeatureConfig(min_df=1), svr_max_epochs=8, rf_n_trees=3, rf_max_depth=4, rf_min_samples_leaf=2
     )
@@ -394,9 +394,9 @@ def test_malformed_forest_rejected_on_load(tmp_path, changes):
 def test_vocabulary_survives_persistence(tmp_path):
     posts, targets = planted_posts(40, seed=2)
     config = TrainConfig(features=FeatureConfig(min_df=1, ngram_max=1))
-    model = train("ridge", [p.target_text for p in posts], targets, config=config)
+    model = train("ridge", posts.target_texts, targets, config=config)
     path = tmp_path / "model.bin"
     save_model(model, path)
     clone = load_model(path)
-    queries = [p.target_text for p in posts[:10]]
+    queries = list(posts.target_texts[:10])
     assert np.array_equal(model.predict_batch(queries), clone.predict_batch(queries))

@@ -11,10 +11,9 @@ from scipy import sparse
 
 from ctxsens import analysis, evaluation, models
 from ctxsens.augmentation import AugmentationConfig, run_augmentation
-from ctxsens.corpus import Post
 from ctxsens.models import TrainConfig, train
 
-from helpers import csr, planted_examples
+from helpers import csr, planted_examples, post_table
 from oracles import (
     dense_node_split,
     pairwise_auc,
@@ -226,7 +225,7 @@ def test_linear_svr_matches_reference_oracle(seed):
 def test_augmentation_conservation(seed, k, cycles):
     rng = np.random.default_rng(seed)
     ids, texts, targets = [f"g{i}" for i in range(6)], [f"text {i}" for i in range(6)], rng.uniform(-1, 1, 6).tolist()
-    pool = tuple(Post(f"p{i}", f"pool text {i}") for i in range(8))
+    pool = post_table([(f"p{i}", f"pool text {i}") for i in range(8)])
     config = AugmentationConfig(
         pool=pool,
         k_per_cycle=k,

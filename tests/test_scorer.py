@@ -118,6 +118,16 @@ def test_score_many_reports_per_item_errors_after_retries():
     assert set(errors) == {"bad"}
 
 
+@pytest.mark.parametrize("mode", ["nan", "inf"])
+def test_non_finite_scores_are_protocol_errors_after_retries(mode):
+    items = [(f"p{i}", "text", None) for i in range(8)]  # inf mode answers each of its four spellings twice
+    with ExternalScorerClient(endpoint("--mode", mode)) as client:
+        scores, errors = client.score_many(items, retries=1)
+    assert scores == {}
+    assert set(errors) == {item[0] for item in items}
+    assert all("has no finite numeric score" in message for message in errors.values())
+
+
 def test_score_many_rejects_duplicate_ids_before_sending(monkeypatch):
     items = [("a", "0.1", None), ("b", "0.2", None), ("a", "0.3", None)]
     with ExternalScorerClient(endpoint("--mode", "float")) as client:

@@ -3,7 +3,8 @@
 
 Modes: hash (deterministic pseudo-score from the text), float (parse the text
 itself as the score), fitted (the mean target of the last accepted fit, or an
-error reply before any fit). --batch buffers requests and answers them in reverse
+error reply before any fit), nan (a NaN score) and inf (in turn Infinity,
+-Infinity, 1e999 and an integer of 401 digits, none of which a float holds). --batch buffers requests and answers them in reverse
 order to exercise out-of-order matching; --drop-substring silently ignores
 matching texts; --fit controls the training handshake.
 """
@@ -28,6 +29,8 @@ def score_of(text: str, parent, mode: str) -> float:
 def serve(read_line, write_line, args) -> None:
     buffered = []
     fitted_mean = None
+    overflows = ("Infinity", "-Infinity", "1e999", "1" + "0" * 400)
+    replies = 0
 
     def flush():
         for response in reversed(buffered):
@@ -51,7 +54,11 @@ def serve(read_line, write_line, args) -> None:
         text = msg.get("text", "")
         if args.drop_substring and args.drop_substring in text:
             continue
-        if args.mode != "fitted":
+        if args.mode in ("nan", "inf"):  # raw lines: json.dumps cannot write 1e999
+            score = "NaN" if args.mode == "nan" else overflows[replies % len(overflows)]
+            response = f'{{"id": {json.dumps(msg["id"])}, "score": {score}}}'
+            replies += 1
+        elif args.mode != "fitted":
             response = {"id": msg["id"], "score": score_of(text, msg.get("parent"), args.mode)}
         elif fitted_mean is None:
             response = {"id": msg["id"], "error": "not fitted"}
@@ -68,7 +75,7 @@ def serve(read_line, write_line, args) -> None:
 
 def main() -> None:
     parser = argparse.ArgumentParser()
-    parser.add_argument("--mode", choices=["hash", "float", "fitted"], default="hash")
+    parser.add_argument("--mode", choices=["hash", "float", "fitted", "nan", "inf"], default="hash")
     parser.add_argument("--batch", type=int, default=1)
     parser.add_argument("--drop-substring", default=None)
     parser.add_argument("--fit", choices=["accept", "reject", "ignore"], default="reject")
@@ -86,7 +93,7 @@ def main() -> None:
         writer = conn.makefile("w", encoding="utf-8")
 
         def write_line(obj):
-            writer.write(json.dumps(obj) + "\n")
+            writer.write((obj if isinstance(obj, str) else json.dumps(obj)) + "\n")
             writer.flush()
 
         serve(reader, write_line, args)
@@ -95,7 +102,7 @@ def main() -> None:
     else:
 
         def write_line(obj):
-            sys.stdout.write(json.dumps(obj) + "\n")
+            sys.stdout.write((obj if isinstance(obj, str) else json.dumps(obj)) + "\n")
             sys.stdout.flush()
 
         serve(sys.stdin, write_line, args)
