@@ -26,13 +26,14 @@ _SCORE_COLUMNS = ("oc_value", "oc_raters", "oc_sem", "ic_value", "ic_raters", "i
 
 
 @dataclass(frozen=True, eq=False)
-class SensitivityTable(PostTable):
-    """Scored posts as read-only columns, row i being post post_ids[i]: the
-    text columns of a PostTable, then each condition's score as its toxic
-    fraction (value), its rater count and its SEM; delta, threshold and
-    is_sensitive are computed from them.
+class SensitivityTable:
+    """Scored posts as read-only columns, row i being post posts.post_ids[i]:
+    the posts, then each condition's score as its toxic fraction (value), its
+    rater count and its SEM; delta, threshold and is_sensitive are computed
+    from them.
     """
 
+    posts: PostTable
     oc_value: np.ndarray
     oc_raters: np.ndarray
     oc_sem: np.ndarray
@@ -40,17 +41,16 @@ class SensitivityTable(PostTable):
     ic_raters: np.ndarray
     ic_sem: np.ndarray
 
-    __eq__ = object.__eq__  # identity: PostTable's would compare the text columns alone
-    __hash__ = object.__hash__
-
     def __post_init__(self) -> None:
-        super().__post_init__()
         for name in _SCORE_COLUMNS:
             column = np.array(getattr(self, name), dtype=np.int64 if name.endswith("raters") else np.float64)
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        if {len(getattr(self, name)) for name in _SCORE_COLUMNS} != {len(self)}:
+        if {len(getattr(self, name)) for name in _SCORE_COLUMNS} != {len(self.posts)}:
             raise ValueError("columns differ in length")
+
+    def __len__(self) -> int:
+        return len(self.posts)
 
     @property
     def delta(self) -> np.ndarray:  # s_oc - s_ic
@@ -64,6 +64,11 @@ class SensitivityTable(PostTable):
     def is_sensitive(self) -> np.ndarray:
         """|delta| > threshold, strict: unanimous posts (all zeros) are insensitive."""
         return np.abs(self.delta) > self.threshold
+
+    def take(self, idx) -> SensitivityTable:
+        """The rows idx (distinct row indices), in that order."""
+        idx = np.asarray(idx, dtype=np.int64)
+        return SensitivityTable(self.posts.take(idx), *(getattr(self, name)[idx] for name in _SCORE_COLUMNS))
 
 
 @dataclass(frozen=True)
@@ -106,9 +111,8 @@ def compute_sensitivities(bundle: DatasetBundle) -> tuple[SensitivityTable, list
         excluded |= np.append(unsure, True)[row]  # row -1, a missing record, reads the appended True
         rows.append(row)
         scores.append(score)
-    kept = posts.take(np.flatnonzero(~excluded))
     columns = (column[row[~excluded]] for row, score in zip(rows, scores) for column in score)
-    table = SensitivityTable(kept.post_ids, kept.target_texts, kept.parent_texts, *columns)
+    table = SensitivityTable(posts.take(np.flatnonzero(~excluded)), *columns)
     return table, [post_id for post_id, out in zip(posts.post_ids, excluded.tolist()) if out]
 
 
@@ -259,7 +263,7 @@ def save_examples(table: SensitivityTable, path: str | Path) -> None:
     def scores(names: Sequence[str]):
         return (dict(zip(_SCORE_FIELDS, score)) for score in zip(*(getattr(table, name).tolist() for name in names)))
 
-    texts = (table.post_ids, table.target_texts, table.parent_texts)
+    texts = (table.posts.post_ids, table.posts.target_texts, table.posts.parent_texts)
     derived = (table.delta.tolist(), table.threshold.tolist(), table.is_sensitive.tolist())
     rows = zip(*texts, scores(_SCORE_COLUMNS[:3]), scores(_SCORE_COLUMNS[3:]), *derived)
     write_jsonl(Path(path), (dict(zip(_ROW_FIELDS, row)) for row in rows))
@@ -273,7 +277,6 @@ def load_examples(path: str | Path) -> SensitivityTable:
     naming path:line."""
     texts: list[tuple] = []
     scores: list[list] = [[] for _ in _SCORE_COLUMNS]
-    lines: list[int] = []
     with Path(path).open("r", encoding="utf-8") as handle:
         try:
             for line_no, line in enumerate(handle, start=1):
@@ -284,8 +287,7 @@ def load_examples(path: str | Path) -> SensitivityTable:
                     if not isinstance(obj, dict):
                         raise ValueError("each line must be a JSON object")
                     _check_fields(obj, _ROW_FIELDS)
-                    texts.append((obj["post_id"], obj["target_text"], obj.get("parent_text")))
-                    lines.append(line_no)
+                    texts.append((line_no, obj["post_id"], obj["target_text"], obj.get("parent_text")))
                     oc, ic = _checked_score(obj["s_oc"]), _checked_score(obj["s_ic"])
                     delta, threshold = obj["delta"], obj["threshold"]
                     if delta != oc[0] - ic[0]:
@@ -297,12 +299,11 @@ def load_examples(path: str | Path) -> SensitivityTable:
                     if obj["is_sensitive"] != (abs(delta) > threshold):
                         raise ValueError("is_sensitive must equal |delta| > threshold")
                 except ValueError as exc:
-                    posts_at(str(path), lines, texts)  # a bad text in this row or above it is reported first
                     raise ValueError(f"{path}:{line_no}: {exc}") from exc
                 for column, value in zip(scores, (*oc, *ic)):
                     column.append(value)
         except UnicodeDecodeError:
-            posts_at(str(path), lines, texts)
             raise not_utf8(Path(path)) from None
-    posts = posts_at(str(path), lines, texts)
-    return SensitivityTable(posts.post_ids, posts.target_texts, posts.parent_texts, *scores)
+        finally:  # a bad text in or above the row that fails is reported first
+            posts = posts_at(str(path), texts)
+    return SensitivityTable(posts, *scores)

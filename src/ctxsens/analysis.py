@@ -42,8 +42,8 @@ def parent_utility(
     votes = ic_records.counts(ic_records.helpful + 1, 3)  # columns: null, unhelpful, helpful
     yes, cast = votes[:, 2].tolist(), (votes[:, 1] + votes[:, 2]).tolist()
     row_of = {post_id: i for i, post_id in enumerate(ic_records.post_ids)}
-    rows = [row_of.get(post_id) for post_id in table.post_ids]
-    zero_vote_ids = [post_id for post_id, i in zip(table.post_ids, rows) if i is None or cast[i] == 0]
+    rows = [row_of.get(post_id) for post_id in table.posts.post_ids]
+    zero_vote_ids = [post_id for post_id, i in zip(table.posts.post_ids, rows) if i is None or cast[i] == 0]
     helpful = np.array([i is not None and 2 * yes[i] > cast[i] for i in rows], dtype=bool)
     spread = np.abs(table.delta)
     points = []

@@ -10,7 +10,7 @@ stays fixed across cycles. The student becomes the next cycle's teacher.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -72,19 +72,8 @@ class CycleLog:
     wall_clock_seconds: float
 
     def to_json(self) -> dict:
-        return {
-            "cycle": self.cycle,
-            "selected_post_ids": list(self.selected_post_ids),
-            "selected_silver_scores": list(self.selected_silver_scores),
-            "silver_min": self.silver_min,
-            "silver_mean": self.silver_mean,
-            "silver_max": self.silver_max,
-            "student_mse": self.student_mse,
-            "student_mae": self.student_mae,
-            "n_test": self.n_test,
-            "train_size": self.train_size,
-            "pool_size": self.pool_size,
-        }
+        row = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "wall_clock_seconds"}
+        return {name: list(value) if isinstance(value, tuple) else value for name, value in row.items()}
 
 
 def select_top_k(post_ids: Sequence[str], scores: Sequence[float], k: int) -> np.ndarray:
@@ -92,8 +81,7 @@ def select_top_k(post_ids: Sequence[str], scores: Sequence[float], k: int) -> np
     ascending post id."""
     if k > len(post_ids):
         raise AugmentationError(f"k={k} exceeds pool size {len(post_ids)}")
-    id_rank = np.empty(len(post_ids), dtype=np.int64)
-    id_rank[sorted(range(len(post_ids)), key=post_ids.__getitem__)] = np.arange(len(post_ids))
+    id_rank = np.argsort(sorted(range(len(post_ids)), key=post_ids.__getitem__))  # row -> place in id order
     return np.lexsort((id_rank, -np.asarray(scores, dtype=np.float64)))[:k]
 
 
@@ -117,7 +105,7 @@ def run_augmentation(
         raise AugmentationError("train set leaked into the test split")
 
     remaining = np.arange(len(pool))  # pool rows not yet selected, in pool order
-    train_ids, train_texts, train_targets = (list(column) for column in gold_train)
+    train_texts, train_targets = list(gold_train[1]), list(gold_train[2])
     validation = gold_validation[1:]
 
     teacher = train(config.teacher_family, train_texts, train_targets, validation, config.train_config)
@@ -130,17 +118,16 @@ def run_augmentation(
     logs: list[CycleLog] = []
     for cycle, k in enumerate(plan):
         started = time.perf_counter()
-        rows = remaining.tolist()
-        silver = teacher.predict_batch([pool.target_texts[i] for i in rows])
+        left = pool.take(remaining)
+        silver = teacher.predict_batch(left.target_texts)
         if config.selection == SELECTION_TEACHER_TOP_K:
-            chosen = select_top_k([pool.post_ids[i] for i in rows], silver, k)
+            chosen = select_top_k(left.post_ids, silver, k)
+            picked = np.sort(chosen)  # training rows join in pool order
         else:
             rng = np.random.default_rng(np.random.SeedSequence([config.seed, cycle]))
-            chosen = np.sort(rng.choice(len(rows), size=k, replace=False))
-        for i in np.sort(chosen).tolist():  # training rows join in pool order
-            train_ids.append(pool.post_ids[rows[i]])
-            train_texts.append(pool.target_texts[rows[i]])
-            train_targets.append(float(silver[i]))
+            chosen = picked = np.sort(rng.choice(len(left), size=k, replace=False))
+        train_texts += left.take(picked).target_texts
+        train_targets += silver[picked].tolist()
         remaining = np.delete(remaining, chosen)
 
         student = train(config.student_family, train_texts, train_targets, validation, config.train_config)
@@ -149,7 +136,7 @@ def run_augmentation(
         logs.append(
             CycleLog(
                 cycle=cycle,
-                selected_post_ids=tuple(pool.post_ids[rows[i]] for i in chosen.tolist()),
+                selected_post_ids=left.take(chosen).post_ids,
                 selected_silver_scores=tuple(scores),
                 silver_min=min(scores),
                 silver_mean=float(np.mean(scores)),
@@ -157,7 +144,7 @@ def run_augmentation(
                 student_mse=mse(predictions, test_targets),
                 student_mae=mae(predictions, test_targets),
                 n_test=len(test_texts),
-                train_size=len(train_ids),
+                train_size=len(train_texts),
                 pool_size=len(remaining),
                 wall_clock_seconds=time.perf_counter() - started,
             )

@@ -341,7 +341,8 @@ def _train(run: Run) -> None:
     perm = np.random.default_rng(run.train_config.seed).permutation(len(table))
     n_val = int(len(table) * run.config["val-fraction"])
     tr, val = table.take(perm[n_val:]), table.take(perm[:n_val])
-    model = models.train(run.config["family"], tr.target_texts, tr.delta, (val.target_texts, val.delta), run.train_config)
+    validation = (val.posts.target_texts, val.delta)
+    model = models.train(run.config["family"], tr.posts.target_texts, tr.delta, validation, run.train_config)
     try:
         models.save_model(model, run.out("model.bin"))
     finally:
@@ -424,7 +425,7 @@ def _augment(run: Run) -> None:
     all_logs: list[tuple[int, augmentation.CycleLog]] = []
     for repeat in range(n_repeats):
         parts = (table.take(idx) for idx in evaluation.split_indices(len(table), split, repeat))
-        gold = [(part.post_ids, part.target_texts, part.delta) for part in parts]
+        gold = [(part.posts.post_ids, part.posts.target_texts, part.delta) for part in parts]
         aug_config = augmentation.AugmentationConfig(
             pool=pool,
             selection=run.config["selection"],

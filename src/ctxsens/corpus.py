@@ -15,13 +15,13 @@ helpful-vote majorities are per-record counts over its arrays.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 from array import array
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -80,9 +80,8 @@ class PostTable:
     target text and its parent's text, or None, which an empty one becomes.
 
     Ids are unique and nonempty, target texts not blank, and no text holds
-    a NUL or a lone surrogate. The columns are checked whole; only when a
-    check fails are the rows walked, to raise the first bad row's error
-    with its index as `row`.
+    a NUL or a lone surrogate. The first row that breaks a rule raises its
+    error, with its index as `row`.
     """
 
     post_ids: tuple[str, ...]
@@ -93,25 +92,12 @@ class PostTable:
         ids, targets, parents = tuple(self.post_ids), tuple(self.target_texts), tuple(self.parent_texts)
         if not len(ids) == len(targets) == len(parents):
             raise ValueError("columns differ in length")
-        try:  # a text that is not a str fails the join, a lone surrogate the encoding
-            texts = "".join(chain(ids, targets, filter(None, parents)))
-            encodable = texts.isascii() or bool(texts.encode("utf-8"))
-        except (TypeError, UnicodeEncodeError):
-            encodable = False
-        if not (
-            encodable
-            and set(map(type, parents)) <= {str, type(None)}
-            and "" not in ids
-            and all(map(str.strip, targets))
-            and "\x00" not in texts  # the CSV dialect cannot carry a NUL
-            and len(set(ids)) == len(ids)
-        ):
-            seen: set[str] = set()
-            for row, (post_id, target, parent) in enumerate(zip(ids, targets, parents)):
-                if error := _row_error(post_id, target, parent, seen):
-                    error.row = row
-                    raise error
-                seen.add(post_id)
+        seen: set[str] = set()
+        for row, (post_id, target, parent) in enumerate(zip(ids, targets, parents)):
+            if error := _row_error(post_id, target, parent, seen):
+                error.row = row
+                raise error
+            seen.add(post_id)
         object.__setattr__(self, "post_ids", ids)
         object.__setattr__(self, "target_texts", targets)
         object.__setattr__(self, "parent_texts", tuple(parent or None for parent in parents))
@@ -119,12 +105,14 @@ class PostTable:
     def __len__(self) -> int:
         return len(self.post_ids)
 
-    def take(self, idx):
-        """The rows idx (an index sequence), in that order, as a table of this type."""
-        idx = np.asarray(idx, dtype=np.int64)
-        rows = idx.tolist()
-        columns = (getattr(self, f.name) for f in fields(self))
-        return type(self)(*([column[i] for i in rows] if isinstance(column, tuple) else column[idx] for column in columns))
+    def take(self, idx) -> PostTable:
+        """The rows idx (distinct row indices), in that order. They passed
+        every check as rows of this table, so they are not checked again."""
+        rows = np.asarray(idx, dtype=np.int64).tolist()
+        subset = copy.copy(self)
+        for name in ("post_ids", "target_texts", "parent_texts"):
+            object.__setattr__(subset, name, tuple(map(getattr(self, name).__getitem__, rows)))
+        return subset
 
 
 def _row_error(post_id, target, parent, seen: set[str]) -> CorpusError | None:
@@ -148,11 +136,12 @@ def _row_error(post_id, target, parent, seen: set[str]) -> CorpusError | None:
     return DuplicateRecordError(f"duplicate post_id {post_id!r}") if post_id in seen else None
 
 
-def posts_at(source: str, lines: Sequence[int], rows: Sequence[tuple]) -> PostTable:
-    """The PostTable of (post_id, target_text, parent_text) rows read from
-    these lines of source; a row that it rejects is a ParseError at its line."""
+def posts_at(source: str, rows: Sequence[tuple]) -> PostTable:
+    """The PostTable of (line, post_id, target_text, parent_text) rows read
+    from source; a row that it rejects is a ParseError at its line."""
+    lines, *columns = zip(*rows) if rows else ((),) * 4
     try:
-        return PostTable(*(list(zip(*rows)) or [(), (), ()]))
+        return PostTable(*columns)
     except CorpusError as exc:
         raise ParseError(source, lines[exc.row], str(exc)) from exc
 
@@ -246,12 +235,13 @@ class DatasetBundle:
                 seen.add(post_id)
 
 
-def _read_table(path: Path, rows: Iterator, parse, condition: Condition) -> AnnotationTable:
-    """One annotation file as a table, for either format: parse turns a row
-    into (post_id, condition, label codes, helpful codes)."""
+def _read_table(path: Path, format: str, condition: Condition) -> AnnotationTable:
+    """One annotation file as a table, for either format: its parser turns
+    a row into (post_id, condition, label codes, helpful codes)."""
+    rows, parse = _readers(format)[2:]
     source, post_ids = str(path), []
     labels, helpful, offsets, foreign = array("b"), array("b"), array("q", [0]), -1
-    for n, row in rows:
+    for n, row in rows(path):
         post_id, row_condition, row_labels, row_helpful = parse(row, source, n)
         if row_condition != condition.value and foreign < 0:
             foreign = len(post_ids)
@@ -263,10 +253,6 @@ def _read_table(path: Path, rows: Iterator, parse, condition: Condition) -> Anno
 
 
 # --- JSONL -----------------------------------------------------------------
-
-
-def _post_from_obj(obj: dict) -> tuple:
-    return obj.get("post_id"), obj.get("target_text"), obj.get("parent_text")
 
 
 def _annotation_from_obj(obj: dict, source: str, line: int) -> tuple:
@@ -383,7 +369,7 @@ def _annotation_from_csv(row: list[str], source: str, line: int) -> tuple:
 def _readers(format: str) -> tuple:
     """(posts rows, post fields of a row, annotation rows, annotation parser) of a file format."""
     if format == "jsonl":
-        return _iter_jsonl, _post_from_obj, _iter_jsonl, _annotation_from_obj
+        return _iter_jsonl, lambda obj: tuple(map(obj.get, _POST_HEADER)), _iter_jsonl, _annotation_from_obj
     if format == "csv":
         csv_rows = lambda header: partial(_read_csv_rows, expected_header=header)  # noqa: E731
         return csv_rows(_POST_HEADER), tuple, csv_rows(_ANNOTATION_HEADER), _annotation_from_csv
@@ -402,11 +388,9 @@ def load_bundle(
     ParseError (with source and line), DuplicateRecordError,
     DanglingReferenceError, or CorpusError; anything schema-conformant loads.
     """
-    ic_path, oc_path = Path(ic_path), Path(oc_path)
-    posts = _read_posts(Path(posts_path), format)
-    _, _, annotation_rows, parse_annotation = _readers(format)
-    ic = _read_table(ic_path, annotation_rows(ic_path), parse_annotation, Condition.IN_CONTEXT)
-    oc = _read_table(oc_path, annotation_rows(oc_path), parse_annotation, Condition.OUT_OF_CONTEXT)
+    posts = _read_posts(posts_path, format)
+    ic = _read_table(Path(ic_path), format, Condition.IN_CONTEXT)
+    oc = _read_table(Path(oc_path), format, Condition.OUT_OF_CONTEXT)
     return DatasetBundle(posts, ic, oc)
 
 
@@ -427,22 +411,22 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> No
 
 def load_posts(path: str | Path, format: str = "jsonl") -> PostTable:
     """Load a standalone posts file (e.g. an unlabeled sampling pool)."""
-    return _read_posts(Path(path), format)
+    return _read_posts(path, format)
 
 
-def _read_posts(path: Path, format: str) -> PostTable:
+def _read_posts(path: str | Path, format: str) -> PostTable:
     """A posts file as a table. The first bad row in file order is a
-    ParseError at its line, a repeated post_id included."""
-    rows, fields_of = _readers(format)[:2]
-    records, lines = [], []
+    ParseError at its line, a repeated post_id included. load_bundle calls
+    this, not load_posts, so that perfbench's wrapper on load_posts counts
+    standalone pools only."""
+    path, (rows, fields_of) = Path(path), _readers(format)[:2]
+    records: list[tuple] = []
     try:
         for n, row in rows(path):
-            records.append(fields_of(row))
-            lines.append(n)
-    except ParseError:
-        posts_at(str(path), lines, records)  # a bad row above the line that fails to parse is reported first
-        raise
-    return posts_at(str(path), lines, records)
+            records.append((n, *fields_of(row)))
+    finally:  # rows above a line that fails to parse are checked first
+        posts = posts_at(str(path), records)
+    return posts
 
 
 _BOOLEANS = {**dict.fromkeys(("true", "1", "yes", "t"), True), **dict.fromkeys(("false", "0", "no", "f"), False)}

@@ -234,12 +234,12 @@ def monte_carlo_cv(
     folds = []
     for repeat in range(split.n_repeats):
         tr, val, test = (table.take(idx) for idx in split_indices(len(table), split, repeat))
-        model = train(family, tr.target_texts, tr.delta, (val.target_texts, val.delta), config)
+        model = train(family, tr.posts.target_texts, tr.delta, (val.posts.target_texts, val.delta), config)
         try:
-            predictions = model.predict_batch(test.target_texts)
+            predictions = model.predict_batch(test.posts.target_texts)
         finally:
             model.close()
-        folds.append(fold_metrics(predictions, test.delta, test.is_sensitive, test.post_ids))
+        folds.append(fold_metrics(predictions, test.delta, test.is_sensitive, test.posts.post_ids))
     return EvalReport(folds=tuple(folds))
 
 
@@ -278,13 +278,13 @@ def stratified_toxicity_mae(
     """
     if mode not in (MODE_TARGET_ONLY, MODE_CONCAT_PARENT):
         raise MetricError(f"unknown mode {mode!r}")
-    texts = table.target_texts
+    post_ids, texts = table.posts.post_ids, table.posts.target_texts
     if mode == MODE_CONCAT_PARENT:
-        texts = [parent + "\n" + text if parent else text for parent, text in zip(table.parent_texts, texts)]
+        texts = [parent + "\n" + text if parent else text for parent, text in zip(table.posts.parent_texts, texts)]
     with ExternalScorerClient(endpoint) as client:
-        scores, errors = client.score_many([(post_id, text, None) for post_id, text in zip(table.post_ids, texts)])
-    scored = np.array([post_id in scores for post_id in table.post_ids], dtype=bool)
-    predictions = np.array([scores.get(post_id, math.nan) for post_id in table.post_ids], dtype=np.float64)
+        scores, errors = client.score_many([(post_id, text, None) for post_id, text in zip(post_ids, texts)])
+    scored = np.array([post_id in scores for post_id in post_ids], dtype=bool)
+    predictions = np.array([scores.get(post_id, math.nan) for post_id in post_ids], dtype=np.float64)
     spread = np.abs(table.delta)
     rows = []
     for t in thresholds:

@@ -92,9 +92,8 @@ def sensitivity_table(rows) -> SensitivityTable:
     """A table of (post_id, target_text, parent_text, s_oc, s_ic) rows, each
     score a (value, n_raters, sem) triple."""
     rows = list(rows)
-    texts = ([row[i] for row in rows] for i in range(3))
     scores = ([row[3 + i // 3][i % 3] for row in rows] for i in range(6))
-    return SensitivityTable(*texts, *scores)
+    return SensitivityTable(post_table(row[:3] for row in rows), *scores)
 
 
 def table_rows(table: SensitivityTable) -> list[tuple]:
@@ -102,7 +101,8 @@ def table_rows(table: SensitivityTable) -> list[tuple]:
     n_raters, sem), delta, threshold and is_sensitive."""
     names = ("oc_value", "oc_raters", "oc_sem", "ic_value", "ic_raters", "ic_sem", "delta", "threshold", "is_sensitive")
     columns = (getattr(table, name).tolist() for name in names)
-    return list(zip(table.post_ids, table.target_texts, table.parent_texts, *columns))
+    posts = table.posts
+    return list(zip(posts.post_ids, posts.target_texts, posts.parent_texts, *columns))
 
 
 def annotation_table(condition: Condition, rows) -> AnnotationTable:

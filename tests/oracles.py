@@ -409,7 +409,7 @@ def agreement(table, n_categories: int = len(Label), label_key=None) -> Agreemen
 def parent_utility(ic_table, table, thresholds) -> tuple[list[ParentUtilityPoint], list[str]]:
     """Strict-majority helpful votes from each post's list of votes."""
     helpful_by_id = {post_id: helpful for post_id, _, helpful in ic_table.records()}
-    records = list(zip(table.post_ids, table.delta.tolist()))
+    records = list(zip(table.posts.post_ids, table.delta.tolist()))
     zero_vote_ids: list[str] = []
     majority: dict[str, bool] = {}
     for post_id, _ in records:

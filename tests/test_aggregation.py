@@ -20,7 +20,7 @@ from ctxsens.aggregation import (
     save_examples,
     sensitivity_histogram,
 )
-from ctxsens.corpus import Condition, DatasetBundle, DuplicateRecordError, Label
+from ctxsens.corpus import Condition, DatasetBundle, Label
 
 from helpers import (
     annotation_table,
@@ -235,13 +235,13 @@ def test_sensitivity_of_equal_scores_is_zero(delta):
 def test_table_take_and_read_only_columns():
     table = sensitivity_table(record_with_delta(d, f"p{i}", f"text {i}") for i, d in enumerate((0.1, -0.3, 0.7)))
     part = table.take([2, 0])
-    assert part.post_ids == ("p2", "p0") and part.target_texts == ("text 2", "text 0")
+    assert part.posts.post_ids == ("p2", "p0") and part.posts.target_texts == ("text 2", "text 0")
     assert table_rows(part) == [table_rows(table)[2], table_rows(table)[0]]
     assert len(table.take([])) == 0
     with pytest.raises(ValueError):
         table.oc_value[0] = 0.5
     with pytest.raises(ValueError, match="length"):
-        SensitivityTable(["p"], ["text"], [None], [0.1, 0.2], [5], [0.1], [0.0], [5], [0.0])
+        SensitivityTable(post_table([("p", "text")]), [0.1, 0.2], [5], [0.1], [0.0], [5], [0.0])
 
 
 # --- histogram and counting -------------------------------------------------------
@@ -368,7 +368,7 @@ def test_compute_sensitivities_excludes_unsure_and_unpaired():
     bundle = synthetic_bundle(n_posts=12, seed=3)
     table, excluded = compute_sensitivities(bundle)
     assert len(table) + len(excluded) == 12
-    assert set(table.post_ids).isdisjoint(excluded)
+    assert set(table.posts.post_ids).isdisjoint(excluded)
     assert np.array_equal(table.delta, table.oc_value - table.ic_value)
     assert np.array_equal(table.is_sensitive, np.abs(table.delta) > table.oc_sem + table.ic_sem)
 
@@ -386,10 +386,8 @@ def test_load_examples_rejects_duplicate_post_ids(tmp_path):
     save_examples(table, path)
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     path.write_text("".join(lines + lines[3:4]), encoding="utf-8")
-    with pytest.raises(ValueError, match=f"^{path}:{len(table) + 1}: duplicate post_id '{table.post_ids[3]}'$"):
+    with pytest.raises(ValueError, match=f"^{path}:{len(table) + 1}: duplicate post_id '{table.posts.post_ids[3]}'$"):
         load_examples(path)
-    with pytest.raises(DuplicateRecordError, match=f"^duplicate post_id '{table.post_ids[3]}'$"):
-        table.take([*range(len(table)), 3])
 
 
 @pytest.mark.parametrize(
