@@ -95,8 +95,7 @@ class _WordIds:
             self.lengths = np.concatenate([self.lengths, np.fromiter(map(len, new), dtype=np.int64, count=len(new))])
 
     def _tokenize(self, texts: Sequence[str], lowercase: bool) -> None:
-        slot_of = self.slots[lowercase]
-        missing = [t for t in dict.fromkeys(texts) if t not in slot_of]
+        missing = [t for t in dict.fromkeys(texts) if t not in self.slots[lowercase]]
         if not missing:
             return
         index, before = self.index, len(self.index)
@@ -111,13 +110,43 @@ class _WordIds:
             ids.extend(found)
             counts[i] = len(found)
         self._added(before)
+        self._append(missing, lowercase, np.frombuffer(ids, dtype=np.int32), counts)
+
+    def _append(self, texts: Sequence[str], lowercase: bool, ids: np.ndarray, counts: np.ndarray) -> None:
+        """Give each text (none in the memo yet) the next slot: its words are
+        the next counts[i] of ids."""
         size, n = int(self.bounds[self.n_slots]), self.n_slots
         self.buffer = _grown(self.buffer, size + len(ids))
-        self.buffer[size : size + len(ids)] = np.frombuffer(ids, dtype=np.int32)
-        self.bounds = _grown(self.bounds, n + len(missing) + 1)
-        self.bounds[n + 1 : n + len(missing) + 1] = size + np.cumsum(counts)
-        slot_of.update(zip(missing, itertools.count(n)))
-        self.n_slots += len(missing)
+        self.buffer[size : size + len(ids)] = ids
+        self.bounds = _grown(self.bounds, n + len(texts) + 1)
+        self.bounds[n + 1 : n + len(texts) + 1] = size + np.cumsum(counts)
+        self.slots[lowercase].update(zip(texts, itertools.count(n)))
+        self.n_slots += len(texts)
+
+    def mark(self) -> tuple[int, int, int]:
+        """The memo's size now, for since()."""
+        return len(self.words), len(self.slots[False]), len(self.slots[True])
+
+    def since(self, mark: tuple[int, int, int]) -> tuple:
+        """What this process added to the memo after mark, as plain data for
+        merge() in another process that holds the same memo up to mark."""
+        n_words, *n_texts = mark
+        added = []
+        for lowercase, start in zip((False, True), n_texts):
+            texts = list(itertools.islice(self.slots[lowercase], start, None))
+            added.append((texts, *self.rows(texts, lowercase)))
+        return n_words, self.words[n_words:], added
+
+    def merge(self, delta: tuple) -> None:
+        """Add what since() returned in another process; texts that this
+        memo already holds are skipped, and new words are interned here."""
+        n_words, words, added = delta
+        own_id = np.concatenate([np.arange(n_words), self.intern(words)])  # the other process's id -> this one's
+        for lowercase, (texts, ids, counts) in zip((False, True), added):
+            new = np.array([text not in self.slots[lowercase] for text in texts], dtype=bool)
+            if new.any():
+                kept = list(itertools.compress(texts, new))
+                self._append(kept, lowercase, own_id[ids[np.repeat(new, counts)]], counts[new])
 
     def rows(self, texts: Sequence[str], lowercase: bool) -> tuple[np.ndarray, np.ndarray]:
         """Word ids of the texts end to end, and each text's word count."""
@@ -140,6 +169,20 @@ def _grown(buffer: np.ndarray, size: int) -> np.ndarray:
 
 
 _WORD_IDS = _WordIds()
+
+
+# A forked process sends back memo_since(mark) of a memo_mark() taken before
+# the fork, and its parent passes that to memo_merge.
+def memo_mark() -> tuple[int, int, int]:
+    return _WORD_IDS.mark()
+
+
+def memo_since(mark: tuple[int, int, int]) -> tuple:
+    return _WORD_IDS.since(mark)
+
+
+def memo_merge(delta: tuple) -> None:
+    _WORD_IDS.merge(delta)
 
 
 def _words(texts: Sequence[str], config: FeatureConfig) -> tuple[np.ndarray, np.ndarray]:

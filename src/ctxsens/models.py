@@ -25,6 +25,7 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
+from . import _fork, features
 from .features import FeatureConfig, Vocabulary, fit_vocabulary, to_csr, transform_many
 from .scorer import ExternalScorerClient, ScorerEndpoint, transport_fingerprint
 
@@ -243,10 +244,26 @@ class Model:
 
     def predict_batch(self, inputs) -> np.ndarray:
         """Predict for a list of texts or a sparse matrix, one score per input
-        or row, clamped to [-1, 1]."""
+        or row, clamped to [-1, 1].
+
+        Texts for a featurized family are featurized and scored in contiguous
+        parts, one per CPU while each part gets at least features._BLOCK_ROWS
+        rows; the words that forked parts tokenized join this process's memo."""
         if _n_rows(inputs) == 0:
             return np.zeros(0)
-        return _clamp(self._raw_scores(inputs))
+        if self.vocab is None or sparse.issparse(inputs):
+            return _clamp(self._raw_scores(inputs))
+        texts = _texts(inputs, PredictionError)
+        ends, mark = _fork.bounds(len(texts), len(texts), features._BLOCK_ROWS), features.memo_mark()
+
+        def part(i: int) -> tuple[np.ndarray, tuple | None]:
+            scores = self._raw_scores(texts[ends[i] : ends[i + 1]])
+            return scores, features.memo_since(mark) if i else None
+
+        parts = _fork.run(part, len(ends) - 1)
+        for _, added in parts[1:]:
+            features.memo_merge(added)
+        return _clamp(np.concatenate([scores for scores, _ in parts]))
 
     def _raw_scores(self, inputs) -> np.ndarray:
         raise NotImplementedError
@@ -769,24 +786,20 @@ def _fit_forest(matrix: sparse.csr_matrix, y: np.ndarray, config: TrainConfig) -
         n_sample = d
     else:
         n_sample = min(d, config.rf_max_features)
-    trees = []
-    for i in range(config.rf_n_trees):
-        # per-tree seed = master ^ i, so parallel tree training could never
-        # change results
+
+    def tree(i: int) -> _Tree:
+        # per-tree seed = master ^ i, so trees built in parallel parts are the
+        # trees built one after another
         rng = np.random.default_rng(config.seed ^ i)
         boot = rng.integers(0, n, n) if config.rf_bootstrap else np.arange(n)
         csc = matrix[boot].tocsc()
-        trees.append(
-            _build_tree(
-                csc,
-                y[boot],
-                rng,
-                config.rf_max_depth,
-                config.rf_min_samples_leaf,
-                n_sample,
-            )
-        )
-    return trees
+        return _build_tree(csc, y[boot], rng, config.rf_max_depth, config.rf_min_samples_leaf, n_sample)
+
+    # trees in contiguous parts of their indices, one per CPU while each part
+    # gets at least features._BLOCK_ROWS row visits
+    ends = _fork.bounds(config.rf_n_trees, n * config.rf_n_trees, features._BLOCK_ROWS)
+    parts = _fork.run(lambda p: [tree(i) for i in range(ends[p], ends[p + 1])], len(ends) - 1)
+    return [tree for part in parts for tree in part]
 
 
 # --- train/predict ------------------------------------------------------------
