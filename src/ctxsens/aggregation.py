@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import AnnotationTable, DatasetBundle, Label, PostTable, not_utf8, posts_at, write_jsonl
+from .corpus import AnnotationTable, DatasetBundle, Label, PostTable, posts_at, read_lines, write_jsonl
 
 _TOXIC_LABELS = frozenset({Label.TOXIC, Label.VERY_TOXIC})
 _TOXIC_CODES = [code for code, label in enumerate(Label) if label in _TOXIC_LABELS]
@@ -277,33 +277,30 @@ def load_examples(path: str | Path) -> SensitivityTable:
     naming path:line."""
     texts: list[tuple] = []
     scores: list[list] = [[] for _ in _SCORE_COLUMNS]
-    with Path(path).open("r", encoding="utf-8") as handle:
-        try:
-            for line_no, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                    if not isinstance(obj, dict):
-                        raise ValueError("each line must be a JSON object")
-                    _check_fields(obj, _ROW_FIELDS)
-                    texts.append((line_no, obj["post_id"], obj["target_text"], obj.get("parent_text")))
-                    oc, ic = _checked_score(obj["s_oc"]), _checked_score(obj["s_ic"])
-                    delta, threshold = obj["delta"], obj["threshold"]
-                    if delta != oc[0] - ic[0]:
-                        raise ValueError("delta must equal s_oc.value - s_ic.value exactly")
-                    if threshold < 0.0:
-                        raise ValueError("threshold must be >= 0")
-                    if threshold != oc[2] + ic[2]:
-                        raise ValueError("threshold must equal s_oc.sem + s_ic.sem exactly")
-                    if obj["is_sensitive"] != (abs(delta) > threshold):
-                        raise ValueError("is_sensitive must equal |delta| > threshold")
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{line_no}: {exc}") from exc
-                for column, value in zip(scores, (*oc, *ic)):
-                    column.append(value)
-        except UnicodeDecodeError:
-            raise not_utf8(Path(path)) from None
-        finally:  # a bad text in or above the row that fails is reported first
-            posts = posts_at(str(path), texts)
+    try:
+        for line_no, line in enumerate(read_lines(Path(path)), start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise ValueError("each line must be a JSON object")
+                _check_fields(obj, _ROW_FIELDS)
+                texts.append((line_no, obj["post_id"], obj["target_text"], obj.get("parent_text")))
+                oc, ic = _checked_score(obj["s_oc"]), _checked_score(obj["s_ic"])
+                delta, threshold = obj["delta"], obj["threshold"]
+                if delta != oc[0] - ic[0]:
+                    raise ValueError("delta must equal s_oc.value - s_ic.value exactly")
+                if threshold < 0.0:
+                    raise ValueError("threshold must be >= 0")
+                if threshold != oc[2] + ic[2]:
+                    raise ValueError("threshold must equal s_oc.sem + s_ic.sem exactly")
+                if obj["is_sensitive"] != (abs(delta) > threshold):
+                    raise ValueError("is_sensitive must equal |delta| > threshold")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from exc
+            for column, value in zip(scores, (*oc, *ic)):
+                column.append(value)
+    finally:  # a bad text in or above the row that fails is reported first
+        posts = posts_at(str(path), texts)
     return SensitivityTable(posts, *scores)

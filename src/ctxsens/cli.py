@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 import numpy as np
 
 from . import aggregation, analysis, evaluation
-from .corpus import CorpusError, load_bool_column, load_bundle, load_posts, not_utf8, write_csv, write_jsonl
+from .corpus import CorpusError, load_bool_column, load_bundle, load_posts, read_lines, write_csv, write_jsonl
 from .manifest import build_manifest, write_json, write_manifest
 from .scorer import ScorerEndpoint, ScorerError
 
@@ -141,11 +141,11 @@ def _load_config_file(path: str | None) -> dict:
     if not file.is_file():
         raise CliValidationError(f"config file not found: {path}")
     try:
-        obj = json.loads(file.read_text(encoding="utf-8"))
+        obj = json.loads("".join(read_lines(file)))
     except json.JSONDecodeError as exc:
         raise CliValidationError(f"config file {path} is not valid JSON: {exc}") from exc
-    except UnicodeDecodeError:
-        raise CliValidationError(f"config file {not_utf8(file)}") from None
+    except CorpusError as exc:
+        raise CliValidationError(f"config file {exc}") from None
     if not isinstance(obj, dict):
         raise CliValidationError(f"config file {path} must hold a JSON object")
     return obj

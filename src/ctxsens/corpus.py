@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -289,34 +289,46 @@ def _str(obj: dict, key: str, source: str, line: int) -> str:
     return value
 
 
-def not_utf8(path: Path) -> ParseError:
-    """The error for a file that failed to decode as UTF-8, at its first
-    undecodable line. Readers call it only once decoding has failed, so a
-    good file is read once."""
-    with open(path, "rb") as handle:
+def read_lines(path: Path) -> Iterator[str]:
+    """The lines of a UTF-8 file, each checked as it is read, so that a
+    byte that is not UTF-8 is a ParseError at its line after every line
+    above it was read."""
+    with _open_text(path) as handle:
         for line_no, line in enumerate(handle, start=1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                return ParseError(str(path), line_no, f"not UTF-8: byte {line[exc.start]:#04x} at column {exc.start + 1}")
-    return ParseError(str(path), 1, "not UTF-8")
+            if not line.isascii():
+                _check_utf8(path, line_no, line)
+            yield line
+
+
+def _open_text(path: Path) -> TextIO:
+    """path for reading by lines, split where text mode splits them and
+    kept whole; a byte that is not UTF-8 stays in as a lone surrogate, which
+    valid UTF-8 never decodes to, for _check_utf8 to find."""
+    return path.open("r", encoding="utf-8", errors="surrogateescape", newline="")
+
+
+def _check_utf8(path: Path, line_no: int, line: str) -> None:
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        byte, column = ord(line[exc.start]) - 0xDC00, len(line[: exc.start].encode("utf-8", "surrogateescape")) + 1
+        raise ParseError(str(path), line_no, f"not UTF-8: byte {byte:#04x} at column {column}") from None
 
 
 def _iter_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
-    with path.open("r", encoding="utf-8") as handle:
-        try:
-            for line_no, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(str(path), line_no, f"invalid JSON: {exc.msg}") from exc
-                if not isinstance(obj, dict):
-                    raise ParseError(str(path), line_no, "each line must be a JSON object")
-                yield line_no, obj
-        except UnicodeDecodeError:
-            raise not_utf8(path) from None
+    with _open_text(path) as handle:  # read_lines, inlined: this loop reads every pool and corpus file
+        for line_no, line in enumerate(handle, start=1):
+            if not line.isascii():
+                _check_utf8(path, line_no, line)
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(str(path), line_no, f"invalid JSON: {exc.msg}") from exc
+            if not isinstance(obj, dict):
+                raise ParseError(str(path), line_no, "each line must be a JSON object")
+            yield line_no, obj
 
 
 # --- CSV -------------------------------------------------------------------
@@ -326,22 +338,18 @@ _ANNOTATION_HEADER = ["post_id", "condition", "labels", "parent_helpful"]
 
 
 def _read_csv_rows(path: Path, expected_header: list[str]) -> Iterator[tuple[int, list[str]]]:
-    with path.open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise ParseError(str(path), 1, "missing header row")
-            if header != expected_header:
-                raise ParseError(str(path), 1, f"expected header {expected_header}, got {header}")
-            for row_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(expected_header):
-                    raise ParseError(str(path), row_no, f"expected {len(expected_header)} fields, got {len(row)}")
-                yield row_no, row
-        except UnicodeDecodeError:
-            raise not_utf8(path) from None
+    reader = csv.reader(read_lines(path))
+    header = next(reader, None)
+    if header is None:
+        raise ParseError(str(path), 1, "missing header row")
+    if header != expected_header:
+        raise ParseError(str(path), 1, f"expected header {expected_header}, got {header}")
+    for row_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(expected_header):
+            raise ParseError(str(path), row_no, f"expected {len(expected_header)} fields, got {len(row)}")
+        yield row_no, row
 
 
 def _annotation_from_csv(row: list[str], source: str, line: int) -> tuple:
@@ -436,11 +444,7 @@ def load_bool_column(path: str | Path) -> list[bool]:
     """The first column of a CSV file with a header row, as booleans
     (true/false, 1/0, yes/no or t/f in any case); blank rows are skipped."""
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as handle:
-        try:
-            rows = list(csv.reader(handle))
-        except UnicodeDecodeError:
-            raise not_utf8(path) from None
+    rows = list(csv.reader(read_lines(path)))
     if not rows:
         raise ParseError(str(path), 1, "empty file")
     values = []
@@ -494,12 +498,8 @@ def load_score_table(path: str | Path, columns: ScoreTableColumns | None = None)
     blank, missing or repeated post id are each a ParseError naming file:line."""
     columns = columns or ScoreTableColumns()
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as handle:
-        try:
-            reader = csv.DictReader(handle)
-            header, table = reader.fieldnames, list(reader)
-        except UnicodeDecodeError:
-            raise not_utf8(path) from None
+    reader = csv.DictReader(read_lines(path))
+    header, table = reader.fieldnames, list(reader)
     if header is None:
         raise ParseError(str(path), 1, "missing header row")
     missing = [c for c in (columns.post_id, columns.oc_score, columns.ic_score) if c not in header]

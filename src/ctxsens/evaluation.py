@@ -33,21 +33,24 @@ class UndefinedMetricError(MetricError):
     """Raised when a metric has no defined value (e.g. single-class labels)."""
 
 
-def _check_lengths(pred: Sequence[float], gold: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+def _checked(pred: Sequence[float], gold: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     if len(pred) != len(gold):
         raise MetricError(f"length mismatch: {len(pred)} predictions vs {len(gold)} gold")
     if len(pred) == 0:
         raise MetricError("empty inputs")
-    return np.asarray(pred, dtype=np.float64), np.asarray(gold, dtype=np.float64)
+    p, g = np.asarray(pred, dtype=np.float64), np.asarray(gold, dtype=np.float64)
+    if not (np.isfinite(p).all() and np.isfinite(g).all()):
+        raise MetricError("predictions and gold values must be finite, not NaN or infinite")
+    return p, g
 
 
 def mse(pred: Sequence[float], gold: Sequence[float]) -> float:
-    p, g = _check_lengths(pred, gold)
+    p, g = _checked(pred, gold)
     return float(np.mean((p - g) ** 2))
 
 
 def mae(pred: Sequence[float], gold: Sequence[float]) -> float:
-    p, g = _check_lengths(pred, gold)
+    p, g = _checked(pred, gold)
     return float(np.mean(np.abs(p - g)))
 
 

@@ -420,6 +420,18 @@ def test_score_table_adapter_reports_a_file_that_is_not_utf8(tmp_path):
         load_score_table(path)
 
 
+def test_a_bad_row_above_a_byte_that_is_not_utf8_is_reported_first(tmp_path):
+    path = tmp_path / "posts.jsonl"
+    rows = [("p1", "fine"), ("p2", "   "), ("p3", "also fine"), ("p4", "caf\udce9")]
+    lines = [json.dumps({"post_id": i, "target_text": t}, ensure_ascii=False) for i, t in rows]
+    path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape") + b"\n")
+    with pytest.raises(ParseError, match=r"posts\.jsonl:2: post 'p2': target_text is blank"):
+        load_posts(path)
+    path.write_bytes(path.read_bytes().replace(b'"   "', b'"two"'))
+    with pytest.raises(ParseError, match=r"posts\.jsonl:4: not UTF-8: byte 0xe9 at column 38$"):
+        load_posts(path)
+
+
 _HEADER = "id,text,parent,toxicity_oc,toxicity_ic\n"
 
 
