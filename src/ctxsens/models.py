@@ -476,6 +476,10 @@ class ExternalModel(Model):
 # --- ridge -------------------------------------------------------------------
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.add.reduce(a * b))
+
+
 def _solve_ridge(
     matrix: sparse.csr_matrix,
     y: np.ndarray,
@@ -484,7 +488,9 @@ def _solve_ridge(
     max_iter: int,
 ) -> tuple[np.ndarray, float, dict]:
     """Conjugate gradient on the normal equations of [X, 1] with the bias
-    column unpenalized. Deterministic; no randomness involved.
+    column unpenalized. Deterministic; no randomness involved. The inner
+    products are summed by numpy in a fixed order, not by BLAS, whose order
+    depends on its thread count, so the bytes do not either.
 
     Also returns diagnostics: the iterations run, the norm of the final
     residual of the normal equations (as CG tracks it) and whether it reached
@@ -506,18 +512,18 @@ def _solve_ridge(
     theta = np.zeros(d + 1)
     residual = rhs - apply(theta)
     direction = residual.copy()
-    rs = float(residual @ residual)
-    threshold = (tol * max(1.0, math.sqrt(float(rhs @ rhs)))) ** 2
+    rs = _dot(residual, residual)
+    threshold = (tol * max(1.0, math.sqrt(_dot(rhs, rhs)))) ** 2
     iterations = 0
     while iterations < max_iter and rs > threshold:
         applied = apply(direction)
-        denom = float(direction @ applied)
+        denom = _dot(direction, applied)
         if denom <= 0.0:
             break
         alpha = rs / denom
         theta += alpha * direction
         residual -= alpha * applied
-        rs_next = float(residual @ residual)
+        rs_next = _dot(residual, residual)
         direction = residual + (rs_next / rs) * direction
         rs = rs_next
         iterations += 1

@@ -1,5 +1,9 @@
+import os
 import struct
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,6 +307,27 @@ def test_training_is_bit_deterministic(tmp_path_factory, family, seed):
     assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
     queries, _ = random_dataset(seed=seed + 1, n=5, d=3)
     assert np.array_equal(first.predict_batch(queries), second.predict_batch(queries))
+
+
+_RIDGE_ON_WIDE_CSR = """
+import sys
+import numpy as np
+from scipy import sparse
+from ctxsens import models
+rng = np.random.default_rng(7)
+matrix = sparse.random(600, 24_000, density=0.003, format="csr", random_state=rng)
+model = models.train("ridge", matrix, rng.uniform(-1.0, 1.0, 600), config=models.TrainConfig(ridge_lambda=0.1))
+models.save_model(model, sys.argv[1])
+"""
+
+
+def test_ridge_model_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # BLAS splits a dot product of more than about 10k entries over its threads
+    src = str(Path(models.__file__).resolve().parents[1])
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", _RIDGE_ON_WIDE_CSR, str(tmp_path / threads)], env=env, check=True, timeout=120)
+    assert (tmp_path / "1").read_bytes() == (tmp_path / "2").read_bytes()
 
 
 # --- persistence ------------------------------------------------------------------------------------
