@@ -46,20 +46,13 @@ def test_length_mismatch_and_empty_rejected():
         mae([], [])
 
 
+@pytest.mark.parametrize("metric", [mse, mae])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_mse_rejects_a_value_that_is_not_finite(bad):
+def test_mse_and_mae_reject_values_that_are_not_finite(metric, bad):
     with pytest.raises(MetricError, match="finite"):
-        mse([0.0, bad], [0.0, 1.0])
+        metric([0.0, bad], [0.0, 1.0])
     with pytest.raises(MetricError, match="finite"):
-        mse([0.0, 0.5], [bad, 1.0])
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_mae_rejects_a_value_that_is_not_finite(bad):
-    with pytest.raises(MetricError, match="finite"):
-        mae([bad, 0.5], [0.0, 1.0])
-    with pytest.raises(MetricError, match="finite"):
-        mae([0.0, 0.5], [0.0, bad])
+        metric([0.0, 0.5], [bad, 1.0])
 
 
 def test_constant_predictor_mse_is_variance_plus_squared_bias():
