@@ -21,7 +21,9 @@ from typing import Callable
 
 
 def cpu_count() -> int:
-    return len(os.sched_getaffinity(0))
+    """The CPUs this process may run on; 1 on a platform that cannot say
+    (macOS, Windows), so that it never forks there."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def bounds(n_items: int, work: int, least: int) -> list[int]:

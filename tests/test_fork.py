@@ -160,3 +160,8 @@ def test_small_batches_never_fork(tmp_path, monkeypatch):
     line = f"evaluate --family rf --data {tmp_path}/agg/sensitivity.jsonl --repeats 2 --out {tmp_path}/eval"
     assert _cli(line) == EXIT_OK
     assert forks == []
+
+
+def test_one_part_where_the_affinity_mask_is_unknown(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _fork.bounds(50_000, 50_000, 4) == [0, 50_000]
