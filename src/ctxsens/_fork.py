@@ -19,6 +19,9 @@ import pickle
 import signal
 from typing import Callable
 
+# Least work a part gets: rows to featurize and score, or row visits to build trees.
+_LEAST_WORK = 8192
+
 
 def cpu_count() -> int:
     """The CPUs this process may run on; 1 on a platform that cannot say
@@ -26,11 +29,11 @@ def cpu_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def bounds(n_items: int, work: int, least: int) -> list[int]:
+def bounds(n_items: int, work: int) -> list[int]:
     """Ends of the contiguous parts of n_items items that cost `work` units
     in all: one part per CPU, but no more parts than give each at least
-    `least` units, nor than there are items."""
-    parts = max(1, min(cpu_count(), work // least, n_items))
+    _LEAST_WORK units, nor than there are items."""
+    parts = max(1, min(cpu_count(), work // _LEAST_WORK, n_items))
     return [n_items * part // parts for part in range(parts + 1)]
 
 

@@ -65,17 +65,6 @@ class BootstrapResult:
     direction: str
     seed: int
 
-    def to_json(self) -> dict:
-        return {
-            "n_resamples": self.n_resamples,
-            "resample_size": self.resample_size,
-            "observed_a": self.observed_a,
-            "observed_b": self.observed_b,
-            "p_value": self.p_value,
-            "direction": self.direction,
-            "seed": self.seed,
-        }
-
 
 def paired_bootstrap(
     group_a: Sequence[bool],

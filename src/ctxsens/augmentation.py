@@ -1,10 +1,11 @@
 """Teacher-student augmentation: silver-score a pool, select, retrain, evaluate.
 
-Each cycle the current teacher silver-scores the remaining pool, k posts are
-selected (highest silver score, or uniformly at random), moved from the pool
-into the training set with their silver scores as targets, and a student is
-trained from scratch on the augmented set and evaluated on a test split that
-stays fixed across cycles. The student becomes the next cycle's teacher.
+Each cycle k posts are selected from the remaining pool (those the current
+teacher silver-scores highest, or k drawn uniformly at random, which alone
+it then silver-scores), moved from the pool into the training set with their
+silver scores as targets, and a student is trained from scratch on the
+augmented set and evaluated on a test split that stays fixed across cycles.
+The student becomes the next cycle's teacher.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ class AugmentationConfig:
     k_per_cycle: int = 1000
     n_cycles: int = 5
     single_shot: bool = False
-    teacher_family: str = FAMILY_RIDGE
-    student_family: str = FAMILY_RIDGE
+    family: str = FAMILY_RIDGE  # of the first teacher and of every student
     train_config: TrainConfig = field(default_factory=TrainConfig)
     seed: int = 0
 
@@ -108,7 +108,7 @@ def run_augmentation(
     train_texts, train_targets = list(gold_train[1]), list(gold_train[2])
     validation = gold_validation[1:]
 
-    teacher = train(config.teacher_family, train_texts, train_targets, validation, config.train_config)
+    teacher = train(config.family, train_texts, train_targets, validation, config.train_config)
 
     if config.single_shot:
         plan = [config.k_per_cycle * config.n_cycles]
@@ -119,18 +119,19 @@ def run_augmentation(
     for cycle, k in enumerate(plan):
         started = time.perf_counter()
         left = pool.take(remaining)
-        silver = teacher.predict_batch(left.target_texts)
         if config.selection == SELECTION_TEACHER_TOP_K:
+            silver = teacher.predict_batch(left.target_texts)
             chosen = select_top_k(left.post_ids, silver, k)
-            picked = np.sort(chosen)  # training rows join in pool order
-        else:
+        else:  # only the picks are scored
             rng = np.random.default_rng(np.random.SeedSequence([config.seed, cycle]))
-            chosen = picked = np.sort(rng.choice(len(left), size=k, replace=False))
+            chosen, silver = np.sort(rng.choice(len(left), size=k, replace=False)), np.zeros(len(left))
+            silver[chosen] = teacher.predict_batch(left.take(chosen).target_texts)
+        picked = np.sort(chosen)  # training rows join in pool order
         train_texts += left.take(picked).target_texts
         train_targets += silver[picked].tolist()
         remaining = np.delete(remaining, chosen)
 
-        student = train(config.student_family, train_texts, train_targets, validation, config.train_config)
+        student = train(config.family, train_texts, train_targets, validation, config.train_config)
         predictions = student.predict_batch(test_texts)
         scores = silver[chosen].tolist()
         logs.append(

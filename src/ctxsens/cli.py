@@ -191,7 +191,9 @@ def _endpoint_from(resolved: Mapping) -> ScorerEndpoint | None:
 
 def _train_config(resolved: dict, file_config: Mapping, endpoint: ScorerEndpoint | None) -> models.TrainConfig:
     """TrainConfig from the config file's field names plus the resolved seed;
-    records the canonical family name in resolved."""
+    records the canonical family name in resolved. A key that is no option of
+    any subcommand, no hyperparameter and not "features" is an error, as is a
+    "features" key that is no FeatureConfig field."""
     from . import models
     from .features import FeatureConfig, FeatureError
     resolved["family"] = models.resolve_family(resolved["family"])
@@ -202,10 +204,15 @@ def _train_config(resolved: dict, file_config: Mapping, endpoint: ScorerEndpoint
         raise CliValidationError(f"config key 'features' must be an object, got {features!r}")
     feature_fields = {f.name for f in dataclasses.fields(FeatureConfig)}
     train_fields = {f.name for f in dataclasses.fields(models.TrainConfig)} - {"features", "external", "seed"}
+    options = {flag.dest for command in COMMANDS.values() for flag in _flags(command)}
+    unknown = [key for key in file_config if key not in train_fields | options | {"features"}]
+    unknown += [f"features.{key}" for key in features if key not in feature_fields]
+    if unknown:
+        raise CliValidationError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
     try:
         return models.TrainConfig(
             seed=resolved["seed"],
-            features=FeatureConfig(**{k: v for k, v in features.items() if k in feature_fields}),
+            features=FeatureConfig(**features),
             external=endpoint,
             **{k: v for k, v in file_config.items() if k in train_fields},
         )
@@ -432,8 +439,7 @@ def _augment(run: Run) -> None:
             k_per_cycle=run.config["k"],
             n_cycles=run.config["cycles"],
             single_shot=run.config["single-shot"],
-            teacher_family=run.config["family"],
-            student_family=run.config["family"],
+            family=run.config["family"],
             train_config=run.train_config,
             seed=int(np.random.SeedSequence([seed, repeat]).generate_state(1)[0]),
         )
@@ -471,7 +477,7 @@ def _bootstrap(run: Run) -> None:
         )
     except ValueError as exc:
         raise CliValidationError(str(exc)) from exc
-    write_json(run.out("bootstrap.json"), result.to_json())
+    write_json(run.out("bootstrap.json"), dataclasses.asdict(result))
 
 
 COMMANDS = {

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -139,9 +139,6 @@ class FoldMetrics:
     missing_reason: str | None
     test_fingerprint: str
 
-    def value(self, metric: str) -> float | None:
-        return getattr(self, metric)
-
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -152,11 +149,11 @@ class EvalReport:
         return len(self.folds)
 
     def mean(self, metric: str) -> float | None:
-        values = [f.value(metric) for f in self.folds if f.value(metric) is not None]
+        values = [getattr(f, metric) for f in self.folds if getattr(f, metric) is not None]
         return float(np.mean(values)) if values else None
 
     def sem(self, metric: str) -> float | None:
-        values = [f.value(metric) for f in self.folds if f.value(metric) is not None]
+        values = [getattr(f, metric) for f in self.folds if getattr(f, metric) is not None]
         if len(values) < 2:
             return None
         return float(np.std(values, ddof=1) / math.sqrt(len(values)))
@@ -166,18 +163,7 @@ class EvalReport:
             "n_folds": self.n_folds,
             "means": {m: self.mean(m) for m in METRICS},
             "sems": {m: self.sem(m) for m in METRICS},
-            "folds": [
-                {
-                    "mse": f.mse,
-                    "mae": f.mae,
-                    "aupr": f.aupr,
-                    "auc": f.auc,
-                    "n_test": f.n_test,
-                    "missing_reason": f.missing_reason,
-                    "test_fingerprint": f.test_fingerprint,
-                }
-                for f in self.folds
-            ],
+            "folds": [asdict(f) for f in self.folds],
         }
 
 

@@ -15,15 +15,16 @@ time, so keys stay within int64 for any ngram_max.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import re
 from array import array
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import sparse
+
+from . import _fork
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -171,18 +172,19 @@ def _grown(buffer: np.ndarray, size: int) -> np.ndarray:
 _WORD_IDS = _WordIds()
 
 
-# A forked process sends back memo_since(mark) of a memo_mark() taken before
-# the fork, and its parent passes that to memo_merge.
-def memo_mark() -> tuple[int, int, int]:
-    return _WORD_IDS.mark()
+def score_in_parts(texts: Sequence[str], score: Callable[[Sequence[str]], np.ndarray]) -> np.ndarray:
+    """score(texts), computed on contiguous parts of texts in forked processes
+    (see _fork.bounds) and joined in order; each forked part sends back what
+    it added to the memo, and this process merges it."""
+    ends, mark = _fork.bounds(len(texts), len(texts)), _WORD_IDS.mark()
 
+    def part(i: int) -> tuple[np.ndarray, tuple | None]:
+        return score(texts[ends[i] : ends[i + 1]]), _WORD_IDS.since(mark) if i else None
 
-def memo_since(mark: tuple[int, int, int]) -> tuple:
-    return _WORD_IDS.since(mark)
-
-
-def memo_merge(delta: tuple) -> None:
-    _WORD_IDS.merge(delta)
+    parts = _fork.run(part, len(ends) - 1)
+    for _, added in parts[1:]:
+        _WORD_IDS.merge(added)
+    return np.concatenate([scores for scores, _ in parts])
 
 
 def _words(texts: Sequence[str], config: FeatureConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -321,13 +323,6 @@ class Vocabulary:
         term_index = {term: idx for term, idx, _ in obj["terms"]}
         doc_freq = {term: df for term, _, df in obj["terms"]}
         return cls(term_index, doc_freq, obj["n_documents"], config)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), ensure_ascii=False, sort_keys=True)
-
-    @classmethod
-    def loads(cls, payload: str) -> "Vocabulary":
-        return cls.from_json(json.loads(payload))
 
 
 def fit_vocabulary(texts: Sequence[str], config: FeatureConfig | None = None) -> Vocabulary:

@@ -18,15 +18,15 @@ import json
 import math
 import struct
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 from scipy import sparse
 
-from . import _fork, features
-from .features import FeatureConfig, Vocabulary, fit_vocabulary, to_csr, transform_many
+from . import _fork
+from .features import FeatureConfig, Vocabulary, fit_vocabulary, score_in_parts, to_csr, transform_many
 from .scorer import ExternalScorerClient, ScorerEndpoint, transport_fingerprint
 
 FAMILY_CONSTANT_MEAN = "constant_mean"
@@ -133,30 +133,9 @@ class TrainConfig:
                 raise TrainingError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
     def hyperparameters(self, family: str) -> dict:
-        if family == FAMILY_RIDGE:
-            return {
-                "ridge_lambda": self.ridge_lambda,
-                "ridge_tol": self.ridge_tol,
-                "ridge_max_iter": self.ridge_max_iter,
-            }
-        if family == FAMILY_LINEAR_SVR:
-            return {
-                "svr_epsilon": self.svr_epsilon,
-                "svr_learning_rate": self.svr_learning_rate,
-                "svr_c": self.svr_c,
-                "svr_max_epochs": self.svr_max_epochs,
-                "svr_batch_size": self.svr_batch_size,
-                "patience": self.patience,
-            }
-        if family == FAMILY_RANDOM_FOREST:
-            return {
-                "rf_n_trees": self.rf_n_trees,
-                "rf_max_depth": self.rf_max_depth,
-                "rf_min_samples_leaf": self.rf_min_samples_leaf,
-                "rf_max_features": self.rf_max_features,
-                "rf_bootstrap": self.rf_bootstrap,
-            }
-        return {}
+        """The fields that family reads, named by their prefixes."""
+        prefixes = {FAMILY_RIDGE: ("ridge_",), FAMILY_LINEAR_SVR: ("svr_", "patience"), FAMILY_RANDOM_FOREST: ("rf_",)}
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name.startswith(prefixes.get(family, ()))}
 
 
 @dataclass(frozen=True)
@@ -246,24 +225,13 @@ class Model:
         """Predict for a list of texts or a sparse matrix, one score per input
         or row, clamped to [-1, 1].
 
-        Texts for a featurized family are featurized and scored in contiguous
-        parts, one per CPU while each part gets at least features._BLOCK_ROWS
-        rows; the words that forked parts tokenized join this process's memo."""
+        Texts for a featurized family are featurized and scored in parts
+        (features.score_in_parts)."""
         if _n_rows(inputs) == 0:
             return np.zeros(0)
         if self.vocab is None or sparse.issparse(inputs):
             return _clamp(self._raw_scores(inputs))
-        texts = _texts(inputs, PredictionError)
-        ends, mark = _fork.bounds(len(texts), len(texts), features._BLOCK_ROWS), features.memo_mark()
-
-        def part(i: int) -> tuple[np.ndarray, tuple | None]:
-            scores = self._raw_scores(texts[ends[i] : ends[i + 1]])
-            return scores, features.memo_since(mark) if i else None
-
-        parts = _fork.run(part, len(ends) - 1)
-        for _, added in parts[1:]:
-            features.memo_merge(added)
-        return _clamp(np.concatenate([scores for scores, _ in parts]))
+        return _clamp(score_in_parts(_texts(inputs, PredictionError), self._raw_scores))
 
     def _raw_scores(self, inputs) -> np.ndarray:
         raise NotImplementedError
@@ -801,9 +769,8 @@ def _fit_forest(matrix: sparse.csr_matrix, y: np.ndarray, config: TrainConfig) -
         csc = matrix[boot].tocsc()
         return _build_tree(csc, y[boot], rng, config.rf_max_depth, config.rf_min_samples_leaf, n_sample)
 
-    # trees in contiguous parts of their indices, one per CPU while each part
-    # gets at least features._BLOCK_ROWS row visits
-    ends = _fork.bounds(config.rf_n_trees, n * config.rf_n_trees, features._BLOCK_ROWS)
+    # trees in contiguous parts of their indices, one per CPU
+    ends = _fork.bounds(config.rf_n_trees, n * config.rf_n_trees)
     parts = _fork.run(lambda p: [tree(i) for i in range(ends[p], ends[p + 1])], len(ends) - 1)
     return [tree for part in parts for tree in part]
 
@@ -974,7 +941,15 @@ def load_model(path: str | Path) -> Model:
     (stored_crc,) = struct.unpack("<I", tail)
     if zlib.crc32(body) != stored_crc:
         raise ChecksumError(f"{path}: checksum mismatch; file is corrupted")
-    buf = io.BytesIO(body[len(_MAGIC) :])
+    try:
+        return _decode(body[len(_MAGIC) :], path)
+    except (KeyError, IndexError, TypeError, ValueError, struct.error) as exc:  # a valid checksum over bad contents
+        raise ModelPersistenceError(f"{path}: malformed model file: {type(exc).__name__}: {exc}") from None
+
+
+def _decode(body: bytes, path: str | Path) -> Model:
+    """The model in a checksummed body, read from just after the magic bytes."""
+    buf = io.BytesIO(body)
     major, _minor = struct.unpack("<HH", buf.read(4))
     if major > FORMAT_MAJOR:
         raise VersionError(f"{path}: format major version {major} is newer than supported {FORMAT_MAJOR}")
@@ -1005,8 +980,11 @@ def load_model(path: str | Path) -> Model:
     if family == FAMILY_LINEAR_SVR:
         return LinearSVRModel(arrays["weights"], float(arrays["bias"][0]), metadata, vocab, dimension)
     if family == FAMILY_RANDOM_FOREST:
+        n_trees = extras["n_trees"]
+        if type(n_trees) is not int or not 1 <= n_trees == len(arrays) / 5:
+            raise ModelPersistenceError(f"{path}: n_trees is {n_trees!r} for {len(arrays)} tree arrays, 5 per tree")
         trees = []
-        for i in range(extras["n_trees"]):
+        for i in range(n_trees):
             tree = _Tree(
                 feature=arrays[f"t{i}_feature"],
                 threshold=arrays[f"t{i}_threshold"],

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 DEFAULT_TIMEOUT = 30.0
+_RETRIES = 1  # passes over an item that failed, after its first
 
 
 class ScorerError(RuntimeError):
@@ -208,11 +209,11 @@ class ExternalScorerClient:
             raise failures[request_id]
         return scores[request_id]
 
-    def score_many(self, items: Sequence[Item], retries: int = 1) -> tuple[dict[str, float], dict[str, str]]:
+    def score_many(self, items: Sequence[Item]) -> tuple[dict[str, float], dict[str, str]]:
         """Score (id, text, parent) items, pipelined on the one connection.
 
         Returns (scores, errors) keyed by id; failed items are retried up to
-        `retries` additional times, each retry a pass over the failures, before
+        _RETRIES more times, each retry a pass over the failures, before
         landing in errors. A repeated id raises ValueError before anything is sent.
         """
         seen: set[str] = set()
@@ -223,7 +224,7 @@ class ExternalScorerClient:
         scores: dict[str, float] = {}
         failures: dict[str, ScorerError] = {}
         remaining = list(items)
-        for _ in range(retries + 1):
+        for _ in range(_RETRIES + 1):
             if not remaining:
                 break
             passed, failures = self._pass(remaining)

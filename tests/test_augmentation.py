@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from ctxsens import models
 from ctxsens.augmentation import (
     SELECTION_RANDOM_K,
     SELECTION_TEACHER_TOP_K,
@@ -145,11 +146,26 @@ def test_random_k_seeds_differ_across_cycles():
     assert len({log.selected_post_ids for log in logs}) == 3
 
 
+def test_random_selection_scores_only_its_picks(monkeypatch):
+    pool, tr, val, test = small_setup(pool_size=40)
+    rows, predict = [], models.Model.predict_batch
+    monkeypatch.setattr(
+        models.Model, "predict_batch", lambda model, texts: rows.append(len(texts)) or predict(model, texts)
+    )
+    config = base_config(pool, selection=SELECTION_RANDOM_K, n_cycles=3, k_per_cycle=4)
+    logs = run_augmentation(tr, val, test, config)
+    assert rows == [4, len(test[0])] * 3  # each cycle: the teacher's picks, then the student's test split
+    teacher = train(config.family, tr[1], tr[2], val[1:], config.train_config)
+    text_of = dict(zip(pool.post_ids, pool.target_texts))
+    replayed = predict(teacher, [text_of[post_id] for post_id in logs[0].selected_post_ids])
+    assert np.array_equal(replayed, np.array(logs[0].selected_silver_scores))
+
+
 def test_silver_scores_replayable_from_first_teacher():
     pool, tr, val, test = small_setup()
     config = base_config(pool)
     logs = run_augmentation(tr, val, test, config)
-    teacher = train(config.teacher_family, tr[1], tr[2], val[1:], config.train_config)
+    teacher = train(config.family, tr[1], tr[2], val[1:], config.train_config)
     text_of = dict(zip(pool.post_ids, pool.target_texts))
     replayed = teacher.predict_batch([text_of[post_id] for post_id in logs[0].selected_post_ids])
     assert np.array_equal(replayed, np.array(logs[0].selected_silver_scores))
@@ -157,7 +173,7 @@ def test_silver_scores_replayable_from_first_teacher():
 
 def test_constant_teacher_degenerates_to_id_order():
     pool, tr, val, test = small_setup()
-    config = base_config(pool, teacher_family="constant_mean", student_family="constant_mean")
+    config = base_config(pool, family="constant_mean")
     logs = run_augmentation(tr, val, test, config)
     expected = sorted(pool.post_ids)[:3]
     assert list(logs[0].selected_post_ids) == expected

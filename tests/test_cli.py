@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import json
@@ -199,6 +200,49 @@ def test_rejected_run_prints_one_error_and_creates_no_out_directory(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train --family ridge", "evaluate --family ridge", "augment --pool {pool}"])
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        ({"ridge_lamda": 0.5, "features": {"min_dff": 3}}, ["'ridge_lamda'", "'features.min_dff'"]),
+        ({"external": {"command": ["python3", "scorer.py"]}}, ["'external'"]),
+    ],
+    ids=["typos", "external"],
+)
+def test_unknown_config_key_is_validation_error_naming_it(tmp_path, sensitivity_file, capsys, command, config, named):
+    pool, _ = planted_posts(5, seed=5, id_prefix="pool")
+    save_posts(pool, tmp_path / "pool.jsonl")
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    line = f"{command} --data {sensitivity_file} --config {tmp_path}/config.json --out {tmp_path}/out"
+    assert main(_args(line.format(pool=tmp_path / "pool.jsonl"))) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and all(key in err[0] for key in named), err
+    assert not (tmp_path / "out").exists()
+
+
+def _perfbench_constant(name: str):
+    """A literal assigned at the top level of perfbench/run.py."""
+    tree = ast.parse((Path(__file__).resolve().parent.parent / "perfbench" / "run.py").read_text(encoding="utf-8"))
+    assigned = (node for node in tree.body if isinstance(node, ast.Assign))
+    return next(ast.literal_eval(node.value) for node in assigned if getattr(node.targets[0], "id", None) == name)
+
+
+@pytest.mark.parametrize(
+    "family, config",
+    [
+        ("ridge", {"repeats": 5, "ridge_lambda": 0.5}),  # a file shared with evaluate
+        ("svr", _perfbench_constant("SVR_CONFIG")),
+        ("rf", {"rf_n_trees": _perfbench_constant("FOREST_TREES")}),
+    ],
+)
+def test_config_keys_of_any_subcommand_and_of_the_benchmark_are_accepted(tmp_path, sensitivity_file, family, config):
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    line = f"train --family {family} --data {sensitivity_file} --config {tmp_path}/config.json --out {tmp_path}/m"
+    assert main(_args(line)) == EXIT_OK
+    hyperparameters = load_model(tmp_path / "m" / "model.bin").metadata.hyperparameters
+    assert {key: value for key, value in config.items() if key != "repeats"}.items() <= hyperparameters.items()
 
 
 def test_readme_walkthrough_parses():

@@ -205,7 +205,7 @@ def test_cv_mean_is_exact_mean_of_folds():
     examples = examples_with_half_sensitive(50)
     report = monte_carlo_cv(examples, "uniform_random", TrainConfig(seed=0), SplitSpec(seed=0))
     for metric in ("mse", "mae", "auc", "aupr"):
-        values = [f.value(metric) for f in report.folds if f.value(metric) is not None]
+        values = [getattr(f, metric) for f in report.folds if getattr(f, metric) is not None]
         assert report.mean(metric) == pytest.approx(float(np.mean(values)), abs=1e-12)
         assert abs(report.mean(metric) - np.mean(values)) <= 1e-12
 

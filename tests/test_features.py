@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -147,7 +148,7 @@ def test_zero_vector_for_fully_oov_text():
 
 def test_vocabulary_json_round_trip():
     vocab = fit_vocabulary(["a b", "b c d", "d"], UNIGRAM)
-    clone = Vocabulary.loads(vocab.dumps())
+    clone = Vocabulary.from_json(json.loads(json.dumps(vocab.to_json())))
     assert clone.term_index == vocab.term_index
     assert clone.doc_freq == vocab.doc_freq
     assert clone.n_documents == vocab.n_documents

@@ -27,6 +27,7 @@ def _split_small_batches(monkeypatch, parts: int) -> None:
     memo, so that the 40-post fixtures split and the parts tokenize."""
     monkeypatch.setattr(_fork, "cpu_count", lambda: parts)
     monkeypatch.setattr(features, "_BLOCK_ROWS", 4)
+    monkeypatch.setattr(_fork, "_LEAST_WORK", 4)
     monkeypatch.setattr(features, "_WORD_IDS", features._WordIds())
 
 
@@ -69,8 +70,8 @@ def test_split_scoring_merges_each_text_into_the_memo_once(monkeypatch):
     _split_small_batches(monkeypatch, 3)
     model = models.train("ridge", train, np.linspace(-1.0, 1.0, len(train)), config=models.TrainConfig(seed=1))
     merged, forks = [], []
-    merge, fork = features.memo_merge, os.fork
-    monkeypatch.setattr(features, "memo_merge", lambda added: merged.append(added) or merge(added))
+    merge, fork = features._WORD_IDS.merge, os.fork
+    monkeypatch.setattr(features._WORD_IDS, "merge", lambda added: merged.append(added) or merge(added))
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     scores = model.predict_batch(pool)
     assert len(forks) == len(merged) == 2
@@ -164,4 +165,5 @@ def test_small_batches_never_fork(tmp_path, monkeypatch):
 
 def test_one_part_where_the_affinity_mask_is_unknown(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert _fork.bounds(50_000, 50_000, 4) == [0, 50_000]
+    monkeypatch.setattr(_fork, "_LEAST_WORK", 4)
+    assert _fork.bounds(50_000, 50_000) == [0, 50_000]

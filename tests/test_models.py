@@ -1,4 +1,7 @@
+import io
+import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -11,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ctxsens import models
+from ctxsens.cli import EXIT_RUNTIME, main
 from ctxsens.features import FeatureConfig, fit_vocabulary, transform_many
 from ctxsens.models import (
     ChecksumError,
@@ -23,7 +27,7 @@ from ctxsens.models import (
     train,
 )
 
-from helpers import csr, planted_posts
+from helpers import csr, planted_posts, save_posts
 from oracles import ridge_gradient, ridge_objective, svr_epsilon_loss
 
 
@@ -414,6 +418,64 @@ def test_hand_built_forest_loads_and_predicts(tmp_path):
 def test_malformed_forest_rejected_on_load(tmp_path, changes):
     with pytest.raises(ModelPersistenceError, match="tree 0"):
         load_model(_forest_file(tmp_path, **changes))
+
+
+def _rewrite(path: Path, edit) -> None:
+    """Pass the model file's metadata bytes and arrays through edit and write
+    them back under a fresh checksum."""
+    buf = io.BytesIO(path.read_bytes()[:-4])
+    head = buf.read(len(models._MAGIC) + 4)
+    family = buf.read(struct.unpack("<I", buf.read(4))[0])
+    meta = buf.read(struct.unpack("<I", buf.read(4))[0])
+    arrays = models._unpack_arrays(buf.read(struct.unpack("<Q", buf.read(8))[0]))
+    meta, arrays = edit(meta, arrays)
+    params = models._pack_arrays(arrays)
+    body = b"".join([head, struct.pack("<I", len(family)), family, struct.pack("<I", len(meta)), meta])
+    body += struct.pack("<Q", len(params)) + params
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+
+def _with_extras(**extras):
+    """An edit that sets the given extras in the metadata; None removes one."""
+
+    def edit(meta: bytes, arrays: dict) -> tuple:
+        obj = json.loads(meta)
+        obj["extras"] = {key: value for key, value in {**obj["extras"], **extras}.items() if value is not None}
+        return json.dumps(obj).encode("utf-8"), arrays
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "family, edit",
+    [
+        ("random_forest", _with_extras(n_trees=None)),
+        ("random_forest", _with_extras(n_trees="1")),
+        ("random_forest", _with_extras(n_trees=2)),  # more trees than the arrays hold
+        ("random_forest", _with_extras(n_trees=0)),
+        ("random_forest", lambda meta, arrays: (meta, {**arrays, **{"t1" + k[2:]: v for k, v in arrays.items()}})),
+        ("ridge", lambda meta, arrays: (meta, {k: v for k, v in arrays.items() if k != "weights"})),
+        ("ridge", lambda meta, arrays: (b"{not json", arrays)),
+    ],
+    ids=[
+        "no_n_trees", "n_trees_text", "n_trees_past_arrays", "n_trees_zero", "arrays_past_n_trees", "no_weights",
+        "metadata_not_json",
+    ],
+)
+def test_malformed_model_contents_are_a_runtime_error_naming_the_file(tmp_path, capsys, family, edit):
+    if family == "random_forest":
+        path = _forest_file(tmp_path)
+    else:
+        path = tmp_path / "model.bin"
+        save_model(train(family, *random_dataset(seed=0)), path)
+    _rewrite(path, edit)
+    with pytest.raises(ModelPersistenceError, match=f"^{re.escape(str(path))}: "):
+        load_model(path)
+    save_posts(planted_posts(5, seed=1, id_prefix="pool")[0], tmp_path / "pool.jsonl")
+    assert main(f"sample --model {path} --pool {tmp_path}/pool.jsonl --k 2 --out {tmp_path}/out".split()) == EXIT_RUNTIME
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"runtime error: {path}: "), err
+    assert not (tmp_path / "out").exists()
 
 
 def test_vocabulary_survives_persistence(tmp_path):

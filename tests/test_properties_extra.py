@@ -230,8 +230,7 @@ def test_augmentation_conservation(seed, k, cycles):
         pool=pool,
         k_per_cycle=k,
         n_cycles=cycles,
-        teacher_family="constant_mean",
-        student_family="constant_mean",
+        family="constant_mean",
         train_config=TrainConfig(seed=seed),
         seed=seed,
         selection="random_k" if seed % 2 else "teacher_top_k",

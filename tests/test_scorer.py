@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from ctxsens import scorer
 from ctxsens.models import PredictionError, TrainConfig, train
 from ctxsens.scorer import (
     ExternalScorerClient,
@@ -82,14 +83,14 @@ def test_score_many_with_in_flight_cap(monkeypatch):
 
 def test_one_dropped_item_fails_alone_within_its_deadlines():
     items = [(f"id{i}", f"0.{i}", None) for i in range(200)] + [("gone", "poison", None)]
-    timeout, retries = 0.5, 1
+    timeout = 0.5
     with ExternalScorerClient(endpoint("--mode", "float", "--drop-substring", "poison", timeout=timeout)) as client:
         started = time.monotonic()
-        scores, errors = client.score_many(items, retries=retries)
+        scores, errors = client.score_many(items)
         elapsed = time.monotonic() - started
     assert set(errors) == {"gone"} and "within" in errors["gone"]
     assert len(scores) == 200
-    assert elapsed < (retries + 1) * timeout + 1.5
+    assert elapsed < (scorer._RETRIES + 1) * timeout + 1.5
 
 
 def test_score_many_starts_no_thread(monkeypatch):
@@ -113,7 +114,7 @@ def test_timeout_surfaces_as_scorer_timeout():
 def test_score_many_reports_per_item_errors_after_retries():
     items = [("good", "0.5", None), ("bad", "poison", None)]
     with ExternalScorerClient(endpoint("--mode", "float", "--drop-substring", "poison", timeout=0.4)) as client:
-        scores, errors = client.score_many(items, retries=1)
+        scores, errors = client.score_many(items)
     assert scores == {"good": 0.5}
     assert set(errors) == {"bad"}
 
@@ -122,7 +123,7 @@ def test_score_many_reports_per_item_errors_after_retries():
 def test_non_finite_scores_are_protocol_errors_after_retries(mode):
     items = [(f"p{i}", "text", None) for i in range(8)]  # inf mode answers each of its four spellings twice
     with ExternalScorerClient(endpoint("--mode", mode)) as client:
-        scores, errors = client.score_many(items, retries=1)
+        scores, errors = client.score_many(items)
     assert scores == {}
     assert set(errors) == {item[0] for item in items}
     assert all("has no finite numeric score" in message for message in errors.values())
