@@ -18,6 +18,7 @@ import numpy as np
 
 from .corpus import PostTable
 from .evaluation import mae, mse
+from .features import Tokens, join, tokenize
 from .models import FAMILY_RIDGE, TrainConfig, train
 
 SELECTION_TEACHER_TOP_K = "teacher_top_k"
@@ -86,14 +87,17 @@ def select_top_k(post_ids: Sequence[str], scores: Sequence[float], k: int) -> np
 
 
 def run_augmentation(
-    gold_train: GoldSplit, gold_validation: GoldSplit, gold_test: GoldSplit, config: AugmentationConfig
+    gold_train: GoldSplit, gold_validation: GoldSplit, gold_test: GoldSplit, config: AugmentationConfig,
+    pool_texts: Tokens | None = None,
 ) -> list[CycleLog]:
     """Run the augmentation loop, returning one log per cycle.
 
-    Each gold split is (post_ids, texts, targets) columns. The pool must be
-    disjoint from every gold split, and the training split from the test
-    split. The evaluation split is the given gold_test for every cycle.
-    Fully deterministic given (seed, config) for deterministic model families.
+    Each gold split is (post_ids, texts, targets) columns. Texts may be
+    Tokens (features.tokenize), as may pool_texts, the pool's target texts.
+    The pool must be disjoint from every gold split, and the training split
+    from the test split. The evaluation split is the given gold_test for
+    every cycle. Fully deterministic given (seed, config) for deterministic
+    model families.
     """
     pool = config.pool
     gold_ids = {post_id for ids, _, _ in (gold_train, gold_validation, gold_test) for post_id in ids}
@@ -104,11 +108,17 @@ def run_augmentation(
     if set(test_ids).intersection(gold_train[0]):
         raise AugmentationError("train set leaked into the test split")
 
+    # every text split once; each set of texts is a take of these rows, sharing their words
+    splits = (gold_train[1], gold_validation[1], test_texts, pool.target_texts if pool_texts is None else pool_texts)
+    texts = join([tokenize(split, config.train_config.features) for split in splits])
+    ends = np.cumsum([0, *map(len, splits)])
+    train_rows, pool_first = np.arange(ends[1]), ends[3]
     remaining = np.arange(len(pool))  # pool rows not yet selected, in pool order
-    train_texts, train_targets = list(gold_train[1]), list(gold_train[2])
-    validation = gold_validation[1:]
+    train_targets = list(gold_train[2])
+    validation = (texts.take(np.arange(ends[1], ends[2])), gold_validation[2])
+    test_texts = texts.take(np.arange(ends[2], ends[3]))
 
-    teacher = train(config.family, train_texts, train_targets, validation, config.train_config)
+    teacher = train(config.family, texts.take(train_rows), train_targets, validation, config.train_config)
 
     if config.single_shot:
         plan = [config.k_per_cycle * config.n_cycles]
@@ -120,18 +130,18 @@ def run_augmentation(
         started = time.perf_counter()
         left = pool.take(remaining)
         if config.selection == SELECTION_TEACHER_TOP_K:
-            silver = teacher.predict_batch(left.target_texts)
+            silver = teacher.predict_batch(texts.take(pool_first + remaining))
             chosen = select_top_k(left.post_ids, silver, k)
         else:  # only the picks are scored
             rng = np.random.default_rng(np.random.SeedSequence([config.seed, cycle]))
             chosen, silver = np.sort(rng.choice(len(left), size=k, replace=False)), np.zeros(len(left))
-            silver[chosen] = teacher.predict_batch(left.take(chosen).target_texts)
+            silver[chosen] = teacher.predict_batch(texts.take(pool_first + remaining[chosen]))
         picked = np.sort(chosen)  # training rows join in pool order
-        train_texts += left.take(picked).target_texts
+        train_rows = np.concatenate([train_rows, pool_first + remaining[picked]])
         train_targets += silver[picked].tolist()
         remaining = np.delete(remaining, chosen)
 
-        student = train(config.family, train_texts, train_targets, validation, config.train_config)
+        student = train(config.family, texts.take(train_rows), train_targets, validation, config.train_config)
         predictions = student.predict_batch(test_texts)
         scores = silver[chosen].tolist()
         logs.append(
@@ -145,7 +155,7 @@ def run_augmentation(
                 student_mse=mse(predictions, test_targets),
                 student_mae=mae(predictions, test_targets),
                 n_test=len(test_texts),
-                train_size=len(train_texts),
+                train_size=len(train_rows),
                 pool_size=len(remaining),
                 wall_clock_seconds=time.perf_counter() - started,
             )

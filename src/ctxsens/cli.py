@@ -135,6 +135,9 @@ def _build_parser() -> _Parser:
 
 
 def _load_config_file(path: str | None) -> dict:
+    """The config file's object. Its every key must be an option of some
+    subcommand, a hyperparameter, or "features", an object of FeatureConfig
+    fields."""
     if path is None:
         return {}
     file = Path(path)
@@ -148,6 +151,20 @@ def _load_config_file(path: str | None) -> dict:
         raise CliValidationError(f"config file {exc}") from None
     if not isinstance(obj, dict):
         raise CliValidationError(f"config file {path} must hold a JSON object")
+    from .settings import FeatureConfig  # needs no SciPy
+    features = obj.get("features", {})
+    if not isinstance(features, dict):
+        raise CliValidationError(f"config key 'features' must be an object, got {features!r}")
+    known = _train_fields() | {flag.dest for command in COMMANDS.values() for flag in _flags(command)} | {"features"}
+    known |= {f"features.{f.name}" for f in dataclasses.fields(FeatureConfig)}
+    unknown = [key for key in [*obj, *(f"features.{key}" for key in features)] if key not in known]
+    if unknown:
+        import difflib
+
+        def named(key: str) -> str:
+            return repr(key) + "".join(f" (did you mean {m!r}?)" for m in difflib.get_close_matches(key, known, 1))
+
+        raise CliValidationError(f"unknown config key(s): {', '.join(map(named, unknown))}")
     return obj
 
 
@@ -189,30 +206,25 @@ def _endpoint_from(resolved: Mapping) -> ScorerEndpoint | None:
     return None
 
 
+def _train_fields() -> set[str]:
+    """The TrainConfig fields a config file sets as keys of its own."""
+    from .settings import TrainConfig  # needs no SciPy
+    return {f.name for f in dataclasses.fields(TrainConfig)} - {"features", "external", "seed"}
+
+
 def _train_config(resolved: dict, file_config: Mapping, endpoint: ScorerEndpoint | None) -> models.TrainConfig:
     """TrainConfig from the config file's field names plus the resolved seed;
-    records the canonical family name in resolved. A key that is no option of
-    any subcommand, no hyperparameter and not "features" is an error, as is a
-    "features" key that is no FeatureConfig field."""
+    records the canonical family name in resolved."""
     from . import models
-    from .features import FeatureConfig, FeatureError
+    from .settings import FeatureConfig, FeatureError
     resolved["family"] = models.resolve_family(resolved["family"])
     if resolved["family"] == models.FAMILY_EXTERNAL and endpoint is None:
         raise CliValidationError("external family needs --scorer or --scorer-tcp")
-    features = file_config.get("features", {})
-    if not isinstance(features, dict):
-        raise CliValidationError(f"config key 'features' must be an object, got {features!r}")
-    feature_fields = {f.name for f in dataclasses.fields(FeatureConfig)}
-    train_fields = {f.name for f in dataclasses.fields(models.TrainConfig)} - {"features", "external", "seed"}
-    options = {flag.dest for command in COMMANDS.values() for flag in _flags(command)}
-    unknown = [key for key in file_config if key not in train_fields | options | {"features"}]
-    unknown += [f"features.{key}" for key in features if key not in feature_fields]
-    if unknown:
-        raise CliValidationError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
+    train_fields = _train_fields()
     try:
         return models.TrainConfig(
             seed=resolved["seed"],
-            features=FeatureConfig(**features),
+            features=FeatureConfig(**file_config.get("features", {})),
             external=endpoint,
             **{k: v for k, v in file_config.items() if k in train_fields},
         )
@@ -423,16 +435,19 @@ def _sample(run: Run) -> None:
 
 def _augment(run: Run) -> None:
     """teacher-student augmentation loop"""
-    from . import augmentation
+    from . import augmentation, features
     table = _load_examples_checked(run.inputs["data"])
     pool = load_posts(run.inputs["pool"])
     seed, n_repeats = run.config["seed"], run.config["repeats"]
     split = evaluation.SplitSpec(n_repeats=n_repeats, seed=seed)
+    # every text split once for all repeats; the splits and the pool share its words
+    texts = features.tokenize(table.posts.target_texts + pool.target_texts, run.train_config.features)
+    pool_texts = texts.take(np.arange(len(table), len(texts)))
 
     all_logs: list[tuple[int, augmentation.CycleLog]] = []
     for repeat in range(n_repeats):
-        parts = (table.take(idx) for idx in evaluation.split_indices(len(table), split, repeat))
-        gold = [(part.posts.post_ids, part.posts.target_texts, part.delta) for part in parts]
+        rows = evaluation.split_indices(len(table), split, repeat)
+        gold = [(table.posts.take(idx).post_ids, texts.take(idx), table.delta[idx]) for idx in rows]
         aug_config = augmentation.AugmentationConfig(
             pool=pool,
             selection=run.config["selection"],
@@ -443,7 +458,7 @@ def _augment(run: Run) -> None:
             train_config=run.train_config,
             seed=int(np.random.SeedSequence([seed, repeat]).generate_state(1)[0]),
         )
-        logs = augmentation.run_augmentation(*gold, aug_config)
+        logs = augmentation.run_augmentation(*gold, aug_config, pool_texts)
         all_logs += [(repeat, log) for log in logs]
 
     write_jsonl(run.out("cycles.jsonl"), ({"repeat": repeat, **log.to_json()} for repeat, log in all_logs))
@@ -566,9 +581,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         CliValidationError,
         CorpusError,
         evaluation.MetricError,
-        *_loaded("models", "TrainingError"),
+        *_loaded("settings", "TrainingError", "FeatureError"),
         *_loaded("augmentation", "AugmentationError"),
-        *_loaded("features", "FeatureError"),
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -215,17 +215,20 @@ def monte_carlo_cv(
     early stopping on the validation part, and evaluates on the test part.
     AUC/AUPR use the per-post is_sensitive labels as binary ground truth.
     """
-    from .models import TrainConfig, train  # loads scipy, which only training needs
+    from .features import tokenize  # loads scipy, which only training needs
+    from .models import TrainConfig, train
     if not len(table):
         raise MetricError("no examples")
     config = config or TrainConfig()
     split = split or SplitSpec()
+    texts = tokenize(table.posts.target_texts, config.features)  # once; the folds take their rows
     folds = []
     for repeat in range(split.n_repeats):
-        tr, val, test = (table.take(idx) for idx in split_indices(len(table), split, repeat))
-        model = train(family, tr.posts.target_texts, tr.delta, (val.posts.target_texts, val.delta), config)
+        rows = split_indices(len(table), split, repeat)
+        (tr, val, test), (tr_texts, val_texts, test_texts) = map(table.take, rows), map(texts.take, rows)
+        model = train(family, tr_texts, tr.delta, (val_texts, val.delta), config)
         try:
-            predictions = model.predict_batch(test.posts.target_texts)
+            predictions = model.predict_batch(test_texts)
         finally:
             model.close()
         folds.append(fold_metrics(predictions, test.delta, test.is_sensitive, test.posts.post_ids))

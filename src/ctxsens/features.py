@@ -5,11 +5,13 @@ configurable minimum length, unigrams plus bigrams by default. Weights use
 the smoothed idf ln((1 + N) / (1 + df)) + 1 and are L2-normalized. Only the
 target text is featurized; the parent is deliberately ignored.
 
-Each distinct text goes through the regex once per process: its words become
-integer ids in one flat buffer, remembered per (text, lowercase). Fitting and
-transforming then work on those ids with numpy. An n-gram is numbered as the
-pair (number of its first n - 1 words, id of its last word), one length at a
-time, so keys stay within int64 for any ngram_max.
+Whoever featurizes the same texts more than once (a fit and its transform,
+cross-validation folds, augmentation cycles) holds them as `Tokens`, split
+once into ids from a process-wide word interner. Plain texts are split a
+block at a time and mapped straight to the vocabulary's words, so scoring
+keeps nothing. An n-gram is numbered as the pair (number of its first n - 1
+words, id of its last word), one length at a time, so keys stay within
+int64 for any ngram_max.
 """
 
 from __future__ import annotations
@@ -18,182 +20,166 @@ import itertools
 import math
 import re
 from array import array
+from collections import defaultdict
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy import sparse
 
 from . import _fork
+from .settings import FeatureConfig, FeatureError  # noqa: F401 - re-exported; settings needs no SciPy
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# On ASCII, [^\W_] is str.isalnum(): every other ASCII character ends a word.
+_ASCII_BREAKS = str.maketrans({chr(c): " " for c in range(128) if not chr(c).isalnum()})
 
 VOCABULARY_FORMAT_VERSION = 1
 
-# Rows featurized together by transform_many; bounds its temporary arrays.
+# Rows featurized together; bounds the temporary arrays of transform_many and
+# the rows that score_in_parts featurizes and scores at once.
 _BLOCK_ROWS = 8192
-
-
-class FeatureError(ValueError):
-    pass
 
 
 class EmptyVocabularyError(FeatureError):
     pass
 
 
-@dataclass(frozen=True)
-class FeatureConfig:
-    lowercase: bool = True
-    min_token_len: int = 2
-    ngram_max: int = 2
-    min_df: int = 2
-    max_features: int | None = 50_000
-    sublinear_tf: bool = False
-    stopwords: tuple[str, ...] = ()
+def _split(text: str, lowercase: bool) -> list[str]:
+    """The words of text: _TOKEN_RE's matches, found by str.split on ASCII."""
+    if lowercase:
+        text = text.lower()
+    return text.translate(_ASCII_BREAKS).split() if text.isascii() else _TOKEN_RE.findall(text)
 
-    def __post_init__(self) -> None:
-        if self.min_token_len < 1:
-            raise FeatureError("min_token_len must be >= 1")
-        if self.ngram_max < 1:
-            raise FeatureError("ngram_max must be >= 1")
-        if self.min_df < 1:
-            raise FeatureError("min_df must be >= 1")
-        if self.max_features is not None and self.max_features < 1:
-            raise FeatureError("max_features must be >= 1 or None")
-        object.__setattr__(self, "stopwords", tuple(self.stopwords))
+
+def _numbering() -> defaultdict:
+    """A dict that gives each new key the next number, 0, 1, ..., when read."""
+    index: defaultdict = defaultdict()
+    index.default_factory = index.__len__
+    return index
+
+
+def _split_all(texts: Sequence[str], lowercase: bool, index: defaultdict) -> tuple[np.ndarray, np.ndarray]:
+    """The numbers index gives the words of texts, end to end; each text's word count."""
+    ids, counts, number = array("i"), array("q"), index.__getitem__
+    for text in texts:
+        words = _split(text, lowercase)
+        ids.extend(map(number, words))
+        counts.append(len(words))
+    return np.frombuffer(ids, dtype=np.int32), np.frombuffer(counts, dtype=np.int64)
 
 
 class _WordIds:
-    """Process-wide word interner and a memo of every text's word ids.
-
-    The words of the text with slot s are buffer[bounds[s]:bounds[s + 1]],
-    before any length or stopword filter, so one regex pass serves every
-    FeatureConfig with the same lowercase setting. Nothing is evicted: the
-    memo holds 4 bytes per word plus a dict entry per distinct text for the
-    life of the process (about 11 MB for 58k texts of 35 words).
-    """
+    """Process-wide word interner: a word's id is its place in `words`. It
+    holds the words of fitted texts and of Tokens, never a text."""
 
     def __init__(self) -> None:
-        self.index: dict[str, int] = {}
+        self.index = _numbering()
         self.words: list[str] = []
         self.lengths = np.zeros(0, dtype=np.int64)
-        self.buffer = np.zeros(0, dtype=np.int32)
-        self.bounds = np.zeros(1, dtype=np.int64)
-        self.n_slots = 0
-        self.slots: dict[bool, dict[str, int]] = {False: {}, True: {}}
 
-    def intern(self, words: Sequence[str]) -> np.ndarray:
-        index, before = self.index, len(self.index)
-        ids = np.fromiter((index.setdefault(w, len(index)) for w in words), dtype=np.int64, count=len(words))
-        self._added(before)
-        return ids
-
-    def _added(self, before: int) -> None:
-        if len(self.index) > before:
-            new = list(itertools.islice(self.index, before, None))
+    def added(self) -> None:
+        """Record the words that index numbered since the last call."""
+        if len(self.index) > len(self.words):
+            new = list(itertools.islice(self.index, len(self.words), None))
             self.words.extend(new)
             self.lengths = np.concatenate([self.lengths, np.fromiter(map(len, new), dtype=np.int64, count=len(new))])
-
-    def _tokenize(self, texts: Sequence[str], lowercase: bool) -> None:
-        missing = [t for t in dict.fromkeys(texts) if t not in self.slots[lowercase]]
-        if not missing:
-            return
-        index, before = self.index, len(self.index)
-        findall, known = _TOKEN_RE.findall, index.get
-        ids = array("i")
-        counts = np.empty(len(missing), dtype=np.int64)
-        for i, text in enumerate(missing):
-            words = findall(text.lower() if lowercase else text)
-            found = list(map(known, words))
-            if None in found:
-                found = [index.setdefault(w, len(index)) for w in words]
-            ids.extend(found)
-            counts[i] = len(found)
-        self._added(before)
-        self._append(missing, lowercase, np.frombuffer(ids, dtype=np.int32), counts)
-
-    def _append(self, texts: Sequence[str], lowercase: bool, ids: np.ndarray, counts: np.ndarray) -> None:
-        """Give each text (none in the memo yet) the next slot: its words are
-        the next counts[i] of ids."""
-        size, n = int(self.bounds[self.n_slots]), self.n_slots
-        self.buffer = _grown(self.buffer, size + len(ids))
-        self.buffer[size : size + len(ids)] = ids
-        self.bounds = _grown(self.bounds, n + len(texts) + 1)
-        self.bounds[n + 1 : n + len(texts) + 1] = size + np.cumsum(counts)
-        self.slots[lowercase].update(zip(texts, itertools.count(n)))
-        self.n_slots += len(texts)
-
-    def mark(self) -> tuple[int, int, int]:
-        """The memo's size now, for since()."""
-        return len(self.words), len(self.slots[False]), len(self.slots[True])
-
-    def since(self, mark: tuple[int, int, int]) -> tuple:
-        """What this process added to the memo after mark, as plain data for
-        merge() in another process that holds the same memo up to mark."""
-        n_words, *n_texts = mark
-        added = []
-        for lowercase, start in zip((False, True), n_texts):
-            texts = list(itertools.islice(self.slots[lowercase], start, None))
-            added.append((texts, *self.rows(texts, lowercase)))
-        return n_words, self.words[n_words:], added
-
-    def merge(self, delta: tuple) -> None:
-        """Add what since() returned in another process; texts that this
-        memo already holds are skipped, and new words are interned here."""
-        n_words, words, added = delta
-        own_id = np.concatenate([np.arange(n_words), self.intern(words)])  # the other process's id -> this one's
-        for lowercase, (texts, ids, counts) in zip((False, True), added):
-            new = np.array([text not in self.slots[lowercase] for text in texts], dtype=bool)
-            if new.any():
-                kept = list(itertools.compress(texts, new))
-                self._append(kept, lowercase, own_id[ids[np.repeat(new, counts)]], counts[new])
-
-    def rows(self, texts: Sequence[str], lowercase: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Word ids of the texts end to end, and each text's word count."""
-        self._tokenize(texts, lowercase)
-        slots = np.fromiter(map(self.slots[lowercase].__getitem__, texts), dtype=np.int64, count=len(texts))
-        starts = self.bounds[slots]
-        counts = self.bounds[slots + 1] - starts
-        flat = np.arange(int(counts.sum())) + np.repeat(starts - np.cumsum(counts) + counts, counts)
-        return self.buffer[flat], counts
-
-
-def _grown(buffer: np.ndarray, size: int) -> np.ndarray:
-    """buffer, or, if it holds fewer than size items, a longer copy: at least
-    size items and twice its old length, so appends cost amortized O(1)."""
-    if size <= len(buffer):
-        return buffer
-    grown = np.zeros(max(size, 2 * len(buffer)), dtype=buffer.dtype)
-    grown[: len(buffer)] = buffer
-    return grown
 
 
 _WORD_IDS = _WordIds()
 
 
-def score_in_parts(texts: Sequence[str], score: Callable[[Sequence[str]], np.ndarray]) -> np.ndarray:
-    """score(texts), computed on contiguous parts of texts in forked processes
-    (see _fork.bounds) and joined in order; each forked part sends back what
-    it added to the memo, and this process merges it."""
-    ends, mark = _fork.bounds(len(texts), len(texts)), _WORD_IDS.mark()
+@dataclass(frozen=True, eq=False)
+class Tokens:
+    """Texts split into words once, by tokenize(); reads as the sequence of
+    its texts. The words of text i are ids[starts[i]:starts[i] + counts[i]],
+    interned ids before any length or stopword filter, so one split serves
+    every FeatureConfig with the same lowercase setting. tokenize() writes
+    the words end to end; the Tokens that take() and join() make share them."""
 
-    def part(i: int) -> tuple[np.ndarray, tuple | None]:
-        return score(texts[ends[i] : ends[i + 1]]), _WORD_IDS.since(mark) if i else None
+    texts: tuple[str, ...]
+    lowercase: bool
+    ids: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
 
-    parts = _fork.run(part, len(ends) - 1)
-    for _, added in parts[1:]:
-        _WORD_IDS.merge(added)
-    return np.concatenate([scores for scores, _ in parts])
+    def __len__(self) -> int:
+        return len(self.texts)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.texts)
+
+    def __getitem__(self, rows):
+        """A text, or for a slice the Tokens of those rows."""
+        return self.take(np.arange(len(self))[rows]) if isinstance(rows, slice) else self.texts[rows]
+
+    def take(self, rows) -> Tokens:
+        """The rows (row indices), in that order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        texts = tuple(map(self.texts.__getitem__, rows.tolist()))
+        return Tokens(texts, self.lowercase, self.ids, self.starts[rows], self.counts[rows])
+
+    def words(self) -> np.ndarray:
+        """Every row's word ids, end to end."""
+        counts = self.counts
+        return self.ids[np.arange(counts.sum()) + np.repeat(self.starts - np.cumsum(counts) + counts, counts)]
 
 
-def _words(texts: Sequence[str], config: FeatureConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Ids of the words the config keeps, end to end, and the row of each."""
-    ids, counts = _WORD_IDS.rows(texts, config.lowercase)
-    row = np.repeat(np.arange(len(texts)), counts)
-    keep = _WORD_IDS.lengths[ids] >= config.min_token_len
+def tokenize(texts: Sequence[str] | Tokens, config: FeatureConfig | None = None) -> Tokens:
+    """texts split under config's lowercase setting; Tokens already split
+    under it are returned as they are. A repeated text is split once."""
+    lowercase = (config or FeatureConfig()).lowercase
+    if isinstance(texts, Tokens):
+        if texts.lowercase == lowercase:
+            return texts
+        texts = texts.texts
+    texts = tuple(texts)
+    distinct = dict.fromkeys(texts)
+    ids, counts = _split_all(distinct, lowercase, _WORD_IDS.index)
+    _WORD_IDS.added()
+    tokens = Tokens(tuple(distinct), lowercase, ids, np.cumsum(counts) - counts, counts)
+    if len(distinct) < len(texts):
+        row = dict(zip(distinct, itertools.count()))
+        tokens = tokens.take(np.fromiter(map(row.__getitem__, texts), dtype=np.int64, count=len(texts)))
+    return tokens
+
+
+def join(parts: Sequence[Tokens]) -> Tokens:
+    """The rows of parts, Tokens split under one lowercase setting, in order.
+    Parts that share their words keep sharing them, uncopied."""
+    buffers = list({id(part.ids): part.ids for part in parts}.values())
+    offset = dict(zip(map(id, buffers), np.cumsum([0, *map(len, buffers)]).tolist()))
+    return Tokens(
+        tuple(itertools.chain.from_iterable(part.texts for part in parts)),
+        parts[0].lowercase,
+        buffers[0] if len(buffers) == 1 else np.concatenate(buffers),
+        np.concatenate([part.starts + offset[id(part.ids)] for part in parts]),
+        np.concatenate([part.counts for part in parts]),
+    )
+
+
+def score_in_parts(vocab: Vocabulary, texts: Sequence[str] | Tokens, score: Callable[..., np.ndarray]) -> np.ndarray:
+    """score(block) for each block of _BLOCK_ROWS rows of texts, joined in
+    order. The blocks are dealt out in contiguous parts, one per forked
+    process (see _fork.bounds); a forked part sends back only its scores.
+    The vocabulary's term lookup is built first, so no part builds its own."""
+    vocab._trie()
+    ends = _fork.bounds(len(texts), len(texts))
+
+    def part(i: int) -> np.ndarray:
+        firsts = range(ends[i], ends[i + 1], _BLOCK_ROWS)
+        return np.concatenate([score(texts[first : min(first + _BLOCK_ROWS, ends[i + 1])]) for first in firsts])
+
+    return np.concatenate(_fork.run(part, len(ends) - 1))
+
+
+def _kept(ids: np.ndarray, counts: np.ndarray, lengths: np.ndarray, index: dict, config: FeatureConfig):
+    """The ids of the words config keeps, end to end, and the row of each:
+    ids, numbered by index, are the words of rows of counts[i] words, and
+    lengths[id] is the length of word id."""
+    row = np.repeat(np.arange(len(counts)), counts)
+    keep = lengths[ids] >= config.min_token_len
     if config.stopwords:
-        index = _WORD_IDS.index
         keep &= ~np.isin(ids, [index[w] for w in config.stopwords if w in index])
     return ids[keep].astype(np.int64), row[keep]
 
@@ -212,26 +198,31 @@ def _windows(row: np.ndarray, n: int) -> np.ndarray:
 
 
 class _TermLookup:
-    """The vocabulary's terms as a trie over word ids, one level per n-gram length.
+    """The vocabulary's terms as a trie over its words, one level per n-gram length.
 
-    local maps an interned word id to its number among the vocabulary's words
-    (-1 for other words; ids interned later fall past its end). A level-1 node
-    is a local word; a level-n node is an entry of keys[n - 1], the sorted
-    (level n - 1 node) * n_local + (local word) of every n-word term prefix.
-    columns[n - 1] gives each node's column, or -1 if it is only a prefix.
+    index maps a vocabulary word to its local number, and local maps an
+    interned word id to it (-1 for other words; ids interned later fall past
+    its end). A level-1 node is a local word; a level-n node is an entry of
+    keys[n - 1], the sorted (level n - 1 node) * n_local + (local word) of
+    every n-word term prefix. columns[n - 1] gives each node's column, or -1
+    if it is only a prefix.
     """
 
     def __init__(self, vocab: "Vocabulary"):
-        terms = [(term.split(" "), idx) for term, idx in vocab.term_index.items()]
-        terms = [(words, idx) for words, idx in terms if len(words) <= vocab.config.ngram_max]
-        length = np.array([len(words) for words, _ in terms], dtype=np.int64)
-        column = np.array([idx for _, idx in terms], dtype=np.int64)
-        local_index: dict[str, int] = {}
+        self.config = vocab.config
+        terms = [term for term in vocab.term_index if term.count(" ") < self.config.ngram_max]
+        length = np.fromiter(map(str.count, terms, itertools.repeat(" ")), dtype=np.int64, count=len(terms)) + 1
+        column = np.fromiter(map(vocab.term_index.__getitem__, terms), dtype=np.int64, count=len(terms))
+        flat = " ".join(terms).split(" ") if terms else []  # every term's words, end to end
+        index = _numbering()
         word = np.full((len(terms), int(length.max(initial=0))), -1, dtype=np.int64)
-        for i, (words, _) in enumerate(terms):
-            word[i, : len(words)] = [local_index.setdefault(w, len(local_index)) for w in words]
-        self.n_local = len(local_index)
-        ids = _WORD_IDS.intern(list(local_index))
+        place = np.arange(len(flat)) - np.repeat(np.cumsum(length) - length, length)
+        word[np.repeat(np.arange(len(terms)), length), place] = np.fromiter(
+            map(index.__getitem__, flat), dtype=np.int64, count=len(flat)
+        )
+        self.index, self.n_local = dict(index), len(index)
+        ids = np.fromiter(map(_WORD_IDS.index.__getitem__, index), dtype=np.int64, count=self.n_local)
+        _WORD_IDS.added()
         self.local = np.full(len(_WORD_IDS.words), -1, dtype=np.int64)
         self.local[ids] = np.arange(self.n_local)
         self.keys, self.columns = [np.arange(self.n_local)], []
@@ -247,21 +238,31 @@ class _TermLookup:
             level[node[length == n]] = column[length == n]
             self.columns.append(level)
 
-    def entries(self, words: np.ndarray, row: np.ndarray, ngram_max: int) -> tuple[np.ndarray, np.ndarray]:
-        """(row, column) of every in-vocabulary n-gram occurrence."""
-        local = np.full(len(words), -1, dtype=np.int64)
-        known = words < len(self.local)
-        local[known] = self.local[words[known]]
+    def entries(self, block: Sequence[str] | Tokens) -> tuple[np.ndarray, np.ndarray]:
+        """(row, column) of every in-vocabulary n-gram occurrence in block.
+        Plain texts are split here, their words numbered for this block only."""
+        if isinstance(block, Tokens):
+            ids, row = _kept(block.words(), block.counts, _WORD_IDS.lengths, _WORD_IDS.index, self.config)
+            local = np.full(len(ids), -1, dtype=np.int64)  # each kept word's local number, or -1
+            known = ids < len(self.local)
+            local[known] = self.local[ids[known]]
+        else:
+            index = _numbering()
+            ids, counts = _split_all(block, self.config.lowercase, index)
+            words = list(index)
+            lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+            ids, row = _kept(ids, counts, lengths, index, self.config)
+            local = np.fromiter(map(self.index.get, words, itertools.repeat(-1)), dtype=np.int64, count=len(words))[ids]
         node = local
         rows, cols = [], []
-        for n in range(1, min(ngram_max, len(self.columns)) + 1):
+        for n in range(1, len(self.columns) + 1):
             if n > 1:
                 start = _windows(row, n)
                 start = start[(node[start] >= 0) & (local[start + n - 1] >= 0)]
                 key = node[start] * self.n_local + local[start + n - 1]
                 at = np.minimum(np.searchsorted(self.keys[n - 1], key), len(self.keys[n - 1]) - 1)
                 found = self.keys[n - 1][at] == key
-                node = np.full(len(words), -1, dtype=np.int64)
+                node = np.full(len(local), -1, dtype=np.int64)
                 node[start[found]] = at[found]
             start = np.flatnonzero(node >= 0)
             if not len(start):
@@ -294,6 +295,12 @@ class Vocabulary:
             self._idf[idx] = math.log((1.0 + n_documents) / (1.0 + self.doc_freq[term])) + 1.0
         self._lookup: _TermLookup | None = None
 
+    def _trie(self) -> _TermLookup:
+        """The terms as a trie, built on first use."""
+        if self._lookup is None:
+            self._lookup = _TermLookup(self)
+        return self._lookup
+
     def __len__(self) -> int:
         return len(self.term_index)
 
@@ -325,7 +332,7 @@ class Vocabulary:
         return cls(term_index, doc_freq, obj["n_documents"], config)
 
 
-def fit_vocabulary(texts: Sequence[str], config: FeatureConfig | None = None) -> Vocabulary:
+def fit_vocabulary(texts: Sequence[str] | Tokens, config: FeatureConfig | None = None) -> Vocabulary:
     """Build a vocabulary: df filter, then cap by highest df, then index by term.
 
     Deterministic given identical inputs and config: ties in the max_features
@@ -334,7 +341,8 @@ def fit_vocabulary(texts: Sequence[str], config: FeatureConfig | None = None) ->
     config = config or FeatureConfig()
     if not texts:
         raise FeatureError("texts must be nonempty")
-    words, row = _words(texts, config)
+    tokens = tokenize(texts, config)
+    words, row = _kept(tokens.words(), tokens.counts, _WORD_IDS.lengths, _WORD_IDS.index, config)
     if not len(words):
         raise EmptyVocabularyError("corpus is empty after tokenization")
     n_rows, radix, names = len(texts), len(_WORD_IDS.words), _WORD_IDS.words
@@ -371,22 +379,22 @@ def fit_vocabulary(texts: Sequence[str], config: FeatureConfig | None = None) ->
     return Vocabulary(term_index, doc_freq, n_documents=len(texts), config=config)
 
 
-def transform_many(vocab: Vocabulary, texts: Sequence[str]) -> sparse.csr_matrix:
+def transform_many(vocab: Vocabulary, texts: Sequence[str] | Tokens) -> sparse.csr_matrix:
     """tf * idf, L2-normalized, one CSR row per text in input order.
 
     Out-of-vocabulary terms are ignored; a text with no in-vocabulary term
     gives an empty row. Each row's squared weights are summed in column order
-    from zero, by a CSR matrix-vector product.
+    from zero, by a CSR matrix-vector product. Tokens split under another
+    lowercase setting than the vocabulary's are split again.
     """
-    if vocab._lookup is None:
-        vocab._lookup = _TermLookup(vocab)
-    config, dimension = vocab.config, vocab.dimension
+    lookup, config, dimension = vocab._trie(), vocab.config, vocab.dimension
+    if isinstance(texts, Tokens) and texts.lowercase != config.lowercase:
+        texts = texts.texts
     ones = np.ones(dimension)
     indices, data, lengths = [np.zeros(0, dtype=np.int64)], [np.zeros(0)], [np.zeros(0, dtype=np.int64)]
     for first in range(0, len(texts), _BLOCK_ROWS):
         block = texts[first : first + _BLOCK_ROWS]
-        words, row = _words(block, config)
-        row, col = vocab._lookup.entries(words, row, config.ngram_max)
+        row, col = lookup.entries(block)
         cells, tf = np.unique(row * dimension + col, return_counts=True)
         row, col = np.divmod(cells, dimension)
         if config.sublinear_tf:

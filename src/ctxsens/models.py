@@ -26,8 +26,9 @@ import numpy as np
 from scipy import sparse
 
 from . import _fork
-from .features import FeatureConfig, Vocabulary, fit_vocabulary, score_in_parts, to_csr, transform_many
+from .features import Tokens, Vocabulary, fit_vocabulary, score_in_parts, to_csr, tokenize, transform_many
 from .scorer import ExternalScorerClient, ScorerEndpoint, transport_fingerprint
+from .settings import TrainConfig, TrainingError  # noqa: F401 - re-exported; settings needs no SciPy
 
 FAMILY_CONSTANT_MEAN = "constant_mean"
 FAMILY_UNIFORM_RANDOM = "uniform_random"
@@ -64,8 +65,10 @@ def resolve_family(name: str) -> str:
     return name
 
 
-class TrainingError(ValueError):
-    pass
+def _hyperparameters(config: TrainConfig, family: str) -> dict:
+    """The fields of config that family reads, named by their prefixes."""
+    prefixes = {FAMILY_RIDGE: ("ridge_",), FAMILY_LINEAR_SVR: ("svr_", "patience"), FAMILY_RANDOM_FOREST: ("rf_",)}
+    return {f.name: getattr(config, f.name) for f in fields(config) if f.name.startswith(prefixes.get(family, ()))}
 
 
 class PredictionError(RuntimeError):
@@ -85,60 +88,6 @@ class VersionError(ModelPersistenceError):
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    """Hyperparameters for all families; unused fields are ignored per family."""
-
-    seed: int = 0
-    features: FeatureConfig = field(default_factory=FeatureConfig)
-    patience: int = 5
-    ridge_lambda: float = 1.0
-    ridge_tol: float = 1e-10
-    ridge_max_iter: int = 1000
-    svr_epsilon: float = 0.05
-    svr_learning_rate: float = 0.01
-    svr_c: float = 1.0
-    svr_max_epochs: int = 100
-    svr_batch_size: int = 32
-    rf_n_trees: int = 100
-    rf_max_depth: int | None = 12
-    rf_min_samples_leaf: int = 5
-    rf_max_features: int | str = "sqrt"
-    rf_bootstrap: bool = True
-    external: ScorerEndpoint | None = None
-
-    def __post_init__(self) -> None:
-        def count(value, least: int) -> bool:  # type() is int: a bool or a float is not a count
-            return type(value) is int and value >= least
-
-        max_features = self.rf_max_features
-        max_features_ok = max_features in ("sqrt", "all") or count(max_features, 1)
-        # written as "not valid" so that NaN is rejected too
-        for name, bad, rule in (
-            ("patience", not count(self.patience, 1), "an int >= 1"),
-            ("ridge_lambda", not self.ridge_lambda >= 0, ">= 0"),
-            ("ridge_tol", not self.ridge_tol >= 0, ">= 0"),
-            ("ridge_max_iter", not count(self.ridge_max_iter, 1), "an int >= 1"),
-            ("svr_batch_size", not count(self.svr_batch_size, 1), "an int >= 1"),
-            ("svr_c", not self.svr_c > 0, "> 0"),
-            ("svr_learning_rate", not self.svr_learning_rate > 0, "> 0"),
-            ("svr_epsilon", not self.svr_epsilon >= 0, ">= 0"),
-            ("svr_max_epochs", not count(self.svr_max_epochs, 1), "an int >= 1"),
-            ("rf_n_trees", not count(self.rf_n_trees, 1), "an int >= 1"),
-            ("rf_max_depth", self.rf_max_depth is not None and not count(self.rf_max_depth, 0), "an int >= 0 or None"),
-            ("rf_min_samples_leaf", not count(self.rf_min_samples_leaf, 1), "an int >= 1"),
-            ("rf_max_features", not max_features_ok, '"sqrt", "all" or an int >= 1'),
-            ("rf_bootstrap", not isinstance(self.rf_bootstrap, bool), "a bool"),
-        ):
-            if bad:
-                raise TrainingError(f"{name} must be {rule}, got {getattr(self, name)!r}")
-
-    def hyperparameters(self, family: str) -> dict:
-        """The fields that family reads, named by their prefixes."""
-        prefixes = {FAMILY_RIDGE: ("ridge_",), FAMILY_LINEAR_SVR: ("svr_", "patience"), FAMILY_RANDOM_FOREST: ("rf_",)}
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name.startswith(prefixes.get(family, ()))}
-
-
-@dataclass(frozen=True)
 class TrainingMetadata:
     seed: int
     hyperparameters: dict
@@ -153,7 +102,9 @@ def _n_rows(inputs) -> int:
     return inputs.shape[0] if sparse.issparse(inputs) else len(inputs)
 
 
-def _texts(inputs, error: type[Exception]) -> list[str]:
+def _texts(inputs, error: type[Exception]) -> list[str] | Tokens:
+    if isinstance(inputs, Tokens):
+        return inputs
     texts = list(inputs)
     if not all(isinstance(x, str) for x in texts):
         raise error("inputs must be a list of texts or a scipy sparse matrix")
@@ -185,12 +136,12 @@ def _features(inputs, vocab: Vocabulary | None, dimension: int | None, error: ty
     return transform_many(vocab, _texts(inputs, error))
 
 
-def _fingerprint(inputs: list[str] | sparse.csr_matrix, y: np.ndarray) -> str:
+def _fingerprint(inputs: list[str] | Tokens | sparse.csr_matrix, y: np.ndarray) -> str:
     """SHA-256 over the rows: a text, or a row's column indices and values,
     then its target and a constant 1.0, which keeps the byte stream, and so
     the fingerprint, that existing model files store."""
     digest = hashlib.sha256()
-    if isinstance(inputs, list):
+    if not sparse.issparse(inputs):
         digest.update(b"text")
         rows = (b"T" + x.encode("utf-8", "surrogatepass") for x in inputs)
     else:
@@ -222,16 +173,16 @@ class Model:
         self.dimension = dimension
 
     def predict_batch(self, inputs) -> np.ndarray:
-        """Predict for a list of texts or a sparse matrix, one score per input
-        or row, clamped to [-1, 1].
+        """Predict for texts (a list or Tokens) or a sparse matrix, one score
+        per input or row, clamped to [-1, 1].
 
-        Texts for a featurized family are featurized and scored in parts
-        (features.score_in_parts)."""
+        Texts for a featurized family are featurized and scored a block at a
+        time, in parts (features.score_in_parts)."""
         if _n_rows(inputs) == 0:
             return np.zeros(0)
         if self.vocab is None or sparse.issparse(inputs):
             return _clamp(self._raw_scores(inputs))
-        return _clamp(score_in_parts(_texts(inputs, PredictionError), self._raw_scores))
+        return _clamp(score_in_parts(self.vocab, _texts(inputs, PredictionError), self._raw_scores))
 
     def _raw_scores(self, inputs) -> np.ndarray:
         raise NotImplementedError
@@ -378,14 +329,7 @@ class RandomForestModel(Model):
         return self.predict_per_tree(inputs).mean(axis=0)
 
     def _param_arrays(self) -> dict[str, np.ndarray]:
-        arrays: dict[str, np.ndarray] = {}
-        for i, tree in enumerate(self.trees):
-            arrays[f"t{i}_feature"] = tree.feature
-            arrays[f"t{i}_threshold"] = tree.threshold
-            arrays[f"t{i}_left"] = tree.left
-            arrays[f"t{i}_right"] = tree.right
-            arrays[f"t{i}_value"] = tree.value
-        return arrays
+        return {f"t{i}_{f.name}": getattr(tree, f.name) for i, tree in enumerate(self.trees) for f in fields(_Tree)}
 
     def _extra_metadata(self) -> dict:
         return {"n_trees": len(self.trees)}
@@ -700,25 +644,17 @@ def _build_tree(
     n_feature_sample: int,
 ) -> _Tree:
     n_rows, n_features = csc.shape
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
+    nodes: list[list] = []  # [feature, threshold, left, right, value] of each node
     position = np.full(n_rows, -1, dtype=np.int64)
 
     def new_node() -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
-        return len(feature) - 1
+        nodes.append([-1, 0.0, -1, -1, 0.0])
+        return len(nodes) - 1
 
     def grow(rows: np.ndarray, depth: int, node: int) -> None:
         y_node = y[rows]
         n_node = len(rows)
-        value[node] = float(y_node.sum() / n_node)
+        nodes[node][4] = float(y_node.sum() / n_node)
         if n_node < 2 * min_leaf or (max_depth is not None and depth >= max_depth):
             return
         if y_node.max() - y_node.min() <= 0.0:
@@ -735,21 +671,13 @@ def _build_tree(
         col_values[csc.indices[start:end]] = csc.data[start:end]
         go_left = col_values[rows] <= cut
         rows_left, rows_right = rows[go_left], rows[~go_left]
-        feature[node] = j
-        threshold[node] = cut
-        left[node] = new_node()
-        right[node] = new_node()
-        grow(rows_left, depth + 1, left[node])
-        grow(rows_right, depth + 1, right[node])
+        nodes[node][:4] = [j, cut, new_node(), new_node()]
+        grow(rows_left, depth + 1, nodes[node][2])
+        grow(rows_right, depth + 1, nodes[node][3])
 
     grow(np.arange(n_rows), 0, new_node())
-    return _Tree(
-        feature=np.asarray(feature, dtype=np.int32),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int32),
-        right=np.asarray(right, dtype=np.int32),
-        value=np.asarray(value, dtype=np.float64),
-    )
+    feature, threshold, left, right, value = (np.array(column) for column in zip(*nodes))
+    return _Tree(feature.astype(np.int32), threshold, left.astype(np.int32), right.astype(np.int32), value)
 
 
 def _fit_forest(matrix: sparse.csr_matrix, y: np.ndarray, config: TrainConfig) -> list[_Tree]:
@@ -785,17 +713,17 @@ def train(
     validation: tuple | None = None,
     config: TrainConfig | None = None,
 ) -> Model:
-    """Train a regressor on inputs, a list of texts (featurized internally)
-    or a scipy sparse matrix with one row per input, and one target in
-    [-1, 1] per input. validation is an (inputs, targets) pair of the same
-    kind, read only by linear_svr; an empty one counts as none."""
+    """Train a regressor on inputs, texts (a list or Tokens, featurized
+    internally) or a scipy sparse matrix with one row per input, and one
+    target in [-1, 1] per input. validation is an (inputs, targets) pair of
+    the same kind, read only by linear_svr; an empty one counts as none."""
     family = resolve_family(family)
     config = config or TrainConfig()
     inputs = to_csr(inputs) if sparse.issparse(inputs) else _texts(inputs, TrainingError)
     y = _targets(targets, _n_rows(inputs), "train")
     metadata = TrainingMetadata(
         seed=config.seed,
-        hyperparameters=config.hyperparameters(family),
+        hyperparameters=_hyperparameters(config, family),
         training_fingerprint=_fingerprint(inputs, y),
     )
 
@@ -808,7 +736,7 @@ def train(
     if family == FAMILY_EXTERNAL:
         if config.external is None:
             raise TrainingError("external family needs config.external (a ScorerEndpoint)")
-        if not isinstance(inputs, list):
+        if sparse.issparse(inputs):
             raise TrainingError("external family trains on texts only")
         model = ExternalModel(config.external.fingerprint, metadata, None, config.external)
         examples = [{"text": x, "parent": None, "target": t} for x, t in zip(inputs, y.tolist())]
@@ -816,12 +744,14 @@ def train(
         return model
 
     # featurized families
-    vocab = fit_vocabulary(inputs, config.features) if isinstance(inputs, list) else None
+    vocab = None
+    if not sparse.issparse(inputs):
+        inputs = tokenize(inputs, config.features)  # split once, for the fit and the transform
+        vocab = fit_vocabulary(inputs, config.features)
     matrix = _features(inputs, vocab, None, TrainingError)
     dimension = matrix.shape[1]
 
-    val_matrix = None
-    val_y = None
+    val_matrix = val_y = None
     if validation is not None and _n_rows(validation[0]) > 0:
         val_inputs, val_targets = validation
         if sparse.issparse(val_inputs) != sparse.issparse(inputs):
@@ -831,16 +761,12 @@ def train(
             val_matrix = _features(val_inputs, vocab, dimension, TrainingError)
 
     if family == FAMILY_RIDGE:
-        weights, bias, extras = _solve_ridge(
-            matrix, y, config.ridge_lambda, config.ridge_tol, config.ridge_max_iter
-        )
-        metadata = replace(metadata, extras=extras)
-        return RidgeModel(weights, bias, metadata, vocab, dimension)
+        weights, bias, extras = _solve_ridge(matrix, y, config.ridge_lambda, config.ridge_tol, config.ridge_max_iter)
+        return RidgeModel(weights, bias, replace(metadata, extras=extras), vocab, dimension)
 
     if family == FAMILY_LINEAR_SVR:
         weights, bias, extras = _fit_linear_svr(matrix, y, val_matrix, val_y, config)
-        metadata = replace(metadata, extras=extras)
-        return LinearSVRModel(weights, bias, metadata, vocab, dimension)
+        return LinearSVRModel(weights, bias, replace(metadata, extras=extras), vocab, dimension)
 
     if family == FAMILY_RANDOM_FOREST:
         trees = _fit_forest(matrix, y, config)
@@ -961,12 +887,8 @@ def _decode(body: bytes, path: str | Path) -> Model:
     arrays = _unpack_arrays(buf.read(params_len))
 
     extras = dict(metadata_obj.get("extras", {}))
-    metadata = TrainingMetadata(
-        seed=metadata_obj["seed"],
-        hyperparameters=metadata_obj["hyperparameters"],
-        training_fingerprint=metadata_obj["training_fingerprint"],
-        extras=extras,
-    )
+    stored = (metadata_obj[key] for key in ("seed", "hyperparameters", "training_fingerprint"))
+    metadata = TrainingMetadata(*stored, extras=extras)
     vocab_obj = metadata_obj.get("vocabulary")
     vocab = Vocabulary.from_json(vocab_obj) if vocab_obj is not None else None
     dimension = metadata_obj.get("dimension")
@@ -985,13 +907,7 @@ def _decode(body: bytes, path: str | Path) -> Model:
             raise ModelPersistenceError(f"{path}: n_trees is {n_trees!r} for {len(arrays)} tree arrays, 5 per tree")
         trees = []
         for i in range(n_trees):
-            tree = _Tree(
-                feature=arrays[f"t{i}_feature"],
-                threshold=arrays[f"t{i}_threshold"],
-                left=arrays[f"t{i}_left"],
-                right=arrays[f"t{i}_right"],
-                value=arrays[f"t{i}_value"],
-            )
+            tree = _Tree(**{f.name: arrays[f"t{i}_{f.name}"] for f in fields(_Tree)})
             problem = _tree_problem(tree, dimension)
             if problem:
                 raise ModelPersistenceError(f"{path}: tree {i}: {problem}")

@@ -1,0 +1,88 @@
+"""The featurizer's and the regressors' hyperparameters and their checks,
+free of numpy and SciPy so that the CLI can check a config file's keys
+without loading them; `features` and `models` re-export every name."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+from .scorer import ScorerEndpoint
+
+
+class FeatureError(ValueError):
+    pass
+
+
+class TrainingError(ValueError):
+    pass
+
+
+@dataclass(frozen=True)
+class FeatureConfig:
+    lowercase: bool = True
+    min_token_len: int = 2
+    ngram_max: int = 2
+    min_df: int = 2
+    max_features: int | None = 50_000
+    sublinear_tf: bool = False
+    stopwords: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.min_token_len < 1:
+            raise FeatureError("min_token_len must be >= 1")
+        if self.ngram_max < 1:
+            raise FeatureError("ngram_max must be >= 1")
+        if self.min_df < 1:
+            raise FeatureError("min_df must be >= 1")
+        if self.max_features is not None and self.max_features < 1:
+            raise FeatureError("max_features must be >= 1 or None")
+        object.__setattr__(self, "stopwords", tuple(self.stopwords))
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """Hyperparameters for all families; unused fields are ignored per family."""
+
+    seed: int = 0
+    features: FeatureConfig = field(default_factory=FeatureConfig)
+    patience: int = 5
+    ridge_lambda: float = 1.0
+    ridge_tol: float = 1e-10
+    ridge_max_iter: int = 1000
+    svr_epsilon: float = 0.05
+    svr_learning_rate: float = 0.01
+    svr_c: float = 1.0
+    svr_max_epochs: int = 100
+    svr_batch_size: int = 32
+    rf_n_trees: int = 100
+    rf_max_depth: int | None = 12
+    rf_min_samples_leaf: int = 5
+    rf_max_features: int | str = "sqrt"
+    rf_bootstrap: bool = True
+    external: ScorerEndpoint | None = None
+
+    def __post_init__(self) -> None:
+        def count(value, least: int) -> bool:  # type() is int: a bool or a float is not a count
+            return type(value) is int and value >= least
+
+        max_features = self.rf_max_features
+        max_features_ok = max_features in ("sqrt", "all") or count(max_features, 1)
+        # written as "not valid" so that NaN is rejected too
+        for name, bad, rule in (
+            ("patience", not count(self.patience, 1), "an int >= 1"),
+            ("ridge_lambda", not self.ridge_lambda >= 0, ">= 0"),
+            ("ridge_tol", not self.ridge_tol >= 0, ">= 0"),
+            ("ridge_max_iter", not count(self.ridge_max_iter, 1), "an int >= 1"),
+            ("svr_batch_size", not count(self.svr_batch_size, 1), "an int >= 1"),
+            ("svr_c", not self.svr_c > 0, "> 0"),
+            ("svr_learning_rate", not self.svr_learning_rate > 0, "> 0"),
+            ("svr_epsilon", not self.svr_epsilon >= 0, ">= 0"),
+            ("svr_max_epochs", not count(self.svr_max_epochs, 1), "an int >= 1"),
+            ("rf_n_trees", not count(self.rf_n_trees, 1), "an int >= 1"),
+            ("rf_max_depth", self.rf_max_depth is not None and not count(self.rf_max_depth, 0), "an int >= 0 or None"),
+            ("rf_min_samples_leaf", not count(self.rf_min_samples_leaf, 1), "an int >= 1"),
+            ("rf_max_features", not max_features_ok, '"sqrt", "all" or an int >= 1'),
+            ("rf_bootstrap", not isinstance(self.rf_bootstrap, bool), "a bool"),
+        ):
+            if bad:
+                raise TrainingError(f"{name} must be {rule}, got {getattr(self, name)!r}")

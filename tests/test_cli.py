@@ -222,6 +222,28 @@ def test_unknown_config_key_is_validation_error_naming_it(tmp_path, sensitivity_
     assert not (tmp_path / "out").exists()
 
 
+def _bootstrap_line(tmp_path, config: dict) -> str:
+    group = tmp_path / "group.csv"
+    group.write_text("helpful\ntrue\nfalse\ntrue\n", encoding="utf-8")
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    return f"bootstrap --group-a {group} --group-b {group} --resamples 20 --config {tmp_path}/config.json --out {tmp_path}/out"
+
+
+def test_unknown_config_key_is_an_error_on_every_subcommand(tmp_path, capsys):
+    # a misspelt option of bootstrap itself, beside one it reads
+    line = _bootstrap_line(tmp_path, {"resample-size": 2, "directon": "b_gt_a"})
+    assert main(_args(line)) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "'directon'" in err[0] and "'direction'" in err[0], err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_config_file_shared_with_training_subcommands_runs_bootstrap(tmp_path):
+    line = _bootstrap_line(tmp_path, {"repeats": 5, "ridge_lambda": 0.5})
+    assert main(_args(line + " --resample-size 2")) == EXIT_OK
+    assert (tmp_path / "out" / "bootstrap.json").is_file()
+
+
 def _perfbench_constant(name: str):
     """A literal assigned at the top level of perfbench/run.py."""
     tree = ast.parse((Path(__file__).resolve().parent.parent / "perfbench" / "run.py").read_text(encoding="utf-8"))
@@ -645,12 +667,15 @@ def test_corpus_subcommands_never_import_scipy(tmp_path, corpus_files):
     posts, ic, oc = corpus_files
     group = tmp_path / "group.csv"
     group.write_text("helpful\ntrue\nfalse\ntrue\n")
+    config = tmp_path / "config.json"  # a config file's keys are checked without scipy
+    config.write_text(json.dumps({"resample-size": 2, "ridge_lambda": 0.5, "features": {"min_df": 1}}))
     scorer = shlex.quote(shlex.join(toy_scorer_command()))
     lines = [
         f"aggregate --posts {posts} --ic {ic} --oc {oc} --out {tmp_path}/agg",
         f"stats --posts {posts} --ic {ic} --oc {oc} --out {tmp_path}/stats",
         f"stratify --data {tmp_path}/agg/sensitivity.jsonl --scorer {scorer} --out {tmp_path}/strat",
         f"bootstrap --group-a {group} --group-b {group} --resample-size 2 --out {tmp_path}/boot",
+        f"bootstrap --group-a {group} --group-b {group} --config {config} --out {tmp_path}/boot_config",
     ]
     script = f"""
 import shlex, sys

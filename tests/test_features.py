@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import shlex
 
 import numpy as np
 import pytest
@@ -15,10 +17,16 @@ from ctxsens.features import (
     Vocabulary,
     fit_vocabulary,
     to_csr,
+    tokenize,
     transform_many,
 )
+from ctxsens.aggregation import load_examples
+from ctxsens.cli import EXIT_OK, main
+from ctxsens.corpus import load_posts
 
-from oracles import fit_terms, tfidf_rows, tokenize
+from oracles import fit_terms, tfidf_rows
+from oracles import tokenize as oracle_tokenize
+from test_golden import _write_inputs
 
 UNIGRAM = FeatureConfig(min_token_len=1, ngram_max=1, min_df=1, max_features=None)
 
@@ -70,7 +78,7 @@ def test_default_tokenizer_drops_short_tokens_and_adds_bigrams():
     assert "an" in terms and "api" in terms
     assert "the api" in terms  # bigram
     assert all(len(t.split()[0]) >= 2 for t in terms)
-    assert terms == set(tokenize("An API, the API-token!", FeatureConfig()))
+    assert terms == set(oracle_tokenize("An API, the API-token!", FeatureConfig()))
 
 
 def test_tokenizer_splits_on_non_alphanumeric_runs():
@@ -85,23 +93,81 @@ def test_text_memo_keeps_tokenizer_settings_apart():
     assert _terms(text, min_token_len=1, ngram_max=1, stopwords=("ab",)) == {"x", "y"}
 
 
-def test_each_distinct_text_is_split_once(monkeypatch):
+def test_train_evaluate_and_augment_split_each_distinct_text_once(tmp_path, monkeypatch):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    _write_inputs(inputs)
+    data = tmp_path / "agg" / "sensitivity.jsonl"
+    assert main(shlex.split(f"aggregate --posts {inputs}/posts.jsonl --ic {inputs}/ic.jsonl --oc {inputs}/oc.jsonl --out {data.parent}")) == EXIT_OK
+    table_texts = set(load_examples(data).posts.target_texts)
+    pool_texts = set(load_posts(inputs / "pool.jsonl").target_texts)
     calls: list[str] = []
-    pattern = features._TOKEN_RE
+    split = features._split
+    monkeypatch.setattr(features, "_split", lambda text, lowercase: calls.append(text) or split(text, lowercase))
+    augment = f"augment --cycles 3 --k 3 --repeats 2 --data {data} --pool {inputs}/pool.jsonl --config {inputs}/ridge.json"
+    for name, line, texts in (
+        ("train", f"train --family svr --data {data}", table_texts),  # svr featurizes its validation set too
+        ("evaluate", f"evaluate --family svr --repeats 3 --data {data}", table_texts),
+        ("augment", augment, table_texts | pool_texts),
+    ):
+        calls.clear()
+        assert main(shlex.split(f"{line} --out {tmp_path}/{name}")) == EXIT_OK
+        assert sorted(calls) == sorted(texts), name
 
-    class Counting:
-        def findall(self, text):
-            calls.append(text)
-            return pattern.findall(text)
 
-    monkeypatch.setattr(features, "_TOKEN_RE", Counting())
-    texts = ["split-once probe one two", "split-once probe two three", "split-once probe one two"]
-    config = FeatureConfig(min_df=1)
-    vocab = fit_vocabulary(texts, config)
-    transform_many(vocab, texts)
-    transform_many(vocab, texts[::-1])
-    fit_vocabulary(texts, FeatureConfig(min_token_len=3, ngram_max=3))
-    assert sorted(calls) == sorted(t.lower() for t in set(texts))
+def test_tokens_read_as_their_texts_and_featurize_as_them(monkeypatch):
+    calls: list[str] = []
+    split = features._split
+    monkeypatch.setattr(features, "_split", lambda text, lowercase: calls.append(text) or split(text, lowercase))
+    texts = ["a b", "c a", "a b", "d e f"]
+    tokens = tokenize(texts, UNIGRAM)
+    assert sorted(calls) == ["a b", "c a", "d e f"]  # a repeated text is split once
+    assert len(tokens) == 4 and list(tokens) == texts and tokens[3] == "d e f"
+    vocab = fit_vocabulary(tokens, UNIGRAM)
+    assert vocab.term_index == fit_vocabulary(texts, UNIGRAM).term_index
+    other = tokenize(["f a z"], UNIGRAM)
+    for subset in (tokens.take([3, 0]), tokens[1:], features.join([tokens.take([2]), other, tokens[:1]])):
+        got, want = transform_many(vocab, subset), transform_many(vocab, list(subset))
+        assert (got != want).nnz == 0 and got.data.tobytes() == want.data.tobytes()
+    assert list(features.join([tokens[1:2], other])) == ["c a", "f a z"]
+
+
+def test_tokens_split_under_another_lowercase_setting_are_split_again():
+    cased = tokenize(["Ab AB ab x"], FeatureConfig(lowercase=False))
+    vocab = fit_vocabulary(["ab x", "AB"], UNIGRAM)
+    assert transform_many(vocab, cased).data.tobytes() == transform_many(vocab, list(cased)).data.tobytes()
+    assert tokenize(cased, UNIGRAM).lowercase and tokenize(cased, FeatureConfig(lowercase=False)) is cased
+
+
+def test_ascii_split_is_the_regex_split():
+    pattern = re.compile(r"[^\W_]+")
+    texts = [text for c in map(chr, range(128)) for text in (c, f"a{c}B", f"{c}{c}x1{c}")]
+    texts += ["ΑΣ", "straße", "\u212a", "\u212aelvin x_y", "Ab ΣΑΣ-c9 straße_42 İ"]
+    for text in texts:
+        for lowercase in (False, True):
+            assert features._split(text, lowercase) == pattern.findall(text.lower() if lowercase else text), text
+
+
+def test_term_lookup_is_the_trie_of_the_vocabulary_terms():
+    texts = ["a b c d", "b c a", "c d e a b", "e e a", "d c b a"]
+    vocab = fit_vocabulary(texts, FeatureConfig(min_token_len=1, ngram_max=3, min_df=1, max_features=None))
+    lookup = features._TermLookup(vocab)
+    local: dict[str, int] = {}
+    terms = {term: [local.setdefault(w, len(local)) for w in term.split(" ")] for term in vocab.term_index}
+    assert lookup.index == local and len(lookup.columns) == 3
+    assert [lookup.local[features._WORD_IDS.index[w]] for w in local] == list(local.values())
+    node = {(w,): w for w in local.values()}  # each term prefix's node at its level
+    for n in range(1, 4):
+        if n > 1:
+            prefixes = {tuple(words[:n]) for words in terms.values() if len(words) >= n}
+            keys = sorted({node[p[:-1]] * len(local) + p[-1] for p in prefixes})
+            assert lookup.keys[n - 1].tolist() == keys
+            node.update((p, keys.index(node[p[:-1]] * len(local) + p[-1])) for p in prefixes)
+        columns = [-1] * len(lookup.keys[n - 1])
+        for term, words in terms.items():
+            if len(words) == n:
+                columns[node[tuple(words)]] = vocab.term_index[term]
+        assert lookup.columns[n - 1].tolist() == columns
 
 
 def test_transform_many_is_the_same_in_any_block_size(monkeypatch):
@@ -201,7 +267,7 @@ def test_transform_deterministic_and_in_range(corpus, query):
     assert first == second
     indices, weights = first
     assert all(i < vocab.dimension for i in indices)
-    in_vocab = [t for t in tokenize(query, vocab.config) if t in vocab.term_index]
+    in_vocab = [t for t in oracle_tokenize(query, vocab.config) if t in vocab.term_index]
     if in_vocab:
         assert math.sqrt(sum(w * w for w in weights)) == pytest.approx(1.0, abs=1e-12)
     else:

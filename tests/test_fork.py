@@ -1,11 +1,13 @@
 """Scoring and forest training in forked parts: the same bytes at any part
-count, the tokenization memo merged back, and failing parts reported."""
+count, one block of rows scored at a time, only scores sent back, and failing
+parts reported."""
 
 from __future__ import annotations
 
 import os
 import shlex
 import signal
+import types
 
 import numpy as np
 import pytest
@@ -22,13 +24,12 @@ def _no_child_left() -> None:
         os.waitpid(-1, os.WNOHANG)
 
 
-def _split_small_batches(monkeypatch, parts: int) -> None:
-    """parts CPUs, batches of 4 rows or row visits per part, and an empty
-    memo, so that the 40-post fixtures split and the parts tokenize."""
+def _split_small_batches(monkeypatch, parts: int, block_rows: int = 4) -> None:
+    """parts CPUs, parts of at least 4 rows or row visits, and blocks of
+    block_rows rows, so that the 40-post fixtures split into parts and blocks."""
     monkeypatch.setattr(_fork, "cpu_count", lambda: parts)
-    monkeypatch.setattr(features, "_BLOCK_ROWS", 4)
+    monkeypatch.setattr(features, "_BLOCK_ROWS", block_rows)
     monkeypatch.setattr(_fork, "_LEAST_WORK", 4)
-    monkeypatch.setattr(features, "_WORD_IDS", features._WordIds())
 
 
 def _cli(line: str) -> int:
@@ -64,27 +65,80 @@ def test_outputs_are_the_same_bytes_at_any_part_count(tmp_path, monkeypatch):
     _no_child_left()
 
 
-def test_split_scoring_merges_each_text_into_the_memo_once(monkeypatch):
+def test_scoring_gets_one_block_at_a_time_and_the_same_bytes_at_any_part_count(tmp_path, monkeypatch):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    _write_inputs(inputs)
+    data = tmp_path / "agg" / "sensitivity.jsonl"
+    assert _cli(f"aggregate --posts {inputs}/posts.jsonl --ic {inputs}/ic.jsonl --oc {inputs}/oc.jsonl --out {data.parent}") == EXIT_OK
+    score_in_parts, blocks = features.score_in_parts, []
+
+    def checked(vocab, texts, score):
+        def one_block(block):
+            if len(block) > features._BLOCK_ROWS:  # raised in a forked part too, which fails the call
+                raise AssertionError(f"a block of {len(block)} rows")
+            blocks.append(len(block))
+            return score(block)
+
+        return score_in_parts(vocab, texts, one_block)
+
+    monkeypatch.setattr(models, "score_in_parts", checked)
+    outputs = {}
+    for parts in (1, 2, 3):
+        _split_small_batches(monkeypatch, parts, block_rows=3)
+        blocks.clear()
+        out = tmp_path / str(parts)
+        for family, config in (("ridge", "ridge.json"), ("rf", "forest.json")):
+            model = out / f"train_{family}"
+            assert _cli(f"train --family {family} --data {data} --seed 3 --config {inputs}/{config} --out {model}") == EXIT_OK
+            assert _cli(f"sample --model {model}/model.bin --pool {inputs}/pool.jsonl --k 12 --out {out}/{family}") == EXIT_OK
+            outputs[parts, family] = (out / family / "selected.jsonl").read_bytes()
+        # part 0 runs here: its 30 // parts rows of the 30-post pool, in blocks of 3, for each family
+        assert max(blocks) == 3 and len(blocks) == 2 * -(-(30 // parts) // 3)
+    for family in ("ridge", "rf"):
+        assert outputs[2, family] == outputs[1, family]
+        assert outputs[3, family] == outputs[1, family]
+    _no_child_left()
+
+
+def test_a_forked_part_sends_back_only_its_scores(monkeypatch):
     texts = list(synthetic_bundle(n_posts=60, seed=31).posts.target_texts)
-    train, pool = texts[:30], texts[20:] + texts[25:35]  # the pool repeats texts of its own and of training
+    train, pool = texts[:30], texts[20:]
     _split_small_batches(monkeypatch, 3)
     model = models.train("ridge", train, np.linspace(-1.0, 1.0, len(train)), config=models.TrainConfig(seed=1))
-    merged, forks = [], []
-    merge, fork = features._WORD_IDS.merge, os.fork
-    monkeypatch.setattr(features._WORD_IDS, "merge", lambda added: merged.append(added) or merge(added))
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    results, run = [], _fork.run
+    monkeypatch.setattr(_fork, "run", lambda job, n_parts: results.append(run(job, n_parts)) or results[-1])
     scores = model.predict_batch(pool)
-    assert len(forks) == len(merged) == 2
-    assert any(texts for _, _, added in merged for texts, _, _ in added)  # the parts tokenized
-    assert features._WORD_IDS.n_slots == len(set(train + pool))
-
-    merged.clear()
-    assert model.predict_batch(pool).tobytes() == scores.tobytes()
-    assert len(forks) == 4
-    assert [(words, [texts for texts, _, _ in added]) for _, words, added in merged] == [([], [[], []])] * 2
-    assert features._WORD_IDS.n_slots == len(set(train + pool))
+    [parts] = results
+    assert len(parts) == 3
+    assert all(type(part) is np.ndarray and part.dtype == np.float64 for part in parts)
+    assert np.clip(np.concatenate(parts), -1.0, 1.0).tobytes() == scores.tobytes()
     monkeypatch.setattr(_fork, "cpu_count", lambda: 1)
     assert model.predict_batch(pool).tobytes() == scores.tobytes()
+
+
+def _container_sizes(module) -> dict[str, int]:
+    """len() of every container at the top level of module, and of every
+    container attribute of its top-level objects."""
+    sizes = {}
+    for name, value in vars(module).items():
+        if isinstance(value, (type, types.ModuleType)) or callable(value):
+            continue
+        items = [(name, value), *((f"{name}.{key}", item) for key, item in getattr(value, "__dict__", {}).items())]
+        sizes.update((key, len(item)) for key, item in items if isinstance(item, (dict, list, set, np.ndarray)))
+    return sizes
+
+
+def test_scoring_plain_texts_keeps_nothing_in_the_featurizer(monkeypatch):
+    texts = list(synthetic_bundle(n_posts=60, seed=31).posts.target_texts)
+    _split_small_batches(monkeypatch, 2)
+    model = models.train("ridge", texts[:30], np.linspace(-1.0, 1.0, 30), config=models.TrainConfig(seed=1))
+    model.predict_batch(texts[30:])  # builds the vocabulary's term lookup
+    before = _container_sizes(features)
+    assert "_WORD_IDS.words" in before
+    novel = [f"{text} unseen{i} words{i}" for i, text in enumerate(texts)]
+    model.predict_batch(novel)
+    assert _container_sizes(features) == before
 
 
 def test_a_part_that_raises_raises_its_exception_here():
