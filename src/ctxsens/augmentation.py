@@ -110,7 +110,9 @@ def run_augmentation(
 
     # every text split once; each set of texts is a take of these rows, sharing their words
     splits = (gold_train[1], gold_validation[1], test_texts, pool.target_texts if pool_texts is None else pool_texts)
-    texts = join([tokenize(split, config.train_config.features) for split in splits])
+    all_tokens = all(isinstance(split, Tokens) for split in splits)
+    joined = join(splits) if all_tokens else [text for split in splits for text in split]
+    texts = tokenize(joined, config.train_config.features)
     ends = np.cumsum([0, *map(len, splits)])
     train_rows, pool_first = np.arange(ends[1]), ends[3]
     remaining = np.arange(len(pool))  # pool rows not yet selected, in pool order

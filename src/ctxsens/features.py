@@ -7,11 +7,12 @@ target text is featurized; the parent is deliberately ignored.
 
 Whoever featurizes the same texts more than once (a fit and its transform,
 cross-validation folds, augmentation cycles) holds them as `Tokens`, split
-once into ids from a process-wide word interner. Plain texts are split a
-block at a time and mapped straight to the vocabulary's words, so scoring
-keeps nothing. An n-gram is numbered as the pair (number of its first n - 1
-words, id of its last word), one length at a time, so keys stay within
-int64 for any ngram_max.
+once; each `Tokens` carries its own word list, and its word ids index it.
+Parts of one tokenize() call are joined without copying; other parts are
+split again. Plain texts are tokenized a block at a time and dropped, and the
+featurizer holds no process-wide state. An n-gram is numbered as the pair
+(number of its first n - 1 words, id of its last word), one length at a
+time, so keys stay within int64 for any ngram_max.
 """
 
 from __future__ import annotations
@@ -59,47 +60,20 @@ def _numbering() -> defaultdict:
     return index
 
 
-def _split_all(texts: Sequence[str], lowercase: bool, index: defaultdict) -> tuple[np.ndarray, np.ndarray]:
-    """The numbers index gives the words of texts, end to end; each text's word count."""
-    ids, counts, number = array("i"), array("q"), index.__getitem__
-    for text in texts:
-        words = _split(text, lowercase)
-        ids.extend(map(number, words))
-        counts.append(len(words))
-    return np.frombuffer(ids, dtype=np.int32), np.frombuffer(counts, dtype=np.int64)
-
-
-class _WordIds:
-    """Process-wide word interner: a word's id is its place in `words`. It
-    holds the words of fitted texts and of Tokens, never a text."""
-
-    def __init__(self) -> None:
-        self.index = _numbering()
-        self.words: list[str] = []
-        self.lengths = np.zeros(0, dtype=np.int64)
-
-    def added(self) -> None:
-        """Record the words that index numbered since the last call."""
-        if len(self.index) > len(self.words):
-            new = list(itertools.islice(self.index, len(self.words), None))
-            self.words.extend(new)
-            self.lengths = np.concatenate([self.lengths, np.fromiter(map(len, new), dtype=np.int64, count=len(new))])
-
-
-_WORD_IDS = _WordIds()
-
-
 @dataclass(frozen=True, eq=False)
 class Tokens:
     """Texts split into words once, by tokenize(); reads as the sequence of
     its texts. The words of text i are ids[starts[i]:starts[i] + counts[i]],
-    interned ids before any length or stopword filter, so one split serves
-    every FeatureConfig with the same lowercase setting. tokenize() writes
-    the words end to end; the Tokens that take() and join() make share them."""
+    places in its own word list `words`, before any length or stopword
+    filter, so one split serves every FeatureConfig with the same lowercase
+    setting. tokenize() writes the ids end to end; the Tokens that take()
+    makes, and join() makes of parts of one tokenize() call, share the ids
+    and the words."""
 
     texts: tuple[str, ...]
     lowercase: bool
     ids: np.ndarray
+    words: tuple[str, ...]
     starts: np.ndarray
     counts: np.ndarray
 
@@ -117,17 +91,13 @@ class Tokens:
         """The rows (row indices), in that order."""
         rows = np.asarray(rows, dtype=np.int64)
         texts = tuple(map(self.texts.__getitem__, rows.tolist()))
-        return Tokens(texts, self.lowercase, self.ids, self.starts[rows], self.counts[rows])
-
-    def words(self) -> np.ndarray:
-        """Every row's word ids, end to end."""
-        counts = self.counts
-        return self.ids[np.arange(counts.sum()) + np.repeat(self.starts - np.cumsum(counts) + counts, counts)]
+        return Tokens(texts, self.lowercase, self.ids, self.words, self.starts[rows], self.counts[rows])
 
 
 def tokenize(texts: Sequence[str] | Tokens, config: FeatureConfig | None = None) -> Tokens:
-    """texts split under config's lowercase setting; Tokens already split
-    under it are returned as they are. A repeated text is split once."""
+    """texts split under config's lowercase setting, their words numbered
+    for this call only; Tokens already split under it are returned as they
+    are. A repeated text is split once."""
     lowercase = (config or FeatureConfig()).lowercase
     if isinstance(texts, Tokens):
         if texts.lowercase == lowercase:
@@ -135,9 +105,13 @@ def tokenize(texts: Sequence[str] | Tokens, config: FeatureConfig | None = None)
         texts = texts.texts
     texts = tuple(texts)
     distinct = dict.fromkeys(texts)
-    ids, counts = _split_all(distinct, lowercase, _WORD_IDS.index)
-    _WORD_IDS.added()
-    tokens = Tokens(tuple(distinct), lowercase, ids, np.cumsum(counts) - counts, counts)
+    index, ids, counts = _numbering(), array("i"), array("q")
+    for text in distinct:
+        words = _split(text, lowercase)
+        ids.extend(map(index.__getitem__, words))
+        counts.append(len(words))
+    ids, counts = np.frombuffer(ids, dtype=np.int32), np.frombuffer(counts, dtype=np.int64)
+    tokens = Tokens(tuple(distinct), lowercase, ids, tuple(index), np.cumsum(counts) - counts, counts)
     if len(distinct) < len(texts):
         row = dict(zip(distinct, itertools.count()))
         tokens = tokens.take(np.fromiter(map(row.__getitem__, texts), dtype=np.int64, count=len(texts)))
@@ -146,16 +120,13 @@ def tokenize(texts: Sequence[str] | Tokens, config: FeatureConfig | None = None)
 
 def join(parts: Sequence[Tokens]) -> Tokens:
     """The rows of parts, Tokens split under one lowercase setting, in order.
-    Parts that share their words keep sharing them, uncopied."""
-    buffers = list({id(part.ids): part.ids for part in parts}.values())
-    offset = dict(zip(map(id, buffers), np.cumsum([0, *map(len, buffers)]).tolist()))
-    return Tokens(
-        tuple(itertools.chain.from_iterable(part.texts for part in parts)),
-        parts[0].lowercase,
-        buffers[0] if len(buffers) == 1 else np.concatenate(buffers),
-        np.concatenate([part.starts + offset[id(part.ids)] for part in parts]),
-        np.concatenate([part.counts for part in parts]),
-    )
+    Parts of one tokenize() call share its ids and words, uncopied; other
+    parts are split again."""
+    first, texts = parts[0], tuple(itertools.chain.from_iterable(part.texts for part in parts))
+    if any(part.ids is not first.ids for part in parts):
+        return tokenize(texts, FeatureConfig(lowercase=first.lowercase))
+    starts, counts = np.concatenate([part.starts for part in parts]), np.concatenate([part.counts for part in parts])
+    return Tokens(texts, first.lowercase, first.ids, first.words, starts, counts)
 
 
 def score_in_parts(vocab: Vocabulary, texts: Sequence[str] | Tokens, score: Callable[..., np.ndarray]) -> np.ndarray:
@@ -173,14 +144,15 @@ def score_in_parts(vocab: Vocabulary, texts: Sequence[str] | Tokens, score: Call
     return np.concatenate(_fork.run(part, len(ends) - 1))
 
 
-def _kept(ids: np.ndarray, counts: np.ndarray, lengths: np.ndarray, index: dict, config: FeatureConfig):
-    """The ids of the words config keeps, end to end, and the row of each:
-    ids, numbered by index, are the words of rows of counts[i] words, and
-    lengths[id] is the length of word id."""
+def _kept(tokens: Tokens, config: FeatureConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The ids of the words of tokens that config keeps, end to end, and the row of each."""
+    counts, words = tokens.counts, tokens.words
+    ids = tokens.ids[np.arange(counts.sum()) + np.repeat(tokens.starts - np.cumsum(counts) + counts, counts)]
     row = np.repeat(np.arange(len(counts)), counts)
-    keep = lengths[ids] >= config.min_token_len
+    keep = np.fromiter(map(len, words), dtype=np.int64, count=len(words)) >= config.min_token_len  # per word
     if config.stopwords:
-        keep &= ~np.isin(ids, [index[w] for w in config.stopwords if w in index])
+        keep &= ~np.fromiter(map(set(config.stopwords).__contains__, words), dtype=bool, count=len(words))
+    keep = keep[ids]
     return ids[keep].astype(np.int64), row[keep]
 
 
@@ -200,12 +172,10 @@ def _windows(row: np.ndarray, n: int) -> np.ndarray:
 class _TermLookup:
     """The vocabulary's terms as a trie over its words, one level per n-gram length.
 
-    index maps a vocabulary word to its local number, and local maps an
-    interned word id to it (-1 for other words; ids interned later fall past
-    its end). A level-1 node is a local word; a level-n node is an entry of
-    keys[n - 1], the sorted (level n - 1 node) * n_local + (local word) of
-    every n-word term prefix. columns[n - 1] gives each node's column, or -1
-    if it is only a prefix.
+    index maps a vocabulary word to its local number. A level-1 node is a
+    local word; a level-n node is an entry of keys[n - 1], the sorted
+    (level n - 1 node) * n_local + (local word) of every n-word term prefix.
+    columns[n - 1] gives each node's column, or -1 if it is only a prefix.
     """
 
     def __init__(self, vocab: "Vocabulary"):
@@ -221,10 +191,6 @@ class _TermLookup:
             map(index.__getitem__, flat), dtype=np.int64, count=len(flat)
         )
         self.index, self.n_local = dict(index), len(index)
-        ids = np.fromiter(map(_WORD_IDS.index.__getitem__, index), dtype=np.int64, count=self.n_local)
-        _WORD_IDS.added()
-        self.local = np.full(len(_WORD_IDS.words), -1, dtype=np.int64)
-        self.local[ids] = np.arange(self.n_local)
         self.keys, self.columns = [np.arange(self.n_local)], []
         for n in range(1, word.shape[1] + 1):
             if n == 1:
@@ -239,20 +205,13 @@ class _TermLookup:
             self.columns.append(level)
 
     def entries(self, block: Sequence[str] | Tokens) -> tuple[np.ndarray, np.ndarray]:
-        """(row, column) of every in-vocabulary n-gram occurrence in block.
-        Plain texts are split here, their words numbered for this block only."""
-        if isinstance(block, Tokens):
-            ids, row = _kept(block.words(), block.counts, _WORD_IDS.lengths, _WORD_IDS.index, self.config)
-            local = np.full(len(ids), -1, dtype=np.int64)  # each kept word's local number, or -1
-            known = ids < len(self.local)
-            local[known] = self.local[ids[known]]
-        else:
-            index = _numbering()
-            ids, counts = _split_all(block, self.config.lowercase, index)
-            words = list(index)
-            lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
-            ids, row = _kept(ids, counts, lengths, index, self.config)
-            local = np.fromiter(map(self.index.get, words, itertools.repeat(-1)), dtype=np.int64, count=len(words))[ids]
+        """(row, column) of every in-vocabulary n-gram occurrence in block,
+        texts or Tokens, tokenized under the vocabulary's lowercase setting."""
+        tokens = tokenize(block, self.config)
+        ids, row = _kept(tokens, self.config)
+        words = tokens.words
+        # each kept word's local number, or -1
+        local = np.fromiter(map(self.index.get, words, itertools.repeat(-1)), dtype=np.int64, count=len(words))[ids]
         node = local
         rows, cols = [], []
         for n in range(1, len(self.columns) + 1):
@@ -342,10 +301,10 @@ def fit_vocabulary(texts: Sequence[str] | Tokens, config: FeatureConfig | None =
     if not texts:
         raise FeatureError("texts must be nonempty")
     tokens = tokenize(texts, config)
-    words, row = _kept(tokens.words(), tokens.counts, _WORD_IDS.lengths, _WORD_IDS.index, config)
+    words, row = _kept(tokens, config)
     if not len(words):
         raise EmptyVocabularyError("corpus is empty after tokenization")
-    n_rows, radix, names = len(texts), len(_WORD_IDS.words), _WORD_IDS.words
+    n_rows, radix, names = len(texts), len(tokens.words), tokens.words
     kept: list[tuple[str, int]] = []
     key = words.copy()  # at each start position, the number of the n-gram starting there
     for n in range(1, config.ngram_max + 1):
@@ -388,8 +347,6 @@ def transform_many(vocab: Vocabulary, texts: Sequence[str] | Tokens) -> sparse.c
     lowercase setting than the vocabulary's are split again.
     """
     lookup, config, dimension = vocab._trie(), vocab.config, vocab.dimension
-    if isinstance(texts, Tokens) and texts.lowercase != config.lowercase:
-        texts = texts.texts
     ones = np.ones(dimension)
     indices, data, lengths = [np.zeros(0, dtype=np.int64)], [np.zeros(0)], [np.zeros(0, dtype=np.int64)]
     for first in range(0, len(texts), _BLOCK_ROWS):

@@ -892,15 +892,20 @@ def _decode(body: bytes, path: str | Path) -> Model:
     vocab_obj = metadata_obj.get("vocabulary")
     vocab = Vocabulary.from_json(vocab_obj) if vocab_obj is not None else None
     dimension = metadata_obj.get("dimension")
+    if vocab is not None and dimension != vocab.dimension:
+        raise ModelPersistenceError(f"{path}: dimension is {dimension!r} for a vocabulary of {vocab.dimension} terms")
 
     if family == FAMILY_CONSTANT_MEAN:
         return ConstantMeanModel(float(arrays["mean"][0]), metadata)
     if family == FAMILY_UNIFORM_RANDOM:
         return UniformRandomModel(metadata)
-    if family == FAMILY_RIDGE:
-        return RidgeModel(arrays["weights"], float(arrays["bias"][0]), metadata, vocab, dimension)
-    if family == FAMILY_LINEAR_SVR:
-        return LinearSVRModel(arrays["weights"], float(arrays["bias"][0]), metadata, vocab, dimension)
+    if family in (FAMILY_RIDGE, FAMILY_LINEAR_SVR):
+        weights, bias = arrays["weights"], arrays["bias"]
+        if weights.shape != (dimension,) or bias.shape != (1,):
+            shapes = f"weights of shape {weights.shape} and bias of shape {bias.shape}"
+            raise ModelPersistenceError(f"{path}: {shapes} for dimension {dimension!r}")
+        linear = RidgeModel if family == FAMILY_RIDGE else LinearSVRModel
+        return linear(weights, float(bias[0]), metadata, vocab, dimension)
     if family == FAMILY_RANDOM_FOREST:
         n_trees = extras["n_trees"]
         if type(n_trees) is not int or not 1 <= n_trees == len(arrays) / 5:

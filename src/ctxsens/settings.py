@@ -17,6 +17,19 @@ class TrainingError(ValueError):
     pass
 
 
+def _count(value, least: int) -> bool:
+    """value is an int >= least; type() is int, so a bool or a float is not a count."""
+    return type(value) is int and value >= least
+
+
+def _check(config, error: type[ValueError], rules) -> None:
+    """Raise error naming the first field of config whose rule is broken; each
+    rule is (field name, broken, what the field must be)."""
+    for name, bad, rule in rules:
+        if bad:
+            raise error(f"{name} must be {rule}, got {getattr(config, name)!r}")
+
+
 @dataclass(frozen=True)
 class FeatureConfig:
     lowercase: bool = True
@@ -28,15 +41,18 @@ class FeatureConfig:
     stopwords: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.min_token_len < 1:
-            raise FeatureError("min_token_len must be >= 1")
-        if self.ngram_max < 1:
-            raise FeatureError("ngram_max must be >= 1")
-        if self.min_df < 1:
-            raise FeatureError("min_df must be >= 1")
-        if self.max_features is not None and self.max_features < 1:
-            raise FeatureError("max_features must be >= 1 or None")
-        object.__setattr__(self, "stopwords", tuple(self.stopwords))
+        stopwords = self.stopwords
+        _check(self, FeatureError, (
+            ("lowercase", not isinstance(self.lowercase, bool), "a bool"),
+            ("min_token_len", not _count(self.min_token_len, 1), "an int >= 1"),
+            ("ngram_max", not _count(self.ngram_max, 1), "an int >= 1"),
+            ("min_df", not _count(self.min_df, 1), "an int >= 1"),
+            ("max_features", self.max_features is not None and not _count(self.max_features, 1), "an int >= 1 or None"),
+            ("sublinear_tf", not isinstance(self.sublinear_tf, bool), "a bool"),
+            ("stopwords", not isinstance(stopwords, (list, tuple)) or not all(isinstance(w, str) for w in stopwords),
+             "a list of strings"),
+        ))
+        object.__setattr__(self, "stopwords", tuple(stopwords))
 
 
 @dataclass(frozen=True)
@@ -62,27 +78,22 @@ class TrainConfig:
     external: ScorerEndpoint | None = None
 
     def __post_init__(self) -> None:
-        def count(value, least: int) -> bool:  # type() is int: a bool or a float is not a count
-            return type(value) is int and value >= least
-
         max_features = self.rf_max_features
-        max_features_ok = max_features in ("sqrt", "all") or count(max_features, 1)
+        max_features_ok = max_features in ("sqrt", "all") or _count(max_features, 1)
         # written as "not valid" so that NaN is rejected too
-        for name, bad, rule in (
-            ("patience", not count(self.patience, 1), "an int >= 1"),
+        _check(self, TrainingError, (
+            ("patience", not _count(self.patience, 1), "an int >= 1"),
             ("ridge_lambda", not self.ridge_lambda >= 0, ">= 0"),
             ("ridge_tol", not self.ridge_tol >= 0, ">= 0"),
-            ("ridge_max_iter", not count(self.ridge_max_iter, 1), "an int >= 1"),
-            ("svr_batch_size", not count(self.svr_batch_size, 1), "an int >= 1"),
+            ("ridge_max_iter", not _count(self.ridge_max_iter, 1), "an int >= 1"),
+            ("svr_batch_size", not _count(self.svr_batch_size, 1), "an int >= 1"),
             ("svr_c", not self.svr_c > 0, "> 0"),
             ("svr_learning_rate", not self.svr_learning_rate > 0, "> 0"),
             ("svr_epsilon", not self.svr_epsilon >= 0, ">= 0"),
-            ("svr_max_epochs", not count(self.svr_max_epochs, 1), "an int >= 1"),
-            ("rf_n_trees", not count(self.rf_n_trees, 1), "an int >= 1"),
-            ("rf_max_depth", self.rf_max_depth is not None and not count(self.rf_max_depth, 0), "an int >= 0 or None"),
-            ("rf_min_samples_leaf", not count(self.rf_min_samples_leaf, 1), "an int >= 1"),
+            ("svr_max_epochs", not _count(self.svr_max_epochs, 1), "an int >= 1"),
+            ("rf_n_trees", not _count(self.rf_n_trees, 1), "an int >= 1"),
+            ("rf_max_depth", self.rf_max_depth is not None and not _count(self.rf_max_depth, 0), "an int >= 0 or None"),
+            ("rf_min_samples_leaf", not _count(self.rf_min_samples_leaf, 1), "an int >= 1"),
             ("rf_max_features", not max_features_ok, '"sqrt", "all" or an int >= 1'),
             ("rf_bootstrap", not isinstance(self.rf_bootstrap, bool), "a bool"),
-        ):
-            if bad:
-                raise TrainingError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        ))

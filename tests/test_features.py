@@ -126,10 +126,13 @@ def test_tokens_read_as_their_texts_and_featurize_as_them(monkeypatch):
     vocab = fit_vocabulary(tokens, UNIGRAM)
     assert vocab.term_index == fit_vocabulary(texts, UNIGRAM).term_index
     other = tokenize(["f a z"], UNIGRAM)
-    for subset in (tokens.take([3, 0]), tokens[1:], features.join([tokens.take([2]), other, tokens[:1]])):
+    assert transform_many(vocab, texts).shape == (4, len(vocab))  # builds the vocabulary's term lookup
+    later = tokenize(["z b a", "q c c", "a b"], UNIGRAM)  # words first numbered after that
+    for subset in (tokens.take([3, 0]), tokens[1:], features.join([tokens.take([2]), other, tokens[:1]]), later):
         got, want = transform_many(vocab, subset), transform_many(vocab, list(subset))
         assert (got != want).nnz == 0 and got.data.tobytes() == want.data.tobytes()
     assert list(features.join([tokens[1:2], other])) == ["c a", "f a z"]
+    assert features.join([tokens[1:], tokens[:1]]).ids is tokens.ids  # parts of one call: not split again
 
 
 def test_tokens_split_under_another_lowercase_setting_are_split_again():
@@ -155,7 +158,6 @@ def test_term_lookup_is_the_trie_of_the_vocabulary_terms():
     local: dict[str, int] = {}
     terms = {term: [local.setdefault(w, len(local)) for w in term.split(" ")] for term in vocab.term_index}
     assert lookup.index == local and len(lookup.columns) == 3
-    assert [lookup.local[features._WORD_IDS.index[w]] for w in local] == list(local.values())
     node = {(w,): w for w in local.values()}  # each term prefix's node at its level
     for n in range(1, 4):
         if n > 1:

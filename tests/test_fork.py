@@ -135,9 +135,12 @@ def test_scoring_plain_texts_keeps_nothing_in_the_featurizer(monkeypatch):
     model = models.train("ridge", texts[:30], np.linspace(-1.0, 1.0, 30), config=models.TrainConfig(seed=1))
     model.predict_batch(texts[30:])  # builds the vocabulary's term lookup
     before = _container_sizes(features)
-    assert "_WORD_IDS.words" in before
+    assert "_ASCII_BREAKS" in before  # the helper sees the module's containers
     novel = [f"{text} unseen{i} words{i}" for i, text in enumerate(texts)]
     model.predict_batch(novel)
+    assert _container_sizes(features) == before
+    vocab = features.fit_vocabulary(features.tokenize(novel[:20]))
+    features.transform_many(vocab, novel[20:] + [f"new{i} text{i}" for i in range(5)])
     assert _container_sizes(features) == before
 
 

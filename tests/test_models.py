@@ -446,6 +446,11 @@ def _with_extras(**extras):
     return edit
 
 
+def _with_metadata(**fields):
+    """An edit that sets the given top-level metadata fields."""
+    return lambda meta, arrays: (json.dumps(json.loads(meta) | fields).encode("utf-8"), arrays)
+
+
 @pytest.mark.parametrize(
     "family, edit",
     [
@@ -456,10 +461,17 @@ def _with_extras(**extras):
         ("random_forest", lambda meta, arrays: (meta, {**arrays, **{"t1" + k[2:]: v for k, v in arrays.items()}})),
         ("ridge", lambda meta, arrays: (meta, {k: v for k, v in arrays.items() if k != "weights"})),
         ("ridge", lambda meta, arrays: (b"{not json", arrays)),
+        # parameter widths that do not match the dimension, or a dimension that does not match the vocabulary
+        ("ridge", lambda meta, arrays: (meta, {**arrays, "weights": arrays["weights"][:-3]})),
+        ("linear_svr", lambda meta, arrays: (meta, {**arrays, "weights": arrays["weights"][:, None]})),
+        ("ridge", lambda meta, arrays: (meta, {**arrays, "bias": np.zeros(2)})),
+        ("ridge", _with_metadata(vocabulary=fit_vocabulary(["ab cd", "cd ef"], FeatureConfig(min_df=1)).to_json())),
+        ("random_forest", _with_metadata(vocabulary=fit_vocabulary(["ab"], FeatureConfig(min_df=1)).to_json())),
     ],
     ids=[
         "no_n_trees", "n_trees_text", "n_trees_past_arrays", "n_trees_zero", "arrays_past_n_trees", "no_weights",
-        "metadata_not_json",
+        "metadata_not_json", "weights_cut", "weights_2d", "two_biases", "vocabulary_wider",
+        "vocabulary_narrower",
     ],
 )
 def test_malformed_model_contents_are_a_runtime_error_naming_the_file(tmp_path, capsys, family, edit):
