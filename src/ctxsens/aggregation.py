@@ -9,7 +9,6 @@ scores' standard errors. The scored posts are one columnar `SensitivityTable`.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import AnnotationTable, DatasetBundle, Label, PostTable, posts_at, read_lines, write_jsonl
+from .corpus import AnnotationTable, CorpusError, DatasetBundle, Label, ParseError, PostTable, posts_at, read_jsonl, write_jsonl
 
 _TOXIC_LABELS = frozenset({Label.TOXIC, Label.VERY_TOXIC})
 _TOXIC_CODES = [code for code, label in enumerate(Label) if label in _TOXIC_LABELS]
@@ -236,7 +235,7 @@ def _check_fields(obj: dict, fields: dict) -> None:
     for key, (accepted, expected) in fields.items():
         value = obj.get(key)
         if type(value) not in accepted:
-            raise ValueError(f"field {key!r} must be {expected}, got {'null' if value is None else type(value).__name__}")
+            raise CorpusError(f"field {key!r} must be {expected}, got {'null' if value is None else type(value).__name__}")
 
 
 def _checked_score(obj: dict) -> tuple:
@@ -245,15 +244,15 @@ def _checked_score(obj: dict) -> tuple:
     _check_fields(obj, _SCORE_FIELDS)
     value, n_raters, sem = obj["value"], obj["n_raters"], obj["sem"]
     if not 1 <= n_raters <= _MAX_RATERS:  # the column is int64
-        raise ValueError("n_raters must be positive" if n_raters < 1 else f"n_raters {n_raters} exceeds {_MAX_RATERS}")
+        raise CorpusError("n_raters must be positive" if n_raters < 1 else f"n_raters {n_raters} exceeds {_MAX_RATERS}")
     if not 0.0 <= value <= 1.0:
-        raise ValueError(f"value {value} outside [0, 1]")
+        raise CorpusError(f"value {value} outside [0, 1]")
     if abs(value * n_raters - round(value * n_raters)) > 1e-9:
-        raise ValueError(f"value {value} is not a count fraction of {n_raters} raters")
+        raise CorpusError(f"value {value} is not a count fraction of {n_raters} raters")
     if sem < 0.0:
-        raise ValueError("sem must be >= 0")
+        raise CorpusError("sem must be >= 0")
     if value in (0.0, 1.0) and sem != 0.0:
-        raise ValueError("sem must be 0 at unanimity")
+        raise CorpusError("sem must be 0 at unanimity")
     return value, n_raters, sem
 
 
@@ -273,32 +272,26 @@ def load_examples(path: str | Path) -> SensitivityTable:
     """Read a sensitivity file; a post id may appear only once, since a
     duplicate would be counted twice and could sit on both sides of a split.
     A malformed row (no object, a field missing or of the wrong JSON type,
-    an inconsistent score, delta, threshold or is_sensitive) is a ValueError
+    an inconsistent score, delta, threshold or is_sensitive) is a ParseError
     naming path:line."""
-    texts: list[tuple] = []
-    scores: list[list] = [[] for _ in _SCORE_COLUMNS]
+    path, texts, scores = Path(path), [], [[] for _ in _SCORE_COLUMNS]
     try:
-        for line_no, line in enumerate(read_lines(Path(path)), start=1):
-            if not line.strip():
-                continue
+        for line_no, obj in read_jsonl(path):
             try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise ValueError("each line must be a JSON object")
                 _check_fields(obj, _ROW_FIELDS)
                 texts.append((line_no, obj["post_id"], obj["target_text"], obj.get("parent_text")))
                 oc, ic = _checked_score(obj["s_oc"]), _checked_score(obj["s_ic"])
                 delta, threshold = obj["delta"], obj["threshold"]
                 if delta != oc[0] - ic[0]:
-                    raise ValueError("delta must equal s_oc.value - s_ic.value exactly")
+                    raise CorpusError("delta must equal s_oc.value - s_ic.value exactly")
                 if threshold < 0.0:
-                    raise ValueError("threshold must be >= 0")
+                    raise CorpusError("threshold must be >= 0")
                 if threshold != oc[2] + ic[2]:
-                    raise ValueError("threshold must equal s_oc.sem + s_ic.sem exactly")
+                    raise CorpusError("threshold must equal s_oc.sem + s_ic.sem exactly")
                 if obj["is_sensitive"] != (abs(delta) > threshold):
-                    raise ValueError("is_sensitive must equal |delta| > threshold")
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: {exc}") from exc
+                    raise CorpusError("is_sensitive must equal |delta| > threshold")
+            except CorpusError as exc:
+                raise ParseError(str(path), line_no, str(exc)) from exc
             for column, value in zip(scores, (*oc, *ic)):
                 column.append(value)
     finally:  # a bad text in or above the row that fails is reported first

@@ -144,11 +144,11 @@ def _load_config_file(path: str | None) -> dict:
     if not file.is_file():
         raise CliValidationError(f"config file not found: {path}")
     try:
-        obj = json.loads("".join(read_lines(file)))
-    except json.JSONDecodeError as exc:
-        raise CliValidationError(f"config file {path} is not valid JSON: {exc}") from exc
+        obj = json.loads("".join(line for _, line in read_lines(file)))
     except CorpusError as exc:
         raise CliValidationError(f"config file {exc}") from None
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
+        raise CliValidationError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise CliValidationError(f"config file {path} must hold a JSON object")
     from .settings import FeatureConfig  # needs no SciPy

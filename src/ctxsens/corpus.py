@@ -5,6 +5,10 @@ rating condition). JSONL is the canonical format; CSV is an import/export
 convenience with RFC-4180 quoting. Text is stored verbatim; normalization is
 the featurizer's job.
 
+Every input file is read through `read_lines`, which numbers lines and checks
+UTF-8, and through `read_jsonl` or `read_csv` on top of it; a CSV record's
+line is the one it starts on, as a quoted field may span lines.
+
 Posts are one columnar `PostTable` and each condition's annotations one
 columnar `AnnotationTable`, not an object per judgment: the post ids in file
 order, an int8 label code per judgment, an int8 parent-helpful flag per
@@ -19,11 +23,11 @@ import copy
 import csv
 import json
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import partial
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -235,14 +239,143 @@ class DatasetBundle:
                 seen.add(post_id)
 
 
+# --- readers -----------------------------------------------------------------
+
+
+def read_lines(path: Path) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each line of a UTF-8 file, from 1. Each line
+    is checked as it is read, so that a byte that is not UTF-8 is a
+    ParseError at its line after every line above it was read."""
+    # lines are split where text mode splits them and kept whole; a byte that is not
+    # UTF-8 stays in as a lone surrogate, which valid UTF-8 never decodes to
+    with path.open("r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    byte, column = ord(line[exc.start]) - 0xDC00, len(line[: exc.start].encode("utf-8", "surrogateescape")) + 1
+                    raise ParseError(str(path), line_no, f"not UTF-8: byte {byte:#04x} at column {column}") from None
+            yield line_no, line
+
+
+def read_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for each nonblank line of a JSONL file; a line
+    that is not a JSON object is a ParseError."""
+    for line_no, line in read_lines(path):
+        if line.strip():
+            try:
+                obj = json.loads(line)
+            except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
+                raise ParseError(str(path), line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}") from exc
+            if not isinstance(obj, dict):
+                raise ParseError(str(path), line_no, "each line must be a JSON object")
+            yield line_no, obj
+
+
+def read_csv(path: Path) -> Iterator[tuple[int, list[str]]]:
+    """(line the record starts on, fields) for each record of a CSV file in
+    RFC 4180 quoting, where a quoted field may span lines; a blank line is a
+    record of no fields."""
+    reader = csv.reader(map(itemgetter(1), read_lines(path)))
+    line_no = 1
+    for record in reader:
+        yield line_no, record
+        line_no = reader.line_num + 1
+
+
+def _parse_rows(path: Path, rows: Iterable[tuple[int, Any]], parse: Callable[[Any], Any]) -> Iterator:
+    """parse(row) for each (line number, row) of rows; a CorpusError that
+    parse raises is a ParseError at the row's line."""
+    for line_no, row in rows:
+        try:
+            yield parse(row)
+        except CorpusError as exc:
+            raise ParseError(str(path), line_no, str(exc)) from exc
+
+
+# --- the two corpus formats ----------------------------------------------------
+
+_POST_HEADER = ["post_id", "target_text", "parent_text"]
+_ANNOTATION_HEADER = ["post_id", "condition", "labels", "parent_helpful"]
+
+
+def _read_csv_rows(path: Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """The nonblank records below a CSV file's header row, which must be
+    header, each as wide as header."""
+    records = read_csv(path)
+    _, found = next(records, (1, None))
+    if found != header:
+        raise ParseError(str(path), 1, "missing header row" if found is None else f"expected header {header}, got {found}")
+    for line_no, row in records:
+        if row:
+            if len(row) != len(header):
+                raise ParseError(str(path), line_no, f"expected {len(header)} fields, got {len(row)}")
+            yield line_no, row
+
+
+def _annotation_from_obj(obj: dict) -> tuple:
+    post_id, condition, raw = map(obj.get, ("post_id", "condition", "judgments"))
+    for key, value in (("post_id", post_id), ("condition", condition)):
+        if not isinstance(value, str):
+            raise CorpusError(f"field {key!r} must be a string")
+    if condition not in _CONDITION_VALUES:
+        raise CorpusError(f"unknown condition {condition!r}")
+    if not isinstance(raw, list):
+        raise CorpusError("judgments must be a list")
+    if not raw:
+        raise CorpusError(f"annotation for post {post_id!r} ({condition}) has no judgments")
+    try:
+        labels = [_LABEL_CODES[item["label"]] for item in raw]
+        helpful = [item.get("parent_helpful") for item in raw]
+    except (KeyError, TypeError):  # an entry that is no object, or a label that is no known string
+        labels = helpful = None
+    if labels is None or not _HELPFUL_TYPES.issuperset(map(type, helpful)):
+        for item in raw:  # report the first bad entry
+            if not isinstance(item, dict):
+                raise CorpusError("judgment entries must be objects")
+            label = item.get("label")
+            if not isinstance(label, str) or label not in _LABEL_CODES:
+                raise CorpusError(f"unknown label {label!r}")
+            if type(item.get("parent_helpful")) not in _HELPFUL_TYPES:
+                raise CorpusError("parent_helpful must be true, false, or null")
+    return post_id, condition, labels, map(_HELPFUL_CODES.__getitem__, helpful)
+
+
+def _annotation_from_csv(row: list[str]) -> tuple:
+    post_id, condition, labels_cell, helpful_cell = row
+    if condition not in _CONDITION_VALUES:
+        raise CorpusError(f"unknown condition {condition!r}")
+    if labels_cell == "":
+        raise CorpusError(f"annotation for post {post_id!r} has no judgments")
+    try:
+        labels = [_LABEL_CODES[label] for label in labels_cell.split("|")]
+    except KeyError as exc:
+        raise CorpusError(f"unknown label {exc.args[0]!r}") from None
+    slots = helpful_cell.split("|") if helpful_cell else [""] * len(labels)
+    if len(slots) != len(labels):
+        raise CorpusError(f"parent_helpful has {len(slots)} slots for {len(labels)} labels")
+    try:
+        return post_id, condition, labels, [_HELPFUL_SLOTS[slot] for slot in slots]
+    except KeyError as exc:
+        raise CorpusError(f"bad parent_helpful slot {exc.args[0]!r}") from None
+
+
+def _readers(format: str) -> tuple:
+    """(rows of a file under a CSV header, post fields of a row, annotation parser) of a file format."""
+    if format == "jsonl":
+        return lambda path, header: read_jsonl(path), lambda obj: tuple(map(obj.get, _POST_HEADER)), _annotation_from_obj
+    if format == "csv":
+        return _read_csv_rows, tuple, _annotation_from_csv
+    raise CorpusError(f"unknown format {format!r} (expected 'jsonl' or 'csv')")
+
+
 def _read_table(path: Path, format: str, condition: Condition) -> AnnotationTable:
     """One annotation file as a table, for either format: its parser turns
     a row into (post_id, condition, label codes, helpful codes)."""
-    rows, parse = _readers(format)[2:]
-    source, post_ids = str(path), []
-    labels, helpful, offsets, foreign = array("b"), array("b"), array("q", [0]), -1
-    for n, row in rows(path):
-        post_id, row_condition, row_labels, row_helpful = parse(row, source, n)
+    rows, _, parse = _readers(format)
+    post_ids, labels, helpful, offsets, foreign = [], array("b"), array("b"), array("q", [0]), -1
+    for post_id, row_condition, row_labels, row_helpful in _parse_rows(path, rows(path, _ANNOTATION_HEADER), parse):
         if row_condition != condition.value and foreign < 0:
             foreign = len(post_ids)
         post_ids.append(post_id)
@@ -252,136 +385,7 @@ def _read_table(path: Path, format: str, condition: Condition) -> AnnotationTabl
     return AnnotationTable(condition, post_ids, labels, helpful, offsets, foreign)
 
 
-# --- JSONL -----------------------------------------------------------------
-
-
-def _annotation_from_obj(obj: dict, source: str, line: int) -> tuple:
-    post_id = _str(obj, "post_id", source, line)
-    condition = _str(obj, "condition", source, line)
-    if condition not in _CONDITION_VALUES:
-        raise ParseError(source, line, f"unknown condition {condition!r}")
-    raw = obj.get("judgments")
-    if not isinstance(raw, list):
-        raise ParseError(source, line, "judgments must be a list")
-    if not raw:
-        raise ParseError(source, line, f"annotation for post {post_id!r} ({condition}) has no judgments")
-    try:
-        labels = [_LABEL_CODES[item["label"]] for item in raw]
-        helpful = [item.get("parent_helpful") for item in raw]
-    except (KeyError, TypeError):  # an entry that is no object, or a label that is no known string
-        labels = helpful = None
-    if labels is None or not _HELPFUL_TYPES.issuperset(map(type, helpful)):
-        for item in raw:  # report the first bad entry
-            if not isinstance(item, dict):
-                raise ParseError(source, line, "judgment entries must be objects")
-            label = item.get("label")
-            if not isinstance(label, str) or label not in _LABEL_CODES:
-                raise ParseError(source, line, f"unknown label {label!r}")
-            if type(item.get("parent_helpful")) not in _HELPFUL_TYPES:
-                raise ParseError(source, line, "parent_helpful must be true, false, or null")
-    return post_id, condition, labels, map(_HELPFUL_CODES.__getitem__, helpful)
-
-
-def _str(obj: dict, key: str, source: str, line: int) -> str:
-    value = obj.get(key)
-    if not isinstance(value, str):
-        raise ParseError(source, line, f"field {key!r} must be a string")
-    return value
-
-
-def read_lines(path: Path) -> Iterator[str]:
-    """The lines of a UTF-8 file, each checked as it is read, so that a
-    byte that is not UTF-8 is a ParseError at its line after every line
-    above it was read."""
-    with _open_text(path) as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.isascii():
-                _check_utf8(path, line_no, line)
-            yield line
-
-
-def _open_text(path: Path) -> TextIO:
-    """path for reading by lines, split where text mode splits them and
-    kept whole; a byte that is not UTF-8 stays in as a lone surrogate, which
-    valid UTF-8 never decodes to, for _check_utf8 to find."""
-    return path.open("r", encoding="utf-8", errors="surrogateescape", newline="")
-
-
-def _check_utf8(path: Path, line_no: int, line: str) -> None:
-    try:
-        line.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        byte, column = ord(line[exc.start]) - 0xDC00, len(line[: exc.start].encode("utf-8", "surrogateescape")) + 1
-        raise ParseError(str(path), line_no, f"not UTF-8: byte {byte:#04x} at column {column}") from None
-
-
-def _iter_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
-    with _open_text(path) as handle:  # read_lines, inlined: this loop reads every pool and corpus file
-        for line_no, line in enumerate(handle, start=1):
-            if not line.isascii():
-                _check_utf8(path, line_no, line)
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(str(path), line_no, f"invalid JSON: {exc.msg}") from exc
-            if not isinstance(obj, dict):
-                raise ParseError(str(path), line_no, "each line must be a JSON object")
-            yield line_no, obj
-
-
-# --- CSV -------------------------------------------------------------------
-
-_POST_HEADER = ["post_id", "target_text", "parent_text"]
-_ANNOTATION_HEADER = ["post_id", "condition", "labels", "parent_helpful"]
-
-
-def _read_csv_rows(path: Path, expected_header: list[str]) -> Iterator[tuple[int, list[str]]]:
-    reader = csv.reader(read_lines(path))
-    header = next(reader, None)
-    if header is None:
-        raise ParseError(str(path), 1, "missing header row")
-    if header != expected_header:
-        raise ParseError(str(path), 1, f"expected header {expected_header}, got {header}")
-    for row_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(expected_header):
-            raise ParseError(str(path), row_no, f"expected {len(expected_header)} fields, got {len(row)}")
-        yield row_no, row
-
-
-def _annotation_from_csv(row: list[str], source: str, line: int) -> tuple:
-    post_id, condition, labels_cell, helpful_cell = row
-    if condition not in _CONDITION_VALUES:
-        raise ParseError(source, line, f"unknown condition {condition!r}")
-    if labels_cell == "":
-        raise ParseError(source, line, f"annotation for post {post_id!r} has no judgments")
-    try:
-        labels = [_LABEL_CODES[label] for label in labels_cell.split("|")]
-    except KeyError as exc:
-        raise ParseError(source, line, f"unknown label {exc.args[0]!r}") from None
-    slots = helpful_cell.split("|") if helpful_cell else [""] * len(labels)
-    if len(slots) != len(labels):
-        raise ParseError(source, line, f"parent_helpful has {len(slots)} slots for {len(labels)} labels")
-    try:
-        return post_id, condition, labels, [_HELPFUL_SLOTS[slot] for slot in slots]
-    except KeyError as exc:
-        raise ParseError(source, line, f"bad parent_helpful slot {exc.args[0]!r}") from None
-
-
 # --- public loaders --------------------------------------------------------
-
-
-def _readers(format: str) -> tuple:
-    """(posts rows, post fields of a row, annotation rows, annotation parser) of a file format."""
-    if format == "jsonl":
-        return _iter_jsonl, lambda obj: tuple(map(obj.get, _POST_HEADER)), _iter_jsonl, _annotation_from_obj
-    if format == "csv":
-        csv_rows = lambda header: partial(_read_csv_rows, expected_header=header)  # noqa: E731
-        return csv_rows(_POST_HEADER), tuple, csv_rows(_ANNOTATION_HEADER), _annotation_from_csv
-    raise CorpusError(f"unknown format {format!r} (expected 'jsonl' or 'csv')")
 
 
 def load_bundle(
@@ -427,10 +431,10 @@ def _read_posts(path: str | Path, format: str) -> PostTable:
     ParseError at its line, a repeated post_id included. load_bundle calls
     this, not load_posts, so that perfbench's wrapper on load_posts counts
     standalone pools only."""
-    path, (rows, fields_of) = Path(path), _readers(format)[:2]
+    path, (rows, fields_of, _) = Path(path), _readers(format)
     records: list[tuple] = []
     try:
-        for n, row in rows(path):
+        for n, row in rows(path, _POST_HEADER):
             records.append((n, *fields_of(row)))
     finally:  # rows above a line that fails to parse are checked first
         posts = posts_at(str(path), records)
@@ -444,18 +448,18 @@ def load_bool_column(path: str | Path) -> list[bool]:
     """The first column of a CSV file with a header row, as booleans
     (true/false, 1/0, yes/no or t/f in any case); blank rows are skipped."""
     path = Path(path)
-    rows = list(csv.reader(read_lines(path)))
-    if not rows:
+    records = read_csv(path)
+    if next(records, None) is None:
         raise ParseError(str(path), 1, "empty file")
-    values = []
-    for row_no, row in enumerate(rows[1:], start=2):
+    values, line_no = [], 1
+    for line_no, row in records:
         if row:
             cell = row[0].strip().lower()
             if cell not in _BOOLEANS:
-                raise ParseError(str(path), row_no, f"not a boolean: {row[0]!r}")
+                raise ParseError(str(path), line_no, f"not a boolean: {row[0]!r}")
             values.append(_BOOLEANS[cell])
     if not values:
-        raise ParseError(str(path), len(rows), "no data rows")
+        raise ParseError(str(path), line_no, "no data rows")
     return values
 
 
@@ -498,40 +502,33 @@ def load_score_table(path: str | Path, columns: ScoreTableColumns | None = None)
     blank, missing or repeated post id are each a ParseError naming file:line."""
     columns = columns or ScoreTableColumns()
     path = Path(path)
-    reader = csv.DictReader(read_lines(path))
-    header, table = reader.fieldnames, list(reader)
+    records = read_csv(path)
+    _, header = next(records, (1, None))
     if header is None:
         raise ParseError(str(path), 1, "missing header row")
-    missing = [c for c in (columns.post_id, columns.oc_score, columns.ic_score) if c not in header]
-    if missing:
+    if missing := [c for c in (columns.post_id, columns.oc_score, columns.ic_score) if c not in header]:
         raise ParseError(str(path), 1, f"missing required columns {missing}; found {header}")
-    rows, seen = [], set()
-    for row_no, row in enumerate(table, start=2):
-        post_id = row[columns.post_id]
+    names = (columns.post_id, columns.target_text, columns.parent_text, columns.oc_score, columns.ic_score)
+    seen: set[str] = set()
+
+    def scored(row: list[str]) -> ScoredRow:
+        # a cell past the end of a short row reads as None
+        cells = dict(zip(header, row + [None] * (len(header) - len(row))))
+        post_id, target_text, parent_text, oc, ic = map(cells.get, names)
         if post_id is None or not post_id.strip():
-            raise ParseError(str(path), row_no, f"missing or blank {columns.post_id!r}")
+            raise CorpusError(f"missing or blank {columns.post_id!r}")
         if post_id in seen:
-            raise ParseError(str(path), row_no, f"duplicate post id {post_id!r}")
+            raise CorpusError(f"duplicate post id {post_id!r}")
         seen.add(post_id)
         try:
-            s_oc = float(row[columns.oc_score])
-            s_ic = float(row[columns.ic_score])
+            s_oc, s_ic = float(oc), float(ic)
         except (TypeError, ValueError) as exc:
-            raise ParseError(str(path), row_no, f"non-numeric score: {exc}") from exc
+            raise CorpusError(f"non-numeric score: {exc}") from exc
         if not (0.0 <= s_oc <= 100.0 and 0.0 <= s_ic <= 100.0):  # false for nan too
-            raise ParseError(str(path), row_no, f"scores {s_oc}, {s_ic} must both lie in [0, 100]")
-        rows.append(
-            ScoredRow(
-                post_id=post_id,
-                target_text=row.get(columns.target_text) or "",
-                parent_text=row.get(columns.parent_text) or None,
-                s_oc=s_oc,
-                s_ic=s_ic,
-            )
-        )
+            raise CorpusError(f"scores {s_oc}, {s_ic} must both lie in [0, 100]")
+        return ScoredRow(post_id, target_text or "", parent_text or None, s_oc, s_ic)
+
+    rows = list(_parse_rows(path, (record for record in records if record[1]), scored))
     if any(r.s_oc > 1.0 or r.s_ic > 1.0 for r in rows):
-        rows = [
-            ScoredRow(r.post_id, r.target_text, r.parent_text, r.s_oc / 100.0, r.s_ic / 100.0)
-            for r in rows
-        ]
+        rows = [replace(row, s_oc=row.s_oc / 100.0, s_ic=row.s_ic / 100.0) for row in rows]
     return rows

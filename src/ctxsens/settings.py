@@ -4,6 +4,7 @@ without loading them; `features` and `models` re-export every name."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .scorer import ScorerEndpoint
@@ -96,4 +97,7 @@ class TrainConfig:
             ("rf_min_samples_leaf", not _count(self.rf_min_samples_leaf, 1), "an int >= 1"),
             ("rf_max_features", not max_features_ok, '"sqrt", "all" or an int >= 1'),
             ("rf_bootstrap", not isinstance(self.rf_bootstrap, bool), "a bool"),
+            # -inf is below every range above; +inf, which a config file's 1e999 or Infinity reads as, is not
+            *((name, getattr(self, name) == math.inf, "finite")
+              for name in ("ridge_lambda", "ridge_tol", "svr_c", "svr_learning_rate", "svr_epsilon")),
         ))

@@ -20,7 +20,7 @@ from ctxsens.aggregation import (
     save_examples,
     sensitivity_histogram,
 )
-from ctxsens.corpus import Condition, DatasetBundle, Label
+from ctxsens.corpus import Condition, DatasetBundle, Label, ParseError
 
 from helpers import (
     annotation_table,
@@ -154,10 +154,10 @@ def test_score_bounds_checked(tmp_path):
     ],
 )
 def test_load_examples_names_path_line_and_message(tmp_path, edit, message):
-    if message is None:  # a line that is no JSON at all: the decoder's own message
+    if message is None:  # a line that is no JSON at all: the message every JSONL reader gives
         path = tmp_path / "sensitivity.jsonl"
         path.write_text("{\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=rf"^{path}:1: Expecting property name"):
+        with pytest.raises(ParseError, match=rf"^{path}:1: invalid JSON: Expecting property name enclosed in double quotes$"):
             load_examples(path)
         return
     assert_rejected(tmp_path, edit, message)

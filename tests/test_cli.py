@@ -162,17 +162,38 @@ def test_svr_train_and_evaluate_are_byte_deterministic(tmp_path, sensitivity_fil
         ("ridge", {"features": {"stopwords": ["a", 1]}}),
         ("ridge", {"features": {"sublinear_tf": "no"}}),
         ("ridge", {"features": {"lowercase": 1}}),
+        # an infinite float, written as JSON's Infinity or as a number too large for a float
+        ("ridge", {"ridge_lambda": float("inf")}),
+        ("ridge", '{"ridge_lambda": 1e999}'),
+        ("ridge", {"ridge_tol": float("inf")}),
+        ("svr", {"svr_c": float("inf")}),
+        ("svr", {"svr_learning_rate": float("inf")}),
+        ("svr", '{"svr_learning_rate": 1e999}'),
+        ("svr", {"svr_epsilon": float("inf")}),
+        ("svr", {"svr_epsilon": float("-inf")}),
     ],
 )
 def test_bad_hyperparameter_is_validation_error(tmp_path, sensitivity_file, capsys, family, bad):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(bad), encoding="utf-8")
+    text = bad if isinstance(bad, str) else json.dumps(bad)  # a str is the file's text as it stands
+    config.write_text(text, encoding="utf-8")
     out = tmp_path / "m"
     code = main(_args(f"train --family {family} --data {sensitivity_file} --config {config} --out {out}"))
     assert code == EXIT_VALIDATION
     [line] = capsys.readouterr().err.splitlines()
+    bad = json.loads(text)
     assert line.startswith("error: ") and next(iter(bad.get("features", bad))) in line
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["{", '{"ridge_lambda": ' + "1" * 5000 + "}"], ids=["not JSON", "integer too long"])
+def test_config_file_that_does_not_decode_is_validation_error(tmp_path, sensitivity_file, capsys, text):
+    config = tmp_path / "config.json"
+    config.write_text(text, encoding="utf-8")
+    code = main(_args(f"train --family ridge --data {sensitivity_file} --config {config} --out {tmp_path}/m"))
+    assert code == EXIT_VALIDATION
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: config file {config} is not valid JSON: ")
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,12 @@
 import csv
 import json
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ctxsens import aggregation, analysis
+from ctxsens import aggregation, analysis, cli, corpus
 from ctxsens.corpus import (
     Condition,
     CorpusError,
@@ -18,13 +19,14 @@ from ctxsens.corpus import (
     PostTable,
     ScoredRow,
     ScoreTableColumns,
+    load_bool_column,
     load_bundle,
     load_posts,
     load_score_table,
 )
 
 import oracles
-from helpers import annotation_table, post_table, save_bundle, save_posts, table_rows
+from helpers import annotation_table, post_table, save_bundle, save_posts, synthetic_bundle, table_rows
 
 IC, OC = Condition.IN_CONTEXT, Condition.OUT_OF_CONTEXT
 
@@ -305,6 +307,8 @@ _BLANK = {**_ROWS[1], "target_text": " "}
         ("jsonl", [_ROWS[0], _ROWS[1], "{not json", _BLANK], 3, "invalid JSON: Expecting property name enclosed in double quotes"),
         ("csv", [_ROWS[0], _BLANK, "p3,two fields"], 3, "post 'p2': target_text is blank"),
         ("csv", [_ROWS[0], _ROWS[0], _BLANK], 3, "duplicate post_id 'p1'"),
+        # a quoted field on lines 2-3: the blank target is on line 4, the third record
+        ("csv", [{**_ROWS[0], "target_text": "line one\nline two"}, _BLANK], 4, "post 'p2': target_text is blank"),
     ],
 )
 def test_first_bad_post_row_in_file_order_is_reported(tmp_path, fmt, rows, line, message):
@@ -313,6 +317,14 @@ def test_first_bad_post_row_in_file_order_is_reported(tmp_path, fmt, rows, line,
     with pytest.raises(ParseError) as info:
         load_posts(path, format=fmt)
     assert str(info.value) == f"{path}:{line}: {message}"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="this Python decodes integers of any length")
+def test_an_integer_too_long_to_decode_is_a_parse_error_at_its_line(tmp_path):
+    path = tmp_path / "posts.jsonl"
+    _write_posts(path, [_ROWS[0], '{"post_id": "p2", "target_text": "x", "n": ' + "1" * 5000 + "}"])
+    with pytest.raises(ParseError, match=rf"^{path}:2: invalid JSON: Exceeds the limit \(4300 digits\)"):
+        load_posts(path)
 
 
 # --- property suite -----------------------------------------------------------
@@ -418,6 +430,9 @@ def test_score_table_adapter_reports_a_file_that_is_not_utf8(tmp_path):
     path.write_bytes(b"id,text,parent,toxicity_oc,toxicity_ic\n1,caf\xe9,a parent,70,0\n")
     with pytest.raises(ParseError, match=r"released\.csv:2: not UTF-8: byte 0xe9 at column 6"):
         load_score_table(path)
+    path.write_bytes(b"id,text,parent,toxicity_oc,toxicity_ic\n1,a,,high,0\n2,caf\xe9,,70,0\n")
+    with pytest.raises(ParseError, match=r"released\.csv:2: non-numeric score"):  # a bad row above the byte comes first
+        load_score_table(path)
 
 
 def test_a_bad_row_above_a_byte_that_is_not_utf8_is_reported_first(tmp_path):
@@ -445,8 +460,10 @@ _HEADER = "id,text,parent,toxicity_oc,toxicity_ic\n"
         (_HEADER + " ,a,,0.2,0\n", 2, "missing or blank 'id'"),
         ("text,toxicity_oc,toxicity_ic,id\na,0.2,0\n", 2, "missing or blank 'id'"),
         (_HEADER + "1,a,,0.2,0\n2,b,,0.3,0\n1,c,,0.4,0\n", 4, "duplicate post id '1'"),
+        (_HEADER + "1,a,,0.2,0\n\n2,b,,high,0\n", 4, "non-numeric score: could not convert string to float: 'high'"),
+        (_HEADER + '1,"two\nlines",,0.2,0\n2,b,,high,0\n', 4, "non-numeric score: could not convert string to float: 'high'"),
     ],
-    ids=["nan", "inf", "negative", "above 100", "blank id", "missing id", "repeated id"],
+    ids=["nan", "inf", "negative", "above 100", "blank id", "missing id", "repeated id", "after a blank line", "after a multi-line record"],
 )
 def test_score_table_adapter_rejects_bad_rows(tmp_path, content, line, message):
     path = tmp_path / "released.csv"
@@ -454,3 +471,52 @@ def test_score_table_adapter_rejects_bad_rows(tmp_path, content, line, message):
     with pytest.raises(ParseError) as info:
         load_score_table(path)
     assert str(info.value) == f"{path}:{line}: {message}"
+
+
+@pytest.mark.parametrize(
+    "content, line, message",
+    [
+        ("flag\ntrue\n\nmaybe\n", 4, "not a boolean: 'maybe'"),
+        ('flag,note\ntrue,"two\nlines"\n\nmaybe,x\n', 5, "not a boolean: 'maybe'"),
+        ("", 1, "empty file"),
+        ('flag,note\n\n,"two\nlines"\n', 3, "not a boolean: ''"),
+        ("flag\n\n\n", 3, "no data rows"),
+    ],
+    ids=["after a blank line", "after a multi-line record", "empty", "blank cell", "no data rows"],
+)
+def test_bool_column_names_the_line_of_its_first_bad_row(tmp_path, content, line, message):
+    path = tmp_path / "group.csv"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        load_bool_column(path)
+    assert str(info.value) == f"{path}:{line}: {message}"
+
+
+def test_every_input_file_is_read_once_through_read_lines(tmp_path, monkeypatch):
+    """A loader that opens an input file its own way, or reads it twice, fails here."""
+    opened, read_lines = [], corpus.read_lines
+
+    def spy(path):
+        opened.append(path.name)
+        return read_lines(path)
+
+    monkeypatch.setattr(corpus, "read_lines", spy)
+    monkeypatch.setattr(cli, "read_lines", spy)  # the CLI reads its --config file through the name it imports
+    bundle = synthetic_bundle(n_posts=6, seed=1)
+    for fmt in ("jsonl", "csv"):
+        paths = [tmp_path / f"{name}.{fmt}" for name in ("posts", "ic", "oc")]
+        save_bundle(bundle, *paths, format=fmt)
+        load_bundle(*paths, format=fmt)
+    save_posts(bundle.posts, tmp_path / "pool.jsonl")
+    load_posts(tmp_path / "pool.jsonl")
+    aggregation.save_examples(aggregation.compute_sensitivities(bundle)[0], tmp_path / "sensitivity.jsonl")
+    aggregation.load_examples(tmp_path / "sensitivity.jsonl")
+    (tmp_path / "released.csv").write_text(_HEADER + "1,a,,0.2,0\n", encoding="utf-8")
+    load_score_table(tmp_path / "released.csv")
+    (tmp_path / "config.json").write_text('{"resamples": 5, "resample-size": 2}', encoding="utf-8")
+    for group in ("a.csv", "b.csv"):
+        (tmp_path / group).write_text("v\ntrue\nfalse\n", encoding="utf-8")
+    args = ["bootstrap", "--group-a", str(tmp_path / "a.csv"), "--group-b", str(tmp_path / "b.csv")]
+    assert cli.main([*args, "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "boot")]) == 0
+    inputs = ["posts.jsonl", "ic.jsonl", "oc.jsonl", "posts.csv", "ic.csv", "oc.csv", "pool.jsonl", "sensitivity.jsonl"]
+    assert sorted(opened) == sorted([*inputs, "released.csv", "config.json", "a.csv", "b.csv"])
