@@ -10,9 +10,14 @@ cross-validation folds, augmentation cycles) holds them as `Tokens`, split
 once; each `Tokens` carries its own word list, and its word ids index it.
 Parts of one tokenize() call are joined without copying; other parts are
 split again. Plain texts are tokenized a block at a time and dropped, and the
-featurizer holds no process-wide state. An n-gram is numbered as the pair
-(number of its first n - 1 words, id of its last word), one length at a
-time, so keys stay within int64 for any ngram_max.
+featurizer holds no process-wide state.
+
+One numbering of n-grams, _ngrams, serves fit and transform: an n-gram is
+numbered as the pair (number of its first n - 1 words, id of its last word),
+one length at a time, so keys stay within int64 for any ngram_max. A fit
+numbers its corpus; a transform numbers each block together with the
+vocabulary's terms, and a block's n-gram takes the column of the term with
+its number.
 """
 
 from __future__ import annotations
@@ -133,8 +138,8 @@ def score_in_parts(vocab: Vocabulary, texts: Sequence[str] | Tokens, score: Call
     """score(block) for each block of _BLOCK_ROWS rows of texts, joined in
     order. The blocks are dealt out in contiguous parts, one per forked
     process (see _fork.bounds); a forked part sends back only its scores.
-    The vocabulary's term lookup is built first, so no part builds its own."""
-    vocab._trie()
+    The vocabulary's terms are numbered first, so no part numbers its own."""
+    vocab._numbered_terms()
     ends = _fork.bounds(len(texts), len(texts))
 
     def part(i: int) -> np.ndarray:
@@ -162,77 +167,22 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[np.concatenate(([True], values[1:] != values[:-1]))]
 
 
-def _windows(row: np.ndarray, n: int) -> np.ndarray:
-    """Start positions of the runs of n consecutive words within one row."""
-    if len(row) < n:
-        return np.zeros(0, dtype=np.int64)
-    return np.flatnonzero(row[: len(row) - n + 1] == row[n - 1 :])
-
-
-class _TermLookup:
-    """The vocabulary's terms as a trie over its words, one level per n-gram length.
-
-    index maps a vocabulary word to its local number. A level-1 node is a
-    local word; a level-n node is an entry of keys[n - 1], the sorted
-    (level n - 1 node) * n_local + (local word) of every n-word term prefix.
-    columns[n - 1] gives each node's column, or -1 if it is only a prefix.
-    """
-
-    def __init__(self, vocab: "Vocabulary"):
-        self.config = vocab.config
-        terms = [term for term in vocab.term_index if term.count(" ") < self.config.ngram_max]
-        length = np.fromiter(map(str.count, terms, itertools.repeat(" ")), dtype=np.int64, count=len(terms)) + 1
-        column = np.fromiter(map(vocab.term_index.__getitem__, terms), dtype=np.int64, count=len(terms))
-        flat = " ".join(terms).split(" ") if terms else []  # every term's words, end to end
-        index = _numbering()
-        word = np.full((len(terms), int(length.max(initial=0))), -1, dtype=np.int64)
-        place = np.arange(len(flat)) - np.repeat(np.cumsum(length) - length, length)
-        word[np.repeat(np.arange(len(terms)), length), place] = np.fromiter(
-            map(index.__getitem__, flat), dtype=np.int64, count=len(flat)
-        )
-        self.index, self.n_local = dict(index), len(index)
-        self.keys, self.columns = [np.arange(self.n_local)], []
-        for n in range(1, word.shape[1] + 1):
-            if n == 1:
-                node = word[:, 0].copy()
-            else:
-                has = length >= n
-                key = node[has] * self.n_local + word[has, n - 1]
-                self.keys.append(_distinct(key))
-                node[has] = np.searchsorted(self.keys[-1], key)
-            level = np.full(len(self.keys[-1]), -1, dtype=np.int64)
-            level[node[length == n]] = column[length == n]
-            self.columns.append(level)
-
-    def entries(self, block: Sequence[str] | Tokens) -> tuple[np.ndarray, np.ndarray]:
-        """(row, column) of every in-vocabulary n-gram occurrence in block,
-        texts or Tokens, tokenized under the vocabulary's lowercase setting."""
-        tokens = tokenize(block, self.config)
-        ids, row = _kept(tokens, self.config)
-        words = tokens.words
-        # each kept word's local number, or -1
-        local = np.fromiter(map(self.index.get, words, itertools.repeat(-1)), dtype=np.int64, count=len(words))[ids]
-        node = local
-        rows, cols = [], []
-        for n in range(1, len(self.columns) + 1):
-            if n > 1:
-                start = _windows(row, n)
-                start = start[(node[start] >= 0) & (local[start + n - 1] >= 0)]
-                key = node[start] * self.n_local + local[start + n - 1]
-                at = np.minimum(np.searchsorted(self.keys[n - 1], key), len(self.keys[n - 1]) - 1)
-                found = self.keys[n - 1][at] == key
-                node = np.full(len(local), -1, dtype=np.int64)
-                node[start[found]] = at[found]
-            start = np.flatnonzero(node >= 0)
-            if not len(start):
-                break
-            col = self.columns[n - 1][node[start]]
-            hit = col >= 0
-            rows.append(row[start[hit]])
-            cols.append(col[hit])
-        if not rows:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        return np.concatenate(rows), np.concatenate(cols)
+def _ngrams(ids: np.ndarray, row: np.ndarray, n_max: int, radix: int) -> Iterator[tuple]:
+    """For n = 1, 2, ..., n_max, while some row holds n words: (start, key,
+    n_keys, pairs). start holds the start of every run of n consecutive
+    words within a row, and key, at each start, the number (< n_keys) of the
+    n-gram starting there; equal n-grams get equal numbers, in any row. Each
+    n-gram's pair (number of its first n - 1 words) * radix + (id of its last
+    word), with radix above every id, is pairs[its number], pairs sorted."""
+    key = ids.copy()
+    yield np.arange(len(ids)), key, radix, np.arange(radix)
+    for n in range(2, n_max + 1):
+        start = np.flatnonzero(row[: max(len(row) - n + 1, 0)] == row[n - 1 :])
+        if not len(start):
+            return
+        pairs, key[start] = np.unique(key[start] * radix + ids[start + n - 1], return_inverse=True)
+        yield start, key, len(pairs), pairs
+        del start, pairs  # not held while the next length is numbered
 
 
 class Vocabulary:
@@ -252,13 +202,21 @@ class Vocabulary:
         self._idf = np.zeros(len(self.term_index))
         for term, idx in self.term_index.items():
             self._idf[idx] = math.log((1.0 + n_documents) / (1.0 + self.doc_freq[term])) + 1.0
-        self._lookup: _TermLookup | None = None
+        self._terms: tuple | None = None
 
-    def _trie(self) -> _TermLookup:
-        """The terms as a trie, built on first use."""
-        if self._lookup is None:
-            self._lookup = _TermLookup(self)
-        return self._lookup
+    def _numbered_terms(self) -> tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray]:
+        """The terms of at most ngram_max words, built on first use: each of
+        their words' number, every term's word numbers end to end, and each
+        term's length and column."""
+        if self._terms is None:
+            terms = [term for term in self.term_index if term.count(" ") < self.config.ngram_max]
+            flat = " ".join(terms).split(" ") if terms else []  # every term's words, end to end
+            index = _numbering()
+            words = np.fromiter(map(index.__getitem__, flat), dtype=np.int64, count=len(flat))
+            length = np.fromiter(map(str.count, terms, itertools.repeat(" ")), dtype=np.int64, count=len(terms)) + 1
+            column = np.fromiter(map(self.term_index.__getitem__, terms), dtype=np.int64, count=len(terms))
+            self._terms = dict(index), words, length, column
+        return self._terms
 
     def __len__(self) -> int:
         return len(self.term_index)
@@ -286,8 +244,13 @@ class Vocabulary:
         cfg = dict(obj["config"])
         cfg["stopwords"] = tuple(cfg.get("stopwords", ()))
         config = FeatureConfig(**cfg)
-        term_index = {term: idx for term, idx, _ in obj["terms"]}
-        doc_freq = {term: df for term, _, df in obj["terms"]}
+        entries = obj["terms"]
+        term_index = {term: idx for term, idx, _ in entries}
+        if len(term_index) < len(entries) or not all(type(term) is str for term in term_index):
+            raise FeatureError("vocabulary terms must be distinct strings")
+        if sorted(idx if type(idx) is int else -1 for idx in term_index.values()) != list(range(len(entries))):
+            raise FeatureError(f"vocabulary columns must be 0..{len(entries) - 1}, each once")
+        doc_freq = {term: df for term, _, df in entries}
         return cls(term_index, doc_freq, obj["n_documents"], config)
 
 
@@ -304,29 +267,18 @@ def fit_vocabulary(texts: Sequence[str] | Tokens, config: FeatureConfig | None =
     words, row = _kept(tokens, config)
     if not len(words):
         raise EmptyVocabularyError("corpus is empty after tokenization")
-    n_rows, radix, names = len(texts), len(tokens.words), tokens.words
+    n_rows, names = len(texts), tokens.words
     kept: list[tuple[str, int]] = []
-    key = words.copy()  # at each start position, the number of the n-gram starting there
-    for n in range(1, config.ngram_max + 1):
-        if n == 1:
-            start, level = np.arange(len(words)), words
-            n_keys = radix
-        else:
-            start = _windows(row, n)
-            if not len(start):
-                break
-            pairs, level = np.unique(key[start] * radix + words[start + n - 1], return_inverse=True)
-            key[start] = level
-            n_keys = len(pairs)
-        df = np.bincount(_distinct(level * n_rows + row[start]) // n_rows, minlength=n_keys)
+    terms: dict[int, str] = {}  # the names of the frequent (n - 1)-grams, by number
+    for n, (start, key, n_keys, pairs) in enumerate(_ngrams(words, row, config.ngram_max, len(names)), 1):
+        df = np.bincount(_distinct(key[start] * n_rows + row[start]) // n_rows, minlength=n_keys)
         # every n-gram's first n - 1 words are at least as frequent, so already named
         frequent = np.flatnonzero(df >= config.min_df)
-        if n == 1:
-            terms = {k: names[k] for k in frequent.tolist()}
-        else:
-            prefix, last = np.divmod(pairs[frequent], radix)
-            terms = {k: terms[p] + " " + names[w] for k, p, w in zip(frequent.tolist(), prefix.tolist(), last.tolist())}
+        prefix, last = np.divmod(pairs[frequent], len(names))
+        pieces = zip(frequent.tolist(), prefix.tolist(), last.tolist())
+        terms = {k: (terms[p] + " " if n > 1 else "") + names[w] for k, p, w in pieces}
         kept.extend(zip(terms.values(), df[frequent].tolist()))
+        del start, pairs, df  # not held while the next length is numbered
     if not kept:
         raise EmptyVocabularyError(f"no term reaches min_df={config.min_df}")
     if config.max_features is not None and len(kept) > config.max_features:
@@ -338,21 +290,45 @@ def fit_vocabulary(texts: Sequence[str] | Tokens, config: FeatureConfig | None =
     return Vocabulary(term_index, doc_freq, n_documents=len(texts), config=config)
 
 
+def _cells(vocab: Vocabulary, block: Tokens) -> np.ndarray:
+    """row * dimension + column of every in-vocabulary n-gram occurrence in
+    block. The block's kept words and the vocabulary's terms, each term a row
+    of its own after the block's, are numbered together by _ngrams, the
+    vocabulary's words as 0..w-1 and every other word as w; a block n-gram
+    takes the column of the term that gets its number."""
+    index, term_words, term_length, term_column = vocab._numbered_terms()
+    ids, row = _kept(block, vocab.config)
+    local = np.fromiter(map(index.get, block.words, itertools.repeat(len(index))), dtype=np.int64, count=len(block.words))
+    n_block, term_first = len(ids), len(ids) + np.cumsum(term_length) - term_length  # each term's first word
+    ids = np.concatenate([local[ids], term_words])
+    row = np.concatenate([row, len(block) + np.repeat(np.arange(len(term_length)), term_length)])
+    cells = []
+    for n, (start, key, n_keys, pairs) in enumerate(_ngrams(ids, row, vocab.config.ngram_max, len(index) + 1), 1):
+        column = np.full(n_keys, -1)
+        column[key[term_first[term_length == n]]] = term_column[term_length == n]
+        start = start[start < n_block]  # the block's runs of words
+        column = column[key[start]]
+        hit = column >= 0
+        cells.append(row[start[hit]] * vocab.dimension + column[hit])
+        del start, pairs, column, hit  # not held while the next length is numbered
+    return np.concatenate(cells)
+
+
 def transform_many(vocab: Vocabulary, texts: Sequence[str] | Tokens) -> sparse.csr_matrix:
     """tf * idf, L2-normalized, one CSR row per text in input order.
 
     Out-of-vocabulary terms are ignored; a text with no in-vocabulary term
     gives an empty row. Each row's squared weights are summed in column order
     from zero, by a CSR matrix-vector product. Tokens split under another
-    lowercase setting than the vocabulary's are split again.
+    lowercase setting than the vocabulary's are split again. Each block of
+    _BLOCK_ROWS texts is numbered together with the vocabulary's terms.
     """
-    lookup, config, dimension = vocab._trie(), vocab.config, vocab.dimension
+    config, dimension = vocab.config, vocab.dimension
     ones = np.ones(dimension)
     indices, data, lengths = [np.zeros(0, dtype=np.int64)], [np.zeros(0)], [np.zeros(0, dtype=np.int64)]
     for first in range(0, len(texts), _BLOCK_ROWS):
-        block = texts[first : first + _BLOCK_ROWS]
-        row, col = lookup.entries(block)
-        cells, tf = np.unique(row * dimension + col, return_counts=True)
+        block = tokenize(texts[first : first + _BLOCK_ROWS], config)
+        cells, tf = np.unique(_cells(vocab, block), return_counts=True)
         row, col = np.divmod(cells, dimension)
         if config.sublinear_tf:
             distinct, inverse = np.unique(tf, return_inverse=True)

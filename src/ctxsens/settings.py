@@ -23,6 +23,11 @@ def _count(value, least: int) -> bool:
     return type(value) is int and value >= least
 
 
+def _number(value) -> bool:
+    """value is an int or a float; type() is checked, so a bool is not a number."""
+    return type(value) in (int, float)
+
+
 def _check(config, error: type[ValueError], rules) -> None:
     """Raise error naming the first field of config whose rule is broken; each
     rule is (field name, broken, what the field must be)."""
@@ -84,13 +89,13 @@ class TrainConfig:
         # written as "not valid" so that NaN is rejected too
         _check(self, TrainingError, (
             ("patience", not _count(self.patience, 1), "an int >= 1"),
-            ("ridge_lambda", not self.ridge_lambda >= 0, ">= 0"),
-            ("ridge_tol", not self.ridge_tol >= 0, ">= 0"),
+            ("ridge_lambda", not (_number(self.ridge_lambda) and self.ridge_lambda >= 0), "a number >= 0"),
+            ("ridge_tol", not (_number(self.ridge_tol) and self.ridge_tol >= 0), "a number >= 0"),
             ("ridge_max_iter", not _count(self.ridge_max_iter, 1), "an int >= 1"),
             ("svr_batch_size", not _count(self.svr_batch_size, 1), "an int >= 1"),
-            ("svr_c", not self.svr_c > 0, "> 0"),
-            ("svr_learning_rate", not self.svr_learning_rate > 0, "> 0"),
-            ("svr_epsilon", not self.svr_epsilon >= 0, ">= 0"),
+            ("svr_c", not (_number(self.svr_c) and self.svr_c > 0), "a number > 0"),
+            ("svr_learning_rate", not (_number(self.svr_learning_rate) and self.svr_learning_rate > 0), "a number > 0"),
+            ("svr_epsilon", not (_number(self.svr_epsilon) and self.svr_epsilon >= 0), "a number >= 0"),
             ("svr_max_epochs", not _count(self.svr_max_epochs, 1), "an int >= 1"),
             ("rf_n_trees", not _count(self.rf_n_trees, 1), "an int >= 1"),
             ("rf_max_depth", self.rf_max_depth is not None and not _count(self.rf_max_depth, 0), "an int >= 0 or None"),

@@ -152,6 +152,11 @@ def test_svr_train_and_evaluate_are_byte_deterministic(tmp_path, sensitivity_fil
         ("svr", {"svr_batch_size": 2.5}),
         ("svr", {"svr_max_epochs": 10.0}),
         ("svr", {"patience": True}),
+        # the real-valued fields take a JSON number only: not a bool, a string or a list
+        ("svr", {"svr_c": True}),
+        ("svr", {"svr_epsilon": False}),
+        ("ridge", {"ridge_lambda": "1"}),
+        ("ridge", {"ridge_tol": [1]}),
         # the featurizer's fields are held to their types too
         ("ridge", {"features": {"ngram_max": 2.5}}),
         ("ridge", {"features": {"max_features": 1.5}}),

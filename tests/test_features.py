@@ -126,7 +126,7 @@ def test_tokens_read_as_their_texts_and_featurize_as_them(monkeypatch):
     vocab = fit_vocabulary(tokens, UNIGRAM)
     assert vocab.term_index == fit_vocabulary(texts, UNIGRAM).term_index
     other = tokenize(["f a z"], UNIGRAM)
-    assert transform_many(vocab, texts).shape == (4, len(vocab))  # builds the vocabulary's term lookup
+    assert transform_many(vocab, texts).shape == (4, len(vocab))  # numbers the vocabulary's terms
     later = tokenize(["z b a", "q c c", "a b"], UNIGRAM)  # words first numbered after that
     for subset in (tokens.take([3, 0]), tokens[1:], features.join([tokens.take([2]), other, tokens[:1]]), later):
         got, want = transform_many(vocab, subset), transform_many(vocab, list(subset))
@@ -151,25 +151,22 @@ def test_ascii_split_is_the_regex_split():
             assert features._split(text, lowercase) == pattern.findall(text.lower() if lowercase else text), text
 
 
-def test_term_lookup_is_the_trie_of_the_vocabulary_terms():
-    texts = ["a b c d", "b c a", "c d e a b", "e e a", "d c b a"]
-    vocab = fit_vocabulary(texts, FeatureConfig(min_token_len=1, ngram_max=3, min_df=1, max_features=None))
-    lookup = features._TermLookup(vocab)
-    local: dict[str, int] = {}
-    terms = {term: [local.setdefault(w, len(local)) for w in term.split(" ")] for term in vocab.term_index}
-    assert lookup.index == local and len(lookup.columns) == 3
-    node = {(w,): w for w in local.values()}  # each term prefix's node at its level
-    for n in range(1, 4):
-        if n > 1:
-            prefixes = {tuple(words[:n]) for words in terms.values() if len(words) >= n}
-            keys = sorted({node[p[:-1]] * len(local) + p[-1] for p in prefixes})
-            assert lookup.keys[n - 1].tolist() == keys
-            node.update((p, keys.index(node[p[:-1]] * len(local) + p[-1])) for p in prefixes)
-        columns = [-1] * len(lookup.keys[n - 1])
-        for term, words in terms.items():
-            if len(words) == n:
-                columns[node[tuple(words)]] = vocab.term_index[term]
-        assert lookup.columns[n - 1].tolist() == columns
+def test_transform_many_matches_oracle_on_a_hand_built_vocabulary(monkeypatch):
+    # a fitted vocabulary holds every prefix of its terms; this one does not:
+    # "zz" is not a term, nor is "a c", and "a b c d" is longer than ngram_max
+    config = FeatureConfig(min_token_len=1, ngram_max=3, min_df=1, max_features=None, stopwords=("the",))
+    terms = ["c d a", "b", "zz b", "a b c d", "a c d", "x b", "a", "the b", "a b", "d", "c"]
+    vocab = Vocabulary({t: i for i, t in enumerate(terms)}, {t: 1 + i % 3 for i, t in enumerate(terms)}, 9, config)
+    texts = [
+        "a b", "c d", "zz b a c d", "a c d a b",
+        "x a", "b y",  # "a b" only across two texts, in one block of two
+        "a b c d", "", "x the b zz", "b c d a",
+    ]
+    monkeypatch.setattr(features, "_BLOCK_ROWS", 2)
+    got, want = transform_many(vocab, texts), tfidf_rows(vocab, texts)
+    assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()
+    assert got[4:6].indices.tolist() == [terms.index("a"), terms.index("b")]  # no "a b" across the two rows
 
 
 def test_transform_many_is_the_same_in_any_block_size(monkeypatch):

@@ -39,6 +39,10 @@ CONFIGS = {
     "ridge.json": {"features": {"min_df": 1, "ngram_max": 2}, "ridge_lambda": 0.5},
     "forest.json": {"features": {"min_df": 1}, "rf_n_trees": 4, "rf_min_samples_leaf": 2, "rf_max_depth": 6},
     "svr.json": {"features": {"min_df": 1, "ngram_max": 1}, "svr_max_epochs": 15, "svr_learning_rate": 0.5},
+    "trigram.json": {
+        "features": {"min_df": 1, "ngram_max": 3, "stopwords": ["echo"], "sublinear_tf": True},
+        "ridge_lambda": 0.5,
+    },
 }
 
 # (step, argv); {i} is the fixture's input directory, {o} the root of the step outputs
@@ -51,6 +55,8 @@ STEPS = [
     ("evaluate", "evaluate --family svr --data {o}/aggregate/sensitivity.jsonl --repeats 2 --seed 5 --config {i}/svr.json"),
     ("sample", "sample --model {o}/train/model.bin --pool {i}/pool.jsonl --k 12"),
     ("sample_forest", "sample --model {o}/train_forest/model.bin --pool {i}/pool.jsonl --k 30 --seed 1"),
+    ("train_trigram", "train --family ridge --data {o}/aggregate/sensitivity.jsonl --seed 7 --config {i}/trigram.json"),
+    ("sample_trigram", "sample --model {o}/train_trigram/model.bin --pool {i}/pool.jsonl --k 12"),
     (
         "augment",
         "augment --data {o}/aggregate/sensitivity.jsonl --pool {i}/pool.jsonl --cycles 2 --k 3 "

@@ -446,6 +446,20 @@ def _with_extras(**extras):
     return edit
 
 
+def _with_terms(change):
+    """An edit that embeds a vocabulary of one term per dimension after
+    change(its [term, column, df] entries)."""
+
+    def edit(meta: bytes, arrays: dict) -> tuple:
+        obj = json.loads(meta)
+        terms = [[f"w{i}", i, 1] for i in range(obj["dimension"])]
+        change(terms)
+        vocabulary = fit_vocabulary(["ab"], FeatureConfig(min_df=1)).to_json() | {"terms": terms}
+        return json.dumps(obj | {"vocabulary": vocabulary}).encode("utf-8"), arrays
+
+    return edit
+
+
 def _with_metadata(**fields):
     """An edit that sets the given top-level metadata fields."""
     return lambda meta, arrays: (json.dumps(json.loads(meta) | fields).encode("utf-8"), arrays)
@@ -467,11 +481,15 @@ def _with_metadata(**fields):
         ("ridge", lambda meta, arrays: (meta, {**arrays, "bias": np.zeros(2)})),
         ("ridge", _with_metadata(vocabulary=fit_vocabulary(["ab cd", "cd ef"], FeatureConfig(min_df=1)).to_json())),
         ("random_forest", _with_metadata(vocabulary=fit_vocabulary(["ab"], FeatureConfig(min_df=1)).to_json())),
+        # an embedded vocabulary whose terms are not strings, or whose columns are not 0..n-1 each once
+        ("ridge", _with_terms(lambda terms: terms[0].__setitem__(0, 7))),
+        ("ridge", _with_terms(lambda terms: terms[0].__setitem__(1, -1))),
+        ("ridge", _with_terms(lambda terms: terms[1].__setitem__(1, terms[0][1]))),
     ],
     ids=[
         "no_n_trees", "n_trees_text", "n_trees_past_arrays", "n_trees_zero", "arrays_past_n_trees", "no_weights",
         "metadata_not_json", "weights_cut", "weights_2d", "two_biases", "vocabulary_wider",
-        "vocabulary_narrower",
+        "vocabulary_narrower", "term_not_text", "column_negative", "column_shared",
     ],
 )
 def test_malformed_model_contents_are_a_runtime_error_naming_the_file(tmp_path, capsys, family, edit):
