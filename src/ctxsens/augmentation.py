@@ -20,15 +20,12 @@ from .corpus import PostTable
 from .evaluation import mae, mse
 from .features import Tokens, join, tokenize
 from .models import FAMILY_RIDGE, TrainConfig, train
+from .settings import AugmentationError  # noqa: F401 - re-exported; settings needs no SciPy
 
 SELECTION_TEACHER_TOP_K = "teacher_top_k"
 SELECTION_RANDOM_K = "random_k"
 
 GoldSplit = tuple[Sequence[str], Sequence[str], Sequence[float]]  # (post_ids, texts, targets)
-
-
-class AugmentationError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -120,49 +117,51 @@ def run_augmentation(
     validation = (texts.take(np.arange(ends[1], ends[2])), gold_validation[2])
     test_texts = texts.take(np.arange(ends[2], ends[3]))
 
-    teacher = train(config.family, texts.take(train_rows), train_targets, validation, config.train_config)
-
     if config.single_shot:
         plan = [config.k_per_cycle * config.n_cycles]
     else:
         plan = [config.k_per_cycle] * config.n_cycles
 
     logs: list[CycleLog] = []
-    for cycle, k in enumerate(plan):
-        started = time.perf_counter()
-        left = pool.take(remaining)
-        if config.selection == SELECTION_TEACHER_TOP_K:
-            silver = teacher.predict_batch(texts.take(pool_first + remaining))
-            chosen = select_top_k(left.post_ids, silver, k)
-        else:  # only the picks are scored
-            rng = np.random.default_rng(np.random.SeedSequence([config.seed, cycle]))
-            chosen, silver = np.sort(rng.choice(len(left), size=k, replace=False)), np.zeros(len(left))
-            silver[chosen] = teacher.predict_batch(texts.take(pool_first + remaining[chosen]))
-        picked = np.sort(chosen)  # training rows join in pool order
-        train_rows = np.concatenate([train_rows, pool_first + remaining[picked]])
-        train_targets += silver[picked].tolist()
-        remaining = np.delete(remaining, chosen)
+    teacher = student = train(config.family, texts.take(train_rows), train_targets, validation, config.train_config)
+    try:
+        for cycle, k in enumerate(plan):
+            started = time.perf_counter()
+            left = pool.take(remaining)
+            if config.selection == SELECTION_TEACHER_TOP_K:
+                silver = teacher.predict_batch(texts.take(pool_first + remaining))
+                chosen = select_top_k(left.post_ids, silver, k)
+            else:  # only the picks are scored
+                rng = np.random.default_rng(np.random.SeedSequence([config.seed, cycle]))
+                chosen, silver = np.sort(rng.choice(len(left), size=k, replace=False)), np.zeros(len(left))
+                silver[chosen] = teacher.predict_batch(texts.take(pool_first + remaining[chosen]))
+            picked = np.sort(chosen)  # training rows join in pool order
+            train_rows = np.concatenate([train_rows, pool_first + remaining[picked]])
+            train_targets += silver[picked].tolist()
+            remaining = np.delete(remaining, chosen)
 
-        student = train(config.family, texts.take(train_rows), train_targets, validation, config.train_config)
-        predictions = student.predict_batch(test_texts)
-        scores = silver[chosen].tolist()
-        logs.append(
-            CycleLog(
-                cycle=cycle,
-                selected_post_ids=left.take(chosen).post_ids,
-                selected_silver_scores=tuple(scores),
-                silver_min=min(scores),
-                silver_mean=float(np.mean(scores)),
-                silver_max=max(scores),
-                student_mse=mse(predictions, test_targets),
-                student_mae=mae(predictions, test_targets),
-                n_test=len(test_texts),
-                train_size=len(train_rows),
-                pool_size=len(remaining),
-                wall_clock_seconds=time.perf_counter() - started,
+            student = train(config.family, texts.take(train_rows), train_targets, validation, config.train_config)
+            predictions = student.predict_batch(test_texts)
+            scores = silver[chosen].tolist()
+            logs.append(
+                CycleLog(
+                    cycle=cycle,
+                    selected_post_ids=left.take(chosen).post_ids,
+                    selected_silver_scores=tuple(scores),
+                    silver_min=min(scores),
+                    silver_mean=float(np.mean(scores)),
+                    silver_max=max(scores),
+                    student_mse=mse(predictions, test_targets),
+                    student_mae=mae(predictions, test_targets),
+                    n_test=len(test_texts),
+                    train_size=len(train_rows),
+                    pool_size=len(remaining),
+                    wall_clock_seconds=time.perf_counter() - started,
+                )
             )
-        )
+            teacher.close()
+            teacher = student
+    finally:  # on an error too, no model is left holding a scorer open
         teacher.close()
-        teacher = student
-    teacher.close()
+        student.close()
     return logs

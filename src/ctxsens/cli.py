@@ -19,7 +19,7 @@ import sys
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -28,9 +28,17 @@ from .corpus import CorpusError, load_bool_column, load_bundle, load_posts, read
 from .manifest import build_manifest, write_json, write_manifest
 from .scorer import ScorerEndpoint, ScorerError
 
-# features, models and augmentation load scipy: subcommands import them on first use
-if TYPE_CHECKING:
-    from . import models
+# features, models and augmentation load SciPy: subcommands import them on
+# first use; settings holds their configs and error classes without it
+from .settings import (
+    AugmentationError,
+    FeatureConfig,
+    FeatureError,
+    ModelPersistenceError,
+    PredictionError,
+    TrainConfig,
+    TrainingError,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -88,7 +96,7 @@ class Run:
     inputs: dict[str, Path]
     out_dir: Path
     endpoint: ScorerEndpoint | None = None
-    train_config: models.TrainConfig | None = None
+    train_config: TrainConfig | None = None
     timings: dict | None = None
     outputs: list[str] = field(default_factory=list)
 
@@ -151,7 +159,6 @@ def _load_config_file(path: str | None) -> dict:
         raise CliValidationError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise CliValidationError(f"config file {path} must hold a JSON object")
-    from .settings import FeatureConfig  # needs no SciPy
     features = obj.get("features", {})
     if not isinstance(features, dict):
         raise CliValidationError(f"config key 'features' must be an object, got {features!r}")
@@ -208,21 +215,19 @@ def _endpoint_from(resolved: Mapping) -> ScorerEndpoint | None:
 
 def _train_fields() -> set[str]:
     """The TrainConfig fields a config file sets as keys of its own."""
-    from .settings import TrainConfig  # needs no SciPy
     return {f.name for f in dataclasses.fields(TrainConfig)} - {"features", "external", "seed"}
 
 
-def _train_config(resolved: dict, file_config: Mapping, endpoint: ScorerEndpoint | None) -> models.TrainConfig:
+def _train_config(resolved: dict, file_config: Mapping, endpoint: ScorerEndpoint | None) -> TrainConfig:
     """TrainConfig from the config file's field names plus the resolved seed;
     records the canonical family name in resolved."""
     from . import models
-    from .settings import FeatureConfig, FeatureError
     resolved["family"] = models.resolve_family(resolved["family"])
     if resolved["family"] == models.FAMILY_EXTERNAL and endpoint is None:
         raise CliValidationError("external family needs --scorer or --scorer-tcp")
     train_fields = _train_fields()
     try:
-        return models.TrainConfig(
+        return TrainConfig(
             seed=resolved["seed"],
             features=FeatureConfig(**file_config.get("features", {})),
             external=endpoint,
@@ -560,13 +565,6 @@ COMMANDS = {
 }
 
 
-def _loaded(module: str, *classes: str) -> tuple[type[Exception], ...]:
-    """Exception classes of a ctxsens module; none if this process never
-    loaded it, since then it raised none of them."""
-    loaded = sys.modules.get(f"{__package__}.{module}")
-    return tuple(getattr(loaded, cls) for cls in classes) if loaded else ()
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
@@ -577,16 +575,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             return EXIT_VALIDATION
         _run(args.subcommand, args, argv)
         return EXIT_OK
-    except (
-        CliValidationError,
-        CorpusError,
-        evaluation.MetricError,
-        *_loaded("settings", "TrainingError", "FeatureError"),
-        *_loaded("augmentation", "AugmentationError"),
-    ) as exc:
+    except (CliValidationError, CorpusError, evaluation.MetricError, TrainingError, FeatureError, AugmentationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ScorerError, *_loaded("models", "ModelPersistenceError", "PredictionError"), OSError) as exc:
+    except (ScorerError, ModelPersistenceError, PredictionError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except Exception:

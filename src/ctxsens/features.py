@@ -250,8 +250,13 @@ class Vocabulary:
             raise FeatureError("vocabulary terms must be distinct strings")
         if sorted(idx if type(idx) is int else -1 for idx in term_index.values()) != list(range(len(entries))):
             raise FeatureError(f"vocabulary columns must be 0..{len(entries) - 1}, each once")
+        n_documents = obj["n_documents"]
+        if type(n_documents) is not int or n_documents < 1:
+            raise FeatureError(f"vocabulary n_documents must be an int >= 1, got {n_documents!r}")
         doc_freq = {term: df for term, _, df in entries}
-        return cls(term_index, doc_freq, obj["n_documents"], config)
+        if not all(type(df) is int and 1 <= df <= n_documents for df in doc_freq.values()):
+            raise FeatureError(f"vocabulary document frequencies must be ints in [1, {n_documents}]")
+        return cls(term_index, doc_freq, n_documents, config)
 
 
 def fit_vocabulary(texts: Sequence[str] | Tokens, config: FeatureConfig | None = None) -> Vocabulary:

@@ -28,7 +28,8 @@ from scipy import sparse
 from . import _fork
 from .features import Tokens, Vocabulary, fit_vocabulary, score_in_parts, to_csr, tokenize, transform_many
 from .scorer import ExternalScorerClient, ScorerEndpoint, transport_fingerprint
-from .settings import TrainConfig, TrainingError  # noqa: F401 - re-exported; settings needs no SciPy
+# re-exported; settings needs no SciPy
+from .settings import ModelPersistenceError, PredictionError, TrainConfig, TrainingError  # noqa: F401
 
 FAMILY_CONSTANT_MEAN = "constant_mean"
 FAMILY_UNIFORM_RANDOM = "uniform_random"
@@ -69,14 +70,6 @@ def _hyperparameters(config: TrainConfig, family: str) -> dict:
     """The fields of config that family reads, named by their prefixes."""
     prefixes = {FAMILY_RIDGE: ("ridge_",), FAMILY_LINEAR_SVR: ("svr_", "patience"), FAMILY_RANDOM_FOREST: ("rf_",)}
     return {f.name: getattr(config, f.name) for f in fields(config) if f.name.startswith(prefixes.get(family, ()))}
-
-
-class PredictionError(RuntimeError):
-    pass
-
-
-class ModelPersistenceError(RuntimeError):
-    pass
 
 
 class ChecksumError(ModelPersistenceError):
@@ -163,11 +156,12 @@ def _clamp(scores: np.ndarray) -> np.ndarray:
 
 
 class Model:
-    """Base regressor: subclasses implement raw scoring over a batch."""
+    """Base regressor: subclasses implement raw scoring over a batch. What a
+    family stores besides its arrays is metadata.extras, set when it is built."""
 
     family: str = ""
 
-    def __init__(self, metadata: TrainingMetadata, vocab: Vocabulary | None, dimension: int | None):
+    def __init__(self, metadata: TrainingMetadata, vocab: Vocabulary | None = None, dimension: int | None = None):
         self.metadata = metadata
         self.vocab = vocab
         self.dimension = dimension
@@ -193,11 +187,7 @@ class Model:
     def _matrix(self, inputs) -> sparse.csr_matrix:
         return _features(inputs, self.vocab, self.dimension, PredictionError)
 
-    # persistence hooks
     def _param_arrays(self) -> dict[str, np.ndarray]:
-        return {}
-
-    def _extra_metadata(self) -> dict:
         return {}
 
 
@@ -205,7 +195,7 @@ class ConstantMeanModel(Model):
     family = FAMILY_CONSTANT_MEAN
 
     def __init__(self, mean: float, metadata: TrainingMetadata):
-        super().__init__(metadata, vocab=None, dimension=None)
+        super().__init__(metadata)
         self.mean = float(mean)
 
     def _raw_scores(self, inputs) -> np.ndarray:
@@ -221,17 +211,17 @@ class UniformRandomModel(Model):
 
     family = FAMILY_UNIFORM_RANDOM
 
-    def __init__(self, metadata: TrainingMetadata):
-        super().__init__(metadata, vocab=None, dimension=None)
-
     def _raw_scores(self, inputs) -> np.ndarray:
         rng = np.random.default_rng(self.metadata.seed)
         return rng.uniform(-1.0, 1.0, _n_rows(inputs))
 
 
-class _LinearModel(Model):
+class LinearModel(Model):
+    """weights . x + bias, with the weights fitted by ridge or linear_svr."""
+
     def __init__(
         self,
+        family: str,
         weights: np.ndarray,
         bias: float,
         metadata: TrainingMetadata,
@@ -239,6 +229,7 @@ class _LinearModel(Model):
         dimension: int,
     ):
         super().__init__(metadata, vocab, dimension)
+        self.family = family
         self.weights = np.asarray(weights, dtype=np.float64)
         self.bias = float(bias)
 
@@ -247,14 +238,6 @@ class _LinearModel(Model):
 
     def _param_arrays(self) -> dict[str, np.ndarray]:
         return {"weights": self.weights, "bias": np.array([self.bias])}
-
-
-class RidgeModel(_LinearModel):
-    family = FAMILY_RIDGE
-
-
-class LinearSVRModel(_LinearModel):
-    family = FAMILY_LINEAR_SVR
 
 
 # Most floats in the dense block of split columns that a tree walks at once;
@@ -331,34 +314,37 @@ class RandomForestModel(Model):
     def _param_arrays(self) -> dict[str, np.ndarray]:
         return {f"t{i}_{f.name}": getattr(tree, f.name) for i, tree in enumerate(self.trees) for f in fields(_Tree)}
 
-    def _extra_metadata(self) -> dict:
-        return {"n_trees": len(self.trees)}
-
 
 class ExternalModel(Model):
     """Adapter for a scorer reachable over the NDJSON protocol.
 
-    The model owns one session with the scorer, opened on first use and kept
-    until close(), so a fit and the predictions after it reach the same
-    process. The model file stores only the fingerprint of the endpoint: a
-    loaded model scores nothing until its caller sets an `endpoint` whose
-    fingerprint matches.
+    The model owns one session with the scorer, kept until close(): the one
+    its fit ran in, or one opened on first use, so a fit and the predictions
+    after it reach the same process. The model file stores only the
+    fingerprint of the endpoint (extras "endpoint_sha256", with the fit's
+    answer as "fit_accepted"): a loaded model scores nothing until its caller
+    sets an `endpoint` whose fingerprint matches.
     """
 
     family = FAMILY_EXTERNAL
 
     def __init__(
         self,
-        endpoint_sha256: str,
         metadata: TrainingMetadata,
-        fit_accepted: bool | None,
         endpoint: ScorerEndpoint | None = None,
+        client: ExternalScorerClient | None = None,
     ):
-        super().__init__(metadata, vocab=None, dimension=None)
-        self.endpoint_sha256 = endpoint_sha256
-        self.fit_accepted = fit_accepted
+        super().__init__(metadata)
         self.endpoint = endpoint
-        self._client: ExternalScorerClient | None = None
+        self._client = client
+
+    @property
+    def endpoint_sha256(self) -> str:
+        return self.metadata.extras["endpoint_sha256"]
+
+    @property
+    def fit_accepted(self) -> bool | None:
+        return self.metadata.extras.get("fit_accepted")
 
     def _session(self) -> ExternalScorerClient:
         if self._client is None:
@@ -380,9 +366,6 @@ class ExternalModel(Model):
         if errors:
             raise PredictionError(f"external scorer failed on {len(errors)} inputs: {errors}")
         return np.array([scores[str(i)] for i in range(len(texts))])
-
-    def _extra_metadata(self) -> dict:
-        return {"endpoint_sha256": self.endpoint_sha256, "fit_accepted": self.fit_accepted}
 
 
 # --- ridge -------------------------------------------------------------------
@@ -465,37 +448,30 @@ def _fit_linear_svr(
 
     The weights are kept as scale * v (Shalev-Shwartz et al., ICML 2007;
     Bottou 2010), so a batch's L2 decay is one scalar multiply and a batch
-    costs its own nonzeros. Each epoch gathers its permuted rows into flat
-    arrays once, so a batch is a contiguous slice of them."""
+    costs its own nonzeros. Each epoch gathers its permuted rows (a CSR row
+    gather) once, so a batch is a contiguous slice of their entries."""
     n, d = matrix.shape
     rng = np.random.default_rng(config.seed)
     v = np.zeros(d)
     scale = 1.0
     bias = 0.0
     reg = 1.0 / (config.svr_c * n)
-    row_nnz = np.diff(matrix.indptr)
     batch_size = config.svr_batch_size
 
-    has_val = val_matrix is not None and val_y is not None and len(val_y) > 0
+    has_val = val_matrix is not None  # train passes a validation set only when it has rows
     history: list[float] = []
-    best = (math.inf, v, bias, 0)
     if has_val:
-        initial = _validation_mse(v, bias, val_matrix, val_y)
-        history.append(initial)
-        best = (initial, v.copy(), bias, 0)
+        history.append(_validation_mse(v, bias, val_matrix, val_y))
+        best = (history[0], v.copy(), bias, 0)
 
-    epochs_run = 0
     for epoch in range(1, config.svr_max_epochs + 1):
         lr = config.svr_learning_rate / epoch
         decay = 1.0 - lr * reg
         order = rng.permutation(n)
-        lengths = row_nnz[order]
-        ptr = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(lengths, out=ptr[1:])
-        entry = np.arange(ptr[-1]) + np.repeat(matrix.indptr[order] - ptr[:-1], lengths)
-        cols, vals = matrix.indices[entry], matrix.data[entry]
-        rows = np.repeat(np.arange(n) % batch_size, lengths)  # each entry's row within its batch
-        y_epoch, ptr = y[order], ptr.tolist()
+        shuffled = matrix[order]
+        cols, vals = shuffled.indices, shuffled.data
+        rows = np.repeat(np.arange(n) % batch_size, np.diff(shuffled.indptr))  # each entry's row within its batch
+        y_epoch, ptr = y[order], shuffled.indptr.tolist()
         for start in range(0, n, batch_size):
             stop = min(start + batch_size, n)
             lo, hi = ptr[start], ptr[stop]
@@ -510,27 +486,16 @@ def _fit_linear_svr(
                 scale = 1.0
             np.subtract.at(v, col, (lr / ((stop - start) * scale)) * val * coef[row])
             bias -= lr * (float(coef.sum()) / (stop - start))
-        epochs_run = epoch
         if has_val:
             weights = scale * v
-            score = _validation_mse(weights, bias, val_matrix, val_y)
-            history.append(score)
-            if score < best[0]:
-                best = (score, weights, bias, epoch)
+            history.append(_validation_mse(weights, bias, val_matrix, val_y))
+            if history[-1] < best[0]:
+                best = (history[-1], weights, bias, epoch)
             elif epoch - best[3] >= config.patience:
                 break
 
-    if has_val:
-        _, weights, bias, best_epoch = best
-        extras = {
-            "epochs_run": epochs_run,
-            "best_epoch": best_epoch,
-            "validation_mse_history": history,
-        }
-    else:
-        weights = scale * v
-        extras = {"epochs_run": epochs_run, "best_epoch": epochs_run, "validation_mse_history": []}
-    return weights, bias, extras
+    _, weights, bias, best_epoch = best if has_val else (None, scale * v, bias, epoch)
+    return weights, bias, {"epochs_run": epoch, "best_epoch": best_epoch, "validation_mse_history": history}
 
 
 # --- random forest -------------------------------------------------------------
@@ -738,10 +703,10 @@ def train(
             raise TrainingError("external family needs config.external (a ScorerEndpoint)")
         if sparse.issparse(inputs):
             raise TrainingError("external family trains on texts only")
-        model = ExternalModel(config.external.fingerprint, metadata, None, config.external)
-        examples = [{"text": x, "parent": None, "target": t} for x, t in zip(inputs, y.tolist())]
-        model.fit_accepted = model._session().fit(examples)
-        return model
+        client = ExternalScorerClient(config.external)
+        accepted = client.fit([{"text": x, "parent": None, "target": t} for x, t in zip(inputs, y.tolist())])
+        extras = {"endpoint_sha256": config.external.fingerprint, "fit_accepted": accepted}
+        return ExternalModel(replace(metadata, extras=extras), config.external, client)
 
     # featurized families
     vocab = None
@@ -760,19 +725,15 @@ def train(
         if family == FAMILY_LINEAR_SVR:  # the only family that reads the validation set
             val_matrix = _features(val_inputs, vocab, dimension, TrainingError)
 
-    if family == FAMILY_RIDGE:
-        weights, bias, extras = _solve_ridge(matrix, y, config.ridge_lambda, config.ridge_tol, config.ridge_max_iter)
-        return RidgeModel(weights, bias, replace(metadata, extras=extras), vocab, dimension)
-
-    if family == FAMILY_LINEAR_SVR:
-        weights, bias, extras = _fit_linear_svr(matrix, y, val_matrix, val_y, config)
-        return LinearSVRModel(weights, bias, replace(metadata, extras=extras), vocab, dimension)
-
     if family == FAMILY_RANDOM_FOREST:
         trees = _fit_forest(matrix, y, config)
-        return RandomForestModel(trees, metadata, vocab, dimension)
+        return RandomForestModel(trees, replace(metadata, extras={"n_trees": len(trees)}), vocab, dimension)
 
-    raise TrainingError(f"unhandled family {family!r}")
+    if family == FAMILY_RIDGE:
+        weights, bias, extras = _solve_ridge(matrix, y, config.ridge_lambda, config.ridge_tol, config.ridge_max_iter)
+    else:
+        weights, bias, extras = _fit_linear_svr(matrix, y, val_matrix, val_y, config)
+    return LinearModel(family, weights, bias, replace(metadata, extras=extras), vocab, dimension)
 
 
 # --- persistence ---------------------------------------------------------------
@@ -816,7 +777,7 @@ def save_model(model: Model, path: str | Path) -> None:
         "seed": model.metadata.seed,
         "hyperparameters": model.metadata.hyperparameters,
         "training_fingerprint": model.metadata.training_fingerprint,
-        "extras": model.metadata.extras | model._extra_metadata(),
+        "extras": model.metadata.extras,
         "vocabulary": model.vocab.to_json() if model.vocab is not None else None,
         "dimension": model.dimension,
     }
@@ -846,6 +807,8 @@ def _tree_problem(tree: _Tree, dimension: int | None) -> str | None:
         return "node arrays must be one-dimensional, non-empty and of equal length"
     if any(not np.issubdtype(a.dtype, np.integer) for a in (tree.feature, tree.left, tree.right)):
         return "feature, left and right must be integer arrays"
+    if any(not np.issubdtype(a.dtype, np.floating) for a in (tree.threshold, tree.value)):
+        return "threshold and value must be real floating arrays"
     internal = tree.feature >= 0
     if (tree.feature[~internal] != -1).any():
         return "a leaf must have feature -1"
@@ -901,11 +864,12 @@ def _decode(body: bytes, path: str | Path) -> Model:
         return UniformRandomModel(metadata)
     if family in (FAMILY_RIDGE, FAMILY_LINEAR_SVR):
         weights, bias = arrays["weights"], arrays["bias"]
+        if not all(np.issubdtype(a.dtype, np.floating) for a in (weights, bias)):
+            raise ModelPersistenceError(f"{path}: weights and bias must be real floating arrays")
         if weights.shape != (dimension,) or bias.shape != (1,):
             shapes = f"weights of shape {weights.shape} and bias of shape {bias.shape}"
             raise ModelPersistenceError(f"{path}: {shapes} for dimension {dimension!r}")
-        linear = RidgeModel if family == FAMILY_RIDGE else LinearSVRModel
-        return linear(weights, float(bias[0]), metadata, vocab, dimension)
+        return LinearModel(family, weights, float(bias[0]), metadata, vocab, dimension)
     if family == FAMILY_RANDOM_FOREST:
         n_trees = extras["n_trees"]
         if type(n_trees) is not int or not 1 <= n_trees == len(arrays) / 5:
@@ -922,5 +886,5 @@ def _decode(body: bytes, path: str | Path) -> Model:
         if "endpoint_sha256" not in extras:  # older files stored the endpoint itself
             old = extras.pop("endpoint")
             extras["endpoint_sha256"] = transport_fingerprint(old.get("command"), old.get("address"))
-        return ExternalModel(extras["endpoint_sha256"], metadata, extras.get("fit_accepted"))
+        return ExternalModel(metadata)
     raise ModelPersistenceError(f"{path}: unknown family {family!r}")

@@ -1,6 +1,9 @@
 """The featurizer's and the regressors' hyperparameters and their checks,
-free of numpy and SciPy so that the CLI can check a config file's keys
-without loading them; `features` and `models` re-export every name."""
+and the error classes of the modules that load SciPy: FeatureError,
+TrainingError, PredictionError, ModelPersistenceError and AugmentationError.
+All are free of numpy and SciPy, so that the CLI can check a config file's
+keys and name every error it maps to an exit code without loading them;
+`features`, `models` and `augmentation` re-export them."""
 
 from __future__ import annotations
 
@@ -15,6 +18,18 @@ class FeatureError(ValueError):
 
 
 class TrainingError(ValueError):
+    pass
+
+
+class AugmentationError(ValueError):
+    pass
+
+
+class PredictionError(RuntimeError):
+    pass
+
+
+class ModelPersistenceError(RuntimeError):
     pass
 
 

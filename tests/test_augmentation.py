@@ -13,9 +13,10 @@ from ctxsens.augmentation import (
     select_top_k,
 )
 from ctxsens.features import FeatureConfig
-from ctxsens.models import TrainConfig, train
+from ctxsens.models import PredictionError, TrainConfig, train
+from ctxsens.scorer import ScorerEndpoint
 
-from helpers import planted_posts, post_table, split_columns
+from helpers import planted_posts, post_table, split_columns, toy_scorer_command
 
 
 # --- select_top_k ------------------------------------------------------------------
@@ -198,3 +199,14 @@ def test_teacher_top_k_selects_higher_silver_than_random():
     for t_log, r_log in zip(top, rand):
         assert t_log.silver_mean >= r_log.silver_mean
 
+
+
+def test_models_are_closed_when_a_cycle_fails(scorer_processes):
+    pool, tr, val, test = small_setup()
+    poison = test[1][0]  # the scorer never answers this one test text, so the student's evaluation fails
+    assert [text for text in (*pool.target_texts, *tr[1], *val[1], *test[1]) if poison in text] == [poison]
+    endpoint = ScorerEndpoint(command=toy_scorer_command("--drop-substring", poison), timeout=0.3)
+    config = base_config(pool, family="external", train_config=TrainConfig(external=endpoint))
+    with pytest.raises(PredictionError, match="failed on 1 inputs"):
+        run_augmentation(tr, val, test, config)
+    assert len(scorer_processes) == 2  # teacher and student; the fixture checks that neither outlives the test

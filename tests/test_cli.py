@@ -442,15 +442,13 @@ def test_external_model_file_holds_a_fingerprint_and_sample_needs_its_scorer(tmp
 
 
 @pytest.mark.usefixtures("scorer_processes")
-def test_loading_a_crafted_model_file_runs_no_command(tmp_path, monkeypatch):
+def test_loading_a_crafted_model_file_runs_no_command(tmp_path):
     # a model file from before fingerprints stored the endpoint, command included
     sentinel = tmp_path / "ran"
     command = [sys.executable, "-c", f"open({str(sentinel)!r}, 'w').close()"]
-    metadata = models.TrainingMetadata(seed=0, hyperparameters={}, training_fingerprint="x")
-    model = models.ExternalModel("unused", metadata, None)
     old_extras = {"endpoint": {"command": command, "address": None, "timeout": 30.0, "max_in_flight": 8}}
-    monkeypatch.setattr(model, "_extra_metadata", lambda: {**old_extras, "fit_accepted": None})
-    models.save_model(model, tmp_path / "model.bin")
+    metadata = models.TrainingMetadata(0, {}, "x", extras={**old_extras, "fit_accepted": None})
+    models.save_model(models.ExternalModel(metadata), tmp_path / "model.bin")
     pool_path = tmp_path / "pool.jsonl"
     save_posts(post_table([("a", "text"), ("b", "more text")]), pool_path)
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from ctxsens import models
 from ctxsens.cli import EXIT_RUNTIME, main
 from ctxsens.features import FeatureConfig, fit_vocabulary, transform_many
+from ctxsens.scorer import ScorerEndpoint
 from ctxsens.models import (
     ChecksumError,
     ModelPersistenceError,
@@ -27,7 +28,7 @@ from ctxsens.models import (
     train,
 )
 
-from helpers import csr, planted_posts, save_posts
+from helpers import csr, planted_posts, save_posts, toy_scorer_command
 from oracles import ridge_gradient, ridge_objective, svr_epsilon_loss
 
 
@@ -446,15 +447,15 @@ def _with_extras(**extras):
     return edit
 
 
-def _with_terms(change):
+def _with_terms(change, **fields):
     """An edit that embeds a vocabulary of one term per dimension after
-    change(its [term, column, df] entries)."""
+    change(its [term, column, df] entries), with the given fields set on it."""
 
     def edit(meta: bytes, arrays: dict) -> tuple:
         obj = json.loads(meta)
         terms = [[f"w{i}", i, 1] for i in range(obj["dimension"])]
         change(terms)
-        vocabulary = fit_vocabulary(["ab"], FeatureConfig(min_df=1)).to_json() | {"terms": terms}
+        vocabulary = fit_vocabulary(["ab"], FeatureConfig(min_df=1)).to_json() | {"terms": terms} | fields
         return json.dumps(obj | {"vocabulary": vocabulary}).encode("utf-8"), arrays
 
     return edit
@@ -485,11 +486,19 @@ def _with_metadata(**fields):
         ("ridge", _with_terms(lambda terms: terms[0].__setitem__(0, 7))),
         ("ridge", _with_terms(lambda terms: terms[0].__setitem__(1, -1))),
         ("ridge", _with_terms(lambda terms: terms[1].__setitem__(1, terms[0][1]))),
+        # document counts that are not whole, or not in [1, n_documents]
+        ("ridge", _with_terms(lambda terms: terms[0].__setitem__(2, -1))),
+        ("ridge", _with_terms(lambda terms: terms[0].__setitem__(2, 2.5))),
+        ("ridge", _with_terms(lambda terms: None, n_documents=0)),
+        # parameters that are not real floating-point numbers
+        ("random_forest", lambda meta, arrays: (meta, {**arrays, "t0_threshold": arrays["t0_threshold"].astype(str)})),
+        ("ridge", lambda meta, arrays: (meta, {**arrays, "weights": arrays["weights"] + 1j})),
     ],
     ids=[
         "no_n_trees", "n_trees_text", "n_trees_past_arrays", "n_trees_zero", "arrays_past_n_trees", "no_weights",
         "metadata_not_json", "weights_cut", "weights_2d", "two_biases", "vocabulary_wider",
-        "vocabulary_narrower", "term_not_text", "column_negative", "column_shared",
+        "vocabulary_narrower", "term_not_text", "column_negative", "column_shared", "df_negative", "df_fraction",
+        "n_documents_zero", "threshold_text", "weights_complex",
     ],
 )
 def test_malformed_model_contents_are_a_runtime_error_naming_the_file(tmp_path, capsys, family, edit):
@@ -506,6 +515,20 @@ def test_malformed_model_contents_are_a_runtime_error_naming_the_file(tmp_path, 
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"runtime error: {path}: "), err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("family", models.FAMILIES)
+def test_model_file_resaves_to_the_same_bytes(tmp_path, family, scorer_processes):
+    # a model's extras are one record: what a file stores is what a load of it saves again
+    posts, targets = planted_posts(30, seed=3)
+    texts = list(posts.target_texts)
+    endpoint = ScorerEndpoint(command=toy_scorer_command("--fit", "accept"))
+    config = TrainConfig(features=FeatureConfig(min_df=1), svr_max_epochs=5, rf_n_trees=3, external=endpoint)
+    model = train(family, texts[:24], targets[:24], (texts[24:], targets[24:]), config)
+    model.close()
+    save_model(model, tmp_path / "first.bin")
+    save_model(load_model(tmp_path / "first.bin"), tmp_path / "second.bin")
+    assert (tmp_path / "second.bin").read_bytes() == (tmp_path / "first.bin").read_bytes()
 
 
 def test_vocabulary_survives_persistence(tmp_path):
