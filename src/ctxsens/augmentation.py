@@ -16,17 +16,15 @@ from typing import Sequence
 
 import numpy as np
 
+from .aggregation import SensitivityTable
 from .corpus import PostTable
 from .evaluation import mae, mse
-from .features import Tokens, join, tokenize
+from .features import Tokens, tokenize
 from .models import FAMILY_RIDGE, TrainConfig, train
 from .settings import AugmentationError  # noqa: F401 - re-exported; settings needs no SciPy
 
 SELECTION_TEACHER_TOP_K = "teacher_top_k"
 SELECTION_RANDOM_K = "random_k"
-
-GoldSplit = tuple[Sequence[str], Sequence[str], Sequence[float]]  # (post_ids, texts, targets)
-
 
 @dataclass(frozen=True)
 class AugmentationConfig:
@@ -84,38 +82,37 @@ def select_top_k(post_ids: Sequence[str], scores: Sequence[float], k: int) -> np
 
 
 def run_augmentation(
-    gold_train: GoldSplit, gold_validation: GoldSplit, gold_test: GoldSplit, config: AugmentationConfig,
-    pool_texts: Tokens | None = None,
+    table: SensitivityTable, rows: Sequence[np.ndarray], config: AugmentationConfig, texts: Tokens | None = None
 ) -> list[CycleLog]:
-    """Run the augmentation loop, returning one log per cycle.
+    """Run the augmentation loop on one split of table, returning one log per
+    cycle.
 
-    Each gold split is (post_ids, texts, targets) columns. Texts may be
-    Tokens (features.tokenize), as may pool_texts, the pool's target texts.
-    The pool must be disjoint from every gold split, and the training split
-    from the test split. The evaluation split is the given gold_test for
-    every cycle. Fully deterministic given (seed, config) for deterministic
-    model families.
+    rows are the (train, validation, test) row indices of table, as
+    evaluation.split_indices gives them; its delta is the gold target. texts,
+    when given, are the Tokens (features.tokenize) of table's target texts,
+    then the pool's. The pool must be disjoint from table, and the training
+    rows from the test rows. The evaluation split is the test rows for every
+    cycle. Fully deterministic given (seed, config) for deterministic model
+    families.
     """
     pool = config.pool
-    gold_ids = {post_id for ids, _, _ in (gold_train, gold_validation, gold_test) for post_id in ids}
-    overlap = gold_ids.intersection(pool.post_ids)
+    overlap = set(table.posts.post_ids).intersection(pool.post_ids)
     if overlap:
         raise AugmentationError(f"pool overlaps gold splits on {sorted(overlap)[:5]}")
-    test_ids, test_texts, test_targets = gold_test
-    if set(test_ids).intersection(gold_train[0]):
+    train_rows, validation_rows, test_rows = rows
+    if np.intersect1d(train_rows, test_rows).size:
         raise AugmentationError("train set leaked into the test split")
-
+    if texts is None:
+        texts = table.posts.target_texts + pool.target_texts
+    elif len(texts) != len(table) + len(pool):
+        raise AugmentationError(f"{len(texts)} texts for {len(table)} gold and {len(pool)} pool posts")
     # every text split once; each set of texts is a take of these rows, sharing their words
-    splits = (gold_train[1], gold_validation[1], test_texts, pool.target_texts if pool_texts is None else pool_texts)
-    all_tokens = all(isinstance(split, Tokens) for split in splits)
-    joined = join(splits) if all_tokens else [text for split in splits for text in split]
-    texts = tokenize(joined, config.train_config.features)
-    ends = np.cumsum([0, *map(len, splits)])
-    train_rows, pool_first = np.arange(ends[1]), ends[3]
+    texts = tokenize(texts, config.train_config.features)
+    pool_first, delta = len(table), table.delta
     remaining = np.arange(len(pool))  # pool rows not yet selected, in pool order
-    train_targets = list(gold_train[2])
-    validation = (texts.take(np.arange(ends[1], ends[2])), gold_validation[2])
-    test_texts = texts.take(np.arange(ends[2], ends[3]))
+    train_targets = delta[train_rows].tolist()
+    validation = (texts.take(validation_rows), delta[validation_rows])
+    test_texts, test_targets = texts.take(test_rows), delta[test_rows]
 
     if config.single_shot:
         plan = [config.k_per_cycle * config.n_cycles]

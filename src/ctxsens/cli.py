@@ -447,12 +447,10 @@ def _augment(run: Run) -> None:
     split = evaluation.SplitSpec(n_repeats=n_repeats, seed=seed)
     # every text split once for all repeats; the splits and the pool share its words
     texts = features.tokenize(table.posts.target_texts + pool.target_texts, run.train_config.features)
-    pool_texts = texts.take(np.arange(len(table), len(texts)))
 
     all_logs: list[tuple[int, augmentation.CycleLog]] = []
     for repeat in range(n_repeats):
         rows = evaluation.split_indices(len(table), split, repeat)
-        gold = [(table.posts.take(idx).post_ids, texts.take(idx), table.delta[idx]) for idx in rows]
         aug_config = augmentation.AugmentationConfig(
             pool=pool,
             selection=run.config["selection"],
@@ -463,7 +461,7 @@ def _augment(run: Run) -> None:
             train_config=run.train_config,
             seed=int(np.random.SeedSequence([seed, repeat]).generate_state(1)[0]),
         )
-        logs = augmentation.run_augmentation(*gold, aug_config, pool_texts)
+        logs = augmentation.run_augmentation(table, rows, aug_config, texts)
         all_logs += [(repeat, log) for log in logs]
 
     write_jsonl(run.out("cycles.jsonl"), ({"repeat": repeat, **log.to_json()} for repeat, log in all_logs))

@@ -8,9 +8,8 @@ target text is featurized; the parent is deliberately ignored.
 Whoever featurizes the same texts more than once (a fit and its transform,
 cross-validation folds, augmentation cycles) holds them as `Tokens`, split
 once; each `Tokens` carries its own word list, and its word ids index it.
-Parts of one tokenize() call are joined without copying; other parts are
-split again. Plain texts are tokenized a block at a time and dropped, and the
-featurizer holds no process-wide state.
+Plain texts are tokenized a block at a time and dropped, and the featurizer
+holds no process-wide state.
 
 One numbering of n-grams, _ngrams, serves fit and transform: an n-gram is
 numbered as the pair (number of its first n - 1 words, id of its last word),
@@ -72,8 +71,7 @@ class Tokens:
     places in its own word list `words`, before any length or stopword
     filter, so one split serves every FeatureConfig with the same lowercase
     setting. tokenize() writes the ids end to end; the Tokens that take()
-    makes, and join() makes of parts of one tokenize() call, share the ids
-    and the words."""
+    makes share the ids and the words."""
 
     texts: tuple[str, ...]
     lowercase: bool
@@ -121,17 +119,6 @@ def tokenize(texts: Sequence[str] | Tokens, config: FeatureConfig | None = None)
         row = dict(zip(distinct, itertools.count()))
         tokens = tokens.take(np.fromiter(map(row.__getitem__, texts), dtype=np.int64, count=len(texts)))
     return tokens
-
-
-def join(parts: Sequence[Tokens]) -> Tokens:
-    """The rows of parts, Tokens split under one lowercase setting, in order.
-    Parts of one tokenize() call share its ids and words, uncopied; other
-    parts are split again."""
-    first, texts = parts[0], tuple(itertools.chain.from_iterable(part.texts for part in parts))
-    if any(part.ids is not first.ids for part in parts):
-        return tokenize(texts, FeatureConfig(lowercase=first.lowercase))
-    starts, counts = np.concatenate([part.starts for part in parts]), np.concatenate([part.counts for part in parts])
-    return Tokens(texts, first.lowercase, first.ids, first.words, starts, counts)
 
 
 def score_in_parts(vocab: Vocabulary, texts: Sequence[str] | Tokens, score: Callable[..., np.ndarray]) -> np.ndarray:

@@ -167,9 +167,12 @@ def planted_posts(
     return post_table(posts), targets
 
 
-def split_columns(posts: PostTable, targets, part: slice = slice(None)) -> tuple[list[str], list[str], list[float]]:
-    """Rows part of posts as a gold split as run_augmentation takes it: (post_ids, texts, targets)."""
-    return list(posts.post_ids[part]), list(posts.target_texts[part]), list(targets[part])
+def delta_table(posts: PostTable, targets) -> SensitivityTable:
+    """A table of posts whose delta is exactly targets: oc = max(t, 0) and
+    ic = max(-t, 0), each from one rater with SEM 0."""
+    t = np.asarray(targets, dtype=np.float64)
+    ones, zeros = np.ones(len(t), dtype=np.int64), np.zeros(len(t))
+    return SensitivityTable(posts, np.maximum(t, 0.0), ones, zeros, np.maximum(-t, 0.0), ones, zeros)
 
 
 def planted_examples(n: int, seed: int, **kwargs) -> SensitivityTable:

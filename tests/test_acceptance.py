@@ -29,10 +29,11 @@ from ctxsens.features import FeatureConfig
 from ctxsens.models import TrainConfig
 
 from helpers import (
+    delta_table,
     planted_posts,
+    post_table,
     record_with_delta,
     sensitivity_table,
-    split_columns,
     two_region_corpus,
 )
 from oracles import pairwise_auc, population_variance, threshold_enumeration_ap
@@ -190,16 +191,23 @@ def test_criterion_4_classical_regressor_ballpark():
         assert report.mean("mse") <= 0.025
 
 
+def _split_table(*parts):
+    """One table of the (posts, targets) parts, and each part's rows in it."""
+    posts = post_table(row for items in parts for row in zip(items[0].post_ids, items[0].target_texts))
+    ends = np.cumsum([0, *(len(targets) for _, targets in parts)])
+    table = delta_table(posts, [t for _, targets in parts for t in targets])
+    return table, tuple(np.arange(start, end) for start, end in zip(ends, ends[1:]))
+
+
 def _planted_split(seed: int):
     gold_posts, gold_targets = planted_posts(150, seed=seed, vocab_size=60)
-    parts = (slice(0, 100), slice(100, 120), slice(120, None))
-    return tuple(split_columns(gold_posts, gold_targets, part) for part in parts)
+    return delta_table(gold_posts, gold_targets), (np.arange(100), np.arange(100, 120), np.arange(120, 150))
 
 
 def test_criterion_5_augmentation_structural_suite():
     with _Criterion(5, "augmentation structural suite", 60):
         seed = 0
-        gold_train, gold_val, gold_test = _planted_split(seed)
+        gold, split = _planted_split(seed)
         pool, _ = planted_posts(600, seed=seed + 500, id_prefix="pool", vocab_size=60)
         config = TrainConfig(features=FeatureConfig(min_df=1, ngram_max=1), ridge_lambda=0.1, seed=seed)
 
@@ -212,7 +220,7 @@ def test_criterion_5_augmentation_structural_suite():
                 train_config=config,
                 seed=seed,
             )
-            return run_augmentation(gold_train, gold_val, gold_test, aug)
+            return run_augmentation(gold, split, aug)
 
         top = run(SELECTION_TEACHER_TOP_K)
         rand = run(SELECTION_RANDOM_K)
@@ -220,11 +228,11 @@ def test_criterion_5_augmentation_structural_suite():
         # conservation: |train_t| = |train_0| + t*k and |pool_t| = |pool_0| - t*k
         for logs in (top, rand):
             for t, log in enumerate(logs, start=1):
-                assert log.train_size == len(gold_train[0]) + t * 40
+                assert log.train_size == len(split[0]) + t * 40
                 assert log.pool_size == len(pool) - t * 40
             selected = [pid for log in logs for pid in log.selected_post_ids]
             assert len(selected) == len(set(selected))
-            test_ids = set(gold_test[0])
+            test_ids = set(gold.take(split[2]).posts.post_ids)
             assert not test_ids & set(selected)
 
         # end-to-end seed determinism (wall clock excluded)
@@ -256,9 +264,9 @@ def test_criterion_6_augmentation_trend():
                 train_config=config,
                 seed=seed,
             )
-            splits = [split_columns(*items) for items in (gold_items, val_items, test_items)]
-            cycled = run_augmentation(*splits, AugmentationConfig(**base))
-            single = run_augmentation(*splits, AugmentationConfig(**base, single_shot=True))
+            gold, split = _split_table(gold_items, val_items, test_items)
+            cycled = run_augmentation(gold, split, AugmentationConfig(**base))
+            single = run_augmentation(gold, split, AugmentationConfig(**base, single_shot=True))
             # guard: the student genuinely learns the planted signal
             zero_mse = float(np.mean(np.array(test_items[1]) ** 2))
             assert cycled[-1].student_mse < 0.5 * zero_mse

@@ -12,11 +12,11 @@ from ctxsens.augmentation import (
     run_augmentation,
     select_top_k,
 )
-from ctxsens.features import FeatureConfig
+from ctxsens.features import FeatureConfig, tokenize
 from ctxsens.models import PredictionError, TrainConfig, train
 from ctxsens.scorer import ScorerEndpoint
 
-from helpers import planted_posts, post_table, split_columns, toy_scorer_command
+from helpers import delta_table, planted_posts, post_table, toy_scorer_command
 
 
 # --- select_top_k ------------------------------------------------------------------
@@ -64,9 +64,15 @@ def small_setup(pool_size=30, gold_size=24, seed=0, noise=0.15):
     pool, _ = planted_posts(pool_size, seed=seed + 1000, id_prefix="pool")
     gold_posts, gold_targets = planted_posts(gold_size, seed=seed, noise=noise)
     third = gold_size // 3
-    splits = [slice(0, third), slice(third, 2 * third), slice(2 * third, None)]
-    targets = [round(t, 3) for t in gold_targets]
-    return pool, *(split_columns(gold_posts, targets, part) for part in splits)
+    split = (np.arange(third), np.arange(third, 2 * third), np.arange(2 * third, gold_size))  # train, validation, test
+    return pool, delta_table(gold_posts, [round(t, 3) for t in gold_targets]), split
+
+
+def first_teacher(config, table, split):
+    """The first cycle's teacher, trained again on the training rows."""
+    tr, val = table.take(split[0]), table.take(split[1])
+    validation = (val.posts.target_texts, val.delta)
+    return train(config.family, tr.posts.target_texts, tr.delta, validation, config.train_config)
 
 
 def base_config(pool, **overrides):
@@ -94,29 +100,47 @@ def test_config_rejects_unknown_selection():
 
 
 def test_pool_must_be_disjoint_from_gold():
-    pool, tr, val, test = small_setup()
+    pool, table, split = small_setup()
     rows = [*zip(pool.post_ids, pool.target_texts)][:-1]
-    poisoned = base_config(post_table([*rows, (tr[0][0], tr[1][0])]))
+    tr = table.take(split[0]).posts
+    poisoned = base_config(post_table([*rows, (tr.post_ids[0], tr.target_texts[0])]))
     with pytest.raises(AugmentationError, match="overlap"):
-        run_augmentation(tr, val, test, poisoned)
+        run_augmentation(table, split, poisoned)
+
+
+def test_train_rows_must_be_disjoint_from_test_rows():
+    pool, table, (tr, val, test) = small_setup()
+    with pytest.raises(AugmentationError, match="leaked"):
+        run_augmentation(table, (np.append(tr, test[-1]), val, test), base_config(pool))
+
+
+def test_texts_must_be_the_gold_texts_then_the_pool_texts():
+    pool, table, split = small_setup()
+    config = base_config(pool)
+    texts = tokenize(table.posts.target_texts + pool.target_texts, config.train_config.features)
+    assert [a.to_json() for a in run_augmentation(table, split, config, texts)] == [
+        b.to_json() for b in run_augmentation(table, split, config)
+    ]
+    with pytest.raises(AugmentationError, match="texts for"):
+        run_augmentation(table, split, config, texts[1:])
 
 
 # --- loop mechanics ----------------------------------------------------------------------
 
 
 def test_conservation_of_train_and_pool_sizes():
-    pool, tr, val, test = small_setup()
-    logs = run_augmentation(tr, val, test, base_config(pool))
+    pool, table, split = small_setup()
+    logs = run_augmentation(table, split, base_config(pool))
     assert [log.cycle for log in logs] == [0, 1]
     for t, log in enumerate(logs, start=1):
-        assert log.train_size == len(tr[0]) + t * 3
+        assert log.train_size == len(split[0]) + t * 3
         assert log.pool_size == len(pool) - t * 3
         assert len(log.selected_post_ids) == 3
 
 
 def test_selected_ids_disjoint_across_cycles():
-    pool, tr, val, test = small_setup()
-    logs = run_augmentation(tr, val, test, base_config(pool, n_cycles=3))
+    pool, table, split = small_setup()
+    logs = run_augmentation(table, split, base_config(pool, n_cycles=3))
     seen: set[str] = set()
     for log in logs:
         ids = set(log.selected_post_ids)
@@ -125,64 +149,64 @@ def test_selected_ids_disjoint_across_cycles():
 
 
 def test_single_shot_performs_one_big_cycle():
-    pool, tr, val, test = small_setup()
-    logs = run_augmentation(tr, val, test, base_config(pool, single_shot=True))
+    pool, table, split = small_setup()
+    logs = run_augmentation(table, split, base_config(pool, single_shot=True))
     assert len(logs) == 1
     assert len(logs[0].selected_post_ids) == 6
-    assert logs[0].train_size == len(tr[0]) + 6
+    assert logs[0].train_size == len(split[0]) + 6
 
 
 def test_loop_is_seed_deterministic():
-    pool, tr, val, test = small_setup()
+    pool, table, split = small_setup()
     for selection in (SELECTION_TEACHER_TOP_K, SELECTION_RANDOM_K):
         config = base_config(pool, selection=selection, seed=7)
-        first = run_augmentation(tr, val, test, config)
-        second = run_augmentation(tr, val, test, config)
+        first = run_augmentation(table, split, config)
+        second = run_augmentation(table, split, config)
         assert [a.to_json() for a in first] == [b.to_json() for b in second]
 
 
 def test_random_k_seeds_differ_across_cycles():
-    pool, tr, val, test = small_setup(pool_size=40)
-    logs = run_augmentation(tr, val, test, base_config(pool, selection=SELECTION_RANDOM_K, n_cycles=3))
+    pool, table, split = small_setup(pool_size=40)
+    logs = run_augmentation(table, split, base_config(pool, selection=SELECTION_RANDOM_K, n_cycles=3))
     assert len({log.selected_post_ids for log in logs}) == 3
 
 
 def test_random_selection_scores_only_its_picks(monkeypatch):
-    pool, tr, val, test = small_setup(pool_size=40)
+    pool, table, split = small_setup(pool_size=40)
     rows, predict = [], models.Model.predict_batch
     monkeypatch.setattr(
         models.Model, "predict_batch", lambda model, texts: rows.append(len(texts)) or predict(model, texts)
     )
     config = base_config(pool, selection=SELECTION_RANDOM_K, n_cycles=3, k_per_cycle=4)
-    logs = run_augmentation(tr, val, test, config)
-    assert rows == [4, len(test[0])] * 3  # each cycle: the teacher's picks, then the student's test split
-    teacher = train(config.family, tr[1], tr[2], val[1:], config.train_config)
+    logs = run_augmentation(table, split, config)
+    assert rows == [4, len(split[2])] * 3  # each cycle: the teacher's picks, then the student's test split
+    teacher = first_teacher(config, table, split)
     text_of = dict(zip(pool.post_ids, pool.target_texts))
     replayed = predict(teacher, [text_of[post_id] for post_id in logs[0].selected_post_ids])
     assert np.array_equal(replayed, np.array(logs[0].selected_silver_scores))
 
 
 def test_silver_scores_replayable_from_first_teacher():
-    pool, tr, val, test = small_setup()
+    pool, table, split = small_setup()
     config = base_config(pool)
-    logs = run_augmentation(tr, val, test, config)
-    teacher = train(config.family, tr[1], tr[2], val[1:], config.train_config)
+    logs = run_augmentation(table, split, config)
+    teacher = first_teacher(config, table, split)
     text_of = dict(zip(pool.post_ids, pool.target_texts))
     replayed = teacher.predict_batch([text_of[post_id] for post_id in logs[0].selected_post_ids])
     assert np.array_equal(replayed, np.array(logs[0].selected_silver_scores))
 
 
 def test_constant_teacher_degenerates_to_id_order():
-    pool, tr, val, test = small_setup()
+    pool, table, split = small_setup()
     config = base_config(pool, family="constant_mean")
-    logs = run_augmentation(tr, val, test, config)
+    logs = run_augmentation(table, split, config)
     expected = sorted(pool.post_ids)[:3]
     assert list(logs[0].selected_post_ids) == expected
 
 
 def test_silver_summary_matches_selected_scores():
-    pool, tr, val, test = small_setup()
-    logs = run_augmentation(tr, val, test, base_config(pool))
+    pool, table, split = small_setup()
+    logs = run_augmentation(table, split, base_config(pool))
     for log in logs:
         scores = log.selected_silver_scores
         assert log.silver_min == min(scores)
@@ -191,22 +215,21 @@ def test_silver_summary_matches_selected_scores():
 
 
 def test_teacher_top_k_selects_higher_silver_than_random():
-    pool, tr, val, test = small_setup(pool_size=60, gold_size=30)
-    top = run_augmentation(tr, val, test, base_config(pool, n_cycles=3, k_per_cycle=5))
-    rand = run_augmentation(
-        tr, val, test, base_config(pool, selection=SELECTION_RANDOM_K, n_cycles=3, k_per_cycle=5)
-    )
+    pool, table, split = small_setup(pool_size=60, gold_size=30)
+    top = run_augmentation(table, split, base_config(pool, n_cycles=3, k_per_cycle=5))
+    rand = run_augmentation(table, split, base_config(pool, selection=SELECTION_RANDOM_K, n_cycles=3, k_per_cycle=5))
     for t_log, r_log in zip(top, rand):
         assert t_log.silver_mean >= r_log.silver_mean
 
 
 
 def test_models_are_closed_when_a_cycle_fails(scorer_processes):
-    pool, tr, val, test = small_setup()
-    poison = test[1][0]  # the scorer never answers this one test text, so the student's evaluation fails
-    assert [text for text in (*pool.target_texts, *tr[1], *val[1], *test[1]) if poison in text] == [poison]
+    pool, table, split = small_setup()
+    # the scorer never answers this one test text, so the student's evaluation fails
+    poison = table.posts.target_texts[split[2][0]]
+    assert [text for text in (*pool.target_texts, *table.posts.target_texts) if poison in text] == [poison]
     endpoint = ScorerEndpoint(command=toy_scorer_command("--drop-substring", poison), timeout=0.3)
     config = base_config(pool, family="external", train_config=TrainConfig(external=endpoint))
     with pytest.raises(PredictionError, match="failed on 1 inputs"):
-        run_augmentation(tr, val, test, config)
+        run_augmentation(table, split, config)
     assert len(scorer_processes) == 2  # teacher and student; the fixture checks that neither outlives the test

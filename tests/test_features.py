@@ -128,11 +128,9 @@ def test_tokens_read_as_their_texts_and_featurize_as_them(monkeypatch):
     other = tokenize(["f a z"], UNIGRAM)
     assert transform_many(vocab, texts).shape == (4, len(vocab))  # numbers the vocabulary's terms
     later = tokenize(["z b a", "q c c", "a b"], UNIGRAM)  # words first numbered after that
-    for subset in (tokens.take([3, 0]), tokens[1:], features.join([tokens.take([2]), other, tokens[:1]]), later):
+    for subset in (tokens.take([3, 0]), tokens[1:], other, later):
         got, want = transform_many(vocab, subset), transform_many(vocab, list(subset))
         assert (got != want).nnz == 0 and got.data.tobytes() == want.data.tobytes()
-    assert list(features.join([tokens[1:2], other])) == ["c a", "f a z"]
-    assert features.join([tokens[1:], tokens[:1]]).ids is tokens.ids  # parts of one call: not split again
 
 
 def test_tokens_split_under_another_lowercase_setting_are_split_again():

@@ -13,7 +13,7 @@ from ctxsens import analysis, evaluation, models
 from ctxsens.augmentation import AugmentationConfig, run_augmentation
 from ctxsens.models import TrainConfig, train
 
-from helpers import csr, planted_examples, post_table
+from helpers import csr, delta_table, planted_examples, post_table
 from oracles import (
     dense_node_split,
     pairwise_auc,
@@ -235,8 +235,8 @@ def test_augmentation_conservation(seed, k, cycles):
         seed=seed,
         selection="random_k" if seed % 2 else "teacher_top_k",
     )
-    gold = [(ids[part], texts[part], targets[part]) for part in (slice(0, 4), slice(4, 5), slice(5, None))]
-    logs = run_augmentation(*gold, config)
+    gold = delta_table(post_table(zip(ids, texts)), targets)
+    logs = run_augmentation(gold, (np.arange(4), np.array([4]), np.array([5])), config)
     for t, log in enumerate(logs, start=1):
         assert log.train_size == 4 + t * k
         assert log.pool_size == len(pool) - t * k
