@@ -1,4 +1,4 @@
-"""Class-ratio estimation, parent-utility summaries, and the paired bootstrap."""
+"""Parent-utility summaries and the paired bootstrap."""
 
 from __future__ import annotations
 
@@ -12,13 +12,6 @@ from .corpus import AnnotationTable
 
 DIRECTION_A_GREATER = "a_greater"
 DIRECTION_B_GREATER = "b_greater"
-
-
-def class_ratio(table: SensitivityTable) -> float:
-    """Fraction of posts flagged context-sensitive."""
-    if not len(table):
-        raise ValueError("no records")
-    return int(np.count_nonzero(table.is_sensitive)) / len(table)
 
 
 @dataclass(frozen=True)

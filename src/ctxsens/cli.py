@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import aggregation, analysis, evaluation
-from .corpus import CorpusError, load_bool_column, load_bundle, load_posts, read_lines, write_csv, write_jsonl
+from .corpus import CorpusError, OutputError, load_bool_column, load_bundle, load_posts, read_lines, write_csv, write_jsonl
 from .manifest import build_manifest, write_json, write_manifest
 from .scorer import ScorerEndpoint, ScorerError
 
@@ -255,6 +255,8 @@ def _run(name: str, args: argparse.Namespace, argv: Sequence[str]) -> None:
     if command.model:
         run.train_config = _train_config(resolved, file_config, run.endpoint)
     command.run(run)
+    if args.config is not None:  # the manifest fingerprints the config file with the inputs
+        inputs["config"] = Path(args.config)
     seeds = {command.seed: resolved["seed"]} if command.seed else {}
     write_manifest(run.out_dir, build_manifest(name, argv, resolved, seeds, inputs, run.outputs, run.timings))
 
@@ -576,7 +578,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (CliValidationError, CorpusError, evaluation.MetricError, TrainingError, FeatureError, AugmentationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ScorerError, ModelPersistenceError, PredictionError, OSError) as exc:
+    except (ScorerError, ModelPersistenceError, PredictionError, OutputError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except Exception:

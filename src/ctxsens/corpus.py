@@ -78,6 +78,10 @@ class EmptyJudgmentsError(CorpusError):
     pass
 
 
+class OutputError(RuntimeError):
+    """A value that JSON cannot hold, NaN or an infinity, bound for an output file."""
+
+
 @dataclass(frozen=True)
 class PostTable:
     """Posts as read-only columns, row i being post post_ids[i] with its
@@ -406,11 +410,23 @@ def load_bundle(
     return DatasetBundle(posts, ic, oc)
 
 
+def _json(path: Path, obj, indent: int | None = None) -> str:
+    try:
+        return json.dumps(obj, indent=indent, ensure_ascii=False, allow_nan=False)
+    except ValueError as exc:  # a NaN or an infinity
+        raise OutputError(f"{path}: {exc}") from None
+
+
+def write_json(path: Path, obj) -> None:
+    """Indented JSON, UTF-8, non-ASCII kept as is."""
+    path.write_text(_json(path, obj, indent=2) + "\n", encoding="utf-8")
+
+
 def write_jsonl(path: Path, objs: Iterable[dict]) -> None:
     """One JSON object per line, UTF-8, non-ASCII kept as is."""
     with path.open("w", encoding="utf-8") as handle:
         for obj in objs:
-            handle.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            handle.write(_json(path, obj) + "\n")
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import hashlib
-import json
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import __version__
+from .corpus import write_json
 
 MANIFEST_NAME = "manifest.json"
 
@@ -50,11 +50,6 @@ def build_manifest(
     if timings is not None:
         manifest["timings"] = dict(timings)
     return manifest
-
-
-def write_json(path: Path, obj) -> None:
-    """Indented JSON, UTF-8, non-ASCII kept as is."""
-    path.write_text(json.dumps(obj, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
 
 
 def write_manifest(out_dir: str | Path, manifest: Mapping) -> Path:

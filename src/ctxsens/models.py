@@ -434,6 +434,7 @@ def _validation_mse(weights: np.ndarray, bias: float, matrix, y: np.ndarray) -> 
     return float(np.mean((preds - y) ** 2))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverging epoch is a TrainingError below, not a warning
 def _fit_linear_svr(
     matrix: sparse.csr_matrix,
     y: np.ndarray,
@@ -444,7 +445,8 @@ def _fit_linear_svr(
     """Mini-batch subgradient descent on
     ||w||^2 / (2 C n) + (1/n) sum_i max(0, |y_i - f(x_i)| - eps),
     with an epoch-level 1/t learning-rate decay and epoch-level early stopping
-    on validation MSE (patience from config). Returns the best snapshot.
+    on validation MSE (patience from config). Returns the best snapshot; an
+    epoch that ends with weights or bias not finite is a TrainingError.
 
     The weights are kept as scale * v (Shalev-Shwartz et al., ICML 2007;
     Bottou 2010), so a batch's L2 decay is one scalar multiply and a batch
@@ -486,15 +488,20 @@ def _fit_linear_svr(
                 scale = 1.0
             np.subtract.at(v, col, (lr / ((stop - start) * scale)) * val * coef[row])
             bias -= lr * (float(coef.sum()) / (stop - start))
+        weights = scale * v
+        if not (np.isfinite(weights).all() and math.isfinite(bias)):
+            raise TrainingError(
+                f"linear_svr diverged at epoch {epoch}: its weights or bias are not finite; "
+                f"lower svr_learning_rate ({config.svr_learning_rate!r})"
+            )
         if has_val:
-            weights = scale * v
             history.append(_validation_mse(weights, bias, val_matrix, val_y))
             if history[-1] < best[0]:
                 best = (history[-1], weights, bias, epoch)
             elif epoch - best[3] >= config.patience:
                 break
 
-    _, weights, bias, best_epoch = best if has_val else (None, scale * v, bias, epoch)
+    _, weights, bias, best_epoch = best if has_val else (None, weights, bias, epoch)
     return weights, bias, {"epochs_run": epoch, "best_epoch": best_epoch, "validation_mse_history": history}
 
 
@@ -731,6 +738,8 @@ def train(
 
     if family == FAMILY_RIDGE:
         weights, bias, extras = _solve_ridge(matrix, y, config.ridge_lambda, config.ridge_tol, config.ridge_max_iter)
+        if not (np.isfinite(weights).all() and math.isfinite(bias)):
+            raise TrainingError(f"ridge gave weights or bias that are not finite under {metadata.hyperparameters}")
     else:
         weights, bias, extras = _fit_linear_svr(matrix, y, val_matrix, val_y, config)
     return LinearModel(family, weights, bias, replace(metadata, extras=extras), vocab, dimension)
@@ -781,7 +790,10 @@ def save_model(model: Model, path: str | Path) -> None:
         "vocabulary": model.vocab.to_json() if model.vocab is not None else None,
         "dimension": model.dimension,
     }
-    meta_bytes = json.dumps(metadata, ensure_ascii=False, sort_keys=True).encode("utf-8")
+    try:
+        meta_bytes = json.dumps(metadata, ensure_ascii=False, sort_keys=True, allow_nan=False).encode("utf-8")
+    except ValueError as exc:  # a NaN or an infinity, which JSON cannot hold
+        raise ModelPersistenceError(f"{path}: {exc}") from None
     family_bytes = model.family.encode("utf-8")
     params = _pack_arrays(model._param_arrays())
 
@@ -807,8 +819,8 @@ def _tree_problem(tree: _Tree, dimension: int | None) -> str | None:
         return "node arrays must be one-dimensional, non-empty and of equal length"
     if any(not np.issubdtype(a.dtype, np.integer) for a in (tree.feature, tree.left, tree.right)):
         return "feature, left and right must be integer arrays"
-    if any(not np.issubdtype(a.dtype, np.floating) for a in (tree.threshold, tree.value)):
-        return "threshold and value must be real floating arrays"
+    if any(not (np.issubdtype(a.dtype, np.floating) and np.isfinite(a).all()) for a in (tree.threshold, tree.value)):
+        return "threshold and value must be finite real floating arrays"
     internal = tree.feature >= 0
     if (tree.feature[~internal] != -1).any():
         return "a leaf must have feature -1"
@@ -864,8 +876,8 @@ def _decode(body: bytes, path: str | Path) -> Model:
         return UniformRandomModel(metadata)
     if family in (FAMILY_RIDGE, FAMILY_LINEAR_SVR):
         weights, bias = arrays["weights"], arrays["bias"]
-        if not all(np.issubdtype(a.dtype, np.floating) for a in (weights, bias)):
-            raise ModelPersistenceError(f"{path}: weights and bias must be real floating arrays")
+        if not all(np.issubdtype(a.dtype, np.floating) and np.isfinite(a).all() for a in (weights, bias)):
+            raise ModelPersistenceError(f"{path}: weights and bias must be finite real floating arrays")
         if weights.shape != (dimension,) or bias.shape != (1,):
             shapes = f"weights of shape {weights.shape} and bias of shape {bias.shape}"
             raise ModelPersistenceError(f"{path}: {shapes} for dimension {dimension!r}")

@@ -10,7 +10,6 @@ from ctxsens.analysis import (
     DIRECTION_B_GREATER,
     paired_bootstrap,
     parent_utility,
-    class_ratio,
 )
 from ctxsens.corpus import Condition, Label
 
@@ -18,39 +17,8 @@ from helpers import annotation_table, record_with_delta, sensitivity_table
 from oracles import exact_bootstrap_p, per_resample_bootstrap_p
 
 
-def records_with_ratio(n_sensitive: int, n_total: int):
-    return sensitivity_table(record_with_delta(0.9 if i < n_sensitive else 0.0, f"p{i:04d}") for i in range(n_total))
-
-
 def deltas_table(*deltas):
     return sensitivity_table(record_with_delta(d, f"p{i}") for i, d in enumerate(deltas))
-
-
-# --- class ratio -------------------------------------------------------------------
-
-
-def test_class_ratio_matches_reported_fractions():
-    assert class_ratio(records_with_ratio(99, 250)) == pytest.approx(0.396)
-    assert class_ratio(records_with_ratio(43, 250)) == pytest.approx(0.172)
-
-
-def test_class_ratio_all_insensitive_is_zero():
-    assert class_ratio(records_with_ratio(0, 10)) == 0.0
-
-
-def test_class_ratio_empty_is_an_error():
-    with pytest.raises(ValueError):
-        class_ratio(sensitivity_table([]))
-
-
-@pytest.mark.property
-@given(st.lists(st.booleans(), min_size=1, max_size=50), st.randoms(use_true_random=False))
-def test_class_ratio_in_unit_interval_and_permutation_invariant(flags, rnd):
-    rows = [record_with_delta(0.9 if f else 0.0, f"p{i}") for i, f in enumerate(flags)]
-    value = class_ratio(sensitivity_table(rows))
-    assert 0.0 <= value <= 1.0
-    rnd.shuffle(rows)
-    assert class_ratio(sensitivity_table(rows)) == value
 
 
 # --- parent utility ------------------------------------------------------------------

@@ -2,7 +2,9 @@ import ast
 import csv
 import hashlib
 import json
+import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -14,6 +16,7 @@ import numpy as np
 
 from ctxsens.cli import COMMANDS, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, _build_parser, main
 from ctxsens import models
+from ctxsens.corpus import OutputError, write_json
 from ctxsens.models import load_model
 from ctxsens.scorer import transport_fingerprint
 
@@ -660,6 +663,34 @@ def test_non_utf8_input_is_validation_error_naming_its_line(tmp_path, corpus_fil
     assert code == EXIT_VALIDATION
     assert f"{bad}:2: not UTF-8: byte 0xe9 at column 4" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("val_fraction", ["0", "0.1"])
+def test_diverging_svr_is_a_training_error_naming_the_epoch(tmp_path, sensitivity_file, capsys, val_fraction):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"svr_learning_rate": 1e300, "svr_max_epochs": 5, "features": {"min_df": 1}}))
+    line = f"train --family svr --data {sensitivity_file} --config {config} --val-fraction {val_fraction}"
+    assert main(_args(f"{line} --out {tmp_path}/model")) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and re.fullmatch(
+        r"error: linear_svr diverged at epoch \d: its weights or bias are not finite; "
+        r"lower svr_learning_rate \(1e\+300\)",
+        err[0],
+    ), err
+    assert not (tmp_path / "model").exists()
+
+
+def test_a_non_finite_output_is_a_runtime_error_naming_the_file(tmp_path, sensitivity_file, capsys, monkeypatch):
+    pool, _ = planted_posts(5, seed=5, id_prefix="pool")
+    save_posts(pool, tmp_path / "pool.jsonl")
+    assert main(_args(f"train --family constant --data {sensitivity_file} --out {tmp_path}/model")) == EXIT_OK
+    monkeypatch.setattr(models.Model, "predict_batch", lambda model, texts: np.full(len(texts), np.nan))
+    line = f"sample --model {tmp_path}/model/model.bin --pool {tmp_path}/pool.jsonl --k 2 --out {tmp_path}/s"
+    assert main(_args(line)) == EXIT_RUNTIME
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"runtime error: {tmp_path}/s/selected.jsonl: "), err
+    with pytest.raises(OutputError, match=f"^{re.escape(str(tmp_path))}/x.json: "):
+        write_json(tmp_path / "x.json", {"p_value": math.inf})
 
 
 def test_corrupt_model_file_is_runtime_error(tmp_path, sensitivity_file, capsys):

@@ -466,6 +466,17 @@ def _with_metadata(**fields):
     return lambda meta, arrays: (json.dumps(json.loads(meta) | fields).encode("utf-8"), arrays)
 
 
+def _with_last(name: str, value: float):
+    """An edit that sets the last entry of the named parameter array."""
+
+    def edit(meta: bytes, arrays: dict) -> tuple:
+        array = arrays[name].copy()
+        array[-1] = value
+        return meta, {**arrays, name: array}
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "family, edit",
     [
@@ -493,12 +504,18 @@ def _with_metadata(**fields):
         # parameters that are not real floating-point numbers
         ("random_forest", lambda meta, arrays: (meta, {**arrays, "t0_threshold": arrays["t0_threshold"].astype(str)})),
         ("ridge", lambda meta, arrays: (meta, {**arrays, "weights": arrays["weights"] + 1j})),
+        # parameters that are NaN or infinite
+        ("ridge", _with_last("weights", np.nan)),
+        ("linear_svr", _with_last("bias", np.inf)),
+        ("random_forest", _with_last("t0_threshold", np.nan)),
+        ("random_forest", _with_last("t0_value", -np.inf)),
     ],
     ids=[
         "no_n_trees", "n_trees_text", "n_trees_past_arrays", "n_trees_zero", "arrays_past_n_trees", "no_weights",
         "metadata_not_json", "weights_cut", "weights_2d", "two_biases", "vocabulary_wider",
         "vocabulary_narrower", "term_not_text", "column_negative", "column_shared", "df_negative", "df_fraction",
-        "n_documents_zero", "threshold_text", "weights_complex",
+        "n_documents_zero", "threshold_text", "weights_complex", "weights_nan", "bias_inf", "threshold_nan",
+        "value_inf",
     ],
 )
 def test_malformed_model_contents_are_a_runtime_error_naming_the_file(tmp_path, capsys, family, edit):
@@ -515,6 +532,12 @@ def test_malformed_model_contents_are_a_runtime_error_naming_the_file(tmp_path, 
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"runtime error: {path}: "), err
     assert not (tmp_path / "out").exists()
+
+
+def test_ridge_weights_not_finite_are_a_training_error(monkeypatch):
+    monkeypatch.setattr(models, "_solve_ridge", lambda matrix, *_: (np.full(matrix.shape[1], np.nan), 0.0, {}))
+    with pytest.raises(TrainingError, match="^ridge gave weights or bias that are not finite under {'ridge_lambda': 1.0"):
+        train("ridge", *random_dataset(seed=0))
 
 
 @pytest.mark.parametrize("family", models.FAMILIES)
