@@ -120,25 +120,27 @@ def run_augmentation(
         plan = [config.k_per_cycle] * config.n_cycles
 
     logs: list[CycleLog] = []
-    teacher = student = train(config.family, texts.take(train_rows), train_targets, validation, config.train_config)
+    model = train(config.family, texts.take(train_rows), train_targets, validation, config.train_config)
     try:
         for cycle, k in enumerate(plan):
             started = time.perf_counter()
             left = pool.take(remaining)
             if config.selection == SELECTION_TEACHER_TOP_K:
-                silver = teacher.predict_batch(texts.take(pool_first + remaining))
+                silver = model.predict_batch(texts.take(pool_first + remaining))
                 chosen = select_top_k(left.post_ids, silver, k)
             else:  # only the picks are scored
                 rng = np.random.default_rng(np.random.SeedSequence([config.seed, cycle]))
                 chosen, silver = np.sort(rng.choice(len(left), size=k, replace=False)), np.zeros(len(left))
-                silver[chosen] = teacher.predict_batch(texts.take(pool_first + remaining[chosen]))
+                silver[chosen] = model.predict_batch(texts.take(pool_first + remaining[chosen]))
             picked = np.sort(chosen)  # training rows join in pool order
             train_rows = np.concatenate([train_rows, pool_first + remaining[picked]])
             train_targets += silver[picked].tolist()
             remaining = np.delete(remaining, chosen)
 
-            student = train(config.family, texts.take(train_rows), train_targets, validation, config.train_config)
-            predictions = student.predict_batch(test_texts)
+            model.close()  # the teacher is let go before its student trains
+            model = None
+            model = train(config.family, texts.take(train_rows), train_targets, validation, config.train_config)
+            predictions = model.predict_batch(test_texts)
             scores = silver[chosen].tolist()
             logs.append(
                 CycleLog(
@@ -156,9 +158,7 @@ def run_augmentation(
                     wall_clock_seconds=time.perf_counter() - started,
                 )
             )
-            teacher.close()
-            teacher = student
     finally:  # on an error too, no model is left holding a scorer open
-        teacher.close()
-        student.close()
+        if model is not None:
+            model.close()
     return logs

@@ -373,6 +373,9 @@ def _train(run: Run) -> None:
         models.save_model(model, run.out("model.bin"))
     finally:
         model.close()
+    if model.metadata.extras.get("converged") is False:  # ridge stopped at ridge_max_iter, or CG broke down
+        warning = "warning: ridge stopped short of ridge_tol after {iterations} iterations, residual norm {residual_norm:.6g}"
+        print(warning.format(**model.metadata.extras), file=sys.stderr)
 
 
 def _evaluate(run: Run) -> None:

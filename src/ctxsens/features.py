@@ -14,9 +14,9 @@ holds no process-wide state.
 One numbering of n-grams, _ngrams, serves fit and transform: an n-gram is
 numbered as the pair (number of its first n - 1 words, id of its last word),
 one length at a time, so keys stay within int64 for any ngram_max. A fit
-numbers its corpus; a transform numbers each block together with the
-vocabulary's terms, and a block's n-gram takes the column of the term with
-its number.
+numbers its corpus; a transform numbers each block of _NUMBERING_ROWS rows
+together with the vocabulary's terms, and a block's n-gram takes the column
+of the term with its number.
 """
 
 from __future__ import annotations
@@ -41,9 +41,11 @@ _ASCII_BREAKS = str.maketrans({chr(c): " " for c in range(128) if not chr(c).isa
 
 VOCABULARY_FORMAT_VERSION = 1
 
-# Rows featurized together; bounds the temporary arrays of transform_many and
-# the rows that score_in_parts featurizes and scores at once.
+# Rows that score_in_parts scores at once (bounds the matrix a score gets),
+# and plain texts that transform_many splits and maps to the vocabulary at once.
 _BLOCK_ROWS = 8192
+# Rows whose n-grams transform_many numbers together: bounds its temporaries.
+_NUMBERING_ROWS = 2048
 
 
 class EmptyVocabularyError(FeatureError):
@@ -88,7 +90,7 @@ class Tokens:
 
     def __getitem__(self, rows):
         """A text, or for a slice the Tokens of those rows."""
-        return self.take(np.arange(len(self))[rows]) if isinstance(rows, slice) else self.texts[rows]
+        return self.take(np.arange(*rows.indices(len(self)))) if isinstance(rows, slice) else self.texts[rows]
 
     def take(self, rows) -> Tokens:
         """The rows (row indices), in that order."""
@@ -125,7 +127,8 @@ def score_in_parts(vocab: Vocabulary, texts: Sequence[str] | Tokens, score: Call
     """score(block) for each block of _BLOCK_ROWS rows of texts, joined in
     order. The blocks are dealt out in contiguous parts, one per forked
     process (see _fork.bounds); a forked part sends back only its scores.
-    The vocabulary's terms are numbered first, so no part numbers its own."""
+    The vocabulary's terms are numbered first, so no part numbers its own. A
+    score's transform numbers its block _NUMBERING_ROWS rows at a time."""
     vocab._numbered_terms()
     ends = _fork.bounds(len(texts), len(texts))
 
@@ -136,16 +139,23 @@ def score_in_parts(vocab: Vocabulary, texts: Sequence[str] | Tokens, score: Call
     return np.concatenate(_fork.run(part, len(ends) - 1))
 
 
-def _kept(tokens: Tokens, config: FeatureConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The ids of the words of tokens that config keeps, end to end, and the row of each."""
-    counts, words = tokens.counts, tokens.words
-    ids = tokens.ids[np.arange(counts.sum()) + np.repeat(tokens.starts - np.cumsum(counts) + counts, counts)]
-    row = np.repeat(np.arange(len(counts)), counts)
-    keep = np.fromiter(map(len, words), dtype=np.int64, count=len(words)) >= config.min_token_len  # per word
+def _word_map(words: Sequence[str], config: FeatureConfig, index: dict[str, int] | None = None) -> np.ndarray:
+    """Each word's number in index (len(index) if not there; without an index,
+    its place in words), or -1 where config drops it (too short, a stopword)."""
+    number = np.arange(len(words)) if index is None else np.fromiter(
+        map(index.get, words, itertools.repeat(len(index))), dtype=np.int64, count=len(words))
+    keep = np.fromiter(map(len, words), dtype=np.int64, count=len(words)) >= config.min_token_len
     if config.stopwords:
         keep &= ~np.fromiter(map(set(config.stopwords).__contains__, words), dtype=bool, count=len(words))
-    keep = keep[ids]
-    return ids[keep].astype(np.int64), row[keep]
+    return np.where(keep, number, -1)
+
+
+def _kept(tokens: Tokens, word_map: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """word_map of each word of tokens that it does not mark -1, end to end, and the row of each."""
+    counts = tokens.counts
+    ids = word_map[tokens.ids[np.arange(counts.sum()) + np.repeat(tokens.starts - np.cumsum(counts) + counts, counts)]]
+    keep = ids >= 0
+    return ids[keep], np.repeat(np.arange(len(counts)), counts)[keep]
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -167,7 +177,13 @@ def _ngrams(ids: np.ndarray, row: np.ndarray, n_max: int, radix: int) -> Iterato
         start = np.flatnonzero(row[: max(len(row) - n + 1, 0)] == row[n - 1 :])
         if not len(start):
             return
-        pairs, key[start] = np.unique(key[start] * radix + ids[start + n - 1], return_inverse=True)
+        pairs = key[start] * radix + ids[start + n - 1]
+        order = np.argsort(pairs)
+        pairs = pairs[order]
+        first = np.concatenate(([True], pairs[1:] != pairs[:-1]))  # of each distinct pair
+        key[start[order]] = np.cumsum(first) - 1  # np.unique's inverse, holding fewer start-sized arrays
+        pairs = pairs[first]
+        del order
         yield start, key, len(pairs), pairs
         del start, pairs  # not held while the next length is numbered
 
@@ -186,9 +202,10 @@ class Vocabulary:
         self.doc_freq = dict(doc_freq)
         self.n_documents = n_documents
         self.config = config
+        df, inverse = np.unique([self.doc_freq[term] for term in self.term_index], return_inverse=True)
+        idf = [math.log((1.0 + n_documents) / (1.0 + d)) + 1.0 for d in df.tolist()]  # one log per distinct df
         self._idf = np.zeros(len(self.term_index))
-        for term, idx in self.term_index.items():
-            self._idf[idx] = math.log((1.0 + n_documents) / (1.0 + self.doc_freq[term])) + 1.0
+        self._idf[list(self.term_index.values())] = np.array(idf)[inverse]
         self._terms: tuple | None = None
 
     def _numbered_terms(self) -> tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray]:
@@ -256,7 +273,7 @@ def fit_vocabulary(texts: Sequence[str] | Tokens, config: FeatureConfig | None =
     if not texts:
         raise FeatureError("texts must be nonempty")
     tokens = tokenize(texts, config)
-    words, row = _kept(tokens, config)
+    words, row = _kept(tokens, _word_map(tokens.words, config))
     if not len(words):
         raise EmptyVocabularyError("corpus is empty after tokenization")
     n_rows, names = len(texts), tokens.words
@@ -282,17 +299,16 @@ def fit_vocabulary(texts: Sequence[str] | Tokens, config: FeatureConfig | None =
     return Vocabulary(term_index, doc_freq, n_documents=len(texts), config=config)
 
 
-def _cells(vocab: Vocabulary, block: Tokens) -> np.ndarray:
+def _cells(vocab: Vocabulary, block: Tokens, word_map: np.ndarray) -> np.ndarray:
     """row * dimension + column of every in-vocabulary n-gram occurrence in
-    block. The block's kept words and the vocabulary's terms, each term a row
-    of its own after the block's, are numbered together by _ngrams, the
-    vocabulary's words as 0..w-1 and every other word as w; a block n-gram
-    takes the column of the term that gets its number."""
+    block. The block's kept words (word_map, by _word_map) and the vocabulary's
+    terms, each term a row of its own after the block's, are numbered together
+    by _ngrams, the vocabulary's words as 0..w-1 and every other word as w; a
+    block n-gram takes the column of the term that gets its number."""
     index, term_words, term_length, term_column = vocab._numbered_terms()
-    ids, row = _kept(block, vocab.config)
-    local = np.fromiter(map(index.get, block.words, itertools.repeat(len(index))), dtype=np.int64, count=len(block.words))
+    ids, row = _kept(block, word_map)
     n_block, term_first = len(ids), len(ids) + np.cumsum(term_length) - term_length  # each term's first word
-    ids = np.concatenate([local[ids], term_words])
+    ids = np.concatenate([ids, term_words])
     row = np.concatenate([row, len(block) + np.repeat(np.arange(len(term_length)), term_length)])
     cells = []
     for n, (start, key, n_keys, pairs) in enumerate(_ngrams(ids, row, vocab.config.ngram_max, len(index) + 1), 1):
@@ -311,30 +327,38 @@ def transform_many(vocab: Vocabulary, texts: Sequence[str] | Tokens) -> sparse.c
 
     Out-of-vocabulary terms are ignored; a text with no in-vocabulary term
     gives an empty row. Each row's squared weights are summed in column order
-    from zero, by a CSR matrix-vector product. Tokens split under another
-    lowercase setting than the vocabulary's are split again. Each block of
-    _BLOCK_ROWS texts is numbered together with the vocabulary's terms.
+    from zero, by a CSR matrix-vector product. The words of Tokens are mapped
+    to the vocabulary's words once per call; plain texts, and Tokens split
+    under another lowercase setting than the vocabulary's, are split and
+    mapped _BLOCK_ROWS texts at a time. Each block of _NUMBERING_ROWS texts
+    is numbered together with the vocabulary's terms.
     """
     config, dimension = vocab.config, vocab.dimension
     ones = np.ones(dimension)
     indices, data, lengths = [np.zeros(0, dtype=np.int64)], [np.zeros(0)], [np.zeros(0, dtype=np.int64)]
-    for first in range(0, len(texts), _BLOCK_ROWS):
-        block = tokenize(texts[first : first + _BLOCK_ROWS], config)
-        cells, tf = np.unique(_cells(vocab, block), return_counts=True)
-        row, col = np.divmod(cells, dimension)
-        if config.sublinear_tf:
-            distinct, inverse = np.unique(tf, return_inverse=True)
-            weight = np.array([1.0 + math.log(t) for t in distinct.tolist()])[inverse]
-        else:
-            weight = tf.astype(np.float64)
-        weight *= vocab._idf[col]
-        length = np.bincount(row, minlength=len(block))
-        indptr = np.concatenate([[0], np.cumsum(length)])
-        squares = sparse.csr_matrix((weight * weight, col, indptr), shape=(len(block), dimension)) @ ones
-        weight /= np.sqrt(squares)[row]
-        indices.append(col)
-        data.append(weight)
-        lengths.append(length)
+    if isinstance(texts, Tokens) and texts.lowercase == config.lowercase:
+        parts = [texts]
+    else:
+        parts = (tokenize(texts[first : first + _BLOCK_ROWS], config) for first in range(0, len(texts), _BLOCK_ROWS))
+    for part in parts:
+        word_map = _word_map(part.words, config, vocab._numbered_terms()[0])
+        for first in range(0, len(part), _NUMBERING_ROWS):
+            block = part[first : first + _NUMBERING_ROWS]
+            cells, tf = np.unique(_cells(vocab, block, word_map), return_counts=True)
+            row, col = np.divmod(cells, dimension)
+            if config.sublinear_tf:
+                distinct, inverse = np.unique(tf, return_inverse=True)
+                weight = np.array([1.0 + math.log(t) for t in distinct.tolist()])[inverse]
+            else:
+                weight = tf.astype(np.float64)
+            weight *= vocab._idf[col]
+            length = np.bincount(row, minlength=len(block))
+            indptr = np.concatenate([[0], np.cumsum(length)])
+            squares = sparse.csr_matrix((weight * weight, col, indptr), shape=(len(block), dimension)) @ ones
+            weight /= np.sqrt(squares)[row]
+            indices.append(col)
+            data.append(weight)
+            lengths.append(length)
     indptr = np.concatenate([[0], np.cumsum(np.concatenate(lengths))])
     return sparse.csr_matrix(
         (np.concatenate(data), np.concatenate(indices), indptr), shape=(len(texts), dimension)

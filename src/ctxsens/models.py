@@ -871,7 +871,10 @@ def _decode(body: bytes, path: str | Path) -> Model:
         raise ModelPersistenceError(f"{path}: dimension is {dimension!r} for a vocabulary of {vocab.dimension} terms")
 
     if family == FAMILY_CONSTANT_MEAN:
-        return ConstantMeanModel(float(arrays["mean"][0]), metadata)
+        mean = arrays["mean"]
+        if mean.shape != (1,) or not (np.issubdtype(mean.dtype, np.floating) and np.isfinite(mean).all()):
+            raise ModelPersistenceError(f"{path}: mean must be one finite real float")
+        return ConstantMeanModel(float(mean[0]), metadata)
     if family == FAMILY_UNIFORM_RANDOM:
         return UniformRandomModel(metadata)
     if family in (FAMILY_RIDGE, FAMILY_LINEAR_SVR):

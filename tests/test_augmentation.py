@@ -1,9 +1,10 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
 
-from ctxsens import models
+from ctxsens import augmentation, models
 from ctxsens.augmentation import (
     SELECTION_RANDOM_K,
     SELECTION_TEACHER_TOP_K,
@@ -221,6 +222,31 @@ def test_teacher_top_k_selects_higher_silver_than_random():
     for t_log, r_log in zip(top, rand):
         assert t_log.silver_mean >= r_log.silver_mean
 
+
+
+def test_the_teacher_is_closed_and_let_go_before_its_student_trains(monkeypatch):
+    pool, table, split = small_setup()
+    made, closed = [], []  # weak references to the models trained, and the places of those closed
+    close = models.Model.close
+
+    def tracked_close(model):
+        closed.append([ref() for ref in made].index(model))
+        close(model)
+
+    def tracked_train(*args):
+        assert closed == list(range(len(made)))  # every earlier model is closed
+        assert all(ref() is None for ref in made)  # and nothing holds it
+        model = train(*args)
+        made.append(weakref.ref(model))
+        return model
+
+    monkeypatch.setattr(models.Model, "close", tracked_close)
+    monkeypatch.setattr(augmentation, "train", tracked_train)
+    for selection in (SELECTION_TEACHER_TOP_K, SELECTION_RANDOM_K):
+        made.clear()
+        closed.clear()
+        run_augmentation(table, split, base_config(pool, selection=selection, n_cycles=3))
+        assert closed == [0, 1, 2, 3]
 
 
 def test_models_are_closed_when_a_cycle_fails(scorer_processes):

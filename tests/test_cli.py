@@ -317,6 +317,20 @@ def test_readme_walkthrough_parses():
         parser.parse_args(argv[1:])
 
 
+def test_train_warns_when_ridge_stops_short(tmp_path, sensitivity_file, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"ridge_max_iter": 1}), encoding="utf-8")
+    assert main(_args(f"train --family ridge --data {sensitivity_file} --config {config} --out {tmp_path}/short")) == EXIT_OK
+    err = capsys.readouterr().err.splitlines()
+    extras = load_model(tmp_path / "short" / "model.bin").metadata.extras
+    assert extras["converged"] is False and extras["iterations"] == 1
+    want = f"warning: ridge stopped short of ridge_tol after 1 iterations, residual norm {extras['residual_norm']:.6g}"
+    assert err == [want]
+    assert main(_args(f"train --family ridge --data {sensitivity_file} --out {tmp_path}/full")) == EXIT_OK
+    assert load_model(tmp_path / "full" / "model.bin").metadata.extras["converged"] is True
+    assert capsys.readouterr().err == ""
+
+
 def test_train_records_resolved_config(tmp_path, sensitivity_file):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"seed": 3}), encoding="utf-8")

@@ -509,13 +509,15 @@ def _with_last(name: str, value: float):
         ("linear_svr", _with_last("bias", np.inf)),
         ("random_forest", _with_last("t0_threshold", np.nan)),
         ("random_forest", _with_last("t0_value", -np.inf)),
+        ("constant_mean", _with_last("mean", np.nan)),
+        ("constant_mean", _with_last("mean", np.inf)),
     ],
     ids=[
         "no_n_trees", "n_trees_text", "n_trees_past_arrays", "n_trees_zero", "arrays_past_n_trees", "no_weights",
         "metadata_not_json", "weights_cut", "weights_2d", "two_biases", "vocabulary_wider",
         "vocabulary_narrower", "term_not_text", "column_negative", "column_shared", "df_negative", "df_fraction",
         "n_documents_zero", "threshold_text", "weights_complex", "weights_nan", "bias_inf", "threshold_nan",
-        "value_inf",
+        "value_inf", "mean_nan", "mean_inf",
     ],
 )
 def test_malformed_model_contents_are_a_runtime_error_naming_the_file(tmp_path, capsys, family, edit):
