@@ -331,11 +331,13 @@ def transform_many(vocab: Vocabulary, texts: Sequence[str] | Tokens) -> sparse.c
     to the vocabulary's words once per call; plain texts, and Tokens split
     under another lowercase setting than the vocabulary's, are split and
     mapped _BLOCK_ROWS texts at a time. Each block of _NUMBERING_ROWS texts
-    is numbered together with the vocabulary's terms.
+    is numbered together with the vocabulary's terms. Each block keeps its
+    column indices as int32, the dtype the CSR result holds them in, so the
+    joined indices are not copied again.
     """
     config, dimension = vocab.config, vocab.dimension
     ones = np.ones(dimension)
-    indices, data, lengths = [np.zeros(0, dtype=np.int64)], [np.zeros(0)], [np.zeros(0, dtype=np.int64)]
+    indices, data, lengths = [np.zeros(0, dtype=np.int32)], [np.zeros(0)], [np.zeros(0, dtype=np.int64)]
     if isinstance(texts, Tokens) and texts.lowercase == config.lowercase:
         parts = [texts]
     else:
@@ -346,6 +348,7 @@ def transform_many(vocab: Vocabulary, texts: Sequence[str] | Tokens) -> sparse.c
             block = part[first : first + _NUMBERING_ROWS]
             cells, tf = np.unique(_cells(vocab, block, word_map), return_counts=True)
             row, col = np.divmod(cells, dimension)
+            col = col.astype(np.int32)
             if config.sublinear_tf:
                 distinct, inverse = np.unique(tf, return_inverse=True)
                 weight = np.array([1.0 + math.log(t) for t in distinct.tolist()])[inverse]

@@ -616,38 +616,36 @@ def _build_tree(
     n_feature_sample: int,
 ) -> _Tree:
     n_rows, n_features = csc.shape
-    nodes: list[list] = []  # [feature, threshold, left, right, value] of each node
+    nodes: list[list] = [[-1, 0.0, -1, -1, 0.0]]  # [feature, threshold, left, right, value] of each node
     position = np.full(n_rows, -1, dtype=np.int64)
-
-    def new_node() -> int:
-        nodes.append([-1, 0.0, -1, -1, 0.0])
-        return len(nodes) - 1
-
-    def grow(rows: np.ndarray, depth: int, node: int) -> None:
+    # preorder from an explicit stack: a split pushes its right child, then its
+    # left, so the left subtree is grown first and depth costs no recursion
+    stack = [(np.arange(n_rows), 0, 0)]
+    while stack:
+        rows, depth, node = stack.pop()
         y_node = y[rows]
         n_node = len(rows)
         nodes[node][4] = float(y_node.sum() / n_node)
         if n_node < 2 * min_leaf or (max_depth is not None and depth >= max_depth):
-            return
+            continue
         if y_node.max() - y_node.min() <= 0.0:
-            return
+            continue
         candidates = rng.choice(n_features, size=min(n_feature_sample, n_features), replace=False)
         position[rows] = np.arange(n_node)
         best = _best_split(csc, position, y_node, candidates, min_leaf)
         position[rows] = -1
         if best is None:
-            return
+            continue
         _, j, cut = best
         start, end = csc.indptr[j], csc.indptr[j + 1]
         col_values = np.zeros(n_rows)
         col_values[csc.indices[start:end]] = csc.data[start:end]
         go_left = col_values[rows] <= cut
-        rows_left, rows_right = rows[go_left], rows[~go_left]
-        nodes[node][:4] = [j, cut, new_node(), new_node()]
-        grow(rows_left, depth + 1, nodes[node][2])
-        grow(rows_right, depth + 1, nodes[node][3])
+        child = len(nodes)
+        nodes[node][:4] = [j, cut, child, child + 1]
+        nodes += [[-1, 0.0, -1, -1, 0.0], [-1, 0.0, -1, -1, 0.0]]
+        stack += [(rows[~go_left], depth + 1, child + 1), (rows[go_left], depth + 1, child)]
 
-    grow(np.arange(n_rows), 0, new_node())
     feature, threshold, left, right, value = (np.array(column) for column in zip(*nodes))
     return _Tree(feature.astype(np.int32), threshold, left.astype(np.int32), right.astype(np.int32), value)
 

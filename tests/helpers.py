@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,15 @@ TOY_SCORER = Path(__file__).with_name("toy_scorer.py")
 
 def toy_scorer_command(*extra: str) -> tuple[str, ...]:
     return (sys.executable, str(TOY_SCORER), *extra)
+
+
+def traced_peak(function, *args, **kwargs) -> tuple:
+    """(function(*args, **kwargs), the peak bytes tracemalloc traced while it ran)."""
+    tracemalloc.start()
+    try:
+        return function(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def post_table(rows) -> PostTable:

@@ -2,7 +2,6 @@ import json
 import math
 import re
 import shlex
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +24,7 @@ from ctxsens.aggregation import load_examples
 from ctxsens.cli import EXIT_OK, main
 from ctxsens.corpus import load_posts
 
+from helpers import traced_peak
 from oracles import fit_terms, tfidf_rows
 from oracles import tokenize as oracle_tokenize
 from test_golden import _write_inputs
@@ -239,12 +239,7 @@ def test_transform_many_holds_one_numbering_block_at_a_time():
     vocab, tokens = fit_vocabulary(texts), tokenize(texts)
     assert (len(vocab), len(tokens.ids)) == (26866, 286595)
     vocab._numbered_terms()
-    tracemalloc.start()
-    try:
-        matrix = transform_many(vocab, tokens)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    matrix, peak = traced_peak(transform_many, vocab, tokens)
     result = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
     assert peak - result < 14_000_000, peak - result
 

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -12,8 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import sparse
 
-from ctxsens import models
+from ctxsens import _fork, models
 from ctxsens.cli import EXIT_RUNTIME, main
 from ctxsens.features import FeatureConfig, fit_vocabulary, transform_many
 from ctxsens.scorer import ScorerEndpoint
@@ -28,7 +30,7 @@ from ctxsens.models import (
     train,
 )
 
-from helpers import csr, planted_posts, save_posts, toy_scorer_command
+from helpers import csr, planted_posts, save_posts, toy_scorer_command, traced_peak
 from oracles import ridge_gradient, ridge_objective, svr_epsilon_loss
 
 
@@ -243,6 +245,35 @@ def test_rf_max_depth_limits_tree_size():
     config = TrainConfig(seed=0, rf_n_trees=1, rf_max_depth=1, rf_min_samples_leaf=1, rf_bootstrap=False)
     model = train("random_forest", *random_dataset(seed=8, n=40, d=3), config=config)
     assert len(model.trees[0].feature) <= 3  # root plus two children
+
+
+def test_rf_grows_trees_deeper_than_the_recursion_limit():
+    # every split peels one row off a 1,100-row chain: a tree 1,099 levels deep, one row per leaf
+    config = TrainConfig(
+        seed=0, rf_n_trees=1, rf_max_depth=None, rf_min_samples_leaf=1, rf_max_features="all", rf_bootstrap=False
+    )
+    xs = csr([[float(i)] for i in range(1, 1101)])
+    ys = [1.0 if i % 2 else -1.0 for i in range(1, 1101)]
+    model = train("random_forest", xs, ys, config=config)
+    assert len(model.trees[0].feature) == 2 * 1100 - 1
+    assert model.predict_batch(xs).tolist() == ys
+
+
+def test_a_forest_holds_one_trees_working_set_at_a_time(monkeypatch):
+    # each tree's bootstrap CSC copy goes when the tree is grown, not when the cyclic collector runs
+    monkeypatch.setattr(_fork, "cpu_count", lambda: 1)
+    rng = np.random.default_rng(0)
+    matrix = sparse.random(2000, 3000, density=0.01, format="csr", random_state=rng)
+    y = rng.uniform(-1, 1, 2000)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        _, one = traced_peak(models._fit_forest, matrix, y, TrainConfig(rf_n_trees=1, rf_max_depth=4))
+        _, eight = traced_peak(models._fit_forest, matrix, y, TrainConfig(rf_n_trees=8, rf_max_depth=4))
+    finally:
+        if enabled:
+            gc.enable()
+    assert eight < 2 * one, (one, eight)
 
 
 def test_rf_respects_min_samples_leaf():
