@@ -19,7 +19,7 @@ import numpy as np
 from .aggregation import SensitivityTable
 from .corpus import PostTable
 from .evaluation import mae, mse
-from .features import Tokens, tokenize
+from .features import tokenize
 from .models import FAMILY_RIDGE, TrainConfig, train
 from .settings import AugmentationError  # noqa: F401 - re-exported; settings needs no SciPy
 
@@ -54,6 +54,7 @@ class CycleLog:
     """One cycle's outcome; to_json leaves out the wall-clock time, so that the
     logs of a rerun are identical."""
 
+    repeat: int
     cycle: int
     selected_post_ids: tuple[str, ...]
     selected_silver_scores: tuple[float, ...]
@@ -82,83 +83,81 @@ def select_top_k(post_ids: Sequence[str], scores: Sequence[float], k: int) -> np
 
 
 def run_augmentation(
-    table: SensitivityTable, rows: Sequence[np.ndarray], config: AugmentationConfig, texts: Tokens | None = None
+    table: SensitivityTable, splits: Sequence[Sequence[np.ndarray]], config: AugmentationConfig
 ) -> list[CycleLog]:
-    """Run the augmentation loop on one split of table, returning one log per
-    cycle.
+    """Run the augmentation loop once per split of table, returning one log
+    per cycle, split by split.
 
-    rows are the (train, validation, test) row indices of table, as
-    evaluation.split_indices gives them; its delta is the gold target. texts,
-    when given, are the Tokens (features.tokenize) of table's target texts,
-    then the pool's. The pool must be disjoint from table, and the training
-    rows from the test rows. The evaluation split is the test rows for every
-    cycle. Fully deterministic given (seed, config) for deterministic model
-    families.
+    splits are (train, validation, test) row-index triples of table, one per
+    repeat, as evaluation.split_indices gives them; table's delta is the
+    gold target. The pool must be disjoint from table, and each split's training
+    rows from its test rows. A split's evaluation set is its test rows for
+    every cycle. Repeat r's random picks in cycle c are drawn from
+    SeedSequence([s, c]), s being SeedSequence([config.seed, r])'s first
+    state word. Fully deterministic given (splits, config) for deterministic
+    model families.
     """
     pool = config.pool
     overlap = set(table.posts.post_ids).intersection(pool.post_ids)
     if overlap:
         raise AugmentationError(f"pool overlaps gold splits on {sorted(overlap)[:5]}")
-    train_rows, validation_rows, test_rows = rows
-    if np.intersect1d(train_rows, test_rows).size:
-        raise AugmentationError("train set leaked into the test split")
-    if texts is None:
-        texts = table.posts.target_texts + pool.target_texts
-    elif len(texts) != len(table) + len(pool):
-        raise AugmentationError(f"{len(texts)} texts for {len(table)} gold and {len(pool)} pool posts")
-    # every text split once; each set of texts is a take of these rows, sharing their words
-    texts = tokenize(texts, config.train_config.features)
+    for train_rows, _, test_rows in splits:
+        if np.intersect1d(train_rows, test_rows).size:
+            raise AugmentationError("train set leaked into the test split")
+    # every text split once for all splits; each set of texts is a take of these rows, sharing their words
+    texts = tokenize(table.posts.target_texts + pool.target_texts, config.train_config.features)
     pool_first, delta = len(table), table.delta
-    remaining = np.arange(len(pool))  # pool rows not yet selected, in pool order
-    train_targets = delta[train_rows].tolist()
-    validation = (texts.take(validation_rows), delta[validation_rows])
-    test_texts, test_targets = texts.take(test_rows), delta[test_rows]
-
     if config.single_shot:
         plan = [config.k_per_cycle * config.n_cycles]
     else:
         plan = [config.k_per_cycle] * config.n_cycles
-
     logs: list[CycleLog] = []
-    model = train(config.family, texts.take(train_rows), train_targets, validation, config.train_config)
-    try:
-        for cycle, k in enumerate(plan):
-            started = time.perf_counter()
-            left = pool.take(remaining)
-            if config.selection == SELECTION_TEACHER_TOP_K:
-                silver = model.predict_batch(texts.take(pool_first + remaining))
-                chosen = select_top_k(left.post_ids, silver, k)
-            else:  # only the picks are scored
-                rng = np.random.default_rng(np.random.SeedSequence([config.seed, cycle]))
-                chosen, silver = np.sort(rng.choice(len(left), size=k, replace=False)), np.zeros(len(left))
-                silver[chosen] = model.predict_batch(texts.take(pool_first + remaining[chosen]))
-            picked = np.sort(chosen)  # training rows join in pool order
-            train_rows = np.concatenate([train_rows, pool_first + remaining[picked]])
-            train_targets += silver[picked].tolist()
-            remaining = np.delete(remaining, chosen)
+    for repeat, (train_rows, validation_rows, test_rows) in enumerate(splits):
+        seed = int(np.random.SeedSequence([config.seed, repeat]).generate_state(1)[0])
+        remaining = np.arange(len(pool))  # pool rows not yet selected, in pool order
+        train_targets = delta[train_rows].tolist()
+        validation = (texts.take(validation_rows), delta[validation_rows])
+        test_texts, test_targets = texts.take(test_rows), delta[test_rows]
+        model = train(config.family, texts.take(train_rows), train_targets, validation, config.train_config)
+        try:
+            for cycle, k in enumerate(plan):
+                started = time.perf_counter()
+                left = pool.take(remaining)
+                if config.selection == SELECTION_TEACHER_TOP_K:
+                    silver = model.predict_batch(texts.take(pool_first + remaining))
+                    chosen = select_top_k(left.post_ids, silver, k)
+                else:  # only the picks are scored
+                    rng = np.random.default_rng(np.random.SeedSequence([seed, cycle]))
+                    chosen, silver = np.sort(rng.choice(len(left), size=k, replace=False)), np.zeros(len(left))
+                    silver[chosen] = model.predict_batch(texts.take(pool_first + remaining[chosen]))
+                picked = np.sort(chosen)  # training rows join in pool order
+                train_rows = np.concatenate([train_rows, pool_first + remaining[picked]])
+                train_targets += silver[picked].tolist()
+                remaining = np.delete(remaining, chosen)
 
-            model.close()  # the teacher is let go before its student trains
-            model = None
-            model = train(config.family, texts.take(train_rows), train_targets, validation, config.train_config)
-            predictions = model.predict_batch(test_texts)
-            scores = silver[chosen].tolist()
-            logs.append(
-                CycleLog(
-                    cycle=cycle,
-                    selected_post_ids=left.take(chosen).post_ids,
-                    selected_silver_scores=tuple(scores),
-                    silver_min=min(scores),
-                    silver_mean=float(np.mean(scores)),
-                    silver_max=max(scores),
-                    student_mse=mse(predictions, test_targets),
-                    student_mae=mae(predictions, test_targets),
-                    n_test=len(test_texts),
-                    train_size=len(train_rows),
-                    pool_size=len(remaining),
-                    wall_clock_seconds=time.perf_counter() - started,
+                model.close()  # the teacher is let go before its student trains
+                model = None
+                model = train(config.family, texts.take(train_rows), train_targets, validation, config.train_config)
+                predictions = model.predict_batch(test_texts)
+                scores = silver[chosen].tolist()
+                logs.append(
+                    CycleLog(
+                        repeat=repeat,
+                        cycle=cycle,
+                        selected_post_ids=left.take(chosen).post_ids,
+                        selected_silver_scores=tuple(scores),
+                        silver_min=min(scores),
+                        silver_mean=float(np.mean(scores)),
+                        silver_max=max(scores),
+                        student_mse=mse(predictions, test_targets),
+                        student_mae=mae(predictions, test_targets),
+                        n_test=len(test_texts),
+                        train_size=len(train_rows),
+                        pool_size=len(remaining),
+                        wall_clock_seconds=time.perf_counter() - started,
+                    )
                 )
-            )
-    finally:  # on an error too, no model is left holding a scorer open
-        if model is not None:
-            model.close()
+        finally:  # on an error too, no model is left holding a scorer open
+            if model is not None:
+                model.close()
     return logs

@@ -28,7 +28,7 @@ from .corpus import CorpusError, OutputError, load_bool_column, load_bundle, loa
 from .manifest import build_manifest, write_json, write_manifest
 from .scorer import ScorerEndpoint, ScorerError
 
-# features, models and augmentation load SciPy: subcommands import them on
+# models and augmentation load SciPy: subcommands import them on
 # first use; settings holds their configs and error classes without it
 from .settings import (
     AugmentationError,
@@ -218,12 +218,14 @@ def _train_fields() -> set[str]:
     return {f.name for f in dataclasses.fields(TrainConfig)} - {"features", "external", "seed"}
 
 
-def _train_config(resolved: dict, file_config: Mapping, endpoint: ScorerEndpoint | None) -> TrainConfig:
+def _train_config(name: str, resolved: dict, file_config: Mapping, endpoint: ScorerEndpoint | None) -> TrainConfig:
     """TrainConfig from the config file's field names plus the resolved seed;
     records the canonical family name in resolved."""
     from . import models
     resolved["family"] = models.resolve_family(resolved["family"])
     if resolved["family"] == models.FAMILY_EXTERNAL and endpoint is None:
+        if not COMMANDS[name].scorer:
+            raise CliValidationError(f"{name} cannot train the external family")
         raise CliValidationError("external family needs --scorer or --scorer-tcp")
     train_fields = _train_fields()
     try:
@@ -253,7 +255,7 @@ def _run(name: str, args: argparse.Namespace, argv: Sequence[str]) -> None:
         if run.endpoint is None and (args.threads is not None or "threads" in file_config):
             raise CliValidationError("--threads needs --scorer or --scorer-tcp")
     if command.model:
-        run.train_config = _train_config(resolved, file_config, run.endpoint)
+        run.train_config = _train_config(name, resolved, file_config, run.endpoint)
     command.run(run)
     if args.config is not None:  # the manifest fingerprints the config file with the inputs
         inputs["config"] = Path(args.config)
@@ -445,44 +447,34 @@ def _sample(run: Run) -> None:
 
 def _augment(run: Run) -> None:
     """teacher-student augmentation loop"""
-    from . import augmentation, features
+    from . import augmentation
     table = _load_examples_checked(run.inputs["data"])
-    pool = load_posts(run.inputs["pool"])
-    seed, n_repeats = run.config["seed"], run.config["repeats"]
-    split = evaluation.SplitSpec(n_repeats=n_repeats, seed=seed)
-    # every text split once for all repeats; the splits and the pool share its words
-    texts = features.tokenize(table.posts.target_texts + pool.target_texts, run.train_config.features)
+    config = augmentation.AugmentationConfig(
+        pool=load_posts(run.inputs["pool"]),
+        selection=run.config["selection"],
+        k_per_cycle=run.config["k"],
+        n_cycles=run.config["cycles"],
+        single_shot=run.config["single-shot"],
+        family=run.config["family"],
+        train_config=run.train_config,
+        seed=run.config["seed"],
+    )
+    n_repeats = run.config["repeats"]
+    spec = evaluation.SplitSpec(n_repeats=n_repeats, seed=run.config["seed"])
+    splits = [evaluation.split_indices(len(table), spec, repeat) for repeat in range(n_repeats)]
+    logs = augmentation.run_augmentation(table, splits, config)
 
-    all_logs: list[tuple[int, augmentation.CycleLog]] = []
-    for repeat in range(n_repeats):
-        rows = evaluation.split_indices(len(table), split, repeat)
-        aug_config = augmentation.AugmentationConfig(
-            pool=pool,
-            selection=run.config["selection"],
-            k_per_cycle=run.config["k"],
-            n_cycles=run.config["cycles"],
-            single_shot=run.config["single-shot"],
-            family=run.config["family"],
-            train_config=run.train_config,
-            seed=int(np.random.SeedSequence([seed, repeat]).generate_state(1)[0]),
-        )
-        logs = augmentation.run_augmentation(table, rows, aug_config, texts)
-        all_logs += [(repeat, log) for log in logs]
-
-    write_jsonl(run.out("cycles.jsonl"), ({"repeat": repeat, **log.to_json()} for repeat, log in all_logs))
-    by_cycle: dict[int, dict[int, float]] = {}
-    for repeat, log in all_logs:
-        by_cycle.setdefault(log.cycle, {})[repeat] = log.student_mse
+    write_jsonl(run.out("cycles.jsonl"), (log.to_json() for log in logs))
+    by_cycle: dict[int, list[float]] = {}
+    for log in logs:  # every repeat logs every cycle, repeat by repeat
+        by_cycle.setdefault(log.cycle, []).append(log.student_mse)
     write_csv(
         run.out("mse_by_cycle.csv"),
         ["cycle", "mean_test_mse"] + [f"test_mse_r{r}" for r in range(n_repeats)],
-        [
-            [cycle, float(np.mean(list(mses.values())))] + [mses.get(r, "") for r in range(n_repeats)]
-            for cycle, mses in sorted(by_cycle.items())
-        ],
+        [[cycle, float(np.mean(mses))] + mses for cycle, mses in sorted(by_cycle.items())],
     )
     cycle_seconds = [
-        {"repeat": r, "cycle": log.cycle, "wall_clock_seconds": log.wall_clock_seconds} for r, log in all_logs
+        {"repeat": log.repeat, "cycle": log.cycle, "wall_clock_seconds": log.wall_clock_seconds} for log in logs
     ]
     run.timings = {"cycles": cycle_seconds}
 

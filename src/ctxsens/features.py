@@ -8,8 +8,8 @@ target text is featurized; the parent is deliberately ignored.
 Whoever featurizes the same texts more than once (a fit and its transform,
 cross-validation folds, augmentation cycles) holds them as `Tokens`, split
 once; each `Tokens` carries its own word list, and its word ids index it.
-Plain texts are tokenized a block at a time and dropped, and the featurizer
-holds no process-wide state.
+Plain texts are tokenized by the call that featurizes them and then dropped,
+and the featurizer holds no process-wide state.
 
 One numbering of n-grams, _ngrams, serves fit and transform: an n-gram is
 numbered as the pair (number of its first n - 1 words, id of its last word),
@@ -41,8 +41,7 @@ _ASCII_BREAKS = str.maketrans({chr(c): " " for c in range(128) if not chr(c).isa
 
 VOCABULARY_FORMAT_VERSION = 1
 
-# Rows that score_in_parts scores at once (bounds the matrix a score gets),
-# and plain texts that transform_many splits and maps to the vocabulary at once.
+# Rows that score_in_parts scores at once: bounds the matrix a score gets.
 _BLOCK_ROWS = 8192
 # Rows whose n-grams transform_many numbers together: bounds its temporaries.
 _NUMBERING_ROWS = 2048
@@ -327,41 +326,37 @@ def transform_many(vocab: Vocabulary, texts: Sequence[str] | Tokens) -> sparse.c
 
     Out-of-vocabulary terms are ignored; a text with no in-vocabulary term
     gives an empty row. Each row's squared weights are summed in column order
-    from zero, by a CSR matrix-vector product. The words of Tokens are mapped
-    to the vocabulary's words once per call; plain texts, and Tokens split
-    under another lowercase setting than the vocabulary's, are split and
-    mapped _BLOCK_ROWS texts at a time. Each block of _NUMBERING_ROWS texts
-    is numbered together with the vocabulary's terms. Each block keeps its
-    column indices as int32, the dtype the CSR result holds them in, so the
-    joined indices are not copied again.
+    from zero, by a CSR matrix-vector product. texts are tokenized once per
+    call (Tokens split under the vocabulary's lowercase setting are used as
+    they are), and their words mapped to the vocabulary's words once. Each
+    block of _NUMBERING_ROWS texts is numbered together with the
+    vocabulary's terms. Each block keeps its column indices as int32, the
+    dtype the CSR result holds them in, so the joined indices are not copied
+    again.
     """
     config, dimension = vocab.config, vocab.dimension
     ones = np.ones(dimension)
     indices, data, lengths = [np.zeros(0, dtype=np.int32)], [np.zeros(0)], [np.zeros(0, dtype=np.int64)]
-    if isinstance(texts, Tokens) and texts.lowercase == config.lowercase:
-        parts = [texts]
-    else:
-        parts = (tokenize(texts[first : first + _BLOCK_ROWS], config) for first in range(0, len(texts), _BLOCK_ROWS))
-    for part in parts:
-        word_map = _word_map(part.words, config, vocab._numbered_terms()[0])
-        for first in range(0, len(part), _NUMBERING_ROWS):
-            block = part[first : first + _NUMBERING_ROWS]
-            cells, tf = np.unique(_cells(vocab, block, word_map), return_counts=True)
-            row, col = np.divmod(cells, dimension)
-            col = col.astype(np.int32)
-            if config.sublinear_tf:
-                distinct, inverse = np.unique(tf, return_inverse=True)
-                weight = np.array([1.0 + math.log(t) for t in distinct.tolist()])[inverse]
-            else:
-                weight = tf.astype(np.float64)
-            weight *= vocab._idf[col]
-            length = np.bincount(row, minlength=len(block))
-            indptr = np.concatenate([[0], np.cumsum(length)])
-            squares = sparse.csr_matrix((weight * weight, col, indptr), shape=(len(block), dimension)) @ ones
-            weight /= np.sqrt(squares)[row]
-            indices.append(col)
-            data.append(weight)
-            lengths.append(length)
+    texts = tokenize(texts, config)
+    word_map = _word_map(texts.words, config, vocab._numbered_terms()[0])
+    for first in range(0, len(texts), _NUMBERING_ROWS):
+        block = texts[first : first + _NUMBERING_ROWS]
+        cells, tf = np.unique(_cells(vocab, block, word_map), return_counts=True)
+        row, col = np.divmod(cells, dimension)
+        col = col.astype(np.int32)
+        if config.sublinear_tf:
+            distinct, inverse = np.unique(tf, return_inverse=True)
+            weight = np.array([1.0 + math.log(t) for t in distinct.tolist()])[inverse]
+        else:
+            weight = tf.astype(np.float64)
+        weight *= vocab._idf[col]
+        length = np.bincount(row, minlength=len(block))
+        indptr = np.concatenate([[0], np.cumsum(length)])
+        squares = sparse.csr_matrix((weight * weight, col, indptr), shape=(len(block), dimension)) @ ones
+        weight /= np.sqrt(squares)[row]
+        indices.append(col)
+        data.append(weight)
+        lengths.append(length)
     indptr = np.concatenate([[0], np.cumsum(np.concatenate(lengths))])
     return sparse.csr_matrix(
         (np.concatenate(data), np.concatenate(indices), indptr), shape=(len(texts), dimension)

@@ -220,7 +220,7 @@ def test_criterion_5_augmentation_structural_suite():
                 train_config=config,
                 seed=seed,
             )
-            return run_augmentation(gold, split, aug)
+            return run_augmentation(gold, [split], aug)
 
         top = run(SELECTION_TEACHER_TOP_K)
         rand = run(SELECTION_RANDOM_K)
@@ -265,8 +265,8 @@ def test_criterion_6_augmentation_trend():
                 seed=seed,
             )
             gold, split = _split_table(gold_items, val_items, test_items)
-            cycled = run_augmentation(gold, split, AugmentationConfig(**base))
-            single = run_augmentation(gold, split, AugmentationConfig(**base, single_shot=True))
+            cycled = run_augmentation(gold, [split], AugmentationConfig(**base))
+            single = run_augmentation(gold, [split], AugmentationConfig(**base, single_shot=True))
             # guard: the student genuinely learns the planted signal
             zero_mse = float(np.mean(np.array(test_items[1]) ** 2))
             assert cycled[-1].student_mse < 0.5 * zero_mse

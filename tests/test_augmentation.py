@@ -13,7 +13,7 @@ from ctxsens.augmentation import (
     run_augmentation,
     select_top_k,
 )
-from ctxsens.features import FeatureConfig, tokenize
+from ctxsens.features import FeatureConfig
 from ctxsens.models import PredictionError, TrainConfig, train
 from ctxsens.scorer import ScorerEndpoint
 
@@ -106,24 +106,13 @@ def test_pool_must_be_disjoint_from_gold():
     tr = table.take(split[0]).posts
     poisoned = base_config(post_table([*rows, (tr.post_ids[0], tr.target_texts[0])]))
     with pytest.raises(AugmentationError, match="overlap"):
-        run_augmentation(table, split, poisoned)
+        run_augmentation(table, [split], poisoned)
 
 
 def test_train_rows_must_be_disjoint_from_test_rows():
     pool, table, (tr, val, test) = small_setup()
     with pytest.raises(AugmentationError, match="leaked"):
-        run_augmentation(table, (np.append(tr, test[-1]), val, test), base_config(pool))
-
-
-def test_texts_must_be_the_gold_texts_then_the_pool_texts():
-    pool, table, split = small_setup()
-    config = base_config(pool)
-    texts = tokenize(table.posts.target_texts + pool.target_texts, config.train_config.features)
-    assert [a.to_json() for a in run_augmentation(table, split, config, texts)] == [
-        b.to_json() for b in run_augmentation(table, split, config)
-    ]
-    with pytest.raises(AugmentationError, match="texts for"):
-        run_augmentation(table, split, config, texts[1:])
+        run_augmentation(table, [(np.append(tr, test[-1]), val, test)], base_config(pool))
 
 
 # --- loop mechanics ----------------------------------------------------------------------
@@ -131,7 +120,7 @@ def test_texts_must_be_the_gold_texts_then_the_pool_texts():
 
 def test_conservation_of_train_and_pool_sizes():
     pool, table, split = small_setup()
-    logs = run_augmentation(table, split, base_config(pool))
+    logs = run_augmentation(table, [split], base_config(pool))
     assert [log.cycle for log in logs] == [0, 1]
     for t, log in enumerate(logs, start=1):
         assert log.train_size == len(split[0]) + t * 3
@@ -141,7 +130,7 @@ def test_conservation_of_train_and_pool_sizes():
 
 def test_selected_ids_disjoint_across_cycles():
     pool, table, split = small_setup()
-    logs = run_augmentation(table, split, base_config(pool, n_cycles=3))
+    logs = run_augmentation(table, [split], base_config(pool, n_cycles=3))
     seen: set[str] = set()
     for log in logs:
         ids = set(log.selected_post_ids)
@@ -151,7 +140,7 @@ def test_selected_ids_disjoint_across_cycles():
 
 def test_single_shot_performs_one_big_cycle():
     pool, table, split = small_setup()
-    logs = run_augmentation(table, split, base_config(pool, single_shot=True))
+    logs = run_augmentation(table, [split], base_config(pool, single_shot=True))
     assert len(logs) == 1
     assert len(logs[0].selected_post_ids) == 6
     assert logs[0].train_size == len(split[0]) + 6
@@ -161,14 +150,25 @@ def test_loop_is_seed_deterministic():
     pool, table, split = small_setup()
     for selection in (SELECTION_TEACHER_TOP_K, SELECTION_RANDOM_K):
         config = base_config(pool, selection=selection, seed=7)
-        first = run_augmentation(table, split, config)
-        second = run_augmentation(table, split, config)
+        first = run_augmentation(table, [split], config)
+        second = run_augmentation(table, [split], config)
         assert [a.to_json() for a in first] == [b.to_json() for b in second]
+
+
+def test_each_split_of_a_call_gives_the_logs_of_a_call_on_it_alone():
+    pool, table, split = small_setup()
+    other = (split[2], split[1], split[0])  # the training and test rows swapped
+    config = base_config(pool)  # teacher selection draws nothing, so a split's place does not matter
+    logs = run_augmentation(table, [split, other], config)
+    assert [log.repeat for log in logs] == [0, 0, 1, 1]
+    alone = run_augmentation(table, [split], config) + run_augmentation(table, [other], config)
+    assert [log.repeat for log in alone] == [0, 0, 0, 0]
+    assert [{**log.to_json(), "repeat": 0} for log in logs] == [log.to_json() for log in alone]
 
 
 def test_random_k_seeds_differ_across_cycles():
     pool, table, split = small_setup(pool_size=40)
-    logs = run_augmentation(table, split, base_config(pool, selection=SELECTION_RANDOM_K, n_cycles=3))
+    logs = run_augmentation(table, [split], base_config(pool, selection=SELECTION_RANDOM_K, n_cycles=3))
     assert len({log.selected_post_ids for log in logs}) == 3
 
 
@@ -179,7 +179,7 @@ def test_random_selection_scores_only_its_picks(monkeypatch):
         models.Model, "predict_batch", lambda model, texts: rows.append(len(texts)) or predict(model, texts)
     )
     config = base_config(pool, selection=SELECTION_RANDOM_K, n_cycles=3, k_per_cycle=4)
-    logs = run_augmentation(table, split, config)
+    logs = run_augmentation(table, [split], config)
     assert rows == [4, len(split[2])] * 3  # each cycle: the teacher's picks, then the student's test split
     teacher = first_teacher(config, table, split)
     text_of = dict(zip(pool.post_ids, pool.target_texts))
@@ -190,7 +190,7 @@ def test_random_selection_scores_only_its_picks(monkeypatch):
 def test_silver_scores_replayable_from_first_teacher():
     pool, table, split = small_setup()
     config = base_config(pool)
-    logs = run_augmentation(table, split, config)
+    logs = run_augmentation(table, [split], config)
     teacher = first_teacher(config, table, split)
     text_of = dict(zip(pool.post_ids, pool.target_texts))
     replayed = teacher.predict_batch([text_of[post_id] for post_id in logs[0].selected_post_ids])
@@ -200,14 +200,14 @@ def test_silver_scores_replayable_from_first_teacher():
 def test_constant_teacher_degenerates_to_id_order():
     pool, table, split = small_setup()
     config = base_config(pool, family="constant_mean")
-    logs = run_augmentation(table, split, config)
+    logs = run_augmentation(table, [split], config)
     expected = sorted(pool.post_ids)[:3]
     assert list(logs[0].selected_post_ids) == expected
 
 
 def test_silver_summary_matches_selected_scores():
     pool, table, split = small_setup()
-    logs = run_augmentation(table, split, base_config(pool))
+    logs = run_augmentation(table, [split], base_config(pool))
     for log in logs:
         scores = log.selected_silver_scores
         assert log.silver_min == min(scores)
@@ -217,8 +217,8 @@ def test_silver_summary_matches_selected_scores():
 
 def test_teacher_top_k_selects_higher_silver_than_random():
     pool, table, split = small_setup(pool_size=60, gold_size=30)
-    top = run_augmentation(table, split, base_config(pool, n_cycles=3, k_per_cycle=5))
-    rand = run_augmentation(table, split, base_config(pool, selection=SELECTION_RANDOM_K, n_cycles=3, k_per_cycle=5))
+    top = run_augmentation(table, [split], base_config(pool, n_cycles=3, k_per_cycle=5))
+    rand = run_augmentation(table, [split], base_config(pool, selection=SELECTION_RANDOM_K, n_cycles=3, k_per_cycle=5))
     for t_log, r_log in zip(top, rand):
         assert t_log.silver_mean >= r_log.silver_mean
 
@@ -245,7 +245,7 @@ def test_the_teacher_is_closed_and_let_go_before_its_student_trains(monkeypatch)
     for selection in (SELECTION_TEACHER_TOP_K, SELECTION_RANDOM_K):
         made.clear()
         closed.clear()
-        run_augmentation(table, split, base_config(pool, selection=selection, n_cycles=3))
+        run_augmentation(table, [split], base_config(pool, selection=selection, n_cycles=3))
         assert closed == [0, 1, 2, 3]
 
 
@@ -257,5 +257,5 @@ def test_models_are_closed_when_a_cycle_fails(scorer_processes):
     endpoint = ScorerEndpoint(command=toy_scorer_command("--drop-substring", poison), timeout=0.3)
     config = base_config(pool, family="external", train_config=TrainConfig(external=endpoint))
     with pytest.raises(PredictionError, match="failed on 1 inputs"):
-        run_augmentation(table, split, config)
+        run_augmentation(table, [split], config)
     assert len(scorer_processes) == 2  # teacher and student; the fixture checks that neither outlives the test

@@ -15,7 +15,7 @@ import pytest
 import numpy as np
 
 from ctxsens.cli import COMMANDS, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, _build_parser, main
-from ctxsens import models
+from ctxsens import features, models
 from ctxsens.corpus import OutputError, write_json
 from ctxsens.models import load_model
 from ctxsens.scorer import transport_fingerprint
@@ -516,6 +516,27 @@ def test_augment_writes_cycles_and_curve(tmp_path, sensitivity_file):
         rows = list(csv.DictReader(fh))
     assert [r["cycle"] for r in rows] == ["0", "1"]
     assert all(float(r["mean_test_mse"]) >= 0 for r in rows)
+
+
+def test_augment_pool_exhaustion_is_reported_before_any_text_is_split(tmp_path, sensitivity_file, capsys, monkeypatch):
+    pool, _ = planted_posts(30, seed=6, id_prefix="pool")
+    save_posts(pool, tmp_path / "pool.jsonl")
+    calls: list[str] = []
+    split = features._split
+    monkeypatch.setattr(features, "_split", lambda text, lowercase: calls.append(text) or split(text, lowercase))
+    line = f"augment --data {sensitivity_file} --pool {tmp_path}/pool.jsonl --cycles 5 --k 7 --out {tmp_path}/aug"
+    assert main(_args(line)) == EXIT_VALIDATION
+    assert "exceeds pool size 30" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_augment_external_family_names_augment_not_scorer_flags(tmp_path, sensitivity_file, capsys):
+    pool, _ = planted_posts(5, seed=5, id_prefix="pool")
+    save_posts(pool, tmp_path / "pool.jsonl")
+    line = f"augment --family external --data {sensitivity_file} --pool {tmp_path}/pool.jsonl --out {tmp_path}/aug"
+    assert main(_args(line)) == EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines() == ["error: augment cannot train the external family"]
+    assert not (tmp_path / "aug").exists()
 
 
 def test_augment_rerun_gives_byte_identical_data_outputs(tmp_path, sensitivity_file):

@@ -236,7 +236,7 @@ def test_augmentation_conservation(seed, k, cycles):
         selection="random_k" if seed % 2 else "teacher_top_k",
     )
     gold = delta_table(post_table(zip(ids, texts)), targets)
-    logs = run_augmentation(gold, (np.arange(4), np.array([4]), np.array([5])), config)
+    logs = run_augmentation(gold, [(np.arange(4), np.array([4]), np.array([5]))], config)
     for t, log in enumerate(logs, start=1):
         assert log.train_size == 4 + t * k
         assert log.pool_size == len(pool) - t * k
