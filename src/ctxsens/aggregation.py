@@ -10,13 +10,15 @@ scores' standard errors. The scored posts are one columnar `SensitivityTable`.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import AnnotationTable, CorpusError, DatasetBundle, Label, ParseError, PostTable, posts_at, read_jsonl, write_jsonl
+from .corpus import AnnotationTable, CorpusError, DatasetBundle, Label, ParseError, PostTable, only_types, posts_at, read_jsonl, write_jsonl
 
 _TOXIC_LABELS = frozenset({Label.TOXIC, Label.VERY_TOXIC})
 _TOXIC_CODES = [code for code, label in enumerate(Label) if label in _TOXIC_LABELS]
@@ -274,26 +276,62 @@ def load_examples(path: str | Path) -> SensitivityTable:
     A malformed row (no object, a field missing or of the wrong JSON type,
     an inconsistent score, delta, threshold or is_sensitive) is a ParseError
     naming path:line."""
-    path, texts, scores = Path(path), [], [[] for _ in _SCORE_COLUMNS]
+    path, texts = Path(path), (array("q"), [], [], [])  # line numbers, then the _TEXTS
+    scores = [array("q" if name.endswith("raters") else "d") for name in _SCORE_COLUMNS]
     try:
-        for line_no, obj in read_jsonl(path):
-            try:
-                _check_fields(obj, _ROW_FIELDS)
-                texts.append((line_no, obj["post_id"], obj["target_text"], obj.get("parent_text")))
-                oc, ic = _checked_score(obj["s_oc"]), _checked_score(obj["s_ic"])
-                delta, threshold = obj["delta"], obj["threshold"]
-                if delta != oc[0] - ic[0]:
-                    raise CorpusError("delta must equal s_oc.value - s_ic.value exactly")
-                if threshold < 0.0:
-                    raise CorpusError("threshold must be >= 0")
-                if threshold != oc[2] + ic[2]:
-                    raise CorpusError("threshold must equal s_oc.sem + s_ic.sem exactly")
-                if obj["is_sensitive"] != (abs(delta) > threshold):
-                    raise CorpusError("is_sensitive must equal |delta| > threshold")
-            except CorpusError as exc:
-                raise ParseError(str(path), line_no, str(exc)) from exc
-            for column, value in zip(scores, (*oc, *ic)):
-                column.append(value)
+        for numbers, objs in read_jsonl(path):
+            if (block := _example_columns(objs)) is not None:
+                for column, values in zip((*texts, *scores), (numbers, *block)):
+                    column.extend(values)
+                continue
+            for line_no, obj in zip(numbers, objs):  # row by row, up to the first that fails
+                try:
+                    _check_fields(obj, _ROW_FIELDS)
+                    for column, value in zip(texts, (line_no, *map(obj.get, _TEXTS))):
+                        column.append(value)
+                    oc, ic = _checked_score(obj["s_oc"]), _checked_score(obj["s_ic"])
+                    delta, threshold = obj["delta"], obj["threshold"]
+                    if delta != oc[0] - ic[0]:
+                        raise CorpusError("delta must equal s_oc.value - s_ic.value exactly")
+                    if threshold < 0.0:
+                        raise CorpusError("threshold must be >= 0")
+                    if threshold != oc[2] + ic[2]:
+                        raise CorpusError("threshold must equal s_oc.sem + s_ic.sem exactly")
+                    if obj["is_sensitive"] != (abs(delta) > threshold):
+                        raise CorpusError("is_sensitive must equal |delta| > threshold")
+                except CorpusError as exc:
+                    raise ParseError(str(path), line_no, str(exc)) from exc
+                for column, value in zip(scores, (*oc, *ic)):
+                    column.append(value)
     finally:  # a bad text in or above the row that fails is reported first
-        posts = posts_at(str(path), texts)
+        posts = posts_at(str(path), *texts)
     return SensitivityTable(posts, *scores)
+
+
+_TEXTS = ("post_id", "target_text", "parent_text")
+_ROW_GETTER, _SCORE_GETTER = itemgetter(*_ROW_FIELDS), itemgetter(*_SCORE_FIELDS)
+
+
+def _example_columns(objs: list[dict]) -> list | None:
+    """The _TEXTS and _SCORE_COLUMNS of a block of rows, checked a column at
+    a time, or None when a row may break a rule of load_examples. A real must
+    be a float here, since float64 does not hold every int."""
+    try:  # a missing field is a KeyError, a score that is no object a TypeError
+        rows = dict(zip(_ROW_FIELDS, zip(*map(_ROW_GETTER, objs))))
+        scores = [column for side in ("s_oc", "s_ic") for column in zip(*map(_SCORE_GETTER, rows[side]))]
+    except (KeyError, TypeError):
+        return None
+    reals, raters = [*scores[0::3], *scores[2::3], rows["delta"], rows["threshold"]], scores[1] + scores[4]
+    if not (only_types({str}, rows["post_id"], rows["target_text"]) and only_types({str, type(None)}, rows["parent_text"])
+            and only_types({float}, *reals) and only_types({int}, raters) and only_types({bool}, rows["is_sensitive"])
+            and 1 <= min(raters) and max(raters) <= _MAX_RATERS):
+        return None
+    # value, n_raters (a float, as in _checked_score) and sem of s_oc, then of s_ic; delta and threshold
+    numbers = np.array([*scores, rows["delta"], rows["threshold"]], dtype=np.float64)
+    value, n_raters, sem, (delta, threshold) = numbers[0:6:3], numbers[1:6:3], numbers[2:6:3], numbers[6:]
+    if not ((0.0 <= value) & (value <= 1.0) & (sem >= 0.0)).all():  # NaN fails too, and the rest is finite
+        return None
+    counts = value * n_raters
+    ok = (abs(counts - np.rint(counts)) <= 1e-9) & ((sem == 0.0) | (value * (1.0 - value) > 0.0))
+    ok = ok[0] & ok[1] & (delta == value[0] - value[1]) & (threshold == sem[0] + sem[1])
+    return [*map(rows.get, _TEXTS), *scores] if (ok & (np.array(rows["is_sensitive"]) == (abs(delta) > threshold))).all() else None

@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import aggregation, analysis, evaluation
-from .corpus import CorpusError, OutputError, load_bool_column, load_bundle, load_posts, read_lines, write_csv, write_jsonl
+from .corpus import CorpusError, OutputError, load_bool_column, load_bundle, load_posts, read_files, read_lines, write_csv, write_jsonl
 from .manifest import build_manifest, write_json, write_manifest
 from .scorer import ScorerEndpoint, ScorerError
 
@@ -448,9 +448,9 @@ def _sample(run: Run) -> None:
 def _augment(run: Run) -> None:
     """teacher-student augmentation loop"""
     from . import augmentation
-    table = _load_examples_checked(run.inputs["data"])
+    table, pool = read_files((_load_examples_checked, run.inputs["data"]), (load_posts, run.inputs["pool"]))
     config = augmentation.AugmentationConfig(
-        pool=load_posts(run.inputs["pool"]),
+        pool=pool,
         selection=run.config["selection"],
         k_per_cycle=run.config["k"],
         n_cycles=run.config["cycles"],

@@ -5,9 +5,11 @@ rating condition). JSONL is the canonical format; CSV is an import/export
 convenience with RFC-4180 quoting. Text is stored verbatim; normalization is
 the featurizer's job.
 
-Every input file is read through `read_lines`, which numbers lines and checks
-UTF-8, and through `read_jsonl` or `read_csv` on top of it; a CSV record's
-line is the one it starts on, as a quoted field may span lines.
+Every input file is read through `read_blocks`, which numbers lines and checks
+UTF-8 a block at a time, and through `read_jsonl` or `read_csv` on top of it;
+a CSV record's line is the one it starts on, as a quoted field may span lines.
+A JSONL block is checked a column at a time, and row by row only where that
+fails, so the first bad row in file order keeps its message and `file:line`.
 
 Posts are one columnar `PostTable` and each condition's annotations one
 columnar `AnnotationTable`, not an object per judgment: the post ids in file
@@ -25,11 +27,14 @@ import json
 from array import array
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import chain, compress, count, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+
+from . import _fork
 
 
 class Label(str, Enum):
@@ -62,8 +67,10 @@ class ParseError(CorpusError):
 
     def __init__(self, source: str, line: int, message: str):
         super().__init__(f"{source}:{line}: {message}")
-        self.source = source
-        self.line = line
+        self.source, self.line, self.message = source, line, message
+
+    def __reduce__(self):  # so that it survives a pickle round trip, as from a forked part
+        return type(self), (self.source, self.line, self.message), vars(self)
 
 
 class DuplicateRecordError(CorpusError):
@@ -100,12 +107,13 @@ class PostTable:
         ids, targets, parents = tuple(self.post_ids), tuple(self.target_texts), tuple(self.parent_texts)
         if not len(ids) == len(targets) == len(parents):
             raise ValueError("columns differ in length")
-        seen: set[str] = set()
-        for row, (post_id, target, parent) in enumerate(zip(ids, targets, parents)):
-            if error := _row_error(post_id, target, parent, seen):
-                error.row = row
-                raise error
-            seen.add(post_id)
+        if not _posts_pass(ids, targets, parents):  # then the rows are checked one by one
+            seen: set[str] = set()
+            for row, (post_id, target, parent) in enumerate(zip(ids, targets, parents)):
+                if error := _row_error(post_id, target, parent, seen):
+                    error.row = row
+                    raise error
+                seen.add(post_id)
         object.__setattr__(self, "post_ids", ids)
         object.__setattr__(self, "target_texts", targets)
         object.__setattr__(self, "parent_texts", tuple(parent or None for parent in parents))
@@ -144,10 +152,26 @@ def _row_error(post_id, target, parent, seen: set[str]) -> CorpusError | None:
     return DuplicateRecordError(f"duplicate post_id {post_id!r}") if post_id in seen else None
 
 
-def posts_at(source: str, rows: Sequence[tuple]) -> PostTable:
-    """The PostTable of (line, post_id, target_text, parent_text) rows read
-    from source; a row that it rejects is a ParseError at its line."""
-    lines, *columns = zip(*rows) if rows else ((),) * 4
+def only_types(kinds: set, *columns) -> bool:
+    """Whether the type of every value of the columns is one of kinds."""
+    return all(set(map(type, column)) <= kinds for column in columns)
+
+
+def _posts_pass(ids, targets, parents) -> bool:
+    """Whether every row passes _row_error, checked a column at a time; a
+    value that is not a string fails str.strip, set or str.join."""
+    texts = map("".join, (ids, targets, [parent for parent in parents if parent is not None]))
+    try:
+        return all(ids) and all(map(str.strip, targets)) and len(set(ids)) == len(ids) and not any(
+            "\x00" in text or _not_utf8(text) for text in texts)
+    except TypeError:
+        return False
+
+
+def posts_at(source: str, lines: Sequence[int], *columns) -> PostTable:
+    """The PostTable of post_id, target_text and parent_text columns read
+    from source, row i from line lines[i]; a row that it rejects is a
+    ParseError at its line."""
     try:
         return PostTable(*columns)
     except CorpusError as exc:
@@ -229,6 +253,8 @@ class DatasetBundle:
         tables = ((self.ic_annotations, Condition.IN_CONTEXT), (self.oc_annotations, Condition.OUT_OF_CONTEXT))
         for table, expected in tables:
             foreign = table.foreign if table.condition is expected else 0
+            if foreign < 0 and post_ids.issuperset(table.post_ids) and len(set(table.post_ids)) == len(table.post_ids):
+                continue  # else the records are checked one by one
             seen: set[str] = set()
             for i, post_id in enumerate(table.post_ids):
                 if i == foreign:
@@ -245,36 +271,75 @@ class DatasetBundle:
 
 # --- readers -----------------------------------------------------------------
 
+# Bytes of lines read and decoded at a time: few enough that a block's
+# objects are still in the CPU cache when its columns are taken from them.
+_BLOCK_BYTES = 1 << 16
+
+
+def _not_utf8(text: str) -> str | None:
+    """Why a text is not UTF-8, or None. Files are read with surrogateescape: a
+    byte that is not UTF-8 is a lone surrogate, which UTF-8 never decodes to."""
+    try:
+        text.isascii() or text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        byte, column = ord(text[exc.start]) - 0xDC00, len(text[: exc.start].encode("utf-8", "surrogateescape")) + 1
+        return f"not UTF-8: byte {byte:#04x} at column {column}"
+    return None
+
+
+def read_blocks(path: Path) -> Iterator[tuple[int, list[str]]]:
+    """(number of its first line, its lines) per block of about _BLOCK_BYTES of
+    a UTF-8 file, lines split where text mode splits them (\\n, \\r and \\r\\n,
+    not at U+2028 or a form feed) and kept whole. A byte that is not UTF-8 is
+    a ParseError at its line, raised after the lines above it were yielded."""
+    with path.open("r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
+        first = 1
+        while block := handle.readlines(_BLOCK_BYTES):
+            if _not_utf8("".join(block)):  # then line by line
+                bad = next(i for i, line in enumerate(block) if _not_utf8(line))
+                yield first, block[:bad]
+                raise ParseError(str(path), first + bad, _not_utf8(block[bad]))
+            yield first, block
+            first += len(block)
+
 
 def read_lines(path: Path) -> Iterator[tuple[int, str]]:
-    """(line number, line) for each line of a UTF-8 file, from 1. Each line
-    is checked as it is read, so that a byte that is not UTF-8 is a
-    ParseError at its line after every line above it was read."""
-    # lines are split where text mode splits them and kept whole; a byte that is not
-    # UTF-8 stays in as a lone surrogate, which valid UTF-8 never decodes to
-    with path.open("r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.isascii():
+    """(line number, line) for each line of read_blocks(path), for CSV and --config."""
+    for first, block in read_blocks(path):
+        yield from enumerate(block, first)
+
+
+# json.loads(line) is this scan of line from 0 when the value ends where the
+# line ending starts: the same object, without the checks of every call.
+_SCAN = json.JSONDecoder().scan_once
+
+
+def read_jsonl(path: Path) -> Iterator[tuple[Sequence[int], list[dict]]]:
+    """(line numbers, objects) per block of a JSONL file's nonblank lines. A
+    line that is not a JSON object is a ParseError, raised after the objects
+    above it were yielded."""
+    for first, block in read_blocks(path):
+        try:
+            objs, ends = zip(*map(_SCAN, block, repeat(0)))
+        except ValueError:  # a scan failed or stopped the map: json.loads reads the block below
+            objs = ends = ()
+        if list(ends) == list(map(len, map(str.rstrip, block, repeat("\r\n")))) and set(map(type, objs)) == {dict}:
+            yield range(first, first + len(block)), list(objs)
+            continue
+        numbers, objs = [], []
+        for line_no, line in enumerate(block, first):
+            if line.strip():
                 try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError as exc:
-                    byte, column = ord(line[exc.start]) - 0xDC00, len(line[: exc.start].encode("utf-8", "surrogateescape")) + 1
-                    raise ParseError(str(path), line_no, f"not UTF-8: byte {byte:#04x} at column {column}") from None
-            yield line_no, line
-
-
-def read_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
-    """(line number, object) for each nonblank line of a JSONL file; a line
-    that is not a JSON object is a ParseError."""
-    for line_no, line in read_lines(path):
-        if line.strip():
-            try:
-                obj = json.loads(line)
-            except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
-                raise ParseError(str(path), line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}") from exc
-            if not isinstance(obj, dict):
-                raise ParseError(str(path), line_no, "each line must be a JSON object")
-            yield line_no, obj
+                    obj = json.loads(line)
+                    error = None if isinstance(obj, dict) else "each line must be a JSON object"
+                except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
+                    error = f"invalid JSON: {getattr(exc, 'msg', exc)}"
+                if error:
+                    yield numbers, objs
+                    raise ParseError(str(path), line_no, error)
+                numbers.append(line_no)
+                objs.append(obj)
+        yield numbers, objs
 
 
 def read_csv(path: Path) -> Iterator[tuple[int, list[str]]]:
@@ -286,6 +351,30 @@ def read_csv(path: Path) -> Iterator[tuple[int, list[str]]]:
     for record in reader:
         yield line_no, record
         line_no = reader.line_num + 1
+
+
+def read_files(*reads: tuple) -> list:
+    """[read(path, *args) for read, path, *args in reads], at once in
+    contiguous parts (_fork.bounds) while the files hold lines enough. The
+    last part runs here, so that what it reads is not sent back. The first
+    read in order that fails raises, once every part has ended."""
+    lines, enough = 0, _fork._LEAST_WORK * min(_fork.cpu_count(), len(reads))
+    for _, path, *_ in reads if enough > _fork._LEAST_WORK else ():  # counted as far as it matters
+        with open(path, "rb") as handle:
+            while lines < enough and (chunk := handle.read(1 << 20)):
+                lines += chunk.count(b"\n")
+    ends, backwards = _fork.bounds(len(reads), lines), reads[::-1]
+
+    def part(index: int) -> list | Exception:  # part 0 has the last reads
+        try:
+            return [read(*args) for read, *args in reversed(backwards[ends[index] : ends[index + 1]])]
+        except Exception as exc:  # raised below, unless an earlier file's error is
+            return exc
+
+    parts = _fork.run(part, len(ends) - 1)[::-1]  # in file order
+    if error := next((done for done in parts if isinstance(done, Exception)), None):
+        raise error
+    return [value for done in parts for value in done]
 
 
 def _parse_rows(path: Path, rows: Iterable[tuple[int, Any]], parse: Callable[[Any], Any]) -> Iterator:
@@ -318,6 +407,16 @@ def _read_csv_rows(path: Path, header: list[str]) -> Iterator[tuple[int, list[st
             yield line_no, row
 
 
+def _blocks(path: Path, format: str, header: list[str]) -> Iterator[tuple[Sequence[int], list[dict]]]:
+    """(line numbers, rows as objects) per block of a JSONL file, or per
+    record of a CSV file, keyed by header."""
+    if format == "jsonl":
+        return read_jsonl(path)
+    if format == "csv":
+        return (((line_no,), [dict(zip(header, row))]) for line_no, row in _read_csv_rows(path, header))
+    raise CorpusError(f"unknown format {format!r} (expected 'jsonl' or 'csv')")
+
+
 def _annotation_from_obj(obj: dict) -> tuple:
     post_id, condition, raw = map(obj.get, ("post_id", "condition", "judgments"))
     for key, value in (("post_id", post_id), ("condition", condition)):
@@ -329,25 +428,19 @@ def _annotation_from_obj(obj: dict) -> tuple:
         raise CorpusError("judgments must be a list")
     if not raw:
         raise CorpusError(f"annotation for post {post_id!r} ({condition}) has no judgments")
-    try:
-        labels = [_LABEL_CODES[item["label"]] for item in raw]
-        helpful = [item.get("parent_helpful") for item in raw]
-    except (KeyError, TypeError):  # an entry that is no object, or a label that is no known string
-        labels = helpful = None
-    if labels is None or not _HELPFUL_TYPES.issuperset(map(type, helpful)):
-        for item in raw:  # report the first bad entry
-            if not isinstance(item, dict):
-                raise CorpusError("judgment entries must be objects")
-            label = item.get("label")
-            if not isinstance(label, str) or label not in _LABEL_CODES:
-                raise CorpusError(f"unknown label {label!r}")
-            if type(item.get("parent_helpful")) not in _HELPFUL_TYPES:
-                raise CorpusError("parent_helpful must be true, false, or null")
-    return post_id, condition, labels, map(_HELPFUL_CODES.__getitem__, helpful)
+    for item in raw:  # the first bad entry raises
+        if not isinstance(item, dict):
+            raise CorpusError("judgment entries must be objects")
+        label = item.get("label")
+        if not isinstance(label, str) or label not in _LABEL_CODES:
+            raise CorpusError(f"unknown label {label!r}")
+        if type(item.get("parent_helpful")) not in _HELPFUL_TYPES:
+            raise CorpusError("parent_helpful must be true, false, or null")
+    return post_id, condition, [_LABEL_CODES[item["label"]] for item in raw], [_HELPFUL_CODES[item.get("parent_helpful")] for item in raw]
 
 
-def _annotation_from_csv(row: list[str]) -> tuple:
-    post_id, condition, labels_cell, helpful_cell = row
+def _annotation_from_csv(row: dict) -> tuple:
+    post_id, condition, labels_cell, helpful_cell = row.values()
     if condition not in _CONDITION_VALUES:
         raise CorpusError(f"unknown condition {condition!r}")
     if labels_cell == "":
@@ -365,28 +458,41 @@ def _annotation_from_csv(row: list[str]) -> tuple:
         raise CorpusError(f"bad parent_helpful slot {exc.args[0]!r}") from None
 
 
-def _readers(format: str) -> tuple:
-    """(rows of a file under a CSV header, post fields of a row, annotation parser) of a file format."""
-    if format == "jsonl":
-        return lambda path, header: read_jsonl(path), lambda obj: tuple(map(obj.get, _POST_HEADER)), _annotation_from_obj
-    if format == "csv":
-        return _read_csv_rows, tuple, _annotation_from_csv
-    raise CorpusError(f"unknown format {format!r} (expected 'jsonl' or 'csv')")
+def _annotation_columns(objs: list[dict]) -> tuple | None:
+    """The _columns of a block of annotation objects, checked a column at a
+    time, or None when a row may break a rule of _annotation_from_obj."""
+    post_ids, conditions, raws = (list(map(dict.get, objs, repeat(key))) for key in ("post_id", "condition", "judgments"))
+    try:  # a value of the wrong JSON type is a TypeError or an AttributeError, an unknown label a KeyError
+        labels = [_LABEL_CODES[item["label"]] for raw in raws for item in raw]
+        helpful = [item.get("parent_helpful") for raw in raws for item in raw]
+        passed = _CONDITION_VALUES.issuperset(conditions) and all(raws) and only_types({str}, post_ids)
+    except (TypeError, AttributeError, KeyError):
+        return None
+    if passed and only_types({list}, raws) and only_types(_HELPFUL_TYPES, helpful):
+        return post_ids, conditions, labels, map(_HELPFUL_CODES.__getitem__, helpful), map(len, raws)
+    return None
+
+
+def _columns(rows: Iterable[tuple]) -> tuple:
+    """(post ids, conditions, label codes, helpful codes, judgment counts) of
+    a nonempty block of (post_id, condition, label codes, helpful codes) rows."""
+    post_ids, conditions, labels, helpful = zip(*rows)
+    return post_ids, conditions, chain.from_iterable(labels), chain.from_iterable(helpful), map(len, labels)
 
 
 def _read_table(path: Path, format: str, condition: Condition) -> AnnotationTable:
-    """One annotation file as a table, for either format: its parser turns
-    a row into (post_id, condition, label codes, helpful codes)."""
-    rows, _, parse = _readers(format)
-    post_ids, labels, helpful, offsets, foreign = [], array("b"), array("b"), array("q", [0]), -1
-    for post_id, row_condition, row_labels, row_helpful in _parse_rows(path, rows(path, _ANNOTATION_HEADER), parse):
-        if row_condition != condition.value and foreign < 0:
-            foreign = len(post_ids)
-        post_ids.append(post_id)
-        labels.extend(row_labels)
-        helpful.extend(row_helpful)
-        offsets.append(len(labels))
-    return AnnotationTable(condition, post_ids, labels, helpful, offsets, foreign)
+    """One annotation file as a table, a block's columns taken at once, or
+    else row by row by the format's parser, as (post_id, condition, label
+    codes, helpful codes)."""
+    parse = _annotation_from_obj if format == "jsonl" else _annotation_from_csv
+    columns = [], [], array("b"), array("b"), array("q")
+    for numbers, rows in _blocks(path, format, _ANNOTATION_HEADER):
+        block = format == "jsonl" and _annotation_columns(rows) or _columns(_parse_rows(path, zip(numbers, rows), parse))
+        for column, values in zip(columns, block):
+            column.extend(values)
+    post_ids, conditions, labels, helpful, lengths = columns
+    foreign = next(compress(count(), map(condition.value.__ne__, conditions)), -1)
+    return AnnotationTable(condition, post_ids, labels, helpful, np.cumsum([0, *lengths]), foreign)
 
 
 # --- public loaders --------------------------------------------------------
@@ -404,10 +510,8 @@ def load_bundle(
     ParseError (with source and line), DuplicateRecordError,
     DanglingReferenceError, or CorpusError; anything schema-conformant loads.
     """
-    posts = _read_posts(posts_path, format)
-    ic = _read_table(Path(ic_path), format, Condition.IN_CONTEXT)
-    oc = _read_table(Path(oc_path), format, Condition.OUT_OF_CONTEXT)
-    return DatasetBundle(posts, ic, oc)
+    ic, oc = (_read_table, Path(ic_path), format, Condition.IN_CONTEXT), (_read_table, Path(oc_path), format, Condition.OUT_OF_CONTEXT)
+    return DatasetBundle(*read_files((_read_posts, Path(posts_path), format), ic, oc))
 
 
 def _json(path: Path, obj, indent: int | None = None) -> str:
@@ -423,10 +527,15 @@ def write_json(path: Path, obj) -> None:
 
 
 def write_jsonl(path: Path, objs: Iterable[dict]) -> None:
-    """One JSON object per line, UTF-8, non-ASCII kept as is."""
+    """One JSON object per line, UTF-8, non-ASCII kept as is, written a
+    block of lines at a time."""
+    encode, objs = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode, iter(objs)
     with path.open("w", encoding="utf-8") as handle:
-        for obj in objs:
-            handle.write(_json(path, obj) + "\n")
+        while block := list(islice(objs, 1024)):
+            try:
+                handle.write("\n".join(map(encode, block)) + "\n")
+            except ValueError as exc:  # a NaN or an infinity
+                raise OutputError(f"{path}: {exc}") from None
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -447,13 +556,13 @@ def _read_posts(path: str | Path, format: str) -> PostTable:
     ParseError at its line, a repeated post_id included. load_bundle calls
     this, not load_posts, so that perfbench's wrapper on load_posts counts
     standalone pools only."""
-    path, (rows, fields_of, _) = Path(path), _readers(format)
-    records: list[tuple] = []
+    path, columns = Path(path), (array("q"), [], [], [])  # line numbers, then the _POST_HEADER fields
     try:
-        for n, row in rows(path, _POST_HEADER):
-            records.append((n, *fields_of(row)))
+        for numbers, rows in _blocks(path, format, _POST_HEADER):
+            for column, values in zip(columns, (numbers, *(map(dict.get, rows, repeat(key)) for key in _POST_HEADER))):
+                column.extend(values)
     finally:  # rows above a line that fails to parse are checked first
-        posts = posts_at(str(path), records)
+        posts = posts_at(str(path), *columns)
     return posts
 
 

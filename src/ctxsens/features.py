@@ -330,14 +330,14 @@ def transform_many(vocab: Vocabulary, texts: Sequence[str] | Tokens) -> sparse.c
     call (Tokens split under the vocabulary's lowercase setting are used as
     they are), and their words mapped to the vocabulary's words once. Each
     block of _NUMBERING_ROWS texts is numbered together with the
-    vocabulary's terms. Each block keeps its column indices as int32, the
-    dtype the CSR result holds them in, so the joined indices are not copied
-    again.
+    vocabulary's terms, and its entries are written into the result's
+    arrays, which grow in place to what the rows done so far project, so
+    that no block is held twice.
     """
     config, dimension = vocab.config, vocab.dimension
     ones = np.ones(dimension)
-    indices, data, lengths = [np.zeros(0, dtype=np.int32)], [np.zeros(0)], [np.zeros(0, dtype=np.int64)]
     texts = tokenize(texts, config)
+    indices, data, indptr = np.zeros(0, dtype=np.int32), np.zeros(0), np.zeros(len(texts) + 1, dtype=np.int64)
     word_map = _word_map(texts.words, config, vocab._numbered_terms()[0])
     for first in range(0, len(texts), _NUMBERING_ROWS):
         block = texts[first : first + _NUMBERING_ROWS]
@@ -350,17 +350,19 @@ def transform_many(vocab: Vocabulary, texts: Sequence[str] | Tokens) -> sparse.c
         else:
             weight = tf.astype(np.float64)
         weight *= vocab._idf[col]
-        length = np.bincount(row, minlength=len(block))
-        indptr = np.concatenate([[0], np.cumsum(length)])
-        squares = sparse.csr_matrix((weight * weight, col, indptr), shape=(len(block), dimension)) @ ones
+        ends = np.cumsum(np.bincount(row, minlength=len(block)))
+        squares = sparse.csr_matrix((weight * weight, col, np.append(0, ends)), shape=(len(block), dimension)) @ ones
         weight /= np.sqrt(squares)[row]
-        indices.append(col)
-        data.append(weight)
-        lengths.append(length)
-    indptr = np.concatenate([[0], np.cumsum(np.concatenate(lengths))])
-    return sparse.csr_matrix(
-        (np.concatenate(data), np.concatenate(indices), indptr), shape=(len(texts), dimension)
-    )
+        start, end = indptr[first], indptr[first] + len(col)
+        if end > len(indices):  # to what the rows done so far project for all, and by 1/8 at least
+            for array in (indices, data):
+                array.resize(max(end * len(texts) // (first + len(block)), len(array) * 9 // 8), refcheck=False)
+        indices[start:end], data[start:end] = col, weight
+        indptr[first + 1 : first + len(block) + 1] = start + ends
+        del cells, tf, row, col, weight, squares  # not held while the next block is numbered
+    for array in (indices, data):
+        array.resize(indptr[-1], refcheck=False)
+    return sparse.csr_matrix((data, indices, indptr), shape=(len(texts), dimension))
 
 
 def to_csr(matrix) -> sparse.csr_matrix:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ctxsens import aggregation
 from ctxsens.aggregation import (
     AgreementReport,
     SensitivityTable,
@@ -20,7 +21,7 @@ from ctxsens.aggregation import (
     save_examples,
     sensitivity_histogram,
 )
-from ctxsens.corpus import Condition, DatasetBundle, Label, ParseError
+from ctxsens.corpus import Condition, DatasetBundle, Label, ParseError, read_jsonl
 
 from helpers import (
     annotation_table,
@@ -222,6 +223,59 @@ def test_strict_inequality_at_threshold(tmp_path):
 def test_record_invariants_enforced(tmp_path):
     assert_rejected(tmp_path, with_fields(delta=0.1), "delta must equal s_oc.value - s_ic.value exactly")
     assert_rejected(tmp_path, with_fields(is_sensitive=False), "is_sensitive must equal |delta| > threshold")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda row: row,
+        with_score("s_ic", value=0),
+        with_score("s_ic", sem=0),
+        with_score("s_ic", sem=-0.0),
+        lambda row: {key: value for key, value in row.items() if key != "parent_text"},
+        with_fields(extra=[1]),
+        with_score("s_ic", n_raters=True),
+        with_score("s_oc", value=True),
+        with_score("s_oc", value=math.nan),
+        with_score("s_oc", sem=math.nan),
+        with_score("s_oc", sem=math.inf),
+        with_score("s_oc", n_raters=2**70),
+        with_fields(delta=math.inf),
+        with_fields(threshold=math.nan),
+        with_fields(is_sensitive=0),
+        with_fields(s_ic=None),
+        with_fields(s_ic=[0.0, 5, 0.0]),
+    ],
+    ids=[
+        "as saved", "int value", "int sem", "negative zero sem", "no parent_text", "extra field", "bool n_raters",
+        "bool value", "NaN value", "NaN sem", "infinite sem", "huge n_raters", "infinite delta", "NaN threshold",
+        "int is_sensitive", "null score", "list score",
+    ],
+)
+def test_the_column_checks_agree_with_the_row_checks(tmp_path, monkeypatch, edit):
+    """load_examples checks a block of rows a column at a time and, where that
+    fails, row by row; the row checks alone are the reference."""
+    path = tmp_path / "sensitivity.jsonl"
+    rows = [record_with_delta(0.2, "a"), ("b", "text b", "parent", score_of(0.8, 5), score_of(0.0, 5)), record_with_delta(0.1, "c")]
+    save_examples(sensitivity_table(rows), path)
+    objs = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in (objs[0], edit(objs[1]), objs[2])), encoding="utf-8")
+
+    def outcome():
+        try:
+            return table_rows(load_examples(path))
+        except ValueError as exc:
+            return str(exc)
+
+    got = outcome()
+    monkeypatch.setattr(aggregation, "_example_columns", lambda objs: None)
+    assert got == outcome()
+
+
+def test_a_saved_file_passes_the_column_checks(tmp_path):
+    path = tmp_path / "sensitivity.jsonl"
+    save_examples(compute_sensitivities(synthetic_bundle(n_posts=40, seed=4))[0], path)
+    assert all(aggregation._example_columns(objs) is not None for _, objs in read_jsonl(path))
 
 
 @pytest.mark.property

@@ -1,12 +1,14 @@
 import csv
 import json
+import math
+import pickle
 import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ctxsens import aggregation, analysis, cli, corpus
+from ctxsens import _fork, aggregation, analysis, cli, corpus
 from ctxsens.corpus import (
     Condition,
     CorpusError,
@@ -15,6 +17,7 @@ from ctxsens.corpus import (
     DuplicateRecordError,
     EmptyJudgmentsError,
     Label,
+    OutputError,
     ParseError,
     PostTable,
     ScoredRow,
@@ -23,10 +26,11 @@ from ctxsens.corpus import (
     load_bundle,
     load_posts,
     load_score_table,
+    write_jsonl,
 )
 
 import oracles
-from helpers import annotation_table, post_table, save_bundle, save_posts, synthetic_bundle, table_rows
+from helpers import annotation_table, post_table, read_in_parts, save_bundle, save_posts, synthetic_bundle, table_rows
 
 IC, OC = Condition.IN_CONTEXT, Condition.OUT_OF_CONTEXT
 
@@ -492,16 +496,17 @@ def test_bool_column_names_the_line_of_its_first_bad_row(tmp_path, content, line
     assert str(info.value) == f"{path}:{line}: {message}"
 
 
-def test_every_input_file_is_read_once_through_read_lines(tmp_path, monkeypatch):
-    """A loader that opens an input file its own way, or reads it twice, fails here."""
-    opened, read_lines = [], corpus.read_lines
+def test_every_input_file_is_read_once_through_read_blocks(tmp_path, monkeypatch):
+    """A loader that opens an input file its own way, or reads it twice, fails
+    here. read_lines, through which the CLI reads its --config file, is made
+    of read_blocks too."""
+    opened, read_blocks = [], corpus.read_blocks
 
     def spy(path):
         opened.append(path.name)
-        return read_lines(path)
+        return read_blocks(path)
 
-    monkeypatch.setattr(corpus, "read_lines", spy)
-    monkeypatch.setattr(cli, "read_lines", spy)  # the CLI reads its --config file through the name it imports
+    monkeypatch.setattr(corpus, "read_blocks", spy)
     bundle = synthetic_bundle(n_posts=6, seed=1)
     for fmt in ("jsonl", "csv"):
         paths = [tmp_path / f"{name}.{fmt}" for name in ("posts", "ic", "oc")]
@@ -520,3 +525,215 @@ def test_every_input_file_is_read_once_through_read_lines(tmp_path, monkeypatch)
     assert cli.main([*args, "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "boot")]) == 0
     inputs = ["posts.jsonl", "ic.jsonl", "oc.jsonl", "posts.csv", "ic.csv", "oc.csv", "pool.jsonl", "sensitivity.jsonl"]
     assert sorted(opened) == sorted([*inputs, "released.csv", "config.json", "a.csv", "b.csv"])
+
+
+# --- the block reader: errors that cross processes, line endings, file order ---
+
+
+def _every_subclass(cls: type) -> set:
+    return {cls}.union(*map(_every_subclass, cls.__subclasses__()))
+
+
+@pytest.mark.parametrize(
+    "error",
+    [ParseError("f.jsonl", 3, "bad"), CorpusError("c"), DuplicateRecordError("d"), DanglingReferenceError("g"), EmptyJudgmentsError("e")],
+    ids=lambda error: type(error).__name__,
+)
+def test_every_corpus_error_survives_a_pickle_round_trip(error):
+    error.row = 7  # as PostTable sets it
+    back = pickle.loads(pickle.dumps(error, protocol=pickle.HIGHEST_PROTOCOL))
+    assert (type(back), str(back), vars(back)) == (type(error), str(error), vars(error))
+
+
+def test_the_pickle_cases_cover_every_corpus_error():
+    covered = {ParseError, CorpusError, DuplicateRecordError, DanglingReferenceError, EmptyJudgmentsError}
+    assert _every_subclass(CorpusError) == covered
+
+
+def test_a_parse_error_in_a_forked_part_is_raised_here_as_itself():
+    def job(part: int) -> int:
+        if part == 1:
+            raise ParseError("f.jsonl", 3, "bad")
+        return part
+
+    with pytest.raises(ParseError) as info:
+        _fork.run(job, 2)
+    assert (str(info.value), info.value.line) == ("f.jsonl:3: bad", 3)
+
+
+# Characters that text mode does not split a line at but str.splitlines does.
+# write_jsonl writes U+2028 and U+0085 raw and the two control characters as escapes.
+_NOT_LINE_BREAKS = "a\u2028b\x85c\x0cd\x1ee"
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_posts_and_sensitivity_rows_round_trip_at_any_line_ending(tmp_path, ending):
+    bundle = synthetic_bundle(n_posts=6, seed=2)
+    posts = PostTable(
+        bundle.posts.post_ids,
+        [f"{text} {_NOT_LINE_BREAKS}" for text in bundle.posts.target_texts],
+        [None if parent is None else _NOT_LINE_BREAKS + parent for parent in bundle.posts.parent_texts],
+    )
+    bundle = DatasetBundle(posts, bundle.ic_annotations, bundle.oc_annotations)
+    paths = [tmp_path / name for name in ("posts.jsonl", "ic.jsonl", "oc.jsonl")]
+    save_bundle(bundle, *paths)
+    table = aggregation.compute_sensitivities(bundle)[0]
+    paths.append(tmp_path / "sensitivity.jsonl")
+    aggregation.save_examples(table, paths[-1])
+    assert "\u2028" in paths[0].read_text(encoding="utf-8") and "\x85" in paths[-1].read_text(encoding="utf-8")
+    for path in paths:
+        path.write_bytes(path.read_bytes().replace(b"\n", ending.encode()))
+    assert load_bundle(*paths[:3]) == bundle
+    loaded = aggregation.load_examples(paths[-1])
+    assert loaded.posts == table.posts and loaded.delta.tobytes() == table.delta.tobytes()
+    lines = len(table)
+    with paths[-1].open("a", encoding="utf-8", newline="") as handle:
+        handle.write(f'{{"post_id": "late"}}{ending}')
+    with pytest.raises(ParseError, match=rf"^{paths[-1]}:{lines + 1}: field 'target_text' must be a string"):
+        aggregation.load_examples(paths[-1])
+    with paths[0].open("a", encoding="utf-8", newline="") as handle:
+        handle.write(f'{{"post_id": "", "target_text": "x"}}{ending}')
+    with pytest.raises(ParseError, match=rf"^{paths[0]}:{len(posts) + 1}: post_id must be nonempty"):
+        load_posts(paths[0])
+
+
+@pytest.mark.parametrize("raw", ["\x0c", "\x1e"], ids=["form feed", "record separator"])
+def test_a_raw_control_character_in_a_string_is_a_bad_row_at_its_own_line(tmp_path, raw):
+    path = tmp_path / "posts.jsonl"
+    rows = [{"post_id": f"p{i}", "target_text": "text"} for i in range(3)]
+    lines = [json.dumps(row) for row in rows]
+    lines[1] = lines[1].replace("text", f"te{raw}xt")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=rf"^{path}:2: invalid JSON: Invalid control character"):
+        load_posts(path)
+
+
+@pytest.mark.parametrize("parts", [1, 2])
+def test_joined_lines_that_decode_as_an_array_are_still_a_bad_line(tmp_path, monkeypatch, parts):
+    # ["{"x":1}, {"y":2", ""z":3}"] joined would read as two objects, but each line alone is bad
+    paths = [tmp_path / name for name in ("posts.jsonl", "ic.jsonl", "oc.jsonl")]
+    save_bundle(synthetic_bundle(n_posts=4, seed=3), *paths)
+    paths[0].write_text('{"x":1}, {"y":2\n"z":3}\n', encoding="utf-8")
+    runs = read_in_parts(monkeypatch, parts)
+    with pytest.raises(ParseError, match=rf"^{paths[0]}:1: invalid JSON: Extra data"):
+        load_bundle(*paths)
+    assert runs == [parts]
+
+
+@pytest.mark.parametrize("parts", [1, 2])
+def test_a_bundle_with_two_bad_files_reports_the_posts_file(tmp_path, monkeypatch, parts):
+    paths = [tmp_path / name for name in ("posts.jsonl", "ic.jsonl", "oc.jsonl")]
+    save_bundle(synthetic_bundle(n_posts=4, seed=3), *paths)
+    for path in (paths[0], paths[2]):
+        path.write_text(path.read_text(encoding="utf-8") + "[]\n", encoding="utf-8")
+    runs = read_in_parts(monkeypatch, parts)
+    with pytest.raises(ParseError, match=rf"^{paths[0]}:5: each line must be a JSON object"):
+        load_bundle(*paths)
+    paths[0].write_text(paths[0].read_text(encoding="utf-8")[: -len("[]\n")], encoding="utf-8")
+    with pytest.raises(ParseError, match=rf"^{paths[2]}:\d+: each line must be a JSON object"):
+        load_bundle(*paths)
+    assert runs == [parts, parts]
+
+
+def test_write_jsonl_writes_the_lines_of_json_dumps_and_names_the_path_of_a_nan(tmp_path):
+    objs = [{"post_id": f"p{i}", "text": "café \x1e", "score": 0.1 * i, "rank": i} for i in range(2500)]
+    path = tmp_path / "out.jsonl"
+    write_jsonl(path, iter(objs))  # more than one block
+    assert path.read_text(encoding="utf-8") == "".join(json.dumps(obj, ensure_ascii=False) + "\n" for obj in objs)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(OutputError, match=rf"^{path}: Out of range float values are not JSON compliant"):
+            write_jsonl(path, [{"score": 1.0}, {"score": bad}])
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {},
+        {"parent_text": ""},
+        {"parent_text": "\u00e9\U0001f600"},
+        {"post_id": "p1"},
+        {"post_id": ""},
+        {"post_id": 7},
+        {"post_id": None},
+        {"post_id": ["p"]},
+        {"target_text": " \t"},
+        {"target_text": 0},
+        {"target_text": "a\x00b"},
+        {"parent_text": 0},
+        {"parent_text": False},
+        {"parent_text": "\ud800"},
+        {"post_id": "p\udc80"},
+    ],
+    ids=lambda edit: repr(edit),
+)
+def test_the_column_checks_of_posts_agree_with_the_row_checks(tmp_path, monkeypatch, edit):
+    """PostTable checks its columns at once and, where that fails, row by
+    row; the row checks alone are the reference."""
+    path = tmp_path / "posts.jsonl"
+    rows = [{"post_id": f"p{i}", "target_text": f"text {i}", "parent_text": None} for i in range(3)]
+    rows[2].update(edit)
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+
+    def outcome():
+        try:
+            posts = load_posts(path)
+        except ValueError as exc:
+            return str(exc)
+        return posts.post_ids, posts.target_texts, posts.parent_texts
+
+    got = outcome()
+    monkeypatch.setattr(corpus, "_posts_pass", lambda *columns: False)
+    assert got == outcome()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {},
+        {"judgments": [{"label": "toxic"}]},
+        {"extra": 1},
+        {"post_id": 3},
+        {"condition": None},
+        {"condition": ["ic"]},
+        {"condition": "xx"},
+        {"judgments": []},
+        {"judgments": {"label": "toxic"}},
+        {"judgments": "toxic"},
+        {"judgments": [["toxic"]]},
+        {"judgments": [{"label": 1}]},
+        {"judgments": [{"label": True}]},
+        {"judgments": [{"label": ["toxic"]}]},
+        {"judgments": [{"label": "rude"}]},
+        {"judgments": [{"label": "toxic", "parent_helpful": 1}]},
+        {"judgments": [{"label": "toxic", "parent_helpful": 0}]},
+        {"judgments": [{"label": "toxic", "parent_helpful": "true"}]},
+    ],
+    ids=lambda edit: repr(edit),
+)
+def test_the_column_checks_of_annotations_agree_with_the_row_checks(tmp_path, monkeypatch, edit):
+    """An annotation block's columns are checked at once and, where that
+    fails, row by row; the row checks alone are the reference."""
+    paths = [tmp_path / name for name in ("posts.jsonl", "ic.jsonl", "oc.jsonl")]
+    save_bundle(synthetic_bundle(n_posts=4, seed=3), *paths)
+    rows = [json.loads(line) for line in paths[1].read_text(encoding="utf-8").splitlines()]
+    rows[1].update(edit)
+    paths[1].write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+
+    def outcome():
+        try:
+            return load_bundle(*paths).ic_annotations
+        except ValueError as exc:
+            return str(exc)
+
+    got = outcome()
+    monkeypatch.setattr(corpus, "_annotation_columns", lambda objs: None)
+    assert got == outcome()
+
+
+def test_saved_files_pass_the_column_checks(tmp_path, monkeypatch):
+    paths = [tmp_path / name for name in ("posts.jsonl", "ic.jsonl", "oc.jsonl")]
+    save_bundle(synthetic_bundle(n_posts=40, seed=3), *paths)
+    for path in paths[1:]:
+        assert all(corpus._annotation_columns(objs) is not None for _, objs in corpus.read_jsonl(path))
+    monkeypatch.setattr(corpus, "_row_error", None)  # a call would fail
+    load_posts(paths[0])
