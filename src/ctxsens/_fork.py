@@ -8,8 +8,8 @@ handlers. `taskset` restricts the CPUs, and so the part count.
 
 A forked child has only the thread that forked it, so callers fork only
 where no other thread can hold a lock the parts need: OpenBLAS stops its own
-threads at a fork, and an external model, whose scorer session runs
-threads, is never split.
+threads at a fork. An external model is never split: its parts would share
+the parent's one scorer process, and no session per part is built.
 """
 
 from __future__ import annotations

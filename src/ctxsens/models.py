@@ -364,7 +364,8 @@ class ExternalModel(Model):
         texts = _texts(inputs, PredictionError)
         scores, errors = self._session().score_many([(str(i), x, None) for i, x in enumerate(texts)])
         if errors:
-            raise PredictionError(f"external scorer failed on {len(errors)} inputs: {errors}")
+            first = "; ".join(f"input {i}: {errors[i]}" for i in sorted(errors, key=int)[:3])
+            raise PredictionError(f"external scorer failed on {len(errors)} inputs; the first: {first}")
         return np.array([scores[str(i)] for i in range(len(texts))])
 
 

@@ -11,17 +11,20 @@ from __future__ import annotations
 
 import hashlib
 import json
-import queue
+import os
+import selectors
 import socket
 import subprocess
 import sys
-import threading
 import time
+from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 DEFAULT_TIMEOUT = 30.0
 _RETRIES = 1  # passes over an item that failed, after its first
+_READ_BYTES = 1 << 16  # the most one read takes: a Linux pipe's default capacity
 
 
 class ScorerError(RuntimeError):
@@ -80,79 +83,95 @@ Item = tuple[str, str, "str | None"]  # (id, text, parent)
 class ExternalScorerClient:
     """One session with a scorer: one process or connection, kept until close().
 
-    Calls are serialized: each writes its requests from the calling thread,
-    keeping up to `endpoint.max_in_flight` outstanding, while a reader thread
-    parses responses and queues them for the caller to match by id.
+    The calling thread does all its I/O: requests queue in a buffer that each
+    wait for a response writes as the scorer takes it, while reading its
+    answers, so neither side blocks on a full pipe. Selectors wait on pipes
+    only under POSIX, so a `command` scorer needs it; TCP works everywhere.
     """
 
     def __init__(self, endpoint: ScorerEndpoint):
         self.endpoint = endpoint
-        self._responses: queue.SimpleQueue = queue.SimpleQueue()  # parsed objects; None after the stream ends
-        self._ended = False
-        self._lock = threading.Lock()
-        self._closed = False
+        self._encoder = json.JSONEncoder(ensure_ascii=False)
+        self._out = bytearray()  # request bytes the scorer has not taken yet
+        self._partial = b""  # the start of a response line still arriving
+        self._responses: deque[dict] = deque()  # parsed, not yet matched
+        self._ended = self._closed = False
         self._process: subprocess.Popen | None = None
-        self._socket: socket.socket | None = None
+        if endpoint.command is not None and os.name != "posix":
+            raise ScorerError("a scorer command needs a POSIX system, where selectors wait on pipes; use a TCP scorer")
         try:
             if endpoint.command is not None:
-                self._process = subprocess.Popen(
-                    endpoint.command,
-                    stdin=subprocess.PIPE,
-                    stdout=subprocess.PIPE,
-                )
-                self._writer = self._process.stdin
-                self._readable = self._process.stdout
+                self._process = subprocess.Popen(endpoint.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+                self._reader, self._writer = self._process.stdout, self._process.stdin
+                self._recv, self._write = partial(os.read, self._reader.fileno()), partial(os.write, self._writer.fileno())
+                os.set_blocking(self._writer.fileno(), False)
             else:
-                self._socket = socket.create_connection(endpoint.address, timeout=endpoint.timeout)
-                self._socket.settimeout(None)
-                self._writer = self._socket.makefile("wb")
-                self._readable = self._socket.makefile("rb")
+                self._reader = self._writer = socket.create_connection(endpoint.address, timeout=endpoint.timeout)
+                self._reader.setblocking(False)
+                self._recv, self._write = self._reader.recv, self._reader.send
         except OSError as exc:
             raise ScorerError(f"external scorer unreachable: {exc}") from exc
-        self._reader = threading.Thread(target=self._read_loop, daemon=True)
-        self._reader.start()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._reader, selectors.EVENT_READ)
+        self._writing = 0  # EVENT_WRITE while the selector watches the write end
 
     # -- transport ----------------------------------------------------------
 
     def _send(self, obj: dict) -> None:
-        """Write one request; it reaches the scorer at the next _flush."""
+        """Queue one request; the next wait for a response writes it."""
         if self._closed:
             raise ScorerError("client is closed")
         try:
-            self._writer.write((json.dumps(obj, ensure_ascii=False) + "\n").encode("utf-8"))
-        except (OSError, ValueError) as exc:
-            raise ScorerError(f"failed to write to scorer: {exc}") from exc
-
-    def _flush(self) -> None:
-        try:
-            self._writer.flush()
-        except (OSError, ValueError) as exc:
-            raise ScorerError(f"failed to write to scorer: {exc}") from exc
-
-    def _read_loop(self) -> None:
-        try:
-            for raw in self._readable:
-                try:
-                    obj = json.loads(raw)
-                except json.JSONDecodeError:
-                    continue  # not attributable to a request; it will time out
-                if isinstance(obj, dict):
-                    self._responses.put(obj)
-        except (OSError, ValueError):
-            pass
-        finally:
-            self._ended = True
-            self._responses.put(None)
+            self._out += (self._encoder.encode(obj) + "\n").encode("utf-8")
+        except ValueError as exc:
+            raise ScorerError(f"cannot encode a request: {exc}") from exc
 
     def _next_response(self, deadline: float) -> dict | None:
-        """The next parsed response, or None once the deadline passes or the stream has ended."""
+        """The next parsed response, or None once the deadline passes or the
+        stream has ended. Each turn first writes what the scorer takes of the
+        queued requests, and is woken also when it can take more."""
+        while not self._responses and not self._ended:
+            try:
+                while self._out:
+                    del self._out[: self._write(self._out)]
+            except BlockingIOError:
+                pass
+            except OSError:  # the scorer takes no more; it may still answer what it read
+                self._out.clear()
+            writing = selectors.EVENT_WRITE if self._out else 0
+            if writing != self._writing:
+                self._writing = writing
+                if self._writer is self._reader:
+                    self._selector.modify(self._reader, selectors.EVENT_READ | writing)
+                elif writing:
+                    self._selector.register(self._writer, writing)
+                else:
+                    self._selector.unregister(self._writer)
+            timeout = deadline - time.monotonic()
+            if any(events & selectors.EVENT_READ for _, events in self._selector.select(max(timeout, 0.0))):
+                self._read()
+            if timeout <= 0:
+                break
+        return self._responses.popleft() if self._responses else None
+
+    def _read(self) -> None:
+        """Read what has arrived; queue each complete line that is a JSON object."""
         try:
-            obj = self._responses.get(timeout=max(0.0, deadline - time.monotonic()))
-        except queue.Empty:
-            return None
-        if obj is None:
-            self._responses.put(None)  # every later wait sees the end too
-        return obj
+            data = self._recv(_READ_BYTES)
+        except BlockingIOError:
+            return
+        except OSError:
+            data = b""
+        if not data:  # the stream ended; a last line without its newline still counts
+            self._ended, data = True, b"\n"
+        *lines, self._partial = (self._partial + data).split(b"\n")
+        for line in lines:
+            try:
+                obj = json.loads(line)
+            except ValueError:
+                continue  # not attributable to a request; it will time out
+            if isinstance(obj, dict):
+                self._responses.append(obj)
 
     # -- operations -----------------------------------------------------------
 
@@ -164,42 +183,40 @@ class ExternalScorerClient:
         outstanding: dict[str, float] = {}  # id -> deadline; send order, so the first expires first
         timeout, cap = self.endpoint.timeout, self.endpoint.max_in_flight
         sent = 0
-        with self._lock:
-            while sent < len(items) or outstanding:
-                if sent < len(items) and len(outstanding) < cap:
-                    burst = items[sent : sent + cap - len(outstanding)]
-                    sent += len(burst)
-                    try:
-                        for request_id, text, parent in burst:
-                            self._send({"id": request_id, "text": text, "parent": parent})
-                        self._flush()
-                    except ScorerError as exc:
-                        failures.update((item[0], exc) for item in burst)
-                        continue
-                    deadline = time.monotonic() + timeout
-                    outstanding.update((item[0], deadline) for item in burst)
-                obj = self._next_response(next(iter(outstanding.values())))
-                if obj is None and self._ended:
-                    for request_id in [*outstanding, *(item[0] for item in items[sent:])]:
-                        failures[request_id] = ScorerError("scorer closed the stream")
-                    break
-                if obj is None:
-                    now = time.monotonic()
-                    for request_id in [r for r, deadline in outstanding.items() if deadline <= now]:
-                        del outstanding[request_id]
-                        failures[request_id] = ScorerTimeout(f"no response for id {request_id!r} within {timeout}s")
+        while sent < len(items) or outstanding:
+            if sent < len(items) and len(outstanding) < cap:
+                burst = items[sent : sent + cap - len(outstanding)]
+                sent += len(burst)
+                try:
+                    for request_id, text, parent in burst:
+                        self._send({"id": request_id, "text": text, "parent": parent})
+                except ScorerError as exc:
+                    failures.update((item[0], exc) for item in burst)
                     continue
-                while obj is not None:  # take every queued response, then refill the window in one burst
-                    request_id = obj.get("id")  # a fit reply, or an id not outstanding, matches nothing
-                    if isinstance(request_id, str) and outstanding.pop(request_id, None) is not None:
-                        score = obj.get("score")
-                        if type(score) in (int, float) and abs(score) <= sys.float_info.max:  # no NaN, inf or huge int
-                            scores[request_id] = float(score)
-                        else:
-                            failures[request_id] = ScorerProtocolError(
-                                f"response for id {request_id!r} has no finite numeric score: {obj}"
-                            )
-                    obj = self._next_response(0.0)
+                deadline = time.monotonic() + timeout
+                outstanding.update((item[0], deadline) for item in burst)
+            obj = self._next_response(next(iter(outstanding.values())))
+            if obj is None and self._ended:
+                for request_id in [*outstanding, *(item[0] for item in items[sent:])]:
+                    failures[request_id] = ScorerError("scorer closed the stream")
+                break
+            if obj is None:
+                now = time.monotonic()
+                for request_id in [r for r, deadline in outstanding.items() if deadline <= now]:
+                    del outstanding[request_id]
+                    failures[request_id] = ScorerTimeout(f"no response for id {request_id!r} within {timeout}s")
+                continue
+            while obj is not None:  # take every parsed response, then refill the window in one burst
+                request_id = obj.get("id")  # a fit reply, or an id not outstanding, matches nothing
+                if isinstance(request_id, str) and outstanding.pop(request_id, None) is not None:
+                    score = obj.get("score")
+                    if type(score) in (int, float) and abs(score) <= sys.float_info.max:  # no NaN, inf or huge int
+                        scores[request_id] = float(score)
+                    else:
+                        failures[request_id] = ScorerProtocolError(
+                            f"response for id {request_id!r} has no finite numeric score: {obj}"
+                        )
+                obj = self._next_response(0.0) if self._responses else None
         return scores, failures
 
     def score(self, request_id: str, text: str, parent: str | None = None) -> float:
@@ -234,44 +251,31 @@ class ExternalScorerClient:
 
     def fit(self, examples: Sequence[dict]) -> bool:
         """Offer training examples; False means the adapter is inference-only."""
-        with self._lock:
-            try:
-                self._send({"op": "fit", "examples": list(examples)})
-                self._flush()
-            except ScorerError:
-                return False
-            deadline = time.monotonic() + self.endpoint.timeout
-            while (obj := self._next_response(deadline)) is not None:
-                if obj.get("op") == "fit":
-                    return bool(obj.get("ok"))
+        try:
+            self._send({"op": "fit", "examples": list(examples)})
+        except ScorerError:
+            return False
+        deadline = time.monotonic() + self.endpoint.timeout
+        while (obj := self._next_response(deadline)) is not None:
+            if obj.get("op") == "fit":
+                return bool(obj.get("ok"))
         return False
 
     # -- lifecycle ------------------------------------------------------------
 
     def close(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        try:
-            self._writer.close()
-        except OSError:
-            pass
+        if self._closed:
+            return
+        self._closed = True
+        self._selector.close()
+        self._writer.close()  # the scorer sees the end of its input
         if self._process is not None:
             try:
                 self._process.wait(timeout=5)
             except subprocess.TimeoutExpired:
                 self._process.kill()
                 self._process.wait()
-        if self._socket is not None:
-            try:
-                self._socket.shutdown(socket.SHUT_RDWR)  # ends the reader's blocking read
-                self._socket.close()
-            except OSError:
-                pass
-        self._reader.join(timeout=5)
-        if not self._reader.is_alive():
-            self._readable.close()
+        self._reader.close()
 
     def __enter__(self) -> "ExternalScorerClient":
         return self

@@ -459,6 +459,21 @@ def test_external_model_file_holds_a_fingerprint_and_sample_needs_its_scorer(tmp
 
 
 @pytest.mark.usefixtures("scorer_processes")
+def test_sample_scoring_failure_names_the_count_and_the_first_three_inputs(tmp_path, sensitivity_file, capsys):
+    pool_path = tmp_path / "pool.jsonl"
+    save_posts(synthetic_bundle(n_posts=30, seed=22).posts, pool_path)  # the golden fixture's pool
+    scorer = shlex.quote(shlex.join(toy_scorer_command("--mode", "nan")))
+    assert main(_args(f"train --family external --data {sensitivity_file} --scorer {scorer} --out {tmp_path}/m")) == EXIT_OK
+    capsys.readouterr()
+    sample = f"sample --model {tmp_path}/m/model.bin --pool {pool_path} --k 5 --scorer {scorer} --out {tmp_path}/s"
+    assert main(_args(sample)) == EXIT_RUNTIME
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("runtime error:")
+    assert " 30 inputs" in lines[0]
+    assert set(re.findall(r"id '(\d+)'", lines[0])) == {"0", "1", "2"}
+
+
+@pytest.mark.usefixtures("scorer_processes")
 def test_loading_a_crafted_model_file_runs_no_command(tmp_path):
     # a model file from before fingerprints stored the endpoint, command included
     sentinel = tmp_path / "ran"

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import re
 import subprocess
@@ -23,6 +24,23 @@ pytestmark = pytest.mark.usefixtures("scorer_processes")
 
 def endpoint(*extra: str, timeout: float = 10.0, max_in_flight: int = 8) -> ScorerEndpoint:
     return ScorerEndpoint(command=toy_scorer_command(*extra), timeout=timeout, max_in_flight=max_in_flight)
+
+
+@contextlib.contextmanager
+def toy_endpoint(transport: str, *extra: str, max_in_flight: int = 8):
+    """An endpoint of the toy scorer over stdio, or over TCP to a toy scorer
+    started here and stopped on exit."""
+    if transport == "stdio":
+        yield endpoint(*extra, max_in_flight=max_in_flight)
+        return
+    process = subprocess.Popen([*toy_scorer_command(*extra, "--tcp", "0")], stdout=subprocess.PIPE, text=True)
+    try:
+        port = int(re.search(r"listening (\d+)", process.stdout.readline()).group(1))
+        yield ScorerEndpoint(address=("127.0.0.1", port), timeout=10.0, max_in_flight=max_in_flight)
+    finally:
+        process.terminate()
+        process.wait(timeout=5)
+        process.stdout.close()
 
 
 def test_endpoint_requires_exactly_one_transport():
@@ -94,13 +112,54 @@ def test_one_dropped_item_fails_alone_within_its_deadlines():
 
 
 def test_score_many_starts_no_thread(monkeypatch):
-    with ExternalScorerClient(endpoint("--mode", "float")) as client:
-        started, start = [], threading.Thread.start
-        with monkeypatch.context() as patch:
-            patch.setattr(threading.Thread, "start", lambda thread: (started.append(thread), start(thread))[1])
+    # the whole session, from opening the scorer through a fit and a batch to close
+    started, start = [], threading.Thread.start
+    threads = threading.active_count()
+    with monkeypatch.context() as patch:
+        patch.setattr(threading.Thread, "start", lambda thread: (started.append(thread), start(thread))[1])
+        with ExternalScorerClient(endpoint("--mode", "float")) as client:
+            assert client.fit([{"text": "a", "parent": None, "target": 0.1}]) is False
             scores, errors = client.score_many([(f"id{i}", f"0.{i}", None) for i in range(100)])
+            assert threading.active_count() == threads
     assert errors == {} and len(scores) == 100
     assert started == []
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("transport", ["stdio", "tcp"])
+def test_a_full_window_of_large_requests_does_not_deadlock(transport):
+    # 5 MB of requests in one burst: the scorer's unread replies fill its
+    # output (64 KB for a pipe) long before it has read every request, so a
+    # client blocked on its write would never read them and never finish
+    items = [(f"id{i}", f"{i % 10}." + "7" * 1022, None) for i in range(5000)]
+    result = []
+    with toy_endpoint(transport, "--mode", "float", max_in_flight=len(items)) as scorer_endpoint:
+
+        def session():
+            with ExternalScorerClient(scorer_endpoint) as client:
+                result.append(client.score_many(items))
+
+        worker = threading.Thread(target=session, daemon=True)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive(), "the session did not finish within 30 s"
+    scores, errors = result[0]
+    assert errors == {}
+    assert scores == {request_id: float(text) for request_id, text, _ in items}
+
+
+@pytest.mark.parametrize("chunk", [5, 100])
+@pytest.mark.parametrize("transport", ["stdio", "tcp"])
+def test_replies_split_across_reads_or_sharing_one_all_match(transport, chunk):
+    # a 5-byte chunk splits every reply across reads; 100 bytes hold several
+    # replies and a cut one; the last reply ends the stream without a newline
+    items = [(f"id{i}", f"0.{i}", None) for i in range(12)]
+    extra = ("--mode", "float", "--batch", "12", "--chunk", str(chunk))
+    with toy_endpoint(transport, *extra, max_in_flight=12) as scorer_endpoint:
+        with ExternalScorerClient(scorer_endpoint) as client:
+            scores, errors = client.score_many(items)
+    assert errors == {}
+    assert scores == {request_id: float(text) for request_id, text, _ in items}
 
 
 def test_timeout_surfaces_as_scorer_timeout():
@@ -159,26 +218,22 @@ def test_unreachable_command_raises():
         ExternalScorerClient(ScorerEndpoint(command=("/nonexistent/scorer-binary",)))
 
 
+def test_a_scorer_command_needs_posix(monkeypatch):
+    # simulated: os.name as a non-POSIX system reports it
+    monkeypatch.setattr(scorer.os, "name", "nt")
+    with pytest.raises(ScorerError, match="needs a POSIX system"):
+        ExternalScorerClient(endpoint())
+
+
 def test_unreachable_tcp_raises():
     with pytest.raises(ScorerError, match="unreachable"):
         ExternalScorerClient(ScorerEndpoint(address=("127.0.0.1", 1), timeout=1.0))
 
 
 def test_tcp_transport_round_trip():
-    process = subprocess.Popen(
-        [*toy_scorer_command("--mode", "float", "--tcp", "0")],
-        stdout=subprocess.PIPE,
-        text=True,
-    )
-    try:
-        line = process.stdout.readline()
-        port = int(re.search(r"listening (\d+)", line).group(1))
-        with ExternalScorerClient(ScorerEndpoint(address=("127.0.0.1", port))) as client:
+    with toy_endpoint("tcp", "--mode", "float") as tcp:
+        with ExternalScorerClient(tcp) as client:
             assert client.score("x", "0.75") == 0.75
-    finally:
-        process.terminate()
-        process.wait(timeout=5)
-        process.stdout.close()
 
 
 def test_closed_stream_fails_pending_requests():

@@ -6,7 +6,10 @@ itself as the score), fitted (the mean target of the last accepted fit, or an
 error reply before any fit), nan (a NaN score) and inf (in turn Infinity,
 -Infinity, 1e999 and an integer of 401 digits, none of which a float holds). --batch buffers requests and answers them in reverse
 order to exercise out-of-order matching; --drop-substring silently ignores
-matching texts; --fit controls the training handshake.
+matching texts; --fit controls the training handshake. --chunk N answers one
+batch only, writing its replies N bytes at a time with a flush and a short
+pause after each, and then ends the stream with no newline after the last
+reply.
 """
 
 import argparse
@@ -14,6 +17,7 @@ import hashlib
 import json
 import socket
 import sys
+import time
 
 
 def score_of(text: str, parent, mode: str) -> float:
@@ -26,15 +30,28 @@ def score_of(text: str, parent, mode: str) -> float:
     return int.from_bytes(digest[:8], "big") / 2.0**64
 
 
-def serve(read_line, write_line, args) -> None:
+def serve(read_line, write, args) -> None:
+    """Answer the requests read; write(text) writes and flushes."""
     buffered = []
     fitted_mean = None
     overflows = ("Infinity", "-Infinity", "1e999", "1" + "0" * 400)
     replies = 0
 
+    def encoded(obj) -> str:
+        return obj if isinstance(obj, str) else json.dumps(obj)
+
+    def write_line(obj):
+        write(encoded(obj) + "\n")
+
     def flush():
-        for response in reversed(buffered):
-            write_line(response)
+        if args.chunk is None:
+            for response in reversed(buffered):
+                write_line(response)
+        else:
+            text = "\n".join(map(encoded, reversed(buffered)))
+            for start in range(0, len(text), args.chunk):
+                write(text[start : start + args.chunk])
+                time.sleep(0.002)  # so that the client reads the pieces apart
         buffered.clear()
 
     for raw in read_line:
@@ -64,10 +81,12 @@ def serve(read_line, write_line, args) -> None:
             response = {"id": msg["id"], "error": "not fitted"}
         else:
             response = {"id": msg["id"], "score": fitted_mean}
-        if args.batch > 1:
+        if args.batch > 1 or args.chunk is not None:
             buffered.append(response)
             if len(buffered) >= args.batch:
                 flush()
+                if args.chunk is not None:
+                    return
         else:
             write_line(response)
     flush()
@@ -79,6 +98,7 @@ def main() -> None:
     parser.add_argument("--batch", type=int, default=1)
     parser.add_argument("--drop-substring", default=None)
     parser.add_argument("--fit", choices=["accept", "reject", "ignore"], default="reject")
+    parser.add_argument("--chunk", type=int, default=None, help="answer one batch in writes of this many bytes, then end")
     parser.add_argument("--tcp", type=int, default=None, help="listen on this port instead of stdio")
     args = parser.parse_args()
 
@@ -91,21 +111,11 @@ def main() -> None:
         conn, _ = server.accept()
         reader = conn.makefile("r", encoding="utf-8")
         writer = conn.makefile("w", encoding="utf-8")
-
-        def write_line(obj):
-            writer.write((obj if isinstance(obj, str) else json.dumps(obj)) + "\n")
-            writer.flush()
-
-        serve(reader, write_line, args)
+        serve(reader, lambda text: (writer.write(text), writer.flush()), args)
         conn.close()
         server.close()
     else:
-
-        def write_line(obj):
-            sys.stdout.write((obj if isinstance(obj, str) else json.dumps(obj)) + "\n")
-            sys.stdout.flush()
-
-        serve(sys.stdin, write_line, args)
+        serve(sys.stdin, lambda text: (sys.stdout.write(text), sys.stdout.flush()), args)
 
 
 if __name__ == "__main__":
