@@ -12,13 +12,13 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import AnnotationTable, CorpusError, DatasetBundle, Label, ParseError, PostTable, only_types, posts_at, read_jsonl, write_jsonl
+from .corpus import POST_RULES, POST_TEXTS, AnnotationTable, Columns, DatasetBundle, Label, ParseError, PostTable, first_break, kept_posts, read_jsonl, type_rule, write_jsonl
 
 _TOXIC_LABELS = frozenset({Label.TOXIC, Label.VERY_TOXIC})
 _TOXIC_CODES = [code for code, label in enumerate(Label) if label in _TOXIC_LABELS]
@@ -218,44 +218,76 @@ def collapse_binary(label: Label) -> bool:
 
 
 # (accepted JSON types, what the message says) per field of a row and of its two scores
-_STRING, _NUMBER, _OBJECT = ((str,), "a string"), ((int, float), "a number"), ((dict,), "an object")
+_STRING, _NUMBER, _OBJECT = ({str}, "a string"), ({int, float}, "a number"), ({dict}, "an object")
 _ROW_FIELDS = {
     "post_id": _STRING,
     "target_text": _STRING,
-    "parent_text": ((str, type(None)), "a string or null"),
+    "parent_text": ({str, type(None)}, "a string or null"),
     "s_oc": _OBJECT,
     "s_ic": _OBJECT,
     "delta": _NUMBER,
     "threshold": _NUMBER,
-    "is_sensitive": ((bool,), "true or false"),
+    "is_sensitive": ({bool}, "true or false"),
 }
-_SCORE_FIELDS = {"value": _NUMBER, "n_raters": ((int,), "an integer"), "sem": _NUMBER}
+_SCORE_FIELDS = {"value": _NUMBER, "n_raters": ({int}, "an integer"), "sem": _NUMBER}
 _MAX_RATERS = np.iinfo(np.int64).max
 
 
-def _check_fields(obj: dict, fields: dict) -> None:
-    for key, (accepted, expected) in fields.items():
-        value = obj.get(key)
-        if type(value) not in accepted:
-            raise CorpusError(f"field {key!r} must be {expected}, got {'null' if value is None else type(value).__name__}")
+def _typed(name: str, kinds: set, expected: str) -> tuple:
+    key = name.rpartition(".")[2]
+    return type_rule(name, kinds, lambda row: f"field {key!r} must be {expected}, got {'null' if row[name] is None else type(row[name]).__name__}")
 
 
-def _checked_score(obj: dict) -> tuple:
-    """A row's (value, n_raters, sem) for one condition, held to what the
-    count arithmetic guarantees."""
-    _check_fields(obj, _SCORE_FIELDS)
-    value, n_raters, sem = obj["value"], obj["n_raters"], obj["sem"]
-    if not 1 <= n_raters <= _MAX_RATERS:  # the column is int64
-        raise CorpusError("n_raters must be positive" if n_raters < 1 else f"n_raters {n_raters} exceeds {_MAX_RATERS}")
-    if not 0.0 <= value <= 1.0:
-        raise CorpusError(f"value {value} outside [0, 1]")
-    if abs(value * n_raters - round(value * n_raters)) > 1e-9:
-        raise CorpusError(f"value {value} is not a count fraction of {n_raters} raters")
-    if sem < 0.0:
-        raise CorpusError("sem must be >= 0")
-    if value in (0.0, 1.0) and sem != 0.0:
-        raise CorpusError("sem must be 0 at unanimity")
-    return value, n_raters, sem
+def _floats(*columns) -> np.ndarray:
+    """Columns of JSON numbers as float64 rows; an integer too large for a float reads as an infinity."""
+    try:
+        return np.array(columns, dtype=np.float64)
+    except OverflowError:
+        return np.array([[float(str(number)) for number in column] for column in columns])
+
+
+def _score_rules(side: str) -> tuple:
+    """What the count arithmetic guarantees of a score's value, n_raters and sem."""
+    raters = side + ".n_raters"
+
+    def floats(block: Columns) -> np.ndarray:  # the score's value, n_raters and sem as float64 rows
+        return block[side + " floats"]
+
+    return (
+        *(_typed(f"{side}.{key}", *kinds) for key, kinds in _SCORE_FIELDS.items()),
+        (lambda block: min(block[raters]) >= 1, "n_raters must be positive"),
+        (lambda block: max(block[raters]) <= _MAX_RATERS, f"n_raters {{{side}[n_raters]}} exceeds {_MAX_RATERS}"),
+        (lambda block: ((0.0 <= floats(block)[0]) & (floats(block)[0] <= 1.0)).all(), f"value {{{side}[value]}} outside [0, 1]"),
+        (
+            lambda block: (abs((counts := floats(block)[0] * floats(block)[1]) - np.rint(counts)) <= 1e-9).all(),
+            f"value {{{side}[value]}} is not a count fraction of {{{side}[n_raters]}} raters",
+        ),
+        (lambda block: not (floats(block)[2] < 0.0).any(), "sem must be >= 0"),
+        (lambda block: not floats(block)[2][(floats(block)[0] == 0.0) | (floats(block)[0] == 1.0)].any(), "sem must be 0 at unanimity"),
+    )
+
+
+# A sensitivity row's rules: its field types, then its texts, then each
+# score, then delta, threshold and is_sensitive. No NaN passes a test of equality.
+_EXAMPLE_RULES = (
+    *(_typed(key, *kinds) for key, kinds in _ROW_FIELDS.items()),
+    *POST_RULES[3:],  # past the post type rules
+    *_score_rules("s_oc"),
+    *_score_rules("s_ic"),
+    (lambda block: (block["delta floats"] == block["s_oc floats"][0] - block["s_ic floats"][0]).all(), "delta must equal s_oc.value - s_ic.value exactly"),
+    (lambda block: not (block["threshold floats"] < 0.0).any(), "threshold must be >= 0"),
+    (lambda block: (block["threshold floats"] == block["s_oc floats"][2] + block["s_ic floats"][2]).all(), "threshold must equal s_oc.sem + s_ic.sem exactly"),
+    (lambda block: (abs(block["delta floats"]) > block["threshold floats"]).tolist() == block["is_sensitive"], "is_sensitive must equal |delta| > threshold"),
+    (lambda block: np.isfinite([block["s_oc floats"][2], block["s_ic floats"][2]]).all(), "sem must be finite"),
+)
+# The columns the rules derive: each score field's values, each score as
+# float64 rows, and delta and threshold as float64.
+_EXAMPLE_FIELDS = {
+    **POST_TEXTS,
+    **{f"{side}.{key}": lambda block, side=side, key=key: list(map(dict.get, block[side], repeat(key))) for side in ("s_oc", "s_ic") for key in _SCORE_FIELDS},
+    **{f"{side} floats": lambda block, side=side: _floats(*(block[f"{side}.{key}"] for key in _SCORE_FIELDS)) for side in ("s_oc", "s_ic")},
+    **{f"{key} floats": lambda block, key=key: _floats(block[key])[0] for key in ("delta", "threshold")},
+}
 
 
 def save_examples(table: SensitivityTable, path: str | Path) -> None:
@@ -274,64 +306,17 @@ def load_examples(path: str | Path) -> SensitivityTable:
     """Read a sensitivity file; a post id may appear only once, since a
     duplicate would be counted twice and could sit on both sides of a split.
     A malformed row (no object, a field missing or of the wrong JSON type,
-    an inconsistent score, delta, threshold or is_sensitive) is a ParseError
-    naming path:line."""
-    path, texts = Path(path), (array("q"), [], [], [])  # line numbers, then the _TEXTS
-    scores = [array("q" if name.endswith("raters") else "d") for name in _SCORE_COLUMNS]
-    try:
-        for numbers, objs in read_jsonl(path):
-            if (block := _example_columns(objs)) is not None:
-                for column, values in zip((*texts, *scores), (numbers, *block)):
-                    column.extend(values)
-                continue
-            for line_no, obj in zip(numbers, objs):  # row by row, up to the first that fails
-                try:
-                    _check_fields(obj, _ROW_FIELDS)
-                    for column, value in zip(texts, (line_no, *map(obj.get, _TEXTS))):
-                        column.append(value)
-                    oc, ic = _checked_score(obj["s_oc"]), _checked_score(obj["s_ic"])
-                    delta, threshold = obj["delta"], obj["threshold"]
-                    if delta != oc[0] - ic[0]:
-                        raise CorpusError("delta must equal s_oc.value - s_ic.value exactly")
-                    if threshold < 0.0:
-                        raise CorpusError("threshold must be >= 0")
-                    if threshold != oc[2] + ic[2]:
-                        raise CorpusError("threshold must equal s_oc.sem + s_ic.sem exactly")
-                    if obj["is_sensitive"] != (abs(delta) > threshold):
-                        raise CorpusError("is_sensitive must equal |delta| > threshold")
-                except CorpusError as exc:
-                    raise ParseError(str(path), line_no, str(exc)) from exc
-                for column, value in zip(scores, (*oc, *ic)):
-                    column.append(value)
-    finally:  # a bad text in or above the row that fails is reported first
-        posts = posts_at(str(path), *texts)
-    return SensitivityTable(posts, *scores)
-
-
-_TEXTS = ("post_id", "target_text", "parent_text")
-_ROW_GETTER, _SCORE_GETTER = itemgetter(*_ROW_FIELDS), itemgetter(*_SCORE_FIELDS)
-
-
-def _example_columns(objs: list[dict]) -> list | None:
-    """The _TEXTS and _SCORE_COLUMNS of a block of rows, checked a column at
-    a time, or None when a row may break a rule of load_examples. A real must
-    be a float here, since float64 does not hold every int."""
-    try:  # a missing field is a KeyError, a score that is no object a TypeError
-        rows = dict(zip(_ROW_FIELDS, zip(*map(_ROW_GETTER, objs))))
-        scores = [column for side in ("s_oc", "s_ic") for column in zip(*map(_SCORE_GETTER, rows[side]))]
-    except (KeyError, TypeError):
-        return None
-    reals, raters = [*scores[0::3], *scores[2::3], rows["delta"], rows["threshold"]], scores[1] + scores[4]
-    if not (only_types({str}, rows["post_id"], rows["target_text"]) and only_types({str, type(None)}, rows["parent_text"])
-            and only_types({float}, *reals) and only_types({int}, raters) and only_types({bool}, rows["is_sensitive"])
-            and 1 <= min(raters) and max(raters) <= _MAX_RATERS):
-        return None
-    # value, n_raters (a float, as in _checked_score) and sem of s_oc, then of s_ic; delta and threshold
-    numbers = np.array([*scores, rows["delta"], rows["threshold"]], dtype=np.float64)
-    value, n_raters, sem, (delta, threshold) = numbers[0:6:3], numbers[1:6:3], numbers[2:6:3], numbers[6:]
-    if not ((0.0 <= value) & (value <= 1.0) & (sem >= 0.0)).all():  # NaN fails too, and the rest is finite
-        return None
-    counts = value * n_raters
-    ok = (abs(counts - np.rint(counts)) <= 1e-9) & ((sem == 0.0) | (value * (1.0 - value) > 0.0))
-    ok = ok[0] & ok[1] & (delta == value[0] - value[1]) & (threshold == sem[0] + sem[1])
-    return [*map(rows.get, _TEXTS), *scores] if (ok & (np.array(rows["is_sensitive"]) == (abs(delta) > threshold))).all() else None
+    an inconsistent score, delta, threshold or is_sensitive, a sem that is
+    not finite) is a ParseError naming path:line: the smallest bad row, with
+    the first rule in _EXAMPLE_RULES order that it breaks."""
+    path, seen = Path(path), set()
+    texts, scores = ([], [], []), [array("q" if name.endswith("raters") else "d") for name in _SCORE_COLUMNS]
+    for numbers, objs in read_jsonl(path):
+        block = Columns({key: list(map(dict.get, objs, repeat(key))) for key in _ROW_FIELDS}, _EXAMPLE_FIELDS, seen)
+        if broken := first_break(_EXAMPLE_RULES, block):
+            raise ParseError(str(path), numbers[broken[0]], str(broken[1]))
+        seen.update(block["post_id"])
+        fields = (*list(_ROW_FIELDS)[:3], *(f"{side}.{key}" for side in ("s_oc", "s_ic") for key in _SCORE_FIELDS))
+        for column, name in zip((*texts, *scores), fields):
+            column.extend(block[name])
+    return SensitivityTable(kept_posts(*texts), *scores)

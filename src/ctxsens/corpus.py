@@ -8,8 +8,10 @@ the featurizer's job.
 Every input file is read through `read_blocks`, which numbers lines and checks
 UTF-8 a block at a time, and through `read_jsonl` or `read_csv` on top of it;
 a CSV record's line is the one it starts on, as a quoted field may span lines.
-A JSONL block is checked a column at a time, and row by row only where that
-fails, so the first bad row in file order keeps its message and `file:line`.
+Each row kind has one ordered rule table, which `first_break` checks a block
+of rows against: the error is that of the smallest bad row and the first rule
+in table order that it breaks, so the first bad row in file order keeps its
+message and `file:line`.
 
 Posts are one columnar `PostTable` and each condition's annotations one
 columnar `AnnotationTable`, not an object per judgment: the post ids in file
@@ -21,13 +23,13 @@ helpful-vote majorities are per-record counts over its arrays.
 
 from __future__ import annotations
 
-import copy
 import csv
 import json
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import chain, compress, count, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -89,6 +91,100 @@ class OutputError(RuntimeError):
     """A value that JSON cannot hold, NaN or an infinity, bound for an output file."""
 
 
+# --- rule tables ---------------------------------------------------------------
+
+
+class Columns(dict):
+    """A block of rows as columns by name; a name that is not a column is
+    derived by derive[name](self) when first read. `seen` holds the post
+    ids of the rows above the block."""
+
+    def __init__(self, columns: dict, derive: dict | None = None, seen: set | frozenset = frozenset()):
+        super().__init__(columns)
+        self.names, self.derive, self.seen, self.rows = tuple(columns), derive, seen, len(next(iter(columns.values())))
+
+    def __missing__(self, name: str):
+        self[name] = value = self.derive[name](self)
+        return value
+
+    def head(self, rows: int) -> Columns:
+        return Columns({name: self[name][:rows] for name in self.names}, self.derive, self.seen)
+
+
+class _Row(dict):
+    """Row `row` of `block` by column name, for a rule's message."""
+
+    def __missing__(self, name: str):
+        return self.block[name][self.row]
+
+
+def first_break(rules: Sequence[tuple], columns: Columns) -> tuple[int, CorpusError] | None:
+    """(row, error) for the first row of a block that breaks a rule, with the
+    error of the first rule in order that it breaks; or None.
+
+    A rule is (check, message[, error class, else CorpusError]). check(block)
+    holds when every row keeps the rule, and is tried only where every row
+    kept every earlier rule. message is a format string over the row by
+    column name, or a function of that row. A check holds on each prefix of
+    the rows it holds on, so a bisection finds the shortest prefix that
+    breaks a rule, and the row is its last."""
+
+    def broken(block: Columns) -> tuple | None:
+        return next((rule for rule in rules if not rule[0](block)), None)
+
+    if not columns.rows or broken(columns) is None:
+        return None
+    good, bad = 0, columns.rows  # the first `good` rows keep every rule, the first `bad` do not
+    while bad - good > 1:
+        middle = (good + bad) // 2
+        good, bad = (middle, bad) if broken(columns.head(middle)) is None else (good, middle)
+    row = _Row()
+    row.block, row.row = columns.head(bad), bad - 1
+    _, message, *kind = broken(row.block)
+    return bad - 1, (kind or [CorpusError])[0](message(row) if callable(message) else message.format_map(row))
+
+
+def type_rule(name: str, kinds: set, message) -> tuple:
+    """The rule that the type of each value in column name is one of kinds."""
+    return lambda block: set(map(type, block[name])) <= kinds, message
+
+
+def _text_error(text: str) -> str | None:
+    """What keeps a text from being stored, a NUL or a lone surrogate, or None."""
+    if "\x00" in text:
+        return "contains a NUL character"
+    try:
+        text.isascii() or text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        return f"is not valid UTF-8: {exc}"
+    return None
+
+
+def _joined(block: Columns, name: str) -> str | None:
+    """The texts of a column joined, None left out of parent_text, or None when a value is not a string."""
+    try:
+        return "".join([text for text in block[name] if text is not None] if name == "parent_text" else block[name])
+    except TypeError:
+        return None
+
+
+# A post's rules. A column's texts are checked joined, and the join is its type check.
+POST_RULES = (
+    (lambda block: block["post_id joined"] is not None, "field 'post_id' must be a string"),
+    (lambda block: block["target_text joined"] is not None, "field 'target_text' must be a string"),
+    (lambda block: block["parent_text joined"] is not None, "field 'parent_text' must be a string or null"),
+    (lambda block: all(block["post_id"]), "post_id must be nonempty"),
+    (lambda block: all(map(str.strip, block["target_text"])), "post {post_id!r}: target_text is blank"),
+    *(
+        (lambda block, name=name: _text_error(block[name + " joined"]) is None,
+         lambda row, name=name: f"post {row['post_id']!r}: {name} {_text_error(row[name] or '')}")
+        for name in ("post_id", "target_text", "parent_text")
+    ),
+    (lambda block: len(set(ids := block["post_id"])) == len(ids) and block.seen.isdisjoint(ids), "duplicate post_id {post_id!r}", DuplicateRecordError),
+)
+POST_TEXTS = {f"{name} joined": lambda block, name=name: _joined(block, name) for name in ("post_id", "target_text", "parent_text")}
+
+
 @dataclass(frozen=True)
 class PostTable:
     """Posts as read-only columns, row i being post post_ids[i] with its
@@ -107,13 +203,9 @@ class PostTable:
         ids, targets, parents = tuple(self.post_ids), tuple(self.target_texts), tuple(self.parent_texts)
         if not len(ids) == len(targets) == len(parents):
             raise ValueError("columns differ in length")
-        if not _posts_pass(ids, targets, parents):  # then the rows are checked one by one
-            seen: set[str] = set()
-            for row, (post_id, target, parent) in enumerate(zip(ids, targets, parents)):
-                if error := _row_error(post_id, target, parent, seen):
-                    error.row = row
-                    raise error
-                seen.add(post_id)
+        if broken := first_break(POST_RULES, Columns(dict(zip(_POST_HEADER, (ids, targets, parents))), POST_TEXTS)):
+            broken[1].row = broken[0]
+            raise broken[1]
         object.__setattr__(self, "post_ids", ids)
         object.__setattr__(self, "target_texts", targets)
         object.__setattr__(self, "parent_texts", tuple(parent or None for parent in parents))
@@ -125,57 +217,15 @@ class PostTable:
         """The rows idx (distinct row indices), in that order. They passed
         every check as rows of this table, so they are not checked again."""
         rows = np.asarray(idx, dtype=np.int64).tolist()
-        subset = copy.copy(self)
-        for name in ("post_ids", "target_texts", "parent_texts"):
-            object.__setattr__(subset, name, tuple(map(getattr(self, name).__getitem__, rows)))
-        return subset
+        return kept_posts(*(map(column.__getitem__, rows) for column in (self.post_ids, self.target_texts, self.parent_texts)))
 
 
-def _row_error(post_id, target, parent, seen: set[str]) -> CorpusError | None:
-    """The error of the first check that a row fails, in this order, or None."""
-    for key, value in (("post_id", post_id), ("target_text", target)):
-        if not isinstance(value, str):
-            return CorpusError(f"field {key!r} must be a string")
-    if parent is not None and not isinstance(parent, str):
-        return CorpusError("field 'parent_text' must be a string or null")
-    if not post_id:
-        return CorpusError("post_id must be nonempty")
-    if not target.strip():
-        return CorpusError(f"post {post_id!r}: target_text is blank")
-    for name, value in (("post_id", post_id), ("target_text", target), ("parent_text", parent or "")):
-        if "\x00" in value:
-            return CorpusError(f"post {post_id!r}: {name} contains a NUL character")
-        try:
-            value.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            return CorpusError(f"post {post_id!r}: {name} is not valid UTF-8: {exc}")
-    return DuplicateRecordError(f"duplicate post_id {post_id!r}") if post_id in seen else None
-
-
-def only_types(kinds: set, *columns) -> bool:
-    """Whether the type of every value of the columns is one of kinds."""
-    return all(set(map(type, column)) <= kinds for column in columns)
-
-
-def _posts_pass(ids, targets, parents) -> bool:
-    """Whether every row passes _row_error, checked a column at a time; a
-    value that is not a string fails str.strip, set or str.join."""
-    texts = map("".join, (ids, targets, [parent for parent in parents if parent is not None]))
-    try:
-        return all(ids) and all(map(str.strip, targets)) and len(set(ids)) == len(ids) and not any(
-            "\x00" in text or _not_utf8(text) for text in texts)
-    except TypeError:
-        return False
-
-
-def posts_at(source: str, lines: Sequence[int], *columns) -> PostTable:
-    """The PostTable of post_id, target_text and parent_text columns read
-    from source, row i from line lines[i]; a row that it rejects is a
-    ParseError at its line."""
-    try:
-        return PostTable(*columns)
-    except CorpusError as exc:
-        raise ParseError(source, lines[exc.row], str(exc)) from exc
+def kept_posts(post_ids: Iterable[str], target_texts: Iterable[str], parent_texts: Iterable[str | None]) -> PostTable:
+    """The PostTable of columns whose rows kept POST_RULES (in blocks, with `seen`), not checked again."""
+    posts = object.__new__(PostTable)
+    for name, column in (("post_ids", post_ids), ("target_texts", target_texts), ("parent_texts", (text or None for text in parent_texts))):
+        object.__setattr__(posts, name, tuple(column))
+    return posts
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,7 +262,7 @@ class AnnotationTable:
             raise CorpusError("helpful flags must be -1, 0 or 1")
         if (lengths < 1).any():
             post_id = self.post_ids[np.argmax(lengths < 1)]
-            raise EmptyJudgmentsError(f"annotation for post {post_id!r} ({self.condition.value}) has no judgments")
+            raise EmptyJudgmentsError(_NO_JUDGMENTS.format(post_id=post_id, condition=self.condition.value))
 
     def __len__(self) -> int:
         return len(self.post_ids)
@@ -250,23 +300,15 @@ class DatasetBundle:
 
     def __post_init__(self) -> None:
         post_ids = set(self.posts.post_ids)
-        tables = ((self.ic_annotations, Condition.IN_CONTEXT), (self.oc_annotations, Condition.OUT_OF_CONTEXT))
-        for table, expected in tables:
-            foreign = table.foreign if table.condition is expected else 0
-            if foreign < 0 and post_ids.issuperset(table.post_ids) and len(set(table.post_ids)) == len(table.post_ids):
-                continue  # else the records are checked one by one
-            seen: set[str] = set()
-            for i, post_id in enumerate(table.post_ids):
-                if i == foreign:
-                    other = next(c for c in Condition if c is not expected)
-                    raise CorpusError(
-                        f"record for post {post_id!r} has condition {other.value!r}, expected {expected.value!r}"
-                    )
-                if post_id not in post_ids:
-                    raise DanglingReferenceError(f"annotation references unknown post_id {post_id!r}")
-                if post_id in seen:
-                    raise DuplicateRecordError(f"duplicate ({post_id!r}, {expected.value}) annotation record")
-                seen.add(post_id)
+        for table, expected in ((self.ic_annotations, Condition.IN_CONTEXT), (self.oc_annotations, Condition.OUT_OF_CONTEXT)):
+            foreign, other = table.foreign if table.condition is expected else 0, next(c for c in Condition if c is not expected)
+            rules = (
+                (lambda block: not 0 <= foreign < block.rows, f"record for post {{post_id!r}} has condition {other.value!r}, expected {expected.value!r}"),
+                (lambda block: post_ids.issuperset(block["post_id"]), "annotation references unknown post_id {post_id!r}", DanglingReferenceError),
+                (lambda block: len(set(block["post_id"])) == block.rows, f"duplicate ({{post_id!r}}, {expected.value}) annotation record", DuplicateRecordError),
+            )
+            if broken := first_break(rules, Columns({"post_id": table.post_ids})):
+                raise broken[1]
 
 
 # --- readers -----------------------------------------------------------------
@@ -417,26 +459,37 @@ def _blocks(path: Path, format: str, header: list[str]) -> Iterator[tuple[Sequen
     raise CorpusError(f"unknown format {format!r} (expected 'jsonl' or 'csv')")
 
 
-def _annotation_from_obj(obj: dict) -> tuple:
-    post_id, condition, raw = map(obj.get, ("post_id", "condition", "judgments"))
-    for key, value in (("post_id", post_id), ("condition", condition)):
-        if not isinstance(value, str):
-            raise CorpusError(f"field {key!r} must be a string")
-    if condition not in _CONDITION_VALUES:
-        raise CorpusError(f"unknown condition {condition!r}")
-    if not isinstance(raw, list):
-        raise CorpusError("judgments must be a list")
-    if not raw:
-        raise CorpusError(f"annotation for post {post_id!r} ({condition}) has no judgments")
-    for item in raw:  # the first bad entry raises
-        if not isinstance(item, dict):
-            raise CorpusError("judgment entries must be objects")
-        label = item.get("label")
-        if not isinstance(label, str) or label not in _LABEL_CODES:
-            raise CorpusError(f"unknown label {label!r}")
-        if type(item.get("parent_helpful")) not in _HELPFUL_TYPES:
-            raise CorpusError("parent_helpful must be true, false, or null")
-    return post_id, condition, [_LABEL_CODES[item["label"]] for item in raw], [_HELPFUL_CODES[item.get("parent_helpful")] for item in raw]
+_NO_JUDGMENTS = "annotation for post {post_id!r} ({condition}) has no judgments"
+_RECORD_RULES = (
+    type_rule("post_id", {str}, "field 'post_id' must be a string"),
+    type_rule("condition", {str}, "field 'condition' must be a string"),
+    (lambda block: _CONDITION_VALUES.issuperset(block["condition"]), "unknown condition {condition!r}"),
+    type_rule("judgments", {list}, "judgments must be a list"),
+    (lambda block: all(block["judgments"]), _NO_JUDGMENTS),
+)
+# A record's judgments, one row each, and the fields read from them.
+_JUDGMENT_RULES = (
+    type_rule("judgment", {dict}, "judgment entries must be objects"),
+    (lambda block: set(map(type, labels := block["label"])) <= {str} and _LABEL_CODES.keys() >= set(labels), "unknown label {label!r}"),
+    type_rule("parent_helpful", _HELPFUL_TYPES, "parent_helpful must be true, false, or null"),
+)
+_JUDGMENT_FIELDS = {key: lambda block, key=key: list(map(dict.get, block["judgment"], repeat(key))) for key in ("label", "parent_helpful")}
+
+
+def _annotation_columns(path: Path, numbers: Sequence[int], objs: list[dict]) -> tuple:
+    """The _columns of a block of annotation objects. The first bad record is
+    a ParseError at its line: the first to break a record rule, or one above
+    it that holds the first judgment to break a judgment rule."""
+    records = Columns({key: list(map(dict.get, objs, repeat(key))) for key in ("post_id", "condition", "judgments")})
+    broken = first_break(_RECORD_RULES, records)
+    above = records.head(broken[0]) if broken else records
+    judgments = Columns({"judgment": list(chain.from_iterable(above["judgments"]))}, _JUDGMENT_FIELDS)
+    if bad := first_break(_JUDGMENT_RULES, judgments):  # in the record whose judgments end past it
+        broken = bisect_right(list(accumulate(map(len, above["judgments"]))), bad[0]), bad[1]
+    if broken:
+        raise ParseError(str(path), numbers[broken[0]], str(broken[1]))
+    labels, helpful = map(_LABEL_CODES.__getitem__, judgments["label"]), map(_HELPFUL_CODES.__getitem__, judgments["parent_helpful"])
+    return records["post_id"], records["condition"], labels, helpful, map(len, records["judgments"])
 
 
 def _annotation_from_csv(row: dict) -> tuple:
@@ -444,7 +497,7 @@ def _annotation_from_csv(row: dict) -> tuple:
     if condition not in _CONDITION_VALUES:
         raise CorpusError(f"unknown condition {condition!r}")
     if labels_cell == "":
-        raise CorpusError(f"annotation for post {post_id!r} has no judgments")
+        raise CorpusError(_NO_JUDGMENTS.format(post_id=post_id, condition=condition))
     try:
         labels = [_LABEL_CODES[label] for label in labels_cell.split("|")]
     except KeyError as exc:
@@ -458,21 +511,6 @@ def _annotation_from_csv(row: dict) -> tuple:
         raise CorpusError(f"bad parent_helpful slot {exc.args[0]!r}") from None
 
 
-def _annotation_columns(objs: list[dict]) -> tuple | None:
-    """The _columns of a block of annotation objects, checked a column at a
-    time, or None when a row may break a rule of _annotation_from_obj."""
-    post_ids, conditions, raws = (list(map(dict.get, objs, repeat(key))) for key in ("post_id", "condition", "judgments"))
-    try:  # a value of the wrong JSON type is a TypeError or an AttributeError, an unknown label a KeyError
-        labels = [_LABEL_CODES[item["label"]] for raw in raws for item in raw]
-        helpful = [item.get("parent_helpful") for raw in raws for item in raw]
-        passed = _CONDITION_VALUES.issuperset(conditions) and all(raws) and only_types({str}, post_ids)
-    except (TypeError, AttributeError, KeyError):
-        return None
-    if passed and only_types({list}, raws) and only_types(_HELPFUL_TYPES, helpful):
-        return post_ids, conditions, labels, map(_HELPFUL_CODES.__getitem__, helpful), map(len, raws)
-    return None
-
-
 def _columns(rows: Iterable[tuple]) -> tuple:
     """(post ids, conditions, label codes, helpful codes, judgment counts) of
     a nonempty block of (post_id, condition, label codes, helpful codes) rows."""
@@ -481,13 +519,13 @@ def _columns(rows: Iterable[tuple]) -> tuple:
 
 
 def _read_table(path: Path, format: str, condition: Condition) -> AnnotationTable:
-    """One annotation file as a table, a block's columns taken at once, or
-    else row by row by the format's parser, as (post_id, condition, label
-    codes, helpful codes)."""
-    parse = _annotation_from_obj if format == "jsonl" else _annotation_from_csv
+    """One annotation file as a table. A JSONL block is checked against the
+    record and then the judgment rule tables: the smallest bad record, and
+    the first rule in table order that it breaks, is a ParseError at its
+    line. A CSV record is parsed on its own."""
     columns = [], [], array("b"), array("b"), array("q")
     for numbers, rows in _blocks(path, format, _ANNOTATION_HEADER):
-        block = format == "jsonl" and _annotation_columns(rows) or _columns(_parse_rows(path, zip(numbers, rows), parse))
+        block = _annotation_columns(path, numbers, rows) if format == "jsonl" else _columns(_parse_rows(path, zip(numbers, rows), _annotation_from_csv))
         for column, values in zip(columns, block):
             column.extend(values)
     post_ids, conditions, labels, helpful, lengths = columns
@@ -562,7 +600,10 @@ def _read_posts(path: str | Path, format: str) -> PostTable:
             for column, values in zip(columns, (numbers, *(map(dict.get, rows, repeat(key)) for key in _POST_HEADER))):
                 column.extend(values)
     finally:  # rows above a line that fails to parse are checked first
-        posts = posts_at(str(path), *columns)
+        try:
+            posts = PostTable(*columns[1:])
+        except CorpusError as exc:
+            raise ParseError(str(path), columns[0][exc.row], str(exc)) from exc
     return posts
 
 

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ctxsens import aggregation
 from ctxsens.aggregation import (
     AgreementReport,
     SensitivityTable,
@@ -21,7 +20,7 @@ from ctxsens.aggregation import (
     save_examples,
     sensitivity_histogram,
 )
-from ctxsens.corpus import Condition, DatasetBundle, Label, ParseError, read_jsonl
+from ctxsens.corpus import Condition, DatasetBundle, Label, ParseError
 
 from helpers import (
     annotation_table,
@@ -225,57 +224,52 @@ def test_record_invariants_enforced(tmp_path):
     assert_rejected(tmp_path, with_fields(is_sensitive=False), "is_sensitive must equal |delta| > threshold")
 
 
+# Row "b" of the three-row file below, as loaded
+_B = ("b", "text b", "parent", 0.8, 5, 0.19999999999999998, 0.0, 5, 0.0, 0.8, 0.19999999999999998, True)
+
+
 @pytest.mark.parametrize(
-    "edit",
+    "edit, expected",
     [
-        lambda row: row,
-        with_score("s_ic", value=0),
-        with_score("s_ic", sem=0),
-        with_score("s_ic", sem=-0.0),
-        lambda row: {key: value for key, value in row.items() if key != "parent_text"},
-        with_fields(extra=[1]),
-        with_score("s_ic", n_raters=True),
-        with_score("s_oc", value=True),
-        with_score("s_oc", value=math.nan),
-        with_score("s_oc", sem=math.nan),
-        with_score("s_oc", sem=math.inf),
-        with_score("s_oc", n_raters=2**70),
-        with_fields(delta=math.inf),
-        with_fields(threshold=math.nan),
-        with_fields(is_sensitive=0),
-        with_fields(s_ic=None),
-        with_fields(s_ic=[0.0, 5, 0.0]),
+        (lambda row: row, _B),
+        (with_score("s_ic", value=0), _B),
+        (with_score("s_ic", sem=0), _B),
+        (with_score("s_ic", sem=-0.0), _B[:8] + (-0.0,) + _B[9:]),
+        (lambda row: {key: value for key, value in row.items() if key != "parent_text"}, _B[:2] + (None,) + _B[3:]),
+        (with_fields(extra=[1]), _B),
+        (with_score("s_ic", n_raters=True), "field 'n_raters' must be an integer, got bool"),
+        (with_score("s_oc", value=True), "field 'value' must be a number, got bool"),
+        (with_score("s_oc", value=math.nan), "value nan outside [0, 1]"),
+        (with_score("s_oc", sem=math.nan), "threshold must equal s_oc.sem + s_ic.sem exactly"),
+        (with_score("s_oc", sem=math.inf), "threshold must equal s_oc.sem + s_ic.sem exactly"),
+        (with_score("s_oc", n_raters=2**70), "n_raters 1180591620717411303424 exceeds 9223372036854775807"),
+        (with_fields(delta=math.inf), "delta must equal s_oc.value - s_ic.value exactly"),
+        (with_fields(threshold=math.nan), "threshold must equal s_oc.sem + s_ic.sem exactly"),
+        (with_fields(is_sensitive=0), "field 'is_sensitive' must be true or false, got int"),
+        (with_fields(s_ic=None), "field 's_ic' must be an object, got null"),
+        (with_fields(s_ic=[0.0, 5, 0.0]), "field 's_ic' must be an object, got list"),
+        (lambda row: with_fields(threshold=math.inf, is_sensitive=False)(with_score("s_oc", sem=math.inf)(row)), "sem must be finite"),
     ],
     ids=[
         "as saved", "int value", "int sem", "negative zero sem", "no parent_text", "extra field", "bool n_raters",
         "bool value", "NaN value", "NaN sem", "infinite sem", "huge n_raters", "infinite delta", "NaN threshold",
-        "int is_sensitive", "null score", "list score",
+        "int is_sensitive", "null score", "list score", "infinite sem and threshold",
     ],
 )
-def test_the_column_checks_agree_with_the_row_checks(tmp_path, monkeypatch, edit):
-    """load_examples checks a block of rows a column at a time and, where that
-    fails, row by row; the row checks alone are the reference."""
+def test_each_rule_of_a_sensitivity_row_on_the_second_row(tmp_path, edit, expected):
+    """The loaded row for a row that loads, or the message at line 2."""
     path = tmp_path / "sensitivity.jsonl"
     rows = [record_with_delta(0.2, "a"), ("b", "text b", "parent", score_of(0.8, 5), score_of(0.0, 5)), record_with_delta(0.1, "c")]
     save_examples(sensitivity_table(rows), path)
     objs = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
     path.write_text("".join(json.dumps(obj) + "\n" for obj in (objs[0], edit(objs[1]), objs[2])), encoding="utf-8")
-
-    def outcome():
-        try:
-            return table_rows(load_examples(path))
-        except ValueError as exc:
-            return str(exc)
-
-    got = outcome()
-    monkeypatch.setattr(aggregation, "_example_columns", lambda objs: None)
-    assert got == outcome()
-
-
-def test_a_saved_file_passes_the_column_checks(tmp_path):
-    path = tmp_path / "sensitivity.jsonl"
-    save_examples(compute_sensitivities(synthetic_bundle(n_posts=40, seed=4))[0], path)
-    assert all(aggregation._example_columns(objs) is not None for _, objs in read_jsonl(path))
+    if isinstance(expected, tuple):
+        loaded = table_rows(load_examples(path))
+        assert repr(loaded) == repr([table_rows(sensitivity_table(rows))[0], expected, table_rows(sensitivity_table(rows))[2]])
+    else:
+        with pytest.raises(ParseError) as info:
+            load_examples(path)
+        assert str(info.value) == f"{path}:2: {expected}"
 
 
 @pytest.mark.property

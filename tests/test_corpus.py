@@ -144,6 +144,7 @@ _TOXIC = {"label": "toxic", "parent_helpful": None}
         ("jsonl", 2, {"judgments": [_TOXIC, ["toxic", None]]}, "must be objects"),
         ("csv", 3, {"parent_helpful": "true|1"}, "bad parent_helpful slot '1'"),
         ("csv", 3, {"labels": "toxic||toxic", "parent_helpful": ""}, "unknown label ''"),
+        ("csv", 2, {"labels": "", "parent_helpful": ""}, r"annotation for post 'p1' \(ic\) has no judgments$"),
     ],
 )
 def test_loader_rejects_lookalike_values(tmp_path, fmt, line, fields, message):
@@ -645,95 +646,109 @@ def test_write_jsonl_writes_the_lines_of_json_dumps_and_names_the_path_of_a_nan(
             write_jsonl(path, [{"score": 1.0}, {"score": bad}])
 
 
-@pytest.mark.parametrize(
-    "edit",
-    [
-        {},
-        {"parent_text": ""},
-        {"parent_text": "\u00e9\U0001f600"},
-        {"post_id": "p1"},
-        {"post_id": ""},
-        {"post_id": 7},
-        {"post_id": None},
-        {"post_id": ["p"]},
-        {"target_text": " \t"},
-        {"target_text": 0},
-        {"target_text": "a\x00b"},
-        {"parent_text": 0},
-        {"parent_text": False},
-        {"parent_text": "\ud800"},
-        {"post_id": "p\udc80"},
-    ],
-    ids=lambda edit: repr(edit),
-)
-def test_the_column_checks_of_posts_agree_with_the_row_checks(tmp_path, monkeypatch, edit):
-    """PostTable checks its columns at once and, where that fails, row by
-    row; the row checks alone are the reference."""
+_SURROGATE_ERROR = "'utf-8' codec can't encode character '\\{}' in position {}: surrogates not allowed"
+
+
+_POST_CASES = [
+    ({}, (None, None, None)),
+    ({"parent_text": ""}, (None, None, None)),
+    ({"parent_text": "é\U0001f600"}, (None, None, "é\U0001f600")),
+    ({"post_id": "p1"}, "duplicate post_id 'p1'"),
+    ({"post_id": ""}, "post_id must be nonempty"),
+    ({"post_id": 7}, "field 'post_id' must be a string"),
+    ({"post_id": None}, "field 'post_id' must be a string"),
+    ({"post_id": ["p"]}, "field 'post_id' must be a string"),
+    ({"target_text": " \t"}, "post 'p2': target_text is blank"),
+    ({"target_text": 0}, "field 'target_text' must be a string"),
+    ({"target_text": "a\x00b"}, "post 'p2': target_text contains a NUL character"),
+    ({"parent_text": 0}, "field 'parent_text' must be a string or null"),
+    ({"parent_text": False}, "field 'parent_text' must be a string or null"),
+    ({"parent_text": "\ud800"}, "post 'p2': parent_text is not valid UTF-8: " + _SURROGATE_ERROR.format("ud800", 0)),
+    ({"post_id": "p\udc80"}, "post 'p\\udc80': post_id is not valid UTF-8: " + _SURROGATE_ERROR.format("udc80", 1)),
+]
+
+
+@pytest.mark.parametrize("edit, expected", _POST_CASES, ids=[repr(edit) for edit, _ in _POST_CASES])
+def test_each_post_rule_on_the_third_row(tmp_path, edit, expected):
+    """The loaded parent texts for a row that loads, or the message at line 3."""
     path = tmp_path / "posts.jsonl"
     rows = [{"post_id": f"p{i}", "target_text": f"text {i}", "parent_text": None} for i in range(3)]
     rows[2].update(edit)
     path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
-
-    def outcome():
-        try:
-            posts = load_posts(path)
-        except ValueError as exc:
-            return str(exc)
-        return posts.post_ids, posts.target_texts, posts.parent_texts
-
-    got = outcome()
-    monkeypatch.setattr(corpus, "_posts_pass", lambda *columns: False)
-    assert got == outcome()
+    if isinstance(expected, tuple):
+        posts = load_posts(path)
+        assert (posts.post_ids, posts.target_texts, posts.parent_texts) == (("p0", "p1", "p2"), ("text 0", "text 1", "text 2"), expected)
+    else:
+        with pytest.raises(ParseError) as info:
+            load_posts(path)
+        assert str(info.value) == f"{path}:3: {expected}"
 
 
-@pytest.mark.parametrize(
-    "edit",
-    [
-        {},
-        {"judgments": [{"label": "toxic"}]},
-        {"extra": 1},
-        {"post_id": 3},
-        {"condition": None},
-        {"condition": ["ic"]},
-        {"condition": "xx"},
-        {"judgments": []},
-        {"judgments": {"label": "toxic"}},
-        {"judgments": "toxic"},
-        {"judgments": [["toxic"]]},
-        {"judgments": [{"label": 1}]},
-        {"judgments": [{"label": True}]},
-        {"judgments": [{"label": ["toxic"]}]},
-        {"judgments": [{"label": "rude"}]},
-        {"judgments": [{"label": "toxic", "parent_helpful": 1}]},
-        {"judgments": [{"label": "toxic", "parent_helpful": 0}]},
-        {"judgments": [{"label": "toxic", "parent_helpful": "true"}]},
-    ],
-    ids=lambda edit: repr(edit),
-)
-def test_the_column_checks_of_annotations_agree_with_the_row_checks(tmp_path, monkeypatch, edit):
-    """An annotation block's columns are checked at once and, where that
-    fails, row by row; the row checks alone are the reference."""
+# The second record of synthetic_bundle(n_posts=4, seed=3)'s IC file, as loaded
+_SECOND = ("post001", ["non_toxic", "non_toxic", "toxic", "non_toxic", "toxic"], [False, False, True, False, False])
+
+
+_ANNOTATION_CASES = [
+    ({}, _SECOND),
+    ({"judgments": [{"label": "toxic"}]}, ("post001", ["toxic"], [None])),
+    ({"extra": 1}, _SECOND),
+    ({"post_id": 3}, "field 'post_id' must be a string"),
+    ({"condition": None}, "field 'condition' must be a string"),
+    ({"condition": ["ic"]}, "field 'condition' must be a string"),
+    ({"condition": "xx"}, "unknown condition 'xx'"),
+    ({"judgments": []}, "annotation for post 'post001' (ic) has no judgments"),
+    ({"judgments": {"label": "toxic"}}, "judgments must be a list"),
+    ({"judgments": "toxic"}, "judgments must be a list"),
+    ({"judgments": [["toxic"]]}, "judgment entries must be objects"),
+    ({"judgments": [{"label": 1}]}, "unknown label 1"),
+    ({"judgments": [{"label": True}]}, "unknown label True"),
+    ({"judgments": [{"label": ["toxic"]}]}, "unknown label ['toxic']"),
+    ({"judgments": [{"label": "rude"}]}, "unknown label 'rude'"),
+    ({"judgments": [{"label": "toxic", "parent_helpful": 1}]}, "parent_helpful must be true, false, or null"),
+    ({"judgments": [{"label": "toxic", "parent_helpful": 0}]}, "parent_helpful must be true, false, or null"),
+    ({"judgments": [{"label": "toxic", "parent_helpful": "true"}]}, "parent_helpful must be true, false, or null"),
+]
+
+
+@pytest.mark.parametrize("edit, expected", _ANNOTATION_CASES, ids=[repr(edit) for edit, _ in _ANNOTATION_CASES])
+def test_each_annotation_rule_on_the_second_record(tmp_path, edit, expected):
+    """The loaded record for a record that loads, or the message at line 2."""
     paths = [tmp_path / name for name in ("posts.jsonl", "ic.jsonl", "oc.jsonl")]
     save_bundle(synthetic_bundle(n_posts=4, seed=3), *paths)
+    saved = load_bundle(*paths).ic_annotations
     rows = [json.loads(line) for line in paths[1].read_text(encoding="utf-8").splitlines()]
     rows[1].update(edit)
     paths[1].write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
-
-    def outcome():
-        try:
-            return load_bundle(*paths).ic_annotations
-        except ValueError as exc:
-            return str(exc)
-
-    got = outcome()
-    monkeypatch.setattr(corpus, "_annotation_columns", lambda objs: None)
-    assert got == outcome()
+    if isinstance(expected, tuple):
+        records = list(saved.records())
+        records[1] = expected
+        assert list(load_bundle(*paths).ic_annotations.records()) == records
+    else:
+        with pytest.raises(ParseError) as info:
+            load_bundle(*paths)
+        assert str(info.value) == f"{paths[1]}:2: {expected}"
 
 
-def test_saved_files_pass_the_column_checks(tmp_path, monkeypatch):
+def _judged(*labels_and_flags) -> list:
+    return [{"label": label, "parent_helpful": flag} for label, flag in labels_and_flags]
+
+
+@pytest.mark.parametrize(
+    "edits, line, message",
+    [
+        ({2: {"judgments": [*_judged(("toxic", 1)), ["toxic", None]]}}, 2, "parent_helpful must be true, false, or null"),
+        ({2: {"judgments": _judged(("rude", None))}, 3: {"condition": "xx"}}, 2, "unknown label 'rude'"),
+        ({2: {"condition": "xx"}, 3: {"judgments": _judged(("rude", None))}}, 2, "unknown condition 'xx'"),
+        ({300: {"judgments": []}, 301: {"condition": 5}}, 300, "annotation for post 'post299' (ic) has no judgments"),
+    ],
+    ids=["a judgment before the next", "a judgment before a later record", "a record before a later judgment", "past the first block"],
+)
+def test_first_bad_annotation_row_in_file_order_is_reported(tmp_path, edits, line, message):
     paths = [tmp_path / name for name in ("posts.jsonl", "ic.jsonl", "oc.jsonl")]
-    save_bundle(synthetic_bundle(n_posts=40, seed=3), *paths)
-    for path in paths[1:]:
-        assert all(corpus._annotation_columns(objs) is not None for _, objs in corpus.read_jsonl(path))
-    monkeypatch.setattr(corpus, "_row_error", None)  # a call would fail
-    load_posts(paths[0])
+    save_bundle(synthetic_bundle(n_posts=400, seed=3), *paths)
+    assert sum(map(len, paths[1].read_bytes().splitlines(keepends=True)[:299])) > corpus._BLOCK_BYTES  # line 300 is in the second block
+    for edit_line, fields in edits.items():
+        _corrupt(paths[1], edit_line, **fields)
+    with pytest.raises(ParseError) as info:
+        load_bundle(*paths)
+    assert (str(info.value), info.value.line) == (f"{paths[1]}:{line}: {message}", line)
