@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import POST_RULES, POST_TEXTS, AnnotationTable, Columns, DatasetBundle, Label, ParseError, PostTable, first_break, kept_posts, read_jsonl, type_rule, write_jsonl
+from .corpus import POST_RULES, POST_TEXTS, AnnotationTable, Columns, DatasetBundle, Label, PostTable, checked_blocks, kept_posts, read_rows, type_rule, write_jsonl
 
 _TOXIC_LABELS = frozenset({Label.TOXIC, Label.VERY_TOXIC})
 _TOXIC_CODES = [code for code, label in enumerate(Label) if label in _TOXIC_LABELS]
@@ -309,14 +309,9 @@ def load_examples(path: str | Path) -> SensitivityTable:
     an inconsistent score, delta, threshold or is_sensitive, a sem that is
     not finite) is a ParseError naming path:line: the smallest bad row, with
     the first rule in _EXAMPLE_RULES order that it breaks."""
-    path, seen = Path(path), set()
+    path, fields = Path(path), (*list(_ROW_FIELDS)[:3], *(f"{side}.{key}" for side in ("s_oc", "s_ic") for key in _SCORE_FIELDS))
     texts, scores = ([], [], []), [array("q" if name.endswith("raters") else "d") for name in _SCORE_COLUMNS]
-    for numbers, objs in read_jsonl(path):
-        block = Columns({key: list(map(dict.get, objs, repeat(key))) for key in _ROW_FIELDS}, _EXAMPLE_FIELDS, seen)
-        if broken := first_break(_EXAMPLE_RULES, block):
-            raise ParseError(str(path), numbers[broken[0]], str(broken[1]))
-        seen.update(block["post_id"])
-        fields = (*list(_ROW_FIELDS)[:3], *(f"{side}.{key}" for side in ("s_oc", "s_ic") for key in _SCORE_FIELDS))
+    for block in checked_blocks(path, read_rows(path, "jsonl", _ROW_FIELDS, _EXAMPLE_FIELDS), _EXAMPLE_RULES):
         for column, name in zip((*texts, *scores), fields):
             column.extend(block[name])
     return SensitivityTable(kept_posts(*texts), *scores)

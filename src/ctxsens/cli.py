@@ -23,8 +23,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import aggregation, analysis, evaluation
-from .corpus import CorpusError, OutputError, load_bool_column, load_bundle, load_posts, read_files, read_lines, write_csv, write_jsonl
+from . import aggregation, analysis, corpus, evaluation
+from .corpus import CorpusError, OutputError, load_bool_column, load_bundle, load_posts, read_files, write_csv, write_jsonl
 from .manifest import build_manifest, write_json, write_manifest
 from .scorer import ScorerEndpoint, ScorerError
 
@@ -152,7 +152,7 @@ def _load_config_file(path: str | None) -> dict:
     if not file.is_file():
         raise CliValidationError(f"config file not found: {path}")
     try:
-        obj = json.loads("".join(line for _, line in read_lines(file)))
+        obj = json.loads("".join("".join(lines) for _, lines in corpus.read_blocks(file)))
     except CorpusError as exc:
         raise CliValidationError(f"config file {exc}") from None
     except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert

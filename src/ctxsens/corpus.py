@@ -8,10 +8,13 @@ the featurizer's job.
 Every input file is read through `read_blocks`, which numbers lines and checks
 UTF-8 a block at a time, and through `read_jsonl` or `read_csv` on top of it;
 a CSV record's line is the one it starts on, as a quoted field may span lines.
-Each row kind has one ordered rule table, which `first_break` checks a block
-of rows against: the error is that of the smallest bad row and the first rule
-in table order that it breaks, so the first bad row in file order keeps its
-message and `file:line`.
+Every row file, JSONL or CSV, the group column and the score table included,
+is checked a block of rows at a time by `checked_blocks` against its row
+kind's ordered rule tables through `first_break`: the error is that of the
+smallest bad row and the first rule in table order that it breaks, so the
+first bad row in file order keeps its message and `file:line`. A CSV
+annotation record is read in the JSONL record shape, and its labels are
+checked before its parent_helpful slots.
 
 Posts are one columnar `PostTable` and each condition's annotations one
 columnar `AnnotationTable`, not an object per judgment: the post ids in file
@@ -26,13 +29,12 @@ from __future__ import annotations
 import csv
 import json
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import accumulate, chain, compress, count, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -57,7 +59,7 @@ _CONDITION_VALUES = frozenset(c.value for c in Condition)
 _HELPFUL_CODES = {None: -1, False: 0, True: 1}  # looked up only after a type check, as 1 == True
 _HELPFUL_TYPES = frozenset({bool, type(None)})
 _HELPFUL_VALUES = {code: value for value, code in _HELPFUL_CODES.items()}
-_HELPFUL_SLOTS = {"": -1, "false": 0, "true": 1}  # CSV
+_HELPFUL_SLOTS = {"": None, "false": False, "true": True}  # a CSV parent_helpful slot's JSON value
 
 
 class CorpusError(ValueError):
@@ -192,7 +194,7 @@ class PostTable:
 
     Ids are unique and nonempty, target texts not blank, and no text holds
     a NUL or a lone surrogate. The first row that breaks a rule raises its
-    error, with its index as `row`.
+    error.
     """
 
     post_ids: tuple[str, ...]
@@ -204,7 +206,6 @@ class PostTable:
         if not len(ids) == len(targets) == len(parents):
             raise ValueError("columns differ in length")
         if broken := first_break(POST_RULES, Columns(dict(zip(_POST_HEADER, (ids, targets, parents))), POST_TEXTS)):
-            broken[1].row = broken[0]
             raise broken[1]
         object.__setattr__(self, "post_ids", ids)
         object.__setattr__(self, "target_texts", targets)
@@ -345,12 +346,6 @@ def read_blocks(path: Path) -> Iterator[tuple[int, list[str]]]:
             first += len(block)
 
 
-def read_lines(path: Path) -> Iterator[tuple[int, str]]:
-    """(line number, line) for each line of read_blocks(path), for CSV and --config."""
-    for first, block in read_blocks(path):
-        yield from enumerate(block, first)
-
-
 # json.loads(line) is this scan of line from 0 when the value ends where the
 # line ending starts: the same object, without the checks of every call.
 _SCAN = json.JSONDecoder().scan_once
@@ -384,15 +379,41 @@ def read_jsonl(path: Path) -> Iterator[tuple[Sequence[int], list[dict]]]:
         yield numbers, objs
 
 
-def read_csv(path: Path) -> Iterator[tuple[int, list[str]]]:
-    """(line the record starts on, fields) for each record of a CSV file in
-    RFC 4180 quoting, where a quoted field may span lines; a blank line is a
-    record of no fields."""
-    reader = csv.reader(map(itemgetter(1), read_lines(path)))
-    line_no = 1
-    for record in reader:
-        yield line_no, record
-        line_no = reader.line_num + 1
+def read_csv(path: Path) -> Iterator[tuple[list[int], list[list[str]]]]:
+    """(lines the records start on, records) per block of about _BLOCK_BYTES
+    of a CSV file in RFC 4180 quoting, where a quoted field may span lines
+    and so blocks of read_blocks; a blank line is a record of no fields. A
+    byte that is not UTF-8 is a ParseError, raised after the records above
+    it were yielded."""
+    end = 1  # the line after the lines read so far
+
+    def lines(read: tuple[int, list[str]]) -> list[str]:
+        nonlocal end
+        end = read[0] + len(read[1])
+        return read[1]
+
+    reader, numbers, records, start = csv.reader(chain.from_iterable(map(lines, read_blocks(path)))), [], [], 1
+    try:
+        for record in reader:
+            numbers.append(start)
+            records.append(record)
+            start = reader.line_num + 1
+            if start == end:  # the records end where the lines read do
+                yield numbers, records
+                numbers, records = [], []
+    except ParseError:
+        if records:
+            yield numbers, records
+        raise
+    if records:
+        yield numbers, records
+
+
+def _below_header(path: Path) -> tuple[list[str] | None, Iterator[tuple[list[int], list[list[str]]]]]:
+    """A CSV file's first record, or None, and the blocks of read_csv below it."""
+    blocks = read_csv(path)
+    numbers, records = next(blocks, ([], [None]))
+    return records[0], chain([(numbers[1:], records[1:])], blocks)
 
 
 def read_files(*reads: tuple) -> list:
@@ -419,44 +440,50 @@ def read_files(*reads: tuple) -> list:
     return [value for done in parts for value in done]
 
 
-def _parse_rows(path: Path, rows: Iterable[tuple[int, Any]], parse: Callable[[Any], Any]) -> Iterator:
-    """parse(row) for each (line number, row) of rows; a CorpusError that
-    parse raises is a ParseError at the row's line."""
-    for line_no, row in rows:
-        try:
-            yield parse(row)
-        except CorpusError as exc:
-            raise ParseError(str(path), line_no, str(exc)) from exc
+def checked_blocks(path: Path, blocks: Iterable[Columns], *tables) -> Iterator[Columns]:
+    """Each block of rows in blocks, with their lines as column "line", once
+    its rows keep every rule of tables. A table is checked on the rows above
+    the first bad row of those before it, so the error is that of the
+    smallest bad row and the first table, and in it the first rule, that it
+    breaks: a ParseError at its line. A block's `seen` is the post ids above
+    it."""
+    seen: set = set()
+    for block in blocks:
+        block.seen, broken = seen, None
+        for table in tables:
+            broken = first_break(table, block.head(broken[0]) if broken else block) or broken
+        if broken:
+            raise ParseError(str(path), block["line"][broken[0]], str(broken[1]))
+        seen.update(block.get("post_id", ()))
+        yield block
 
 
 # --- the two corpus formats ----------------------------------------------------
 
 _POST_HEADER = ["post_id", "target_text", "parent_text"]
-_ANNOTATION_HEADER = ["post_id", "condition", "labels", "parent_helpful"]
 
 
-def _read_csv_rows(path: Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
-    """The nonblank records below a CSV file's header row, which must be
-    header, each as wide as header."""
-    records = read_csv(path)
-    _, found = next(records, (1, None))
-    if found != header:
-        raise ParseError(str(path), 1, "missing header row" if found is None else f"expected header {header}, got {found}")
-    for line_no, row in records:
-        if row:
-            if len(row) != len(header):
-                raise ParseError(str(path), line_no, f"expected {len(header)} fields, got {len(row)}")
-            yield line_no, row
-
-
-def _blocks(path: Path, format: str, header: list[str]) -> Iterator[tuple[Sequence[int], list[dict]]]:
-    """(line numbers, rows as objects) per block of a JSONL file, or per
-    record of a CSV file, keyed by header."""
+def read_rows(path: Path, format: str, keys: Sequence[str], derive: dict | None = None) -> Iterator[Columns]:
+    """Columns of keys, and of the rows' lines as "line", per block of a
+    JSONL file's objects or of the nonblank records of a CSV file whose
+    header row is keys. A CSV record not as wide as keys is a ParseError,
+    raised after the rows above it were yielded."""
     if format == "jsonl":
-        return read_jsonl(path)
-    if format == "csv":
-        return (((line_no,), [dict(zip(header, row))]) for line_no, row in _read_csv_rows(path, header))
-    raise CorpusError(f"unknown format {format!r} (expected 'jsonl' or 'csv')")
+        for numbers, objs in read_jsonl(path):
+            yield Columns({"line": numbers, **{key: list(map(dict.get, objs, repeat(key))) for key in keys}}, derive)
+        return
+    if format != "csv":
+        raise CorpusError(f"unknown format {format!r} (expected 'jsonl' or 'csv')")
+    header, blocks = _below_header(path)
+    if header != keys:
+        raise ParseError(str(path), 1, "missing header row" if header is None else f"expected header {keys}, got {header}")
+    for numbers, records in blocks:
+        numbers, records = list(compress(numbers, records)), list(filter(None, records))
+        bad = next(compress(count(), map(len(keys).__ne__, map(len, records))), len(records))
+        if bad:
+            yield Columns({"line": numbers[:bad], **dict(zip(keys, zip(*records[:bad])))}, derive)
+        if bad < len(records):
+            raise ParseError(str(path), numbers[bad], f"expected {len(keys)} fields, got {len(records[bad])}")
 
 
 _NO_JUDGMENTS = "annotation for post {post_id!r} ({condition}) has no judgments"
@@ -474,59 +501,37 @@ _JUDGMENT_RULES = (
     type_rule("parent_helpful", _HELPFUL_TYPES, "parent_helpful must be true, false, or null"),
 )
 _JUDGMENT_FIELDS = {key: lambda block, key=key: list(map(dict.get, block["judgment"], repeat(key))) for key in ("label", "parent_helpful")}
-
-
-def _annotation_columns(path: Path, numbers: Sequence[int], objs: list[dict]) -> tuple:
-    """The _columns of a block of annotation objects. The first bad record is
-    a ParseError at its line: the first to break a record rule, or one above
-    it that holds the first judgment to break a judgment rule."""
-    records = Columns({key: list(map(dict.get, objs, repeat(key))) for key in ("post_id", "condition", "judgments")})
-    broken = first_break(_RECORD_RULES, records)
-    above = records.head(broken[0]) if broken else records
-    judgments = Columns({"judgment": list(chain.from_iterable(above["judgments"]))}, _JUDGMENT_FIELDS)
-    if bad := first_break(_JUDGMENT_RULES, judgments):  # in the record whose judgments end past it
-        broken = bisect_right(list(accumulate(map(len, above["judgments"]))), bad[0]), bad[1]
-    if broken:
-        raise ParseError(str(path), numbers[broken[0]], str(broken[1]))
-    labels, helpful = map(_LABEL_CODES.__getitem__, judgments["label"]), map(_HELPFUL_CODES.__getitem__, judgments["parent_helpful"])
-    return records["post_id"], records["condition"], labels, helpful, map(len, records["judgments"])
-
-
-def _annotation_from_csv(row: dict) -> tuple:
-    post_id, condition, labels_cell, helpful_cell = row.values()
-    if condition not in _CONDITION_VALUES:
-        raise CorpusError(f"unknown condition {condition!r}")
-    if labels_cell == "":
-        raise CorpusError(_NO_JUDGMENTS.format(post_id=post_id, condition=condition))
-    try:
-        labels = [_LABEL_CODES[label] for label in labels_cell.split("|")]
-    except KeyError as exc:
-        raise CorpusError(f"unknown label {exc.args[0]!r}") from None
-    slots = helpful_cell.split("|") if helpful_cell else [""] * len(labels)
-    if len(slots) != len(labels):
-        raise CorpusError(f"parent_helpful has {len(slots)} slots for {len(labels)} labels")
-    try:
-        return post_id, condition, labels, [_HELPFUL_SLOTS[slot] for slot in slots]
-    except KeyError as exc:
-        raise CorpusError(f"bad parent_helpful slot {exc.args[0]!r}") from None
-
-
-def _columns(rows: Iterable[tuple]) -> tuple:
-    """(post ids, conditions, label codes, helpful codes, judgment counts) of
-    a nonempty block of (post_id, condition, label codes, helpful codes) rows."""
-    post_ids, conditions, labels, helpful = zip(*rows)
-    return post_ids, conditions, chain.from_iterable(labels), chain.from_iterable(helpful), map(len, labels)
+# _JUDGMENT_RULES as a rule over records, which a record breaks where one of its judgments does
+_JUDGMENTS = ((lambda block: not first_break(_JUDGMENT_RULES, block["judgment rows"]), lambda row: str(first_break(_JUDGMENT_RULES, row.block["judgment rows"])[1])),)
+# A CSV record's parent_helpful slots, checked after its labels: one per label, or none for all null.
+_SLOT_RULES = (
+    (lambda block: list(map(len, block["slots"])) == list(map(len, block["judgments"])), lambda row: f"parent_helpful has {len(row['slots'])} slots for {len(row['judgments'])} labels"),
+    (lambda block: _HELPFUL_SLOTS.keys() >= set(chain.from_iterable(block["slots"])), lambda row: f"bad parent_helpful slot {next(s for s in row['slots'] if s not in _HELPFUL_SLOTS)!r}"),
+)
+# A CSV record's judgments in the JSONL record shape, where a slot that is missing or bad reads as null; and the judgments of a block, one row each.
+_ANNOTATION_FIELDS = {
+    "judgments": lambda block: [
+        [{"label": label, "parent_helpful": _HELPFUL_SLOTS.get(slot)} for label, slot in zip(labels.split("|"), chain(slots.split("|"), repeat("")))] if labels else []
+        for labels, slots in zip(block["labels"], block["parent_helpful"])
+    ],
+    "slots": lambda block: [slots.split("|") if slots else [""] * len(judgments) for slots, judgments in zip(block["parent_helpful"], block["judgments"])],
+    "judgment rows": lambda block: Columns({"judgment": list(chain.from_iterable(block["judgments"]))}, _JUDGMENT_FIELDS),
+}
+# An annotation record's keys, and its slot rules, per format
+_ANNOTATION_FORMATS = {"jsonl": (["post_id", "condition", "judgments"], ()), "csv": (["post_id", "condition", "labels", "parent_helpful"], _SLOT_RULES)}
 
 
 def _read_table(path: Path, format: str, condition: Condition) -> AnnotationTable:
-    """One annotation file as a table. A JSONL block is checked against the
-    record and then the judgment rule tables: the smallest bad record, and
-    the first rule in table order that it breaks, is a ParseError at its
-    line. A CSV record is parsed on its own."""
+    """One annotation file as a table, its records checked in blocks against
+    _RECORD_RULES, then _JUDGMENT_RULES and then, in CSV, _SLOT_RULES: so a
+    CSV record's labels are checked before its slots, and both before the
+    records below it."""
+    keys, slot_rules = _ANNOTATION_FORMATS.get(format, ((), ()))  # read_rows rejects an unknown format
     columns = [], [], array("b"), array("b"), array("q")
-    for numbers, rows in _blocks(path, format, _ANNOTATION_HEADER):
-        block = _annotation_columns(path, numbers, rows) if format == "jsonl" else _columns(_parse_rows(path, zip(numbers, rows), _annotation_from_csv))
-        for column, values in zip(columns, block):
+    for block in checked_blocks(path, read_rows(path, format, keys, _ANNOTATION_FIELDS), _RECORD_RULES, _JUDGMENTS, slot_rules):
+        judgments = block["judgment rows"]
+        labels, helpful = map(_LABEL_CODES.__getitem__, judgments["label"]), map(_HELPFUL_CODES.__getitem__, judgments["parent_helpful"])
+        for column, values in zip(columns, (block["post_id"], block["condition"], labels, helpful, map(len, block["judgments"]))):
             column.extend(values)
     post_ids, conditions, labels, helpful, lengths = columns
     foreign = next(compress(count(), map(condition.value.__ne__, conditions)), -1)
@@ -590,42 +595,39 @@ def load_posts(path: str | Path, format: str = "jsonl") -> PostTable:
 
 
 def _read_posts(path: str | Path, format: str) -> PostTable:
-    """A posts file as a table. The first bad row in file order is a
-    ParseError at its line, a repeated post_id included. load_bundle calls
-    this, not load_posts, so that perfbench's wrapper on load_posts counts
-    standalone pools only."""
-    path, columns = Path(path), (array("q"), [], [], [])  # line numbers, then the _POST_HEADER fields
-    try:
-        for numbers, rows in _blocks(path, format, _POST_HEADER):
-            for column, values in zip(columns, (numbers, *(map(dict.get, rows, repeat(key)) for key in _POST_HEADER))):
-                column.extend(values)
-    finally:  # rows above a line that fails to parse are checked first
-        try:
-            posts = PostTable(*columns[1:])
-        except CorpusError as exc:
-            raise ParseError(str(path), columns[0][exc.row], str(exc)) from exc
-    return posts
+    """A posts file as a table, its rows checked in blocks against
+    POST_RULES: the first bad row in file order is a ParseError at its line,
+    a repeated post_id included. load_bundle calls this, not load_posts, so
+    that perfbench's wrapper on load_posts counts standalone pools only."""
+    path, columns = Path(path), ([], [], [])
+    for block in checked_blocks(path, read_rows(path, format, _POST_HEADER, POST_TEXTS), POST_RULES):
+        for column, key in zip(columns, _POST_HEADER):
+            column.extend(block[key])
+    return kept_posts(*columns)
 
 
 _BOOLEANS = {**dict.fromkeys(("true", "1", "yes", "t"), True), **dict.fromkeys(("false", "0", "no", "f"), False)}
+# A group column's rows are every record below the header, blank ones included.
+_BOOL_FIELDS = {
+    "cell": lambda block: list(map(itemgetter(0), filter(None, block["record"]))),  # the first field of each nonblank record
+    "boolean": lambda block: {cell: _BOOLEANS.get(cell.strip().lower()) for cell in set(block["cell"])},  # None if none
+}
+_BOOL_RULES = ((lambda block: None not in block["boolean"].values(), lambda row: f"not a boolean: {row['record'][0]!r}"),)
 
 
 def load_bool_column(path: str | Path) -> list[bool]:
     """The first column of a CSV file with a header row, as booleans
     (true/false, 1/0, yes/no or t/f in any case); blank rows are skipped."""
     path = Path(path)
-    records = read_csv(path)
-    if next(records, None) is None:
+    header, blocks = _below_header(path)
+    if header is None:
         raise ParseError(str(path), 1, "empty file")
-    values, line_no = [], 1
-    for line_no, row in records:
-        if row:
-            cell = row[0].strip().lower()
-            if cell not in _BOOLEANS:
-                raise ParseError(str(path), line_no, f"not a boolean: {row[0]!r}")
-            values.append(_BOOLEANS[cell])
+    values, line = [], 1
+    for block in checked_blocks(path, (Columns({"line": numbers, "record": records}, _BOOL_FIELDS) for numbers, records in blocks), _BOOL_RULES):
+        values += map(block["boolean"].__getitem__, block["cell"])
+        line = (block["line"] or [line])[-1]
     if not values:
-        raise ParseError(str(path), line_no, "no data rows")
+        raise ParseError(str(path), line, "no data rows")
     return values
 
 
@@ -662,39 +664,42 @@ class ScoredRow:
         return self.s_oc - self.s_ic
 
 
+def _scores(block: Columns) -> np.ndarray | ValueError | TypeError:
+    """The (oc, ic) scores of a block's rows as float64 rows, or the error
+    converting the first cell, in row order, that is not a number."""
+    try:
+        return np.array([(float(oc), float(ic)) for oc, ic in zip(block["oc"], block["ic"])]).reshape(-1, 2)
+    except (TypeError, ValueError) as exc:
+        return exc
+
+
 def load_score_table(path: str | Path, columns: ScoreTableColumns | None = None) -> list[ScoredRow]:
     """Read a released-data CSV into per-post aggregate score rows. A score
     that is not a number in [0, 100] (nan, inf, negative, above 100) and a
     blank, missing or repeated post id are each a ParseError naming file:line."""
     columns = columns or ScoreTableColumns()
     path = Path(path)
-    records = read_csv(path)
-    _, header = next(records, (1, None))
+    header, blocks = _below_header(path)
     if header is None:
         raise ParseError(str(path), 1, "missing header row")
     if missing := [c for c in (columns.post_id, columns.oc_score, columns.ic_score) if c not in header]:
         raise ParseError(str(path), 1, f"missing required columns {missing}; found {header}")
-    names = (columns.post_id, columns.target_text, columns.parent_text, columns.oc_score, columns.ic_score)
-    seen: set[str] = set()
+    names = {"post_id": columns.post_id, "target_text": columns.target_text, "parent_text": columns.parent_text, "oc": columns.oc_score, "ic": columns.ic_score}
+    rules = (
+        (lambda block: all(post_id and post_id.strip() for post_id in block["post_id"]), lambda row: f"missing or blank {columns.post_id!r}"),
+        (lambda block: len(set(ids := block["post_id"])) == len(ids) and block.seen.isdisjoint(ids), "duplicate post id {post_id!r}"),
+        (lambda block: not isinstance(block["scores"], Exception), lambda row: f"non-numeric score: {row.block['scores']}"),  # row.block ends at this row
+        (lambda block: ((0.0 <= block["scores"]) & (block["scores"] <= 100.0)).all(), lambda row: f"scores {float(row['oc'])}, {float(row['ic'])} must both lie in [0, 100]"),
+    )
 
-    def scored(row: list[str]) -> ScoredRow:
-        # a cell past the end of a short row reads as None
-        cells = dict(zip(header, row + [None] * (len(header) - len(row))))
-        post_id, target_text, parent_text, oc, ic = map(cells.get, names)
-        if post_id is None or not post_id.strip():
-            raise CorpusError(f"missing or blank {columns.post_id!r}")
-        if post_id in seen:
-            raise CorpusError(f"duplicate post id {post_id!r}")
-        seen.add(post_id)
-        try:
-            s_oc, s_ic = float(oc), float(ic)
-        except (TypeError, ValueError) as exc:
-            raise CorpusError(f"non-numeric score: {exc}") from exc
-        if not (0.0 <= s_oc <= 100.0 and 0.0 <= s_ic <= 100.0):  # false for nan too
-            raise CorpusError(f"scores {s_oc}, {s_ic} must both lie in [0, 100]")
-        return ScoredRow(post_id, target_text or "", parent_text or None, s_oc, s_ic)
+    def block(numbers: list[int], records: list[list[str]]) -> Columns:  # a cell past the end of a short record reads as None
+        cells = [dict(zip(header, record + [None] * (len(header) - len(record)))) for record in records if record]
+        return Columns({"line": list(compress(numbers, records)), **{key: list(map(dict.get, cells, repeat(name))) for key, name in names.items()}}, {"scores": _scores})
 
-    rows = list(_parse_rows(path, (record for record in records if record[1]), scored))
+    rows = []
+    for scored in checked_blocks(path, (block(*blocked) for blocked in blocks), rules):
+        texts, parents = (text or "" for text in scored["target_text"]), (text or None for text in scored["parent_text"])
+        rows += map(ScoredRow, scored["post_id"], texts, parents, *scored["scores"].T.tolist())
     if any(r.s_oc > 1.0 or r.s_ic > 1.0 for r in rows):
         rows = [replace(row, s_oc=row.s_oc / 100.0, s_ic=row.s_ic / 100.0) for row in rows]
     return rows

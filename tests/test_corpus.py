@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import math
 import pickle
@@ -145,6 +146,10 @@ _TOXIC = {"label": "toxic", "parent_helpful": None}
         ("csv", 3, {"parent_helpful": "true|1"}, "bad parent_helpful slot '1'"),
         ("csv", 3, {"labels": "toxic||toxic", "parent_helpful": ""}, "unknown label ''"),
         ("csv", 2, {"labels": "", "parent_helpful": ""}, r"annotation for post 'p1' \(ic\) has no judgments$"),
+        # every label of a record is checked before any of its parent_helpful slots
+        ("csv", 2, {"labels": "toxic|bogus", "parent_helpful": "maybe|true"}, "unknown label 'bogus'$"),
+        ("csv", 2, {"labels": "toxic|bogus", "parent_helpful": "true|true|true"}, "unknown label 'bogus'$"),
+        ("csv", 2, {"condition": "xx", "labels": "", "parent_helpful": ""}, "unknown condition 'xx'$"),
     ],
 )
 def test_loader_rejects_lookalike_values(tmp_path, fmt, line, fields, message):
@@ -467,8 +472,13 @@ _HEADER = "id,text,parent,toxicity_oc,toxicity_ic\n"
         (_HEADER + "1,a,,0.2,0\n2,b,,0.3,0\n1,c,,0.4,0\n", 4, "duplicate post id '1'"),
         (_HEADER + "1,a,,0.2,0\n\n2,b,,high,0\n", 4, "non-numeric score: could not convert string to float: 'high'"),
         (_HEADER + '1,"two\nlines",,0.2,0\n2,b,,high,0\n', 4, "non-numeric score: could not convert string to float: 'high'"),
+        (_HEADER + "1,a,,0.2,0\n1,b,,high,0\n", 3, "duplicate post id '1'"),
+        (_HEADER + " ,a,,150,0\n", 2, "missing or blank 'id'"),
     ],
-    ids=["nan", "inf", "negative", "above 100", "blank id", "missing id", "repeated id", "after a blank line", "after a multi-line record"],
+    ids=[
+        "nan", "inf", "negative", "above 100", "blank id", "missing id", "repeated id", "after a blank line", "after a multi-line record",
+        "repeated id with a non-numeric score", "blank id with a score above 100",
+    ],
 )
 def test_score_table_adapter_rejects_bad_rows(tmp_path, content, line, message):
     path = tmp_path / "released.csv"
@@ -499,8 +509,7 @@ def test_bool_column_names_the_line_of_its_first_bad_row(tmp_path, content, line
 
 def test_every_input_file_is_read_once_through_read_blocks(tmp_path, monkeypatch):
     """A loader that opens an input file its own way, or reads it twice, fails
-    here. read_lines, through which the CLI reads its --config file, is made
-    of read_blocks too."""
+    here. The CLI reads its --config file through read_blocks too."""
     opened, read_blocks = [], corpus.read_blocks
 
     def spy(path):
@@ -528,6 +537,41 @@ def test_every_input_file_is_read_once_through_read_blocks(tmp_path, monkeypatch
     assert sorted(opened) == sorted([*inputs, "released.csv", "config.json", "a.csv", "b.csv"])
 
 
+def test_every_loader_checks_its_rows_through_first_break(tmp_path, monkeypatch):
+    """A loader that checks its rows its own way fails here: some rule table
+    must get every row of the file, once, through first_break."""
+    rows_by_table, first_break = {}, corpus.first_break
+
+    def spy(rules, columns):
+        rows_by_table[rules] = rows_by_table.get(rules, 0) + columns.rows
+        return first_break(rules, columns)
+
+    monkeypatch.setattr(corpus, "first_break", spy)
+    monkeypatch.setattr(aggregation, "first_break", spy, raising=False)  # in case a loader there binds it itself
+    bundle = synthetic_bundle(n_posts=6, seed=1)
+    loads = []
+    for fmt in ("jsonl", "csv"):
+        paths = [tmp_path / f"{name}.{fmt}" for name in ("posts", "ic", "oc")]
+        save_bundle(bundle, *paths, format=fmt)
+        loads += [
+            (paths[0].name, functools.partial(load_posts, paths[0], format=fmt), len(bundle.posts)),
+            (paths[1].name, functools.partial(corpus._read_table, paths[1], fmt, IC), len(bundle.ic_annotations)),
+        ]
+    table = aggregation.compute_sensitivities(bundle)[0]
+    aggregation.save_examples(table, tmp_path / "sensitivity.jsonl")
+    (tmp_path / "group.csv").write_text("v\ntrue\nfalse\nyes\n", encoding="utf-8")
+    (tmp_path / "released.csv").write_text(_HEADER + "1,a,,0.2,0\n2,b,,0.5,1\n", encoding="utf-8")
+    loads += [
+        ("sensitivity.jsonl", functools.partial(aggregation.load_examples, tmp_path / "sensitivity.jsonl"), len(table)),
+        ("group.csv", functools.partial(load_bool_column, tmp_path / "group.csv"), 3),
+        ("released.csv", functools.partial(load_score_table, tmp_path / "released.csv"), 2),
+    ]
+    for name, load, rows in loads:
+        rows_by_table.clear()
+        load()
+        assert rows in rows_by_table.values(), name
+
+
 # --- the block reader: errors that cross processes, line endings, file order ---
 
 
@@ -541,7 +585,7 @@ def _every_subclass(cls: type) -> set:
     ids=lambda error: type(error).__name__,
 )
 def test_every_corpus_error_survives_a_pickle_round_trip(error):
-    error.row = 7  # as PostTable sets it
+    error.row = 7  # an attribute set after construction
     back = pickle.loads(pickle.dumps(error, protocol=pickle.HIGHEST_PROTOCOL))
     assert (type(back), str(back), vars(back)) == (type(error), str(error), vars(error))
 
@@ -752,3 +796,41 @@ def test_first_bad_annotation_row_in_file_order_is_reported(tmp_path, edits, lin
     with pytest.raises(ParseError) as info:
         load_bundle(*paths)
     assert (str(info.value), info.value.line) == (f"{paths[1]}:{line}: {message}", line)
+
+
+@pytest.mark.parametrize(
+    "name, edits, line, message",
+    [
+        ("posts", {1401: {"target_text": " "}, 1402: {"post_id": ""}}, 1401, "post 'post1399': target_text is blank"),
+        ("ic", {1401: {"labels": "toxic|rude"}}, 1401, "unknown label 'rude'"),
+        ("ic", {1401: {"parent_helpful": "true"}, 1402: {"labels": "rude"}}, 1401, "parent_helpful has 1 slots for 5 labels"),
+    ],
+    ids=["posts", "annotations", "a slot before a later label"],
+)
+def test_a_bad_csv_record_past_the_first_block_is_reported_at_its_line(tmp_path, name, edits, line, message):
+    paths = {n: tmp_path / f"{n}.csv" for n in ("posts", "ic", "oc")}
+    save_bundle(synthetic_bundle(n_posts=1500, seed=3), *paths.values(), format="csv")
+    rows = paths[name].read_text(encoding="utf-8").splitlines()  # no field is quoted
+    assert sum(len(row) + 1 for row in rows[: line - 1]) > corpus._BLOCK_BYTES
+    header = rows[0].split(",")
+    for edit_line, fields in edits.items():
+        rows[edit_line - 1] = ",".join({**dict(zip(header, rows[edit_line - 1].split(","))), **fields}.values())
+    paths[name].write_text("\n".join(rows) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        load_bundle(*paths.values(), format="csv")
+    assert (str(info.value), info.value.line) == (f"{paths[name]}:{line}: {message}", line)
+
+
+def test_a_csv_record_whose_quoted_field_crosses_a_block_boundary_keeps_its_lines(tmp_path):
+    path = tmp_path / "posts.csv"
+    rows = [{"post_id": f"p{i}", "target_text": f"text {i} " + "x" * 40, "parent_text": None} for i in range(1200)]
+    rows[1100]["target_text"] = "\n".join(["a line of the long field"] * 1000)
+    rows[1101]["target_text"] = " "
+    _write_posts(path, rows)
+    text = path.read_text(encoding="utf-8")
+    starts, ends = text.index("p1100,"), text.index("p1101,")
+    assert starts < corpus._BLOCK_BYTES - 1000 and ends > corpus._BLOCK_BYTES + 1000  # one block ends inside the field
+    line = text[:ends].count("\n") + 1
+    with pytest.raises(ParseError) as info:
+        load_posts(path, format="csv")
+    assert (str(info.value), info.value.line) == (f"{path}:{line}: post 'p1101': target_text is blank", line)
