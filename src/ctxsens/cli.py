@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import aggregation, analysis, corpus, evaluation
-from .corpus import CorpusError, OutputError, load_bool_column, load_bundle, load_posts, read_files, write_csv, write_jsonl
+from .corpus import CorpusError, OutputError, load_bool_column, load_bundle, load_posts, write_csv, write_jsonl
 from .manifest import build_manifest, write_json, write_manifest
 from .scorer import ScorerEndpoint, ScorerError
 
@@ -448,7 +448,8 @@ def _sample(run: Run) -> None:
 def _augment(run: Run) -> None:
     """teacher-student augmentation loop"""
     from . import augmentation
-    table, pool = read_files((_load_examples_checked, run.inputs["data"]), (load_posts, run.inputs["pool"]))
+    table = _load_examples_checked(run.inputs["data"])
+    pool = load_posts(run.inputs["pool"])
     config = augmentation.AugmentationConfig(
         pool=pool,
         selection=run.config["selection"],

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from array import array
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -37,8 +38,6 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-
-from . import _fork
 
 
 class Label(str, Enum):
@@ -73,7 +72,7 @@ class ParseError(CorpusError):
         super().__init__(f"{source}:{line}: {message}")
         self.source, self.line, self.message = source, line, message
 
-    def __reduce__(self):  # so that it survives a pickle round trip, as from a forked part
+    def __reduce__(self):  # for callers that pickle errors: Exception pickles only args, here the whole message
         return type(self), (self.source, self.line, self.message), vars(self)
 
 
@@ -383,8 +382,11 @@ def read_csv(path: Path) -> Iterator[tuple[list[int], list[list[str]]]]:
     """(lines the records start on, records) per block of about _BLOCK_BYTES
     of a CSV file in RFC 4180 quoting, where a quoted field may span lines
     and so blocks of read_blocks; a blank line is a record of no fields. A
-    byte that is not UTF-8 is a ParseError, raised after the records above
-    it were yielded."""
+    field may be as long as a string: this raises the csv module's field
+    limit for the whole process. A byte that is not UTF-8, or a record the
+    csv module rejects, is a ParseError, raised after the records above it
+    were yielded."""
+    csv.field_size_limit(2**31 - 1 if sys.platform == "win32" else sys.maxsize)  # the largest C long
     end = 1  # the line after the lines read so far
 
     def lines(read: tuple[int, list[str]]) -> list[str]:
@@ -401,9 +403,11 @@ def read_csv(path: Path) -> Iterator[tuple[list[int], list[list[str]]]]:
             if start == end:  # the records end where the lines read do
                 yield numbers, records
                 numbers, records = [], []
-    except ParseError:
+    except (ParseError, csv.Error) as exc:
         if records:
             yield numbers, records
+        if isinstance(exc, csv.Error):  # at the line its record starts on
+            raise ParseError(str(path), start, str(exc)) from None
         raise
     if records:
         yield numbers, records
@@ -414,30 +418,6 @@ def _below_header(path: Path) -> tuple[list[str] | None, Iterator[tuple[list[int
     blocks = read_csv(path)
     numbers, records = next(blocks, ([], [None]))
     return records[0], chain([(numbers[1:], records[1:])], blocks)
-
-
-def read_files(*reads: tuple) -> list:
-    """[read(path, *args) for read, path, *args in reads], at once in
-    contiguous parts (_fork.bounds) while the files hold lines enough. The
-    last part runs here, so that what it reads is not sent back. The first
-    read in order that fails raises, once every part has ended."""
-    lines, enough = 0, _fork._LEAST_WORK * min(_fork.cpu_count(), len(reads))
-    for _, path, *_ in reads if enough > _fork._LEAST_WORK else ():  # counted as far as it matters
-        with open(path, "rb") as handle:
-            while lines < enough and (chunk := handle.read(1 << 20)):
-                lines += chunk.count(b"\n")
-    ends, backwards = _fork.bounds(len(reads), lines), reads[::-1]
-
-    def part(index: int) -> list | Exception:  # part 0 has the last reads
-        try:
-            return [read(*args) for read, *args in reversed(backwards[ends[index] : ends[index + 1]])]
-        except Exception as exc:  # raised below, unless an earlier file's error is
-            return exc
-
-    parts = _fork.run(part, len(ends) - 1)[::-1]  # in file order
-    if error := next((done for done in parts if isinstance(done, Exception)), None):
-        raise error
-    return [value for done in parts for value in done]
 
 
 def checked_blocks(path: Path, blocks: Iterable[Columns], *tables) -> Iterator[Columns]:
@@ -549,12 +529,16 @@ def load_bundle(
 ) -> DatasetBundle:
     """Load and validate a corpus from its three files.
 
-    All three files are parsed before the cross-file checks. Raises
-    ParseError (with source and line), DuplicateRecordError,
-    DanglingReferenceError, or CorpusError; anything schema-conformant loads.
+    The files are parsed in the order posts, ic, oc, so the first bad one
+    raises, and all three before the cross-file checks. Raises ParseError
+    (with source and line), DuplicateRecordError, DanglingReferenceError,
+    or CorpusError; anything schema-conformant loads.
     """
-    ic, oc = (_read_table, Path(ic_path), format, Condition.IN_CONTEXT), (_read_table, Path(oc_path), format, Condition.OUT_OF_CONTEXT)
-    return DatasetBundle(*read_files((_read_posts, Path(posts_path), format), ic, oc))
+    return DatasetBundle(
+        _read_posts(posts_path, format),
+        _read_table(Path(ic_path), format, Condition.IN_CONTEXT),
+        _read_table(Path(oc_path), format, Condition.OUT_OF_CONTEXT),
+    )
 
 
 def _json(path: Path, obj, indent: int | None = None) -> str:

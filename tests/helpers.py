@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from ctxsens import _fork
 from ctxsens.aggregation import SensitivityTable
 from ctxsens.corpus import AnnotationTable, Condition, DatasetBundle, Label, PostTable, write_csv, write_jsonl
 
@@ -29,16 +28,6 @@ def traced_peak(function, *args, **kwargs) -> tuple:
         return function(*args, **kwargs), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-def read_in_parts(monkeypatch, parts: int) -> list:
-    """parts CPUs, and parts of any size for corpus.read_files; the part
-    count of each _fork.run call is appended to the list returned."""
-    monkeypatch.setattr(_fork, "cpu_count", lambda: parts)
-    monkeypatch.setattr(_fork, "_LEAST_WORK", 1)
-    runs, run = [], _fork.run
-    monkeypatch.setattr(_fork, "run", lambda job, n_parts: runs.append(n_parts) or run(job, n_parts))
-    return runs
 
 
 def post_table(rows) -> PostTable:

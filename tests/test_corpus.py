@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -31,7 +32,7 @@ from ctxsens.corpus import (
 )
 
 import oracles
-from helpers import annotation_table, post_table, read_in_parts, save_bundle, save_posts, synthetic_bundle, table_rows
+from helpers import annotation_table, post_table, save_bundle, save_posts, synthetic_bundle, table_rows
 
 IC, OC = Condition.IN_CONTEXT, Condition.OUT_OF_CONTEXT
 
@@ -653,31 +654,25 @@ def test_a_raw_control_character_in_a_string_is_a_bad_row_at_its_own_line(tmp_pa
         load_posts(path)
 
 
-@pytest.mark.parametrize("parts", [1, 2])
-def test_joined_lines_that_decode_as_an_array_are_still_a_bad_line(tmp_path, monkeypatch, parts):
+def test_joined_lines_that_decode_as_an_array_are_still_a_bad_line(tmp_path):
     # ["{"x":1}, {"y":2", ""z":3}"] joined would read as two objects, but each line alone is bad
     paths = [tmp_path / name for name in ("posts.jsonl", "ic.jsonl", "oc.jsonl")]
     save_bundle(synthetic_bundle(n_posts=4, seed=3), *paths)
     paths[0].write_text('{"x":1}, {"y":2\n"z":3}\n', encoding="utf-8")
-    runs = read_in_parts(monkeypatch, parts)
     with pytest.raises(ParseError, match=rf"^{paths[0]}:1: invalid JSON: Extra data"):
         load_bundle(*paths)
-    assert runs == [parts]
 
 
-@pytest.mark.parametrize("parts", [1, 2])
-def test_a_bundle_with_two_bad_files_reports_the_posts_file(tmp_path, monkeypatch, parts):
+def test_a_bundle_with_two_bad_files_reports_the_posts_file(tmp_path):
     paths = [tmp_path / name for name in ("posts.jsonl", "ic.jsonl", "oc.jsonl")]
     save_bundle(synthetic_bundle(n_posts=4, seed=3), *paths)
     for path in (paths[0], paths[2]):
         path.write_text(path.read_text(encoding="utf-8") + "[]\n", encoding="utf-8")
-    runs = read_in_parts(monkeypatch, parts)
     with pytest.raises(ParseError, match=rf"^{paths[0]}:5: each line must be a JSON object"):
         load_bundle(*paths)
     paths[0].write_text(paths[0].read_text(encoding="utf-8")[: -len("[]\n")], encoding="utf-8")
     with pytest.raises(ParseError, match=rf"^{paths[2]}:\d+: each line must be a JSON object"):
         load_bundle(*paths)
-    assert runs == [parts, parts]
 
 
 def test_write_jsonl_writes_the_lines_of_json_dumps_and_names_the_path_of_a_nan(tmp_path):
@@ -834,3 +829,41 @@ def test_a_csv_record_whose_quoted_field_crosses_a_block_boundary_keeps_its_line
     with pytest.raises(ParseError) as info:
         load_posts(path, format="csv")
     assert (str(info.value), info.value.line) == (f"{path}:{line}: post 'p1101': target_text is blank", line)
+
+
+def test_a_csv_field_longer_than_the_csv_module_default_loads_as_in_jsonl(tmp_path, capsys):
+    long = "x" * 200_000  # the csv module's default field limit is 131,072 characters
+    bundle = synthetic_bundle(n_posts=4, seed=3)
+    ids = (long, *bundle.posts.post_ids[1:])  # annotation records refer to it too
+    posts = PostTable(ids, (f"{long} text", *bundle.posts.target_texts[1:]), (long, *bundle.posts.parent_texts[1:]))
+    bundle = DatasetBundle(posts, *(dataclasses.replace(table, post_ids=ids) for table in (bundle.ic_annotations, bundle.oc_annotations)))
+    for format in ("jsonl", "csv"):
+        paths = [tmp_path / f"{name}.{format}" for name in ("posts", "ic", "oc")]
+        save_bundle(bundle, *paths, format=format)
+        assert load_bundle(*paths, format=format) == bundle
+        files = " ".join(f"--{name} {path}" for name, path in zip(("posts", "ic", "oc"), paths))
+        assert cli.main(f"aggregate {files} --input-format {format} --out {tmp_path}/agg_{format}".split()) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "agg_csv/sensitivity.jsonl").read_bytes() == (tmp_path / "agg_jsonl/sensitivity.jsonl").read_bytes()
+    (tmp_path / "group.csv").write_text(f"v\ntrue{' ' * 200_000}\nfalse\n", encoding="utf-8")
+    assert load_bool_column(tmp_path / "group.csv") == [True, False]
+    (tmp_path / "released.csv").write_text(f"{_HEADER}1,{long},,0.2,0\n", encoding="utf-8")
+    assert load_score_table(tmp_path / "released.csv")[0].target_text == long
+
+
+def test_a_csv_record_the_csv_module_rejects_is_a_parse_error_at_the_line_it_starts_on(tmp_path, monkeypatch, capsys):
+    paths = [tmp_path / name for name in ("posts.csv", "ic.csv", "oc.csv")]
+    paths[0].write_text('post_id,target_text,parent_text\np1,short,\np2,"a text of more than\ntwenty characters",\n', encoding="utf-8")
+    for path in paths[1:]:
+        path.write_text("post_id,condition,labels,parent_helpful\n", encoding="utf-8")
+    limit, set_limit = csv.field_size_limit(), csv.field_size_limit
+    monkeypatch.setattr(csv, "field_size_limit", lambda new: limit)  # so that read_csv keeps the limit set here
+    set_limit(20)
+    try:
+        with pytest.raises(ParseError, match=rf"^{paths[0]}:3: field larger than field limit \(20\)$"):
+            load_posts(paths[0], format="csv")
+        line = f"aggregate --posts {paths[0]} --ic {paths[1]} --oc {paths[2]} --input-format csv --out {tmp_path}/agg"
+        code = cli.main(line.split())
+    finally:
+        set_limit(limit)
+    assert (code, capsys.readouterr().err) == (cli.EXIT_VALIDATION, f"error: {paths[0]}:3: field larger than field limit (20)\n")

@@ -12,10 +12,11 @@ import types
 import numpy as np
 import pytest
 
-from ctxsens import _fork, features, models
+from ctxsens import _fork, augmentation, features, models
 from ctxsens.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
+from ctxsens.corpus import load_bundle
 
-from helpers import read_in_parts, save_bundle, synthetic_bundle
+from helpers import save_bundle, synthetic_bundle
 from test_golden import _write_inputs
 
 
@@ -231,23 +232,19 @@ def _append(path, text: str) -> None:
         handle.write(text)
 
 
-@pytest.mark.parametrize("parts", [1, 2])
-def test_a_bad_posts_file_read_in_a_forked_part_is_a_validation_error(tmp_path, monkeypatch, capsys, parts):
+def test_a_bad_posts_file_is_a_validation_error(tmp_path, capsys):
     inputs = tmp_path / "inputs"
     inputs.mkdir()
     _write_inputs(inputs)
     posts = inputs / "posts.jsonl"
     _append(posts, '{"post_id": "x", "target_text": "  "}\n')
-    runs = read_in_parts(monkeypatch, parts)
     code = _cli(f"aggregate --posts {posts} --ic {inputs}/ic.jsonl --oc {inputs}/oc.jsonl --out {tmp_path}/agg")
     lines = posts.read_text(encoding="utf-8").count("\n")
     assert (code, capsys.readouterr().err) == (EXIT_VALIDATION, f"error: {posts}:{lines}: post 'x': target_text is blank\n")
-    assert runs == [parts]
     _no_child_left()
 
 
-@pytest.mark.parametrize("parts", [1, 2])
-def test_augment_with_a_bad_data_file_and_a_bad_pool_reports_the_data_file(tmp_path, monkeypatch, capsys, parts):
+def test_augment_with_a_bad_data_file_and_a_bad_pool_reports_the_data_file(tmp_path, capsys):
     inputs = tmp_path / "inputs"
     inputs.mkdir()
     _write_inputs(inputs)
@@ -256,7 +253,6 @@ def test_augment_with_a_bad_data_file_and_a_bad_pool_reports_the_data_file(tmp_p
     good = data.read_text(encoding="utf-8")
     for path in (data, pool):
         _append(path, "[]\n")
-    runs = read_in_parts(monkeypatch, parts)
     line = f"augment --data {data} --pool {pool} --cycles 1 --k 2 --repeats 1 --out {tmp_path}/augment"
     assert _cli(line) == EXIT_VALIDATION
     bad_row = f"{data}:{good.count(chr(10)) + 1}: each line must be a JSON object"
@@ -265,20 +261,27 @@ def test_augment_with_a_bad_data_file_and_a_bad_pool_reports_the_data_file(tmp_p
     assert _cli(line) == EXIT_VALIDATION
     bad_row = f"{pool}:{pool.read_text(encoding='utf-8').count(chr(10))}: each line must be a JSON object"
     assert capsys.readouterr().err == f"error: {bad_row}\n"
-    assert runs == [parts, parts]
     assert not (tmp_path / "augment").exists()
     _no_child_left()
 
 
-def test_input_files_of_fewer_lines_than_a_part_needs_are_read_here(tmp_path, monkeypatch):
+def test_input_files_are_read_here_at_any_cpu_count_and_size(tmp_path, monkeypatch):
     inputs = tmp_path / "inputs"
     inputs.mkdir()
     _write_inputs(inputs)
     monkeypatch.setattr(_fork, "cpu_count", lambda: 2)
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    data = tmp_path / "agg" / "sensitivity.jsonl"
-    assert _cli(f"aggregate --posts {inputs}/posts.jsonl --ic {inputs}/ic.jsonl --oc {inputs}/oc.jsonl --out {data.parent}") == EXIT_OK
+    data, files = tmp_path / "agg" / "sensitivity.jsonl", f"--posts {inputs}/posts.jsonl --ic {inputs}/ic.jsonl --oc {inputs}/oc.jsonl"
+    assert _cli(f"aggregate {files} --out {data.parent}") == EXIT_OK
     line = f"augment --data {data} --pool {inputs}/pool.jsonl --cycles 1 --k 2 --repeats 1 --out {tmp_path}/augment"
     assert _cli(line) == EXIT_OK
+    assert forks == []
+    # parts of one line each: scoring and forest training would fork, but no input read does
+    monkeypatch.setattr(_fork, "_LEAST_WORK", 1)
+    load_bundle(inputs / "posts.jsonl", inputs / "ic.jsonl", inputs / "oc.jsonl")
+    assert _cli(f"aggregate {files} --out {tmp_path}/agg_1") == EXIT_OK
+    assert _cli(f"stats {files} --out {tmp_path}/stats_1") == EXIT_OK
+    monkeypatch.setattr(augmentation, "run_augmentation", lambda table, splits, config: [])  # augment's reads alone
+    assert _cli(f"{line}_1") == EXIT_OK
     assert forks == []
