@@ -675,6 +675,19 @@ def test_a_bundle_with_two_bad_files_reports_the_posts_file(tmp_path):
         load_bundle(*paths)
 
 
+def test_a_bundle_with_a_bad_ic_file_and_a_bad_oc_file_reports_the_ic_file(tmp_path):
+    paths = [tmp_path / name for name in ("posts.jsonl", "ic.jsonl", "oc.jsonl")]
+    save_bundle(synthetic_bundle(n_posts=4, seed=3), *paths)
+    good = paths[1].read_text(encoding="utf-8")
+    for path in paths[1:]:
+        path.write_text(path.read_text(encoding="utf-8") + "[]\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=rf"^{paths[1]}:{good.count(chr(10)) + 1}: each line must be a JSON object"):
+        load_bundle(*paths)
+    paths[1].write_text(good, encoding="utf-8")
+    with pytest.raises(ParseError, match=rf"^{paths[2]}:\d+: each line must be a JSON object"):
+        load_bundle(*paths)
+
+
 def test_write_jsonl_writes_the_lines_of_json_dumps_and_names_the_path_of_a_nan(tmp_path):
     objs = [{"post_id": f"p{i}", "text": "café \x1e", "score": 0.1 * i, "rank": i} for i in range(2500)]
     path = tmp_path / "out.jsonl"
@@ -867,3 +880,51 @@ def test_a_csv_record_the_csv_module_rejects_is_a_parse_error_at_the_line_it_sta
     finally:
         set_limit(limit)
     assert (code, capsys.readouterr().err) == (cli.EXIT_VALIDATION, f"error: {paths[0]}:3: field larger than field limit (20)\n")
+
+
+def _limit_csv_fields(monkeypatch, limit: int) -> int:
+    """Sets the csv module's field limit to limit, which read_csv keeps, and
+    returns the limit that was set before."""
+    before, set_limit = csv.field_size_limit(), csv.field_size_limit
+    monkeypatch.setattr(csv, "field_size_limit", lambda new: limit)
+    set_limit(limit)
+    return before
+
+
+def test_read_csv_yields_the_records_above_a_record_the_csv_module_rejects(tmp_path, monkeypatch):
+    path = tmp_path / "posts.csv"
+    path.write_text('post_id,target_text\np1,short\n\np2,"x\ny"\np3,"a field of more than twenty characters"\np4,z\n', encoding="utf-8")
+    before, got = _limit_csv_fields(monkeypatch, 20), []
+    try:
+        with pytest.raises(ParseError) as info:
+            for numbers, records in corpus.read_csv(path):
+                got.extend(zip(numbers, records))
+    finally:
+        monkeypatch.undo()
+        csv.field_size_limit(before)
+    assert got == [(1, ["post_id", "target_text"]), (2, ["p1", "short"]), (3, []), (4, ["p2", "x\ny"])]
+    assert (info.value.source, info.value.line, info.value.message) == (str(path), 6, "field larger than field limit (20)")
+
+
+def test_a_csv_annotation_record_the_csv_module_rejects_is_a_parse_error_in_its_file(tmp_path, monkeypatch):
+    paths = [tmp_path / name for name in ("posts.csv", "ic.csv", "oc.csv")]
+    save_bundle(synthetic_bundle(n_posts=4, seed=3), *paths, format="csv")
+    widest = max(len(field) for path in paths for record in csv.reader(path.open(encoding="utf-8", newline="")) for field in record)
+    good = paths[1].read_text(encoding="utf-8")
+    _append_text(paths[1], f'{"q" * (widest + 1)},x,y,z\n')
+    _append_text(paths[2], "[]\n")
+    before = _limit_csv_fields(monkeypatch, widest)
+    try:
+        with pytest.raises(ParseError, match=rf"^{paths[1]}:{good.count(chr(10)) + 1}: field larger than field limit \({widest}\)$"):
+            load_bundle(*paths, format="csv")
+    finally:
+        monkeypatch.undo()
+        csv.field_size_limit(before)
+    paths[1].write_text(good, encoding="utf-8")
+    with pytest.raises(ParseError, match=rf"^{paths[2]}:\d+: "):  # the oc file is bad too, but read after ic
+        load_bundle(*paths, format="csv")
+
+
+def _append_text(path, text: str) -> None:
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(text)
